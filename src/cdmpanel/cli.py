@@ -269,7 +269,6 @@ class _StageRunner:
             rule = counts.CalibrationRule(
                 firm_mean_source=model.get("raw", model["dependent"]),
                 epsilon=epsilon,
-                employee_col=employees,
             )
             pred = counts.calibrate_predictions(fits[predict_family], self.ds, rule)
             self.ds = self.ds.with_column(model["predict_as"], pred, note=f"calibrated {predict_family} prediction")

@@ -53,7 +53,6 @@ class CalibrationRule:
 
     firm_mean_source: str
     epsilon: float = 0.001
-    employee_col: str = ""
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -252,6 +251,10 @@ def _nb2_parts(params, y, X, lgy1, fix_log_alpha, probe_log=None):
         dim = k + (1 if fix_log_alpha is None else 0)
         return -np.inf, np.zeros(dim), np.eye(dim)
     a = float(np.exp(s))
+    if a == 0.0:
+        # exp(s) underflowed: theta = 1/a does not exist, so retreat as above
+        dim = k + (1 if fix_log_alpha is None else 0)
+        return -np.inf, np.zeros(dim), np.eye(dim)
     theta = 1.0 / a
     yi = y.astype(int)
     pref_ln, pref_g, pref_h = _nb2_tables(theta, int(y.max()) if len(y) else 0)

@@ -1,12 +1,10 @@
-"""Conditional quantile regression by smoothed check-loss minimization.
+"""Conditional quantile regression as an exact linear program.
 
-The check loss rho_tau(u) = u * (tau - 1{u < 0}) is smoothed as
-
-    rho_delta(u) = (tau - 1/2) * u + sqrt(u^2 + delta^2) / 2,
-
-which recovers the exact loss as delta -> 0. Each smoothing level is solved by
-IRLS (a majorize-minimize weighted least squares), annealing delta from 1e-2
-down to 1e-6. Standard errors come from the entity-cluster bootstrap.
+The check loss rho_tau(u) = u * (tau - 1{u < 0}) is minimized exactly by the
+primal LP of Koenker & Bassett (1978), solved with HiGHS through
+scipy.optimize.linprog. The optimum is not unique (a flat interval) when an
+observation with zero residual has its dual at tau or tau - 1. Standard errors
+come from the entity-cluster bootstrap.
 """
 
 from __future__ import annotations
@@ -14,12 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from . import estim, panel
 from .estim import INTERCEPT, FitResult, VcovSpec
-from .exceptions import CollinearityError, ConvergenceError, ValidationError
+from .exceptions import ConvergenceError, ValidationError
 
-DELTA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# an LP dual within this distance of tau or tau - 1 counts as at its bound
+# (HiGHS's default dual feasibility tolerance)
+DUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -44,75 +46,21 @@ def check_loss(u: np.ndarray, tau: float) -> float:
     return float(np.sum(u * (tau - (u < 0))))
 
 
-def _smoothed_loss(u: np.ndarray, tau: float, delta: float) -> float:
-    return float(np.sum((tau - 0.5) * u + 0.5 * np.sqrt(u**2 + delta**2)))
+def _lp_solve(y: np.ndarray, X: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact check-loss minimizer: the primal LP of Koenker & Bassett (1978).
 
-
-def _irls(y: np.ndarray, X: np.ndarray, tau: float, names, tol: float = 1e-8) -> np.ndarray:
-    """IRLS on the smoothed check loss with a damped-Newton polish per level.
-
-    The majorize-minimize sweep converges globally but slows to a crawl once
-    residuals sit near the smoothing scale, so each level finishes with Newton
-    steps on the (strictly convex) smoothed objective.
+    min tau*1'u+ + (1-tau)*1'u-  s.t.  X b + u+ - u- = y,  b free, u+- >= 0.
+    Returns b and the equality duals, which lie in [tau - 1, tau].
     """
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    ones_tx = X.sum(axis=0)
-    change = np.inf
-    for delta in DELTA_SCHEDULE:
-        inner_tol = tol if delta == DELTA_SCHEDULE[-1] else max(tol, delta * 1e-2)
-        for _ in range(200):
-            u = y - X @ beta
-            s = np.sqrt(u**2 + delta**2)
-            Xd = X * (1.0 / (2.0 * s))[:, None]
-            lhs = Xd.T @ X
-            rhs = Xd.T @ y + (tau - 0.5) * ones_tx
-            try:
-                new = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                raise CollinearityError("rank-deficient design in quantile regression") from None
-            change = float(np.max(np.abs(new - beta)))
-            beta = new
-            if change < max(inner_tol, delta * 1e-4):
-                break
-        # Newton polish
-        u = y - X @ beta
-        loss = _smoothed_loss(u, tau, delta)
-        for _ in range(100):
-            s = np.sqrt(u**2 + delta**2)
-            grad = -X.T @ ((tau - 0.5) + u / (2.0 * s))
-            w = delta**2 / (2.0 * s**3)
-            H = (X * w[:, None]).T @ X
-            H[np.diag_indices_from(H)] += 1e-10 * (1.0 + np.max(np.diag(H)))
-            try:
-                step = np.linalg.solve(H, -grad)
-            except np.linalg.LinAlgError:
-                break
-            scale_ls = 1.0
-            improved = False
-            for _h in range(60):
-                cand = beta + scale_ls * step
-                u_c = y - X @ cand
-                loss_c = _smoothed_loss(u_c, tau, delta)
-                if loss_c <= loss + 1e-14 * (1.0 + abs(loss)):
-                    improved = loss_c < loss - 1e-15 * (1.0 + abs(loss)) or scale_ls == 1.0
-                    change = float(np.max(np.abs(scale_ls * step)))
-                    beta, u, loss = cand, u_c, loss_c
-                    break
-                scale_ls *= 0.5
-            if not improved or change < inner_tol:
-                break
-        if delta == DELTA_SCHEDULE[-1] and change >= tol:
-            # flat-interval optima stall on coefficient change with the
-            # gradient already at zero; accept first-order optimality too
-            u = y - X @ beta
-            s = np.sqrt(u**2 + delta**2)
-            grad = -X.T @ ((tau - 0.5) + u / (2.0 * s))
-            gscale = 1.0 + float(np.sum(np.abs(X))) / max(len(y), 1)
-            if float(np.max(np.abs(grad))) >= 1e-9 * gscale * len(y):
-                raise ConvergenceError(
-                    f"quantile IRLS did not converge; final coefficient change {change:.3e}"
-                )
-    return beta
+    n, p = X.shape
+    eye = sparse.identity(n, format="csc")
+    A = sparse.hstack([sparse.csc_matrix(X), eye, -eye], format="csc")
+    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
+    bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
+    res = linprog(c, A_eq=A, b_eq=y, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise ConvergenceError(f"quantile LP not solved: {res.message}")
+    return res.x[:p], res.eqlin.marginals
 
 
 def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
@@ -138,20 +86,25 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     if n <= X.shape[1]:
         raise ValidationError(f"only {n} complete cases for {X.shape[1]} parameters")
 
-    # rank screen before iterating so deficiency is reported on the design
+    # rank screen before solving so deficiency is reported on the design
     estim.assert_full_rank(X, names)
-    # solve on a scale-normalized response so the smoothing schedule is
-    # relative to the data and the fit is equivariant to scaling y
+    # solve on a scale-normalized response so the solver's absolute
+    # tolerances are relative to the data and the fit is equivariant to
+    # scaling y
     y_scale = float(np.mean(np.abs(y - np.median(y))))
     if not y_scale > 0:
         y_scale = max(float(np.max(np.abs(y))), 1.0) if n else 1.0
-    beta = _irls(y / y_scale, X, spec.tau, names) * y_scale
+    beta, duals = _lp_solve(y / y_scale, X, spec.tau)
+    beta = beta * y_scale
     resid = y - X @ beta
     loss = check_loss(resid, spec.tau)
 
+    # a zero-residual observation whose dual sits at a bound can leave the
+    # basis at no cost, so the optimum is a flat interval
     scale = float(np.max(np.abs(y))) if n else 1.0
-    near_zero = int(np.sum(np.abs(resid) <= 1e-5 * (1.0 + scale)))
-    flat = near_zero < X.shape[1]
+    zero = np.abs(resid) <= 1e-9 * (1.0 + scale)
+    at_bound = np.minimum(np.abs(duals - spec.tau), np.abs(duals - spec.tau + 1.0)) <= DUAL_TOL
+    flat = bool(np.any(zero & at_bound))
 
     # entity dummies are nuisance parameters whose labels change under
     # resampling; report only the stable coefficients

@@ -148,6 +148,13 @@ class TestNb2:
             for i in range(3):
                 assert hess[i, j] == pytest.approx((gp[i] - gm[i]) / (2 * eps), rel=1e-4, abs=1e-4)
 
+    def test_underflowing_alpha_probe_reports_minus_inf(self):
+        # a line-search probe at log alpha = -800 underflows exp to 0
+        y = np.array([0.0, 1.0, 2.0, 5.0])
+        ll, grad, hess = _nb2_parts(np.array([0.0, -800.0]), y, np.ones((4, 1)), gammaln(y + 1.0), None)
+        assert ll == -np.inf
+        assert grad.shape == (2,) and hess.shape == (2, 2)
+
     def test_alpha_and_slope_recovery(self):
         ds = count_panel(seed=31, n_entities=300, n_periods=6, slope=0.3,
                          entity_sd=0.0, alpha=0.8, family="nb2")

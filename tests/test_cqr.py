@@ -38,6 +38,17 @@ class TestMedians:
         # any value in [2, 3] minimizes the tau=0.2 loss on 1..10
         assert 2.0 - 1e-4 <= fit.coefficients["_cons"] <= 3.0 + 1e-4
 
+    @pytest.mark.parametrize("y, tau, flat", [
+        (np.arange(1.0, 11.0), 0.2, True),    # any value in [2, 3]
+        (np.arange(1.0, 11.0), 0.7, True),    # any value in [7, 8]
+        (np.arange(1.0, 11.0), 0.25, False),  # unique at 3
+        (np.arange(1.0, 11.0), 0.75, False),  # unique at 8
+        (np.array([1.0, 2.0, 3.0]), 0.5, False),
+    ])
+    def test_flat_optimum_from_duals(self, y, tau, flat):
+        fit = cqr_fit(iid_panel({"y": y}), CqrSpec("y", tau=tau))
+        assert fit.notes["flat_optimum"] is flat
+
 
 class TestSlopeFits:
     def grid_oracle(self, y, x, tau=0.5):
@@ -105,6 +116,28 @@ class TestSlopeFits:
         assert abs(fit.coefficients["x"] - 0.4) < 4 * fit.se("x")
         assert not any(name.startswith("entity=") for name in fit.coefficients)
         assert fit.se_method == "cluster_bootstrap(B=25, seed=3)"
+
+    def test_optimality_certificate_with_year_effects(self):
+        # every one-sided directional derivative of the exact check loss
+        # along +-e_j of a reported coefficient is >= 0 at an optimum
+        rng = np.random.default_rng(60)
+        n_e, n_t, tau = 25, 5, 0.3
+        ents = np.repeat([f"E{i}" for i in range(n_e)], n_t)
+        yrs = np.tile(np.arange(2010, 2010 + n_t), n_e)
+        x = rng.normal(size=n_e * n_t)
+        y = 0.4 * x + 0.2 * (yrs - 2012) + rng.standard_t(3, size=n_e * n_t)
+        ds = from_long(ents, [int(t) for t in yrs], {"y": y, "x": x})
+        fit = cqr_fit(ds, CqrSpec("y", ("x",), tau=tau, fe_dims=("year",)))
+        cols = {"x": x, "_cons": np.ones_like(y)}
+        cols.update({f"year={t}": (yrs == t).astype(float) for t in range(2011, 2010 + n_t)})
+        assert set(fit.coefficients) == set(cols)
+        u = y - sum(b * cols[nm] for nm, b in fit.coefficients.items())
+        zero = np.abs(u) <= 1e-9 * (1.0 + np.max(np.abs(y)))
+        psi = tau - (u < 0)
+        for col in cols.values():
+            for d in (col, -col):
+                deriv = -np.sum(psi[~zero] * d[~zero]) + check_loss(-d[zero], tau)
+                assert deriv >= -1e-9
 
     def test_tau_validation(self):
         with pytest.raises(ValidationError):
