@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import estim, panel
-from .estim import INTERCEPT, FitResult, VcovSpec
+from .estim import FitResult, VcovSpec
 from .exceptions import ConvergenceError, ValidationError
 
 ALPHA_BOUND = 1e6
@@ -126,44 +126,33 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
         raise ValidationError("no complete cases for the count model")
     y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
 
-    ent = ds.entity_index()[mask]
-    keep = np.ones(len(y), dtype=bool)
-    n_entities_dropped = 0
-    for e in np.unique(ent):
-        rows = ent == e
-        if rows.sum() < 2 or y[rows].sum() <= 0:
-            keep[rows] = False
-            n_entities_dropped += 1
-    if not keep.any():
+    codes, _ = estim.fe_codes(ds, "entity", mask)
+    starts, seg_of_row = _segments(codes)
+    sizes = np.diff(np.append(starts, len(y)))
+    dropped = (sizes < 2) | (np.add.reduceat(y, starts) <= 0)
+    n_entities_dropped = int(dropped.sum())
+    if dropped.all():
         raise ValidationError("every entity has an all-zero count total; nothing to estimate")
-    full_mask = np.flatnonzero(mask)[keep]
-    mask = np.zeros(ds.n_rows, dtype=bool)
-    mask[full_mask] = True
+    keep = ~dropped[seg_of_row]
+    mask[np.flatnonzero(mask)[~keep]] = False
     y = y[keep]
-    ent = ds.entity_index()[mask]
+    codes, levels = estim.fe_codes(ds, "entity", mask)
+    starts, seg_of_row = _segments(codes)
 
-    names: list[str] = []
-    cols: list[np.ndarray] = []
+    slopes: list[str] = []
     absorbed: list[str] = []
     for name in spec.regressors:
         x = ds.column(name)[mask]
-        spans = np.array([np.ptp(x[ent == e]) for e in np.unique(ent)])
+        spans = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
         if np.all(spans <= 1e-12 * (1.0 + np.max(np.abs(x)))):
             absorbed.append(name)
-            continue
-        names.append(name)
-        cols.append(x)
-    dummy_names, dummy_mat, mapping = estim.indicator_columns(
-        ds, ("year",) if spec.year_fe else (), mask
-    )
-    names += dummy_names
-    if dummy_mat.shape[1]:
-        cols.append(dummy_mat)
+        else:
+            slopes.append(name)
+    year_dims = ("year",) if spec.year_fe else ()
+    X, names, mapping = estim.design_matrix(ds, mask, slopes, year_dims, intercept=False)
     if not names:
         raise ValidationError("no identifiable regressors remain after absorbing entity-constant columns")
-    X = np.column_stack(cols)
 
-    starts, seg_of_row = _segments(ent)
     totals = np.add.reduceat(y, starts)
     const = float(np.sum(gammaln(totals + 1)) - np.sum(gammaln(y + 1)))
 
@@ -172,6 +161,13 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
         np.zeros(X.shape[1]),
     )
 
+    notes = {
+        "model": "poisson_fe",
+        "fe_dims": ("entity", *year_dims),
+        "fe_dummies": mapping,
+        "absorbed_columns": tuple(absorbed),
+        "dropped_entities": n_entities_dropped,
+    }
     if spec.vcov.kind == "cluster_bootstrap":
         def refit(dsb: panel.PanelDataset) -> np.ndarray:
             fb = poisson_fe_fit(dsb, CountSpec(spec.dependent, spec.regressors, spec.family,
@@ -180,6 +176,7 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
 
         boot = estim.bootstrap_vcov(refit, ds, spec.vcov)
         V, tag = boot.vcov, spec.vcov.tag()
+        notes["bootstrap_failures"] = boot.n_failed
     else:
         V, tag = res.vcov, "analytic"
 
@@ -190,26 +187,17 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
         loglik=res.loglik,
         se_method=tag,
         n_dropped=ds.n_rows - int(mask.sum()),
-        notes={
-            "model": "poisson_fe",
-            "fe_dims": ("entity",) + (("year",) if spec.year_fe else ()),
-            "fe_dummies": mapping,
-            "absorbed_columns": tuple(absorbed),
-            "dropped_entities": n_entities_dropped,
-        },
+        notes=notes,
     )
-    slope_names = [n for n in names if n not in dummy_names]
-    if slope_names:
-        base.wald_chi2 = estim.wald_chi2(base, slope_names)
-        base.notes["wald_restrictions"] = tuple(slope_names)
+    if slopes:
+        base.wald_chi2 = estim.wald_chi2(base, slopes)
+        base.notes["wald_restrictions"] = tuple(slopes)
 
     eta = X @ res.params
     seg_max = np.maximum.reduceat(eta, starts)
     seg_sum = np.add.reduceat(np.exp(eta - seg_max[seg_of_row]), starts)
     denom = np.exp(seg_max) * seg_sum
-    effects = {}
-    for i, e in enumerate(np.unique(ent)):
-        effects[ds.entities[int(e)]] = float(totals[i] / denom[i])
+    effects = {level: float(t / d) for level, t, d in zip(levels, totals, denom)}
     return CountFit(
         base=base,
         family="poisson_fe",
@@ -307,13 +295,7 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     n = int(mask.sum())
 
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
-    dummy_names, dummy_mat, mapping = estim.indicator_columns(ds, dims, mask)
-    names = [*spec.regressors, *dummy_names, INTERCEPT]
-    X = np.column_stack([
-        *(ds.column(r)[mask] for r in spec.regressors),
-        dummy_mat,
-        np.ones(n),
-    ])
+    X, names, mapping = estim.design_matrix(ds, mask, spec.regressors, dims, intercept=True)
     if n < X.shape[1] + 2:
         raise ValidationError(f"only {n} complete cases for {X.shape[1]} parameters")
     lgy1 = gammaln(y + 1.0)
@@ -372,14 +354,18 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     entity_effects = {}
     keep_names = [nm for nm in names if not nm.startswith("entity=")]
     if spec.entity_fe:
-        ent_mask_idx = np.unique(ds.entity_index()[mask])
-        baseline = ds.entities[int(ent_mask_idx[0])]
-        entity_effects[baseline] = 1.0
-        for nm in names:
-            if nm.startswith("entity="):
-                entity_effects[nm.split("=", 1)[1]] = float(np.exp(coef[nm]))
+        entity_effects[estim.fe_codes(ds, "entity", mask)[1][0]] = 1.0
+        for nm, (dim, level) in mapping.items():
+            if dim == "entity":
+                entity_effects[level] = float(np.exp(coef[nm]))
     keep_ix = [names.index(nm) for nm in keep_names]
 
+    notes = {
+        "model": "nb2",
+        "fe_dims": dims,
+        "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
+        "alpha_se": alpha_se,
+    }
     if spec.vcov.kind == "cluster_bootstrap":
         def refit(dsb: panel.PanelDataset) -> np.ndarray:
             fb = nb2_fit(dsb, CountSpec(spec.dependent, spec.regressors, spec.family,
@@ -389,6 +375,7 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
 
         boot = estim.bootstrap_vcov(refit, ds, spec.vcov)
         V, tag = boot.vcov, spec.vcov.tag()
+        notes["bootstrap_failures"] = boot.n_failed
     else:
         V, tag = vcov_b[np.ix_(keep_ix, keep_ix)], "analytic"
 
@@ -399,12 +386,7 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
         loglik=res.loglik,
         se_method=tag,
         n_dropped=ds.n_rows - n,
-        notes={
-            "model": "nb2",
-            "fe_dims": dims,
-            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-            "alpha_se": alpha_se,
-        },
+        notes=notes,
     )
     slope_names = [nm for nm in spec.regressors]
     if slope_names:

@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import estim, panel
-from .estim import INTERCEPT, FitResult, VcovSpec
+from .estim import FitResult, VcovSpec
 from .exceptions import ConvergenceError, ValidationError
 
 # an LP dual within this distance of tau or tau - 1 counts as at its bound
@@ -74,15 +74,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         raise ValidationError("no complete cases for the quantile regression")
 
     y = ds.column(spec.dependent)[mask]
-    dummy_names, dummy_mat, mapping = estim.indicator_columns(ds, spec.fe_dims, mask)
-    names = [*spec.regressors, *dummy_names]
-    parts = [ds.column(r)[mask] for r in spec.regressors]
-    if dummy_mat.shape[1]:
-        parts.append(dummy_mat)
-    if spec.intercept:
-        parts.append(np.ones(n))
-        names.append(INTERCEPT)
-    X = np.column_stack(parts)
+    X, names, mapping = estim.design_matrix(ds, mask, spec.regressors, spec.fe_dims, spec.intercept)
     if n <= X.shape[1]:
         raise ValidationError(f"only {n} complete cases for {X.shape[1]} parameters")
 
@@ -110,6 +102,14 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     # resampling; report only the stable coefficients
     reported = [nm for nm in names if not nm.startswith("entity=")]
     coef_full = dict(zip(names, beta))
+    notes = {
+        "model": "cqr",
+        "tau": spec.tau,
+        "check_loss": loss,
+        "flat_optimum": flat,
+        "fe_dims": spec.fe_dims,
+        "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
+    }
 
     if spec.vcov is not None and spec.vcov.kind == "cluster_bootstrap":
         spec_plain = CqrSpec(spec.dependent, spec.regressors, spec.tau, spec.intercept, spec.fe_dims, None)
@@ -120,6 +120,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
 
         boot = estim.bootstrap_vcov(refit, ds, spec.vcov)
         V, tag = boot.vcov, spec.vcov.tag()
+        notes["bootstrap_failures"] = boot.n_failed
     else:
         V, tag = np.zeros((len(reported), len(reported))), "none"
 
@@ -129,12 +130,5 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         n_obs=n,
         se_method=tag,
         n_dropped=ds.n_rows - n,
-        notes={
-            "model": "cqr",
-            "tau": spec.tau,
-            "check_loss": loss,
-            "flat_optimum": flat,
-            "fe_dims": spec.fe_dims,
-            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-        },
+        notes=notes,
     )

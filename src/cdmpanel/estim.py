@@ -1,7 +1,8 @@
 """Shared estimation machinery.
 
-Design-matrix assembly with complete-case handling and fixed-effect
-absorption, OLS with analytic/HC1/cluster-bootstrap covariances, a
+Complete-case handling, one integer-coded fixed-effect encoding (fe_codes) and
+one design builder (design_matrix) used by every estimator, an array-level OLS
+core with FE absorption by demeaning and analytic/HC1 covariances, a
 line-searched Newton maximizer for likelihoods, the entity-cluster bootstrap,
 variance inflation factors, and Wald tests. Every downstream estimator builds
 on these.
@@ -20,6 +21,10 @@ from . import panel
 from .exceptions import CollinearityError, ConvergenceError, ValidationError
 
 INTERCEPT = "_cons"
+
+# what a refit may raise on a degenerate resample; anything else is a bug and
+# propagates out of bootstrap_vcov and monte_carlo
+ESTIMATION_ERRORS = (ValidationError, ConvergenceError, CollinearityError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ class ModelSpec:
     regressors: tuple[str, ...]
     intercept: bool = True
     fe_dims: tuple[str, ...] = ()
-    cluster: str | None = None
     weights: str | None = None
 
     def __post_init__(self):
@@ -129,24 +133,20 @@ class MleResult(NamedTuple):
     grad_norm: float
 
 
-def _fe_labels(ds: panel.PanelDataset, dims, mask: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """Label arrays for FE dims restricted to masked rows, plus absorbed df."""
-    labels = []
-    absorbed = 0
-    for dim in dims:
-        if dim == "entity":
-            idx = ds.entity_index()[mask]
-        elif dim == "year":
-            idx = ds.year_index()[mask]
-        else:
-            vals = ds.column(dim)[mask]
-            _, idx = np.unique(vals, return_inverse=True)
-        _, idx = np.unique(idx, return_inverse=True)
-        labels.append(idx)
-        absorbed += int(idx.max()) if len(idx) else 0
-    if dims:
-        absorbed += 1  # grand mean
-    return labels, absorbed
+def fe_codes(ds: panel.PanelDataset, dim: str, mask: np.ndarray) -> tuple[np.ndarray, list]:
+    """Integer codes 0..L-1 of one FE dim on the masked rows, and the level each
+    code stands for: entity labels in dataset order, int years or float
+    categories ascending."""
+    if dim == "entity":
+        present, codes = np.unique(ds.entity_index()[mask], return_inverse=True)
+        levels = [ds.entities[i] for i in present]
+    elif dim == "year":
+        present, codes = np.unique(ds.year_index()[mask], return_inverse=True)
+        levels = [int(ds.periods[i]) for i in present]
+    else:
+        present, codes = np.unique(ds.column(dim)[mask], return_inverse=True)
+        levels = [float(v) for v in present]
+    return codes, levels
 
 
 def complete_case_mask(ds: panel.PanelDataset, names) -> np.ndarray:
@@ -156,35 +156,30 @@ def complete_case_mask(ds: panel.PanelDataset, names) -> np.ndarray:
     return mask
 
 
-def indicator_columns(ds: panel.PanelDataset, dims, mask: np.ndarray):
-    """First-category-dropped indicator columns for the given dims on masked rows.
+def design_matrix(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
+    """C-contiguous float64 design on the masked rows: the regressor columns,
+    then first-level-dropped indicators for each FE dim, then the intercept.
 
-    Returns (names, matrix, mapping) where mapping[name] = (dim, level) so that
+    Returns (X, names, fe_dummies) where fe_dummies[name] = (dim, level) so that
     predictions can place new rows in the right category.
     """
-    names: list[str] = []
-    cols: list[np.ndarray] = []
-    mapping: dict[str, tuple[str, object]] = {}
-    for dim in dims:
-        if dim == "entity":
-            idx = ds.entity_index()[mask]
-            levels = [ds.entities[i] for i in np.unique(idx)]
-            values = np.array([ds.entities[i] for i in idx], dtype=object)
-        elif dim == "year":
-            yrs = ds.row_years()[mask]
-            levels = [int(y) for y in np.unique(yrs)]
-            values = yrs
-        else:
-            vals = ds.column(dim)[mask]
-            levels = [float(v) for v in np.unique(vals)]
-            values = vals
+    names = list(regressors)
+    blocks = [fe_codes(ds, dim, mask) for dim in fe_dims]
+    n = int(mask.sum())
+    X = np.zeros((n, len(names) + sum(len(levels[1:]) for _, levels in blocks) + int(intercept)))
+    for j, name in enumerate(names):
+        X[:, j] = ds.column(name)[mask]
+    fe_dummies: dict[str, tuple[str, object]] = {}
+    for dim, (codes, levels) in zip(fe_dims, blocks):
+        hit = np.flatnonzero(codes)
+        X[hit, len(names) + codes[hit] - 1] = 1.0
         for level in levels[1:]:
-            name = f"{dim}={level}"
-            names.append(name)
-            cols.append((values == level).astype(float))
-            mapping[name] = (dim, level)
-    matrix = np.column_stack(cols) if cols else np.empty((int(mask.sum()), 0))
-    return names, matrix, mapping
+            names.append(f"{dim}={level}")
+            fe_dummies[names[-1]] = (dim, level)
+    if intercept:
+        X[:, -1] = 1.0
+        names.append(INTERCEPT)
+    return X, names, fe_dummies
 
 
 def _checked_qr(X: np.ndarray, names):
@@ -219,49 +214,44 @@ def _solve_ls(X: np.ndarray, y: np.ndarray, names) -> np.ndarray:
     return beta
 
 
-def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = None) -> FitResult:
-    """OLS on complete cases, absorbing fixed effects by demeaning.
+class OlsCore(NamedTuple):
+    beta: np.ndarray
+    resid: np.ndarray
+    vcov: np.ndarray
+    r2: float
+    adj_r2: float
+    loglik: float | None
+    absorbed_df: int
 
-    The intercept is reported only when no fixed effects are absorbed. r2 is
-    the within-R2 when FE dims are present.
+
+def ols_core(
+    X: np.ndarray,
+    y: np.ndarray,
+    names,
+    w: np.ndarray | None = None,
+    fe=(),
+    robust: bool = False,
+) -> OlsCore:
+    """Least squares on arrays: sample checks, rank-checked solve, analytic or
+    HC1 covariance, r2 and the Gaussian loglik.
+
+    ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed by
+    demeaning y and X; r2 is then the within-R2. r2 is centred only when
+    ``names`` holds the intercept. ``w`` are analytic weights.
     """
-    vcov = vcov or VcovSpec()
-    used = [spec.dependent, *spec.regressors]
-    cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
-    used += cat_dims
-    if spec.weights:
-        used.append(spec.weights)
-    if spec.cluster and spec.cluster not in ("entity",):
-        used.append(spec.cluster)
-    mask = complete_case_mask(ds, used)
-    n = int(mask.sum())
+    n = X.shape[0]
+    k = X.shape[1] - (INTERCEPT in names)
     if n == 0:
         raise ValidationError("no complete cases for the requested model")
-    if n < len(spec.regressors) + 1:
-        raise ValidationError(
-            f"only {n} complete cases for {len(spec.regressors)} regressors"
-        )
-    n_dropped = ds.n_rows - n
-
-    y = ds.column(spec.dependent)[mask]
-    X_parts = [ds.column(name)[mask] for name in spec.regressors]
-    names = list(spec.regressors)
-    w = ds.column(spec.weights)[mask] if spec.weights else None
+    if n < k + 1:
+        raise ValidationError(f"only {n} complete cases for {k} regressors")
     if w is not None and (np.any(w < 0) or not np.sum(w) > 0):
         raise ValidationError("weights must be non-negative with a positive sum")
-
     absorbed_df = 0
-    use_intercept = spec.intercept and not spec.fe_dims
-    if spec.fe_dims:
-        labels, absorbed_df = _fe_labels(ds, spec.fe_dims, mask)
-        stacked = np.column_stack([y, *X_parts]) if X_parts else y[:, None]
-        demeaned = panel.alternating_demean(stacked, labels, weights=w)
-        y = demeaned[:, 0]
-        X_parts = [demeaned[:, j + 1] for j in range(len(X_parts))]
-    if use_intercept:
-        X_parts.append(np.ones(n))
-        names.append(INTERCEPT)
-    X = np.column_stack(X_parts)
+    if fe:
+        absorbed_df = sum(int(codes.max()) for codes in fe) + 1  # + grand mean
+        demeaned = panel.alternating_demean(np.column_stack([y, X]), list(fe), weights=w)
+        y, X = demeaned[:, 0], np.ascontiguousarray(demeaned[:, 1:])
 
     if w is not None:
         sw = np.sqrt(w)
@@ -273,48 +263,64 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = Non
 
     ww = w if w is not None else np.ones(n)
     rss = float(np.sum(ww * resid**2))
-    if use_intercept or spec.fe_dims:
-        ybar = np.average(y, weights=ww) if use_intercept else 0.0
-        tss = float(np.sum(ww * (y - ybar) ** 2))
-    else:
-        tss = float(np.sum(ww * y**2))
+    ybar = np.average(y, weights=ww) if INTERCEPT in names else 0.0
+    tss = float(np.sum(ww * (y - ybar) ** 2))
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    p_total = X.shape[1] + absorbed_df
-    dof = max(n - p_total, 1)
+    dof = max(n - X.shape[1] - absorbed_df, 1)
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
 
     XtX_inv = np.linalg.inv(Xw.T @ Xw)
-    if vcov.kind == "analytic":
-        sigma2 = rss / dof
-        V = sigma2 * XtX_inv
-    elif vcov.kind == "hc_robust":
+    if robust:
         score = X * (ww * resid)[:, None]
         V = XtX_inv @ (score.T @ score) @ XtX_inv
         V *= n / dof
     else:
-        coef_map = dict(zip(names, beta))
+        V = rss / dof * XtX_inv
 
+    sigma2_mle = rss / n
+    loglik = float(-0.5 * n * (np.log(2.0 * np.pi * sigma2_mle) + 1.0)) if sigma2_mle > 0 else None
+    return OlsCore(beta, resid, V, r2, adj_r2, loglik, absorbed_df)
+
+
+def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = None) -> FitResult:
+    """OLS on complete cases, absorbing fixed effects by demeaning.
+
+    The intercept is reported only when no fixed effects are absorbed. r2 is
+    the within-R2 when FE dims are present.
+    """
+    vcov = vcov or VcovSpec()
+    cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
+    weights = [spec.weights] if spec.weights else []
+    mask = complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims, *weights])
+    X, names, _ = design_matrix(ds, mask, spec.regressors, (), spec.intercept and not spec.fe_dims)
+    core = ols_core(
+        X,
+        ds.column(spec.dependent)[mask],
+        names,
+        w=ds.column(spec.weights)[mask] if spec.weights else None,
+        fe=[fe_codes(ds, dim, mask)[0] for dim in spec.fe_dims],
+        robust=vcov.kind == "hc_robust",
+    )
+    notes = {"absorbed_df": core.absorbed_df, "fe_dims": tuple(spec.fe_dims)}
+    V = core.vcov
+    if vcov.kind == "cluster_bootstrap":
         def refit(dsb: panel.PanelDataset) -> np.ndarray:
             res = ols_fit(dsb, spec, VcovSpec("analytic"))
             return np.array([res.coefficients[name] for name in names])
 
         boot = bootstrap_vcov(refit, ds, vcov)
         V = boot.vcov
-
-    sigma2_mle = rss / n
-    loglik = None
-    if sigma2_mle > 0:
-        loglik = float(-0.5 * n * (np.log(2.0 * np.pi * sigma2_mle) + 1.0))
+        notes["bootstrap_failures"] = boot.n_failed
 
     return FitResult(
-        coefficients=dict(zip(names, beta)),
+        coefficients=dict(zip(names, core.beta)),
         vcov=V,
-        n_obs=n,
-        loglik=loglik,
-        fit={"r2": r2, "adj_r2": adj_r2},
+        n_obs=X.shape[0],
+        loglik=core.loglik,
+        fit={"r2": core.r2, "adj_r2": core.adj_r2},
         se_method=vcov.tag(),
-        n_dropped=n_dropped,
-        notes={"absorbed_df": absorbed_df, "fe_dims": tuple(spec.fe_dims)},
+        n_dropped=ds.n_rows - X.shape[0],
+        notes=notes,
     )
 
 
@@ -421,8 +427,9 @@ def bootstrap_vcov(
 
     Clusters (entities by default) are resampled with replacement; replication
     r draws from an RNG stream keyed by (seed, r), so results do not depend on
-    execution order. Failed replications are dropped and counted; more than 10%
-    failures is an error.
+    execution order. Replications whose refit raises one of ESTIMATION_ERRORS
+    are dropped and counted; more than 10% failures is an error. Any other
+    exception propagates.
     """
     if vcov.kind != "cluster_bootstrap":
         raise ValidationError("bootstrap_vcov requires a cluster_bootstrap VcovSpec")
@@ -441,7 +448,7 @@ def bootstrap_vcov(
         try:
             dsb = panel.take_entities(ds, positions, labels)
             draws.append(np.asarray(refit(dsb), dtype=float))
-        except Exception:
+        except ESTIMATION_ERRORS:
             n_failed += 1
     if not draws:
         raise ConvergenceError(f"all {B} bootstrap replications failed")
@@ -471,6 +478,7 @@ def linear_index(
     missing = np.zeros(ds.n_rows, dtype=bool)
     years = ds.row_years()
     ent_idx = ds.entity_index()
+    ent_pos = {label: i for i, label in enumerate(ds.entities)}
     for name, coef in fit.coefficients.items():
         if name in exclude:
             continue
@@ -481,7 +489,7 @@ def linear_index(
             if dim == "year":
                 match = years == level
             elif dim == "entity":
-                match = np.array([ds.entities[i] == level for i in ent_idx])
+                match = ent_idx == ent_pos.get(level, -1)
             else:
                 vals = ds.column(dim)
                 missing |= ~np.isfinite(vals)

@@ -135,13 +135,12 @@ def probit_fit(
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValidationError(f"probit dependent {dependent!r} must be binary 0/1")
 
-    dummy_names, dummy_mat, mapping = estim.indicator_columns(ds, fe_dims, mask)
-    names = [*regressors, *dummy_names, INTERCEPT]
-    X = np.column_stack([*(ds.column(r)[mask] for r in regressors), dummy_mat, np.ones(n)])
+    X, names, mapping = estim.design_matrix(ds, mask, regressors, fe_dims, intercept=True)
     if n < X.shape[1] + 1:
         raise ValidationError(f"only {n} complete cases for {X.shape[1]} probit parameters")
 
     res = probit_mle(y, X)
+    notes = {"model": "probit", "fe_dummies": mapping}
     if vcov is not None and vcov.kind == "cluster_bootstrap":
         def refit(dsb: panel.PanelDataset) -> np.ndarray:
             fr = probit_fit(dsb, dependent, regressors, fe_dims)
@@ -149,6 +148,7 @@ def probit_fit(
 
         boot = estim.bootstrap_vcov(refit, ds, vcov)
         V, tag = boot.vcov, vcov.tag()
+        notes["bootstrap_failures"] = boot.n_failed
     else:
         V, tag = res.vcov, "analytic"
     return FitResult(
@@ -158,7 +158,7 @@ def probit_fit(
         loglik=res.loglik,
         se_method=tag,
         n_dropped=ds.n_rows - n,
-        notes={"model": "probit", "fe_dummies": mapping},
+        notes=notes,
     )
 
 
@@ -188,47 +188,44 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         )
 
     probit = probit_fit(ds, spec.selection, sel_regs, spec.fe_dims)
-    index = estim.linear_index(probit, ds)
-    ok = np.isfinite(index)
-    imr = np.full(ds.n_rows, np.nan)
-    imr[ok] = inverse_mills(index[ok])
-    ds_imr = ds.with_column(IMR_NAME, imr, note="inverse Mills ratio from the disclosure probit")
-    selected = panel.filter_rows(ds_imr, f"{spec.selection} == 1")
-
-    step2_regs = [*spec.outcome_regressors]
+    # the step-2 design names the correction term IMR; a data column of that
+    # name would be ambiguous
+    if ds.has_column(IMR_NAME):
+        raise ValidationError(f"column {IMR_NAME!r} already exists")
+    if spec.outcome in spec.outcome_regressors:
+        raise ValidationError(f"dependent {spec.outcome!r} appears among the regressors")
+    selected = panel.filter_rows(ds, f"{spec.selection} == 1")
+    index = estim.linear_index(probit, selected)
     cat_cols = [d for d in spec.fe_dims if d not in ("entity", "year")]
-    cat_mask = estim.complete_case_mask(selected, [spec.outcome, *step2_regs, IMR_NAME, *cat_cols])
-    dummy_names, dummy_mat, mapping = estim.indicator_columns(selected, spec.fe_dims, cat_mask)
-    work = selected
-    for j, name in enumerate(dummy_names):
-        col = np.full(selected.n_rows, np.nan)
-        col[cat_mask] = dummy_mat[:, j]
-        work = work.with_column(name, col)
-    model = estim.ModelSpec(
-        dependent=spec.outcome,
-        regressors=tuple([*step2_regs, *dummy_names, IMR_NAME]),
-        intercept=True,
+    mask = estim.complete_case_mask(selected, [spec.outcome, *spec.outcome_regressors, *cat_cols])
+    mask &= np.isfinite(index)
+    index = index[mask]
+    imr = inverse_mills(index)
+    X, names, mapping = estim.design_matrix(
+        selected, mask, spec.outcome_regressors, spec.fe_dims, intercept=False
     )
+    X = np.column_stack([X, imr, np.ones(X.shape[0])])
+    names += [IMR_NAME, INTERCEPT]
     try:
-        outcome_fit = estim.ols_fit(work, model, VcovSpec("analytic"))
+        core = estim.ols_core(X, selected.column(spec.outcome)[mask], names)
     except CollinearityError as exc:
         raise CollinearityError(
             f"{exc}; the selection correction is collinear with the outcome regressors - "
             "consider adding exclusion restrictions to the selection equation"
         ) from None
-    outcome_fit.notes["fe_dummies"] = mapping
-    outcome_fit.notes["model"] = "heckman_step2"
+    outcome_fit = FitResult(
+        coefficients=dict(zip(names, core.beta)),
+        vcov=core.vcov,
+        n_obs=X.shape[0],
+        loglik=core.loglik,
+        fit={"r2": core.r2, "adj_r2": core.adj_r2},
+        n_dropped=selected.n_rows - X.shape[0],
+        notes={"absorbed_df": 0, "fe_dims": (), "fe_dummies": mapping, "model": "heckman_step2"},
+    )
 
     lam = outcome_fit.coefficients[IMR_NAME]
-    mask2 = estim.complete_case_mask(work, [spec.outcome, *model.regressors])
-    y2 = work.column(spec.outcome)[mask2]
-    X2 = np.column_stack([*(work.column(r)[mask2] for r in model.regressors), np.ones(int(mask2.sum()))])
-    beta = np.array([outcome_fit.coefficients[r] for r in (*model.regressors, INTERCEPT)])
-    resid = y2 - X2 @ beta
-    imr2 = work.column(IMR_NAME)[mask2]
-    index2 = estim.linear_index(probit, work)[mask2]
-    delta_bar = float(np.mean(imr2 * (imr2 + index2)))
-    sigma2 = float(np.mean(resid**2)) + lam**2 * delta_bar
+    delta_bar = float(np.mean(imr * (imr + index)))
+    sigma2 = float(np.mean(core.resid**2)) + lam**2 * delta_bar
     sigma = float(np.sqrt(sigma2))
     rho_raw = lam / sigma if sigma > 0 else np.inf
     if abs(rho_raw) > 1.0:
@@ -237,8 +234,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     else:
         rho = float(rho_raw)
 
-    X_vif = np.column_stack([*(work.column(r)[mask2] for r in model.regressors)])
-    step2_vif = estim.vif_matrix(X_vif, list(model.regressors))
+    step2_vif = estim.vif_matrix(X[:, :-1], names[:-1])
     imr_vif = step2_vif[IMR_NAME]
 
     if spec.vcov.kind == "cluster_bootstrap":

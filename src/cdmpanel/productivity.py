@@ -70,12 +70,13 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     n = int(mask.sum())
     if n == 0:
         raise ValidationError("no complete cases for the Mundlak test")
-    ent = ds.entity_index()[mask]
-    _, ent = np.unique(ent, return_inverse=True)
-    n_ent = int(ent.max()) + 1
+    ent, entities = estim.fe_codes(ds, "entity", mask)
+    n_ent = len(entities)
 
     y = ds.column(spec.dependent)[mask]
-    X = np.column_stack([ds.column(r)[mask] for r in regressors])
+    year_dims = ("year",) if spec.year_fe else ()
+    design, names, _ = estim.design_matrix(ds, mask, regressors, year_dims, intercept=False)
+    X = design[:, : len(regressors)]
 
     counts = np.bincount(ent, minlength=n_ent).astype(float)
     means_X = np.vstack([np.bincount(ent, weights=X[:, j], minlength=n_ent) / counts
@@ -95,18 +96,9 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     if len(time_varying) < 2:
         raise ValidationError("Mundlak test needs at least two time-varying regressors")
 
-    year_cols: list[np.ndarray] = []
-    year_names: list[str] = []
-    if spec.year_fe:
-        yrs = ds.row_years()[mask]
-        for level in np.unique(yrs)[1:]:
-            year_cols.append((yrs == level).astype(float))
-            year_names.append(f"year={int(level)}")
-
     mean_names = [f"mean_{regressors[j]}" for j in time_varying]
-    Z = np.column_stack([X, *year_cols, means_X[ent][:, time_varying]]) if year_cols else \
-        np.column_stack([X, means_X[ent][:, time_varying]])
-    names = [*regressors, *year_names, *mean_names]
+    Z = np.column_stack([design, means_X[ent][:, time_varying]])
+    names += mean_names
 
     # variance components from the within / between decomposition
     within_y = y - np.bincount(ent, weights=y, minlength=n_ent)[ent] / counts[ent]

@@ -38,7 +38,6 @@ class QuantileSpec:
 
     taus: tuple[float, ...] = DEFAULT_TAUS
     bandwidth: str | float = "silverman"
-    kernel: str = "gaussian"
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(self.taus))
@@ -56,8 +55,6 @@ class QuantileSpec:
                 raise ValidationError(f"unknown bandwidth rule {self.bandwidth!r}")
         elif not self.bandwidth > 0:
             raise ValidationError("fixed bandwidth must be > 0")
-        if self.kernel != "gaussian":
-            raise ValidationError("only the gaussian kernel is supported")
 
 
 @dataclass

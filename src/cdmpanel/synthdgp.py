@@ -327,8 +327,9 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
     """Repeated generate-and-fit cycles; reports bias, RMSE, and 95% CI coverage.
 
     Replication r draws its panel from a seed stream keyed by (seed, r), so
-    results do not depend on scheduling. Failures are dropped and counted;
-    more than 10% failing is an error.
+    results do not depend on scheduling. Fits that raise one of
+    estim.ESTIMATION_ERRORS are dropped and counted; more than 10% failing is an
+    error. Any other exception propagates.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -350,7 +351,7 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
         ds = generate_panel(replace(cfg, seed=rep_seed))
         try:
             fit, names = fit_fn(ds)
-        except Exception:
+        except estim.ESTIMATION_ERRORS:
             n_failed += 1
             continue
         if tracked is None:

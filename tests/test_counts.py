@@ -70,6 +70,39 @@ class TestPoissonFe:
         assert "A" not in fit.entity_effects
         assert "B" in fit.entity_effects
 
+    def test_entity_screens_match_per_entity_loop(self):
+        rng = np.random.default_rng(41)
+        n_e, n_t = 30, 4
+        ents = np.repeat([f"E{i}" for i in range(n_e)], n_t)
+        yrs = list(range(2010, 2010 + n_t)) * n_e
+        c = rng.poisson(1.0, size=n_e * n_t).astype(float)
+        c[0:n_t] = 0.0  # all-zero entity
+        x = rng.normal(size=n_e * n_t)
+        x[n_t + 1:2 * n_t] = np.nan  # entity left with a single complete row
+        c[2 * n_t:3 * n_t:2] = np.nan
+        # varies within exactly one entity that the screen drops
+        near = np.repeat(rng.normal(size=n_e), n_t)
+        near[1] += 1.0
+        ds = from_long(ents, yrs, {"c": c, "x": x, "near": near,
+                                   "step": np.repeat(np.arange(n_e, dtype=float), n_t)})
+        fit = poisson_fe_fit(ds, CountSpec("c", ("x", "near", "step"), "poisson_fe", year_fe=False))
+
+        # reference: the screens written as per-entity loops
+        ok = np.isfinite(c) & np.isfinite(x)
+        ent = ds.entity_index()
+        kept = [e for e in range(n_e) if (ok & (ent == e)).sum() >= 2 and c[ok & (ent == e)].sum() > 0]
+        rows = ok & np.isin(ent, kept)
+        absorbed = []
+        for name in ("x", "near", "step"):
+            v = ds.column(name)
+            tol = 1e-12 * (1 + np.max(np.abs(v[rows])))
+            if all(np.ptp(v[rows & (ent == e)]) <= tol for e in kept):
+                absorbed.append(name)
+        assert fit.n_dropped_entities == n_e - len(kept) == 2
+        assert fit.base.notes["absorbed_columns"] == tuple(absorbed) == ("near", "step")
+        assert fit.base.n_obs == int(rows.sum())
+        assert list(fit.entity_effects) == [f"E{e}" for e in kept]
+
     def test_all_entities_zero_errors(self):
         ds = from_long(["A", "A"], [2010, 2011], {"c": [0.0, 0.0], "x": [0.1, 0.5]})
         with pytest.raises(ValidationError, match="all-zero"):

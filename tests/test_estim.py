@@ -4,17 +4,20 @@ import pytest
 from cdmpanel import (
     CollinearityError,
     ConvergenceError,
+    CqrSpec,
     ModelSpec,
     ValidationError,
     VcovSpec,
     bootstrap_vcov,
+    cqr_fit,
     from_long,
     mle_fit,
     ols_fit,
+    probit_fit,
     vif,
     wald_chi2,
 )
-from cdmpanel.estim import FitResult, linear_index
+from cdmpanel.estim import FitResult, design_matrix, fe_codes, linear_index
 
 
 def iid_panel(n, columns, seed=0):
@@ -185,7 +188,7 @@ class TestBootstrap:
         def refit(d):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise RuntimeError("boom")
+                raise ConvergenceError("boom")
             return np.array([np.nanmean(d.column("y"))])
 
         res = bootstrap_vcov(refit, ds, VcovSpec("cluster_bootstrap", replications=30, seed=9))
@@ -196,9 +199,18 @@ class TestBootstrap:
         ds = iid_panel(10, {"y": np.ones(10)})
 
         def refit(d):
-            raise RuntimeError("always")
+            raise ConvergenceError("always")
 
         with pytest.raises(ConvergenceError, match="all 5"):
+            bootstrap_vcov(refit, ds, VcovSpec("cluster_bootstrap", replications=5, seed=1))
+
+    def test_library_bug_is_not_a_failed_replicate(self):
+        ds = iid_panel(10, {"y": np.ones(10)})
+
+        def refit(d):
+            raise TypeError("a bug, not an estimation failure")
+
+        with pytest.raises(TypeError, match="a bug"):
             bootstrap_vcov(refit, ds, VcovSpec("cluster_bootstrap", replications=5, seed=1))
 
     def test_zero_replications_rejected(self):
@@ -341,3 +353,107 @@ class TestLinearIndex:
         assert got[1] == pytest.approx(5.5)
         assert got[2] == pytest.approx(7.0)
         assert np.isnan(got[3])
+
+    def test_categorical_dim_missing_and_unseen_levels(self):
+        rng = np.random.default_rng(21)
+        n_e, n_t = 40, 4
+        ents = np.repeat([f"E{i}" for i in range(n_e)], n_t)
+        yrs = list(range(2010, 2010 + n_t)) * n_e
+        region = np.repeat(rng.integers(1, 4, size=n_e).astype(float), n_t)
+        x = rng.normal(size=n_e * n_t)
+        y = x + 0.5 * region + rng.normal(size=n_e * n_t)
+        region[:n_t] = np.nan  # first entity: region missing
+        region[n_t:2 * n_t] = 9.0  # second entity: a level the fit never sees
+        y[n_t:2 * n_t] = np.nan
+        ds = from_long(ents, yrs, {"y": y, "x": x, "region": region})
+        fit = cqr_fit(ds, CqrSpec("y", ("x",), tau=0.5, fe_dims=("year", "region")))
+        assert list(fit.coefficients) == [
+            "x", "year=2011", "year=2012", "year=2013", "region=2.0", "region=3.0", "_cons",
+        ]
+        assert fit.notes["fe_dummies"]["region=2.0"] == ("region", 2.0)
+        assert fit.notes["fe_dummies"]["year=2012"] == ("year", 2012)
+        got = linear_index(fit, ds)
+        assert np.all(np.isnan(got[:n_t]))
+        c = fit.coefficients
+        year_effect = np.array([0.0, c["year=2011"], c["year=2012"], c["year=2013"]])
+        unseen = c["x"] * x[n_t:2 * n_t] + year_effect + c["_cons"]
+        assert np.allclose(got[n_t:2 * n_t], unseen, rtol=0, atol=1e-12)
+
+    def test_entity_dummies_read_back_as_the_design(self):
+        rng = np.random.default_rng(31)
+        n_e, n_t = 15, 8
+        ents = np.repeat([f"F{i:02d}" for i in range(n_e)], n_t)
+        yrs = list(range(2000, 2000 + n_t)) * n_e
+        x = rng.normal(size=n_e * n_t)
+        d = (rng.random(n_e * n_t) < 0.5).astype(float)
+        d[0::n_t], d[1::n_t] = 0.0, 1.0  # every entity has both outcomes
+        x[5] = np.nan
+        ds = from_long(ents, yrs, {"d": d, "x": x})
+        fit = probit_fit(ds, "d", ["x"], fe_dims=("entity",))
+        rows = np.isfinite(x)
+        labels = np.repeat([f"F{i:02d}" for i in range(n_e)], n_t)[rows]
+        X = np.column_stack(
+            [x[rows]]
+            + [(labels == f"F{i:02d}").astype(float) for i in range(1, n_e)]
+            + [np.ones(int(rows.sum()))]
+        )
+        expected = X @ fit.coef_vector()
+        got = linear_index(fit, ds)
+        assert np.allclose(got[rows], expected, rtol=0, atol=1e-12)
+        assert np.isnan(got[5])
+
+
+class TestDesignMatrix:
+    def panel(self):
+        # entities listed out of label order: levels follow the dataset's order
+        ents = ["E2", "E2", "E2", "E0", "E0", "E0", "E1", "E1", "E1", "E3", "E3", "E3"]
+        yrs = [2010, 2011, 2012] * 4
+        cols = {
+            "x": [0.5, 1.0, -2.0, 3.0, 0.25, 4.0, -1.0, 2.5, 1.5, 0.0, 7.0, -3.0],
+            "region": [2.0, 2.0, 2.0, 5.0, 5.0, 5.0, 2.0, 2.0, 2.0, 1.5, 1.5, np.nan],
+        }
+        return from_long(ents, yrs, cols)
+
+    def test_matches_per_level_indicators(self):
+        ds = self.panel()
+        # drop the year 2010 and every row of E3 except one, plus the NaN region
+        mask = np.isfinite(ds.column("region")) & (ds.row_years() != 2010)
+        mask[10] = False
+        values = {
+            "entity": np.array([ds.entities[i] for i in ds.entity_index()], dtype=object)[mask],
+            "year": ds.row_years()[mask],
+            "region": ds.column("region")[mask],
+        }
+        levels = {
+            "entity": list(dict.fromkeys(values["entity"])),
+            "year": sorted({int(v) for v in values["year"]}),
+            "region": sorted({float(v) for v in values["region"]}),
+        }
+        assert levels["entity"] == ["E2", "E0", "E1"]
+        assert levels["region"] == [2.0, 5.0]
+        dims = ("entity", "year", "region")
+        X, names, mapping = design_matrix(ds, mask, ["x"], dims, intercept=True)
+
+        cols = [ds.column("x")[mask]]
+        want_names = ["x"]
+        for dim in dims:
+            for level in levels[dim][1:]:
+                cols.append((values[dim] == level).astype(float))
+                want_names.append(f"{dim}={level}")
+                assert mapping[want_names[-1]] == (dim, level)
+        cols.append(np.ones(int(mask.sum())))
+        want_names.append("_cons")
+        assert names == want_names == ["x", "entity=E0", "entity=E1", "year=2012", "region=5.0", "_cons"]
+        assert len(mapping) == 4
+        assert np.array_equal(X, np.column_stack(cols))
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+
+    def test_codes_and_levels(self):
+        ds = self.panel()
+        mask = np.isfinite(ds.column("region"))
+        codes, levels = fe_codes(ds, "entity", mask)
+        assert levels == ["E2", "E0", "E1", "E3"]
+        assert codes.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3]
+        codes, levels = fe_codes(ds, "region", mask)
+        assert levels == [1.5, 2.0, 5.0]
+        assert codes.tolist() == [1, 1, 1, 2, 2, 2, 1, 1, 1, 0, 0]

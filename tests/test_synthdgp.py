@@ -117,3 +117,11 @@ class TestMonteCarlo:
         r1 = monte_carlo(cfg, "naive_ols", 10, seed=21)
         r2 = monte_carlo(cfg, "naive_ols", 10, seed=21)
         assert r1.parameters == r2.parameters
+
+    def test_library_bug_is_not_a_failed_replication(self, monkeypatch):
+        def broken(ds):
+            raise TypeError("a bug, not an estimation failure")
+
+        monkeypatch.setitem(synthdgp._ESTIMATORS, "naive_ols", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            monte_carlo(DgpConfig(n_entities=20, n_periods=3), "naive_ols", 3, seed=1)
