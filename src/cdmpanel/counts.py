@@ -6,7 +6,10 @@ Two families:
   entity effects by conditioning on each entity's count total. All-zero
   entities carry no information and are dropped.
 * ``nb2`` - negative binomial with Var(y|x) = mu + alpha*mu^2, estimated
-  jointly over (beta, log alpha); entity effects enter as indicator columns.
+  jointly over (beta, log alpha) by Newton steps. Entity effects are
+  estimated as parameters (first entity the baseline) but never built as
+  dummy columns: their Hessian block is diagonal and is eliminated by a Schur
+  complement in each step (estim.newton_design, estim.BlockHessian).
 
 Calibration rescales raw exponential-index predictions so each entity's mean
 prediction matches its realized mean, then adds a small epsilon so logs of
@@ -167,6 +170,8 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
         "fe_dummies": mapping,
         "absorbed_columns": tuple(absorbed),
         "dropped_entities": n_entities_dropped,
+        "newton_iterations": res.iterations,
+        "grad_norm": res.grad_norm,
     }
     if spec.vcov.kind == "cluster_bootstrap":
         def refit(dsb: panel.PanelDataset) -> np.ndarray:
@@ -220,15 +225,16 @@ def _nb2_tables(theta: float, ymax: int):
     return pref_ln, pref_g, pref_h
 
 
-def _nb2_parts(params, y, X, lgy1, fix_log_alpha, probe_log=None):
-    """Loglik, gradient, Hessian for NB2 over (beta, log alpha).
+def _nb2_parts(params, y, X, lgy1, fix_log_alpha, probe_log=None, layout=None):
+    """Loglik, gradient, Hessian for NB2 over (beta, log alpha); beta spans X
+    and, with an estim.EntityLayout, the entity effects.
 
     Uses exact finite-sum identities for the Gamma-function differences so the
     alpha -> 0 (Poisson) limit stays numerically stable. Probes beyond the
     alpha bound report -inf so the line search retreats; the caller decides
     whether the bound was genuinely hit.
     """
-    k = X.shape[1]
+    k = X.shape[1] if layout is None else layout.n_params
     if fix_log_alpha is None:
         beta, s = params[:k], params[k]
     else:
@@ -248,7 +254,7 @@ def _nb2_parts(params, y, X, lgy1, fix_log_alpha, probe_log=None):
     pref_ln, pref_g, pref_h = _nb2_tables(theta, int(y.max()) if len(y) else 0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = X @ beta
+        eta = estim.design_index(X, beta, layout)
         mu = np.exp(eta)
         u = a * mu
         one_pu = 1.0 + u
@@ -259,31 +265,28 @@ def _nb2_parts(params, y, X, lgy1, fix_log_alpha, probe_log=None):
             return -np.inf, np.zeros(dim), np.eye(dim)
 
         d_eta = (y - mu) / one_pu
-        grad_b = X.T @ d_eta
+        grad_b = estim.design_gradient(X, d_eta, layout)
         h_eta = -mu * (1.0 + a * y) / one_pu**2
-        hess_bb = (X * h_eta[:, None]).T @ X
 
         if fix_log_alpha is not None:
-            return ll, grad_b, hess_bb
+            return ll, grad_b, estim.design_hessian(X, h_eta, layout)
 
         hu = np.log1p(u) - u / one_pu
         d_s = pref_g[yi] + hu / a - y * u / one_pu
         grad = np.concatenate((grad_b, [float(np.sum(d_s))]))
 
         cross = -u * (y - mu) / one_pu**2
-        hess_bs = X.T @ cross
         d_ss = pref_h[yi] - hu / a + (mu - y) * u / one_pu**2
-        hess = np.empty((k + 1, k + 1))
-        hess[:k, :k] = hess_bb
-        hess[:k, k] = hess_bs
-        hess[k, :k] = hess_bs
-        hess[k, k] = float(np.sum(d_ss))
+        hess = estim.design_hessian(X, h_eta, layout, cross, float(np.sum(d_ss)))
     return ll, grad, hess
 
 
 def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = None) -> CountFit:
-    """NB2 maximum likelihood over (beta, log alpha); FE enter as indicator columns.
+    """NB2 maximum likelihood over (beta, log alpha).
 
+    Year effects enter as indicator columns. Entity effects are estimated as
+    parameters, first entity the baseline, without dummy columns: each Newton
+    step eliminates their diagonal Hessian block by a Schur complement.
     ``fix_alpha=0`` collapses to the (dummy-variable) Poisson model.
     """
     if spec.family not in ("nb2",):
@@ -295,24 +298,24 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     n = int(mask.sum())
 
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
-    X, names, mapping = estim.design_matrix(ds, mask, spec.regressors, dims, intercept=True)
-    if n < X.shape[1] + 2:
-        raise ValidationError(f"only {n} complete cases for {X.shape[1]} parameters")
+    X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, dims, intercept=True)
+    if n < len(names) + 2:
+        raise ValidationError(f"only {n} complete cases for {len(names)} parameters")
     lgy1 = gammaln(y + 1.0)
 
     ybar = float(np.mean(y))
-    start_b = np.zeros(X.shape[1])
+    start_b = np.zeros(len(names))
     start_b[-1] = np.log(ybar) if ybar > 0 else 0.0
 
     if fix_alpha is not None:
         if fix_alpha < 0:
             raise ValidationError("fix_alpha must be >= 0")
         if fix_alpha == 0.0:
-            res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1), start_b)
+            res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
             alpha_hat = 0.0
         else:
             s_fix = float(np.log(fix_alpha))
-            res = estim.mle_fit(lambda b: _nb2_parts(b, y, X, lgy1, s_fix), start_b)
+            res = estim.mle_fit(lambda b: _nb2_parts(b, y, X, lgy1, s_fix, layout=layout), start_b)
             alpha_hat = fix_alpha
         params_b, vcov_b = res.params, res.vcov
         alpha_se = None
@@ -322,7 +325,7 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
         start = np.concatenate((start_b, [np.log(alpha0)]))
         probe_log: dict = {}
         try:
-            res = estim.mle_fit(lambda p: _nb2_parts(p, y, X, lgy1, None, probe_log), start)
+            res = estim.mle_fit(lambda p: _nb2_parts(p, y, X, lgy1, None, probe_log, layout), start)
             params_b = res.params[:-1]
             vcov_b = res.vcov[:-1, :-1]
             alpha_hat = float(np.exp(res.params[-1]))
@@ -336,8 +339,8 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
             # alpha heading for the Poisson boundary flattens the Hessian in
             # log-alpha; accept alpha = 0 when the overdispersion score there
             # is non-positive, otherwise the failure is genuine
-            res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1), start_b)
-            mu = np.exp(X @ res.params)
+            res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
+            mu = np.exp(estim.design_index(X, res.params, layout))
             score_alpha = 0.5 * float(np.sum((y - mu) ** 2 - y))
             if score_alpha > 1e-6 * n:
                 if probe_log.get("alpha_bound_hit"):
@@ -365,6 +368,8 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
         "fe_dims": dims,
         "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
         "alpha_se": alpha_se,
+        "newton_iterations": res.iterations,
+        "grad_norm": res.grad_norm,
     }
     if spec.vcov.kind == "cluster_bootstrap":
         def refit(dsb: panel.PanelDataset) -> np.ndarray:
@@ -401,15 +406,15 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     )
 
 
-def _poisson_parts(beta, y, X, lgy1):
+def _poisson_parts(beta, y, X, lgy1, layout=None):
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = X @ beta
+        eta = estim.design_index(X, beta, layout)
         mu = np.exp(eta)
         ll = float(np.sum(y * eta - mu - lgy1))
         if not np.isfinite(ll):
-            return -np.inf, np.zeros(X.shape[1]), np.eye(X.shape[1])
-        grad = X.T @ (y - mu)
-        hess = -(X * mu[:, None]).T @ X
+            return -np.inf, np.zeros(len(beta)), np.eye(len(beta))
+        grad = estim.design_gradient(X, y - mu, layout)
+        hess = estim.design_hessian(X, -mu, layout)
     return ll, grad, hess
 
 

@@ -3,7 +3,9 @@
 Complete-case handling, one integer-coded fixed-effect encoding (fe_codes) and
 one design builder (design_matrix) used by every estimator, an array-level OLS
 core with FE absorption by demeaning and analytic/HC1 covariances, a
-line-searched Newton maximizer for likelihoods, the entity-cluster bootstrap,
+line-searched Newton maximizer for likelihoods that takes entity effects as
+integer codes (newton_design) and eliminates their diagonal Hessian block by a
+Schur complement (BlockHessian), the entity-cluster bootstrap,
 variance inflation factors, and Wald tests. Every downstream estimator builds
 on these.
 """
@@ -34,7 +36,6 @@ class VcovSpec:
     kind: str = "analytic"
     replications: int = 0
     seed: int | None = None
-    cluster_dim: str = "entity"
 
     def __post_init__(self):
         if self.kind not in ("analytic", "hc_robust", "cluster_bootstrap"):
@@ -180,6 +181,110 @@ def design_matrix(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
         X[:, -1] = 1.0
         names.append(INTERCEPT)
     return X, names, fe_dummies
+
+
+class EntityLayout(NamedTuple):
+    """Entity fixed effects of a Newton fit kept as integer codes, not as
+    dummy columns: ``codes`` (from fe_codes; code 0 is the dropped baseline)
+    place each row in its entity, and the parameter vector is ordered as
+    design_matrix orders it, with the E-1 entity effects at ``entity_pos`` and
+    the columns of the dense design X at ``dense_pos``."""
+
+    codes: np.ndarray
+    n_levels: int
+    dense_pos: np.ndarray
+    entity_pos: np.ndarray
+
+    @property
+    def n_params(self) -> int:
+        return len(self.dense_pos) + len(self.entity_pos)
+
+    def entity_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-entity sums of v (a vector or the columns of a matrix), baseline left out."""
+        if v.ndim == 1:
+            return np.bincount(self.codes, weights=v, minlength=self.n_levels)[1:]
+        return np.column_stack([self.entity_sums(col) for col in v.T])
+
+
+class BlockHessian(NamedTuple):
+    """Hessian whose entity block is diagonal: ``A`` over the parameters at
+    ``dense_pos``, ``C`` the (E-1) x len(dense_pos) cross block and ``d`` the
+    entity diagonal over the parameters at ``entity_pos``."""
+
+    A: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
+    dense_pos: np.ndarray
+    entity_pos: np.ndarray
+
+
+def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
+    """design_matrix for a Newton fit, with the entity dummies left out of X.
+
+    Returns (X, names, fe_dummies, layout): names and fe_dummies are exactly
+    design_matrix's; layout is an EntityLayout when "entity" is among fe_dims
+    and None otherwise, in which case X is design_matrix's X.
+    """
+    if "entity" not in fe_dims:
+        return (*design_matrix(ds, mask, regressors, fe_dims, intercept), None)
+    X, dense_names, dense_map = design_matrix(
+        ds, mask, regressors, [d for d in fe_dims if d != "entity"], intercept
+    )
+    codes, levels = fe_codes(ds, "entity", mask)
+    before = set(fe_dims[: list(fe_dims).index("entity")])
+    at = len(regressors) + sum(dim in before for dim, _ in dense_map.values())
+    entity_names = [f"entity={level}" for level in levels[1:]]
+    names = dense_names[:at] + entity_names + dense_names[at:]
+    dummies = {**dense_map, **{nm: ("entity", level) for nm, level in zip(entity_names, levels[1:])}}
+    fe_dummies = {nm: dummies[nm] for nm in names if nm in dummies}
+    n_entity = len(entity_names)
+    entity_pos = np.arange(at, at + n_entity)
+    dense_pos = np.concatenate((np.arange(at), np.arange(at + n_entity, len(names))))
+    return X, names, fe_dummies, EntityLayout(codes, len(levels), dense_pos, entity_pos)
+
+
+def design_index(X: np.ndarray, params: np.ndarray, layout: EntityLayout | None) -> np.ndarray:
+    """Linear index of a Newton design: X @ params, plus the entity effects."""
+    if layout is None:
+        return X @ params
+    effects = np.concatenate(([0.0], params[layout.entity_pos]))
+    return X @ params[layout.dense_pos] + effects[layout.codes]
+
+
+def design_gradient(X: np.ndarray, r: np.ndarray, layout: EntityLayout | None) -> np.ndarray:
+    """Gradient sum_i r_i z_i over a Newton design's parameters, r_i = dl_i/d index_i."""
+    if layout is None:
+        return X.T @ r
+    g = np.empty(layout.n_params)
+    g[layout.dense_pos] = X.T @ r
+    g[layout.entity_pos] = layout.entity_sums(r)
+    return g
+
+
+def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout | None, cross=None, own=None):
+    """Hessian sum_i h_i z_i z_i' over a Newton design's parameters, h_i =
+    d2l_i/d index_i^2; a dense ndarray without a layout, a BlockHessian with one.
+
+    With ``cross`` (per-row d2l_i/d index_i ds) and ``own`` (d2l/ds2) it spans
+    one more parameter s, placed last in the parameter vector.
+    """
+    Xh = X * h[:, None]
+    A = Xh.T @ X
+    if cross is not None:
+        m = X.shape[1]
+        Ae = np.empty((m + 1, m + 1))
+        Ae[:m, :m] = A
+        Ae[:m, m] = Ae[m, :m] = X.T @ cross
+        Ae[m, m] = own
+        A = Ae
+    if layout is None:
+        return A
+    C = layout.entity_sums(Xh)
+    dense_pos = layout.dense_pos
+    if cross is not None:
+        C = np.column_stack((C, layout.entity_sums(cross)))
+        dense_pos = np.append(dense_pos, layout.n_params)
+    return BlockHessian(A, C, layout.entity_sums(h), dense_pos, layout.entity_pos)
 
 
 def _checked_qr(X: np.ndarray, names):
@@ -333,7 +438,9 @@ def mle_fit(
 ) -> MleResult:
     """Maximize a likelihood by Newton steps with step-halving line search.
 
-    ``objective(theta)`` returns (loglik, gradient, Hessian). Converged when the
+    ``objective(theta)`` returns (loglik, gradient, Hessian); the Hessian is a
+    dense ndarray or, for designs with entity effects, a BlockHessian whose
+    entity block is eliminated by a Schur complement. Converged when the
     gradient max-norm drops below ``tol``; the covariance is the inverse of the
     negative Hessian at the optimum.
     """
@@ -370,21 +477,50 @@ def mle_fit(
     )
 
 
-def _newton_direction(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+def _newton_direction(g: np.ndarray, H) -> np.ndarray:
     try:
-        step = np.linalg.solve(-H, g)
+        if isinstance(H, BlockHessian):
+            # eliminate the diagonal entity block: solve the Schur complement
+            # S = A - C' diag(1/d) C for the dense step, back-substitute the rest
+            ge = g[H.entity_pos]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                Cd = H.C / H.d[:, None]
+                sd = np.linalg.solve(Cd.T @ H.C - H.A, g[H.dense_pos] - Cd.T @ ge)
+                step = np.empty_like(g)
+                step[H.dense_pos] = sd
+                step[H.entity_pos] = -(ge + H.C @ sd) / H.d
+        else:
+            step = np.linalg.solve(-H, g)
         if np.all(np.isfinite(step)) and float(step @ g) > 0:
             return step
     except np.linalg.LinAlgError:
         pass
     # fall back to (scaled) steepest ascent when the Hessian is unusable
-    denom = float(np.max(np.abs(np.diag(H)))) if H.size else 1.0
+    diag = np.concatenate((np.diag(H.A), H.d)) if isinstance(H, BlockHessian) else np.diag(H)
+    denom = float(np.max(np.abs(diag))) if diag.size else 1.0
     return g / max(denom, 1.0)
 
 
-def _hessian_vcov(H: np.ndarray) -> np.ndarray:
+def _block_inverse(H: BlockHessian) -> np.ndarray:
+    """(-H)^-1 assembled from the blocks: with S = A - C' diag(1/d) C,
+    V_dd = (-S)^-1, V_ed = -diag(1/d) C V_dd, V_ee = diag(-1/d) + (C/d) V_dd (C/d)'."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Cd = H.C / H.d[:, None]
+        Vdd = np.linalg.inv(Cd.T @ H.C - H.A)
+        Ved = -Cd @ Vdd
+        Vee = -Ved @ Cd.T
+        Vee[np.diag_indices_from(Vee)] -= 1.0 / H.d
+    V = np.empty((len(H.dense_pos) + len(H.entity_pos),) * 2)
+    V[np.ix_(H.dense_pos, H.dense_pos)] = Vdd
+    V[np.ix_(H.entity_pos, H.dense_pos)] = Ved
+    V[np.ix_(H.dense_pos, H.entity_pos)] = Ved.T
+    V[np.ix_(H.entity_pos, H.entity_pos)] = Vee
+    return V
+
+
+def _hessian_vcov(H) -> np.ndarray:
     try:
-        V = np.linalg.inv(-H)
+        V = _block_inverse(H) if isinstance(H, BlockHessian) else np.linalg.inv(-H)
     except np.linalg.LinAlgError:
         raise ConvergenceError(
             "Hessian is singular at the optimum (possible perfect separation "
@@ -398,26 +534,6 @@ def _hessian_vcov(H: np.ndarray) -> np.ndarray:
     return (V + V.T) / 2.0
 
 
-def _cluster_positions(ds: panel.PanelDataset, cluster_dim: str) -> list[list[int]]:
-    """Entity positions per cluster; non-entity dims must be entity-constant."""
-    if cluster_dim == "entity":
-        return [[i] for i in range(len(ds.entities))]
-    vals = ds.column(cluster_dim).reshape(len(ds.entities), len(ds.periods))
-    per_entity = []
-    for i in range(len(ds.entities)):
-        row = vals[i][np.isfinite(vals[i])]
-        if row.size == 0:
-            raise ValidationError(f"cluster column {cluster_dim!r} missing for entity {ds.entities[i]!r}")
-        if np.ptp(row) > 0:
-            raise ValidationError(f"cluster column {cluster_dim!r} varies within entity {ds.entities[i]!r}")
-        per_entity.append(row[0])
-    per_entity = np.asarray(per_entity)
-    groups: dict[float, list[int]] = {}
-    for i, v in enumerate(per_entity):
-        groups.setdefault(float(v), []).append(i)
-    return [groups[k] for k in sorted(groups)]
-
-
 def bootstrap_vcov(
     refit: Callable[[panel.PanelDataset], np.ndarray],
     ds: panel.PanelDataset,
@@ -425,28 +541,25 @@ def bootstrap_vcov(
 ) -> BootstrapResult:
     """Cluster bootstrap covariance of the coefficients returned by ``refit``.
 
-    Clusters (entities by default) are resampled with replacement; replication
-    r draws from an RNG stream keyed by (seed, r), so results do not depend on
-    execution order. Replications whose refit raises one of ESTIMATION_ERRORS
+    Entities are resampled with replacement; replication r draws from an RNG
+    stream keyed by (seed, r), so results do not depend on execution order. Replications whose refit raises one of ESTIMATION_ERRORS
     are dropped and counted; more than 10% failures is an error. Any other
     exception propagates.
     """
     if vcov.kind != "cluster_bootstrap":
         raise ValidationError("bootstrap_vcov requires a cluster_bootstrap VcovSpec")
     B = vcov.replications
-    clusters = _cluster_positions(ds, vcov.cluster_dim)
-    if not clusters:
+    n_entities = len(ds.entities)
+    if not n_entities:
         raise ValidationError("no clusters to resample")
 
     draws = []
     n_failed = 0
     for r in range(B):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=vcov.seed, spawn_key=(r,)))
-        picks = rng.integers(0, len(clusters), size=len(clusters))
-        positions = [p for c in picks for p in clusters[c]]
-        labels = [f"{ds.entities[p]}#{j}" for j, p in enumerate(positions)]
+        picks = rng.integers(0, n_entities, size=n_entities)
         try:
-            dsb = panel.take_entities(ds, positions, labels)
+            dsb = panel.take_entities(ds, picks)
             draws.append(np.asarray(refit(dsb), dtype=float))
         except ESTIMATION_ERRORS:
             n_failed += 1

@@ -84,29 +84,30 @@ def inverse_mills(index):
     return out
 
 
-def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray):
-    z = X @ theta
+def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray, layout=None):
+    z = estim.design_index(X, theta, layout)
     log_cdf = log_ndtr(z)
     log_sf = log_ndtr(-z)
     ll = float(np.sum(np.where(y > 0.5, log_cdf, log_sf)))
     log_pdf = -0.5 * z**2 - _LOG_SQRT_2PI
     m = np.where(y > 0.5, np.exp(log_pdf - log_cdf), -np.exp(log_pdf - log_sf))
-    grad = X.T @ m
-    h = m * (m + z)
-    hess = -(X * h[:, None]).T @ X
+    grad = estim.design_gradient(X, m, layout)
+    hess = estim.design_hessian(X, -(m * (m + z)), layout)
     return ll, grad, hess
 
 
-def probit_mle(y: np.ndarray, X: np.ndarray, tol: float = 1e-8, max_iter: int = 200) -> MleResult:
-    """Probit maximum likelihood on raw arrays (no dataset plumbing).
+def probit_mle(y: np.ndarray, X: np.ndarray, tol: float = 1e-8, max_iter: int = 200, layout=None) -> MleResult:
+    """Probit maximum likelihood on raw arrays (no dataset plumbing); with an
+    estim.EntityLayout the parameters also span its entity effects.
 
     Perfectly separated samples have no finite maximizer; the flat plateau the
     solver lands on is detected and reported as non-convergence.
     """
     from .exceptions import ConvergenceError
 
-    res = estim.mle_fit(lambda t: _probit_parts(t, y, X), np.zeros(X.shape[1]), tol=tol, max_iter=max_iter)
-    z = X @ res.params
+    k = X.shape[1] if layout is None else layout.n_params
+    res = estim.mle_fit(lambda t: _probit_parts(t, y, X, layout), np.zeros(k), tol=tol, max_iter=max_iter)
+    z = estim.design_index(X, res.params, layout)
     p = np.exp(log_ndtr(z))
     separated = np.all(np.where(y > 0.5, p > 1.0 - 1e-6, p < 1e-6))
     if separated and np.max(np.abs(res.params)) > 5.0:
@@ -124,7 +125,8 @@ def probit_fit(
     fe_dims=(),
     vcov: VcovSpec | None = None,
 ) -> FitResult:
-    """Probit with FE dims entered as indicator columns (first category dropped)."""
+    """Probit with FE dims as indicators (first category dropped); entity
+    effects are estimated without dummy columns (see estim.newton_design)."""
     regressors = list(regressors)
     cat_cols = [d for d in fe_dims if d not in ("entity", "year")]
     mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_cols])
@@ -135,12 +137,17 @@ def probit_fit(
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValidationError(f"probit dependent {dependent!r} must be binary 0/1")
 
-    X, names, mapping = estim.design_matrix(ds, mask, regressors, fe_dims, intercept=True)
-    if n < X.shape[1] + 1:
-        raise ValidationError(f"only {n} complete cases for {X.shape[1]} probit parameters")
+    X, names, mapping, layout = estim.newton_design(ds, mask, regressors, fe_dims, intercept=True)
+    if n < len(names) + 1:
+        raise ValidationError(f"only {n} complete cases for {len(names)} probit parameters")
 
-    res = probit_mle(y, X)
-    notes = {"model": "probit", "fe_dummies": mapping}
+    res = probit_mle(y, X, layout=layout)
+    notes = {
+        "model": "probit",
+        "fe_dummies": mapping,
+        "newton_iterations": res.iterations,
+        "grad_norm": res.grad_norm,
+    }
     if vcov is not None and vcov.kind == "cluster_bootstrap":
         def refit(dsb: panel.PanelDataset) -> np.ndarray:
             fr = probit_fit(dsb, dependent, regressors, fe_dims)

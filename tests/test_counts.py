@@ -222,6 +222,16 @@ class TestNb2:
         assert len(fit.entity_effects) == 30
         assert fit.entity_effects[ds.entities[0]] == 1.0
 
+    def test_fixed_alpha_zero_entity_fe_matches_conditional_poisson(self):
+        # the conditional-vs-dummy identity of acceptance criterion 3, on the
+        # entity-layout path; tolerance fixed before the first run: 1e-6
+        ds = count_panel(seed=35, n_entities=40, n_periods=6, entity_sd=0.4)
+        dummy = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False),
+                        fix_alpha=0.0)
+        cond = poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe", year_fe=False))
+        assert len(dummy.entity_effects) == 40
+        assert abs(dummy.base.coefficients["RDINT_star"] - cond.base.coefficients["RDINT_star"]) < 1e-6
+
     def test_non_integer_count_rejected(self):
         ds = from_long(["A", "B", "C", "D", "E"], [2010] * 5,
                        {"c": [1.0, 2.4999, 3.0, 1.0, 2.0], "x": [0.1, 0.2, 0.3, 0.4, 0.5]})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,19 @@ from cdmpanel import (
     vif,
     wald_chi2,
 )
-from cdmpanel.estim import FitResult, design_matrix, fe_codes, linear_index
+from cdmpanel import synthdgp
+from cdmpanel.counts import _nb2_parts, _poisson_parts
+from cdmpanel.estim import (
+    BlockHessian,
+    FitResult,
+    _hessian_vcov,
+    _newton_direction,
+    design_matrix,
+    fe_codes,
+    linear_index,
+    newton_design,
+)
+from cdmpanel.heckman import _probit_parts
 
 
 def iid_panel(n, columns, seed=0):
@@ -457,3 +471,129 @@ class TestDesignMatrix:
         codes, levels = fe_codes(ds, "region", mask)
         assert levels == [1.5, 2.0, 5.0]
         assert codes.tolist() == [1, 1, 1, 2, 2, 2, 1, 1, 1, 0, 0]
+
+
+def dense_hessian(H: BlockHessian) -> np.ndarray:
+    """The full matrix a BlockHessian stands for."""
+    n = len(H.dense_pos) + len(H.entity_pos)
+    out = np.zeros((n, n))
+    out[np.ix_(H.dense_pos, H.dense_pos)] = H.A
+    out[np.ix_(H.entity_pos, H.dense_pos)] = H.C
+    out[np.ix_(H.dense_pos, H.entity_pos)] = H.C.T
+    out[H.entity_pos, H.entity_pos] = H.d
+    return out
+
+
+def max_rel_gap(a, b) -> float:
+    """Largest absolute gap relative to the largest absolute reference entry."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBlockHessian:
+    # tolerance, fixed before the first run: relative 1e-10 in the max norm
+    TOL = 1e-10
+
+    def blocks(self, seed):
+        """A negative definite Hessian over [2 slopes, 6 entity effects, 2 year
+        effects, _cons, log alpha] whose entity block is diagonal."""
+        rng = np.random.default_rng(seed)
+        m, E1 = 5, 6
+        dense_pos = np.array([0, 1, 8, 9, 10, 11])
+        entity_pos = np.arange(2, 8)
+        d = -rng.uniform(0.5, 20.0, size=E1)
+        C = rng.normal(size=(E1, m + 1))
+        M = rng.normal(size=(m + 1, m + 1))
+        # A chosen so the Schur complement A - C' diag(1/d) C is -(M M' + I)
+        A = -(M @ M.T + np.eye(m + 1)) + C.T @ (C / d[:, None])
+        A = (A + A.T) / 2.0
+        return BlockHessian(A, C, d, dense_pos, entity_pos), rng.normal(size=m + 1 + E1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_solve_and_inverse_match_dense(self, seed):
+        H, g = self.blocks(seed)
+        dense = dense_hessian(H)
+        assert np.all(np.linalg.eigvalsh(dense) < 0)
+        assert max_rel_gap(_newton_direction(g, H), np.linalg.solve(-dense, g)) < self.TOL
+        assert max_rel_gap(_hessian_vcov(H), np.linalg.inv(-dense)) < self.TOL
+
+    def test_fallback_scales_by_largest_diagonal_of_both_blocks(self):
+        H, g = self.blocks(4)
+        flat = H._replace(d=np.zeros_like(H.d))  # the step through 1/d is not finite
+        step = _newton_direction(g, flat)
+        assert np.array_equal(step, g / max(float(np.max(np.abs(np.diag(H.A)))), 1.0))
+
+
+class TestEntityLayout:
+    # tolerance, fixed before the first run: relative 1e-12 in the max norm
+    TOL = 1e-12
+
+    def panel(self):
+        ds = synthdgp.generate_panel(synthdgp.DgpConfig(
+            n_entities=25, n_periods=5, seed=71,
+            counts=synthdgp.CountConfig(slope_rdint=0.5, entity_sd=0.5, alpha=0.6, family="nb2"),
+        ))
+        mask = np.ones(ds.n_rows, dtype=bool)
+        mask[[3, 17, 60]] = False  # unbalanced rows
+        return ds, mask
+
+    def designs(self, ds, mask, fe_dims):
+        X, names, mapping, layout = newton_design(ds, mask, ["RDINT_star", "X1"], fe_dims, True)
+        Xd, names_d, mapping_d = design_matrix(ds, mask, ["RDINT_star", "X1"], fe_dims, True)
+        assert names == names_d
+        assert list(mapping.items()) == list(mapping_d.items())
+        assert X.shape[1] == len(names) - 24
+        return X, layout, Xd
+
+    def check(self, layout_parts, dense_parts):
+        ll, g, H = layout_parts
+        ll_d, g_d, H_d = dense_parts
+        assert isinstance(H, BlockHessian)
+        assert abs(ll - ll_d) <= self.TOL * abs(ll_d)
+        assert max_rel_gap(g, g_d) < self.TOL
+        assert max_rel_gap(dense_hessian(H), H_d) < self.TOL
+
+    def test_count_parts_match_dummy_design(self):
+        ds, mask = self.panel()
+        X, layout, Xd = self.designs(ds, mask, ("entity", "year"))
+        y = ds.column("PAT")[mask]
+        lgy1 = np.array([math.lgamma(v + 1.0) for v in y])
+        rng = np.random.default_rng(5)
+        beta = 0.3 * rng.normal(size=Xd.shape[1])
+        self.check(_nb2_parts(np.append(beta, np.log(0.6)), y, X, lgy1, None, layout=layout),
+                   _nb2_parts(np.append(beta, np.log(0.6)), y, Xd, lgy1, None))
+        self.check(_nb2_parts(beta, y, X, lgy1, np.log(0.6), layout=layout),
+                   _nb2_parts(beta, y, Xd, lgy1, np.log(0.6)))
+        self.check(_poisson_parts(beta, y, X, lgy1, layout), _poisson_parts(beta, y, Xd, lgy1))
+
+    def test_probit_parts_match_dummy_design(self):
+        ds, mask = self.panel()
+        # entity after year: the entity effects sit between the year dummies and _cons
+        X, layout, Xd = self.designs(ds, mask, ("year", "entity"))
+        assert layout.entity_pos.tolist() == list(range(6, 30))
+        y = (ds.column("PAT")[mask] > 0).astype(float)
+        beta = 0.3 * np.random.default_rng(6).normal(size=Xd.shape[1])
+        self.check(_probit_parts(beta, y, X, layout), _probit_parts(beta, y, Xd))
+
+    def test_no_entity_fe_is_the_dense_design(self):
+        ds, mask = self.panel()
+        X, names, mapping, layout = newton_design(ds, mask, ["X1"], ("year",), True)
+        Xd, names_d, mapping_d = design_matrix(ds, mask, ["X1"], ("year",), True)
+        assert layout is None
+        assert np.array_equal(X, Xd) and names == names_d and mapping == mapping_d
+
+
+class TestNewtonNotes:
+    def test_fits_keep_newton_iterations_and_grad_norm(self):
+        from cdmpanel import CountSpec, nb2_fit, poisson_fe_fit
+
+        ds = synthdgp.generate_panel(synthdgp.DgpConfig(n_entities=30, n_periods=5, seed=72))
+        fits = [
+            nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2")).base,
+            poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe")).base,
+            probit_fit(ds, "D", ["Z", "X1"], fe_dims=("year",)),
+        ]
+        for fit in fits:
+            assert isinstance(fit.notes["newton_iterations"], int)
+            assert fit.notes["newton_iterations"] >= 1
+            assert 0.0 <= fit.notes["grad_norm"] < 1e-8

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import norm
 
 from cdmpanel import (
     CollinearityError,
@@ -129,6 +130,48 @@ class TestProbit:
         assert "year=2011" in fit.coefficients
         assert "year=2012" in fit.coefficients
         assert abs(fit.coefficients["year=2011"] - 0.6) < 3 * fit.se("year=2011")
+
+    def test_entity_effects_match_dense_dummy_newton(self):
+        # tolerance fixed before the first run: 1e-8 on every coefficient
+        rng = np.random.default_rng(8)
+        n_e, n_t = 30, 10
+        ents = np.repeat([f"E{i}" for i in range(n_e)], n_t)
+        yrs = list(range(2010, 2010 + n_t)) * n_e
+        x = rng.normal(size=n_e * n_t)
+        effect = np.repeat(rng.normal(scale=0.5, size=n_e), n_t)
+        yr = np.array([0.2 * (t - 2010) / n_t for t in yrs])
+        d = ((0.6 * x + effect + yr + rng.normal(size=n_e * n_t)) > 0).astype(float)
+        # one 1 and one 0 in every entity, in periods that rotate across
+        # entities, so no entity or year effect is separated
+        rows = np.arange(n_e) * n_t
+        d[rows + np.arange(n_e) % n_t], d[rows + (np.arange(n_e) + 1) % n_t] = 1.0, 0.0
+        fit = probit_fit(from_long(ents, yrs, {"d": d, "x": x}), "d", ["x"], fe_dims=("entity", "year"))
+
+        # reference: Newton on the dense design [x, entity dummies, year dummies, 1]
+        cols, names = [x], ["x"]
+        for label in [f"E{i}" for i in range(1, n_e)]:
+            cols.append((ents == label).astype(float))
+            names.append(f"entity={label}")
+        for year in range(2011, 2010 + n_t):
+            cols.append((np.array(yrs) == year).astype(float))
+            names.append(f"year={year}")
+        cols.append(np.ones(n_e * n_t))
+        names.append("_cons")
+        X = np.column_stack(cols)
+        beta = np.zeros(X.shape[1])
+        q = 2.0 * d - 1.0
+        for _ in range(100):
+            z = X @ beta
+            lam = q * np.exp(norm.logpdf(q * z) - norm.logcdf(q * z))
+            grad = X.T @ lam
+            if np.max(np.abs(grad)) < 1e-12:
+                break
+            H = (X * (lam * (lam + z))[:, None]).T @ X
+            beta = beta + np.linalg.solve(H, grad)
+        else:
+            raise AssertionError("reference Newton did not converge")
+        assert list(fit.coefficients) == names
+        assert np.max(np.abs(fit.coef_vector() - beta)) < 1e-8
 
 
 def two_step_panel(seed=0, n_entities=400, n_periods=5, rho=-0.5):
