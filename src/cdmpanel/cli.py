@@ -46,20 +46,24 @@ def _req(cfg: dict, key: str, context: str):
 def _derive_rule(entry: dict) -> panel.DeriveRule:
     kind = _req(entry, "kind", "derive rule")
     target = _req(entry, "target", "derive rule")
+
+    def req(key: str):
+        return _req(entry, key, f"derive of {target!r}")
+
     if kind in ("lag", "lead"):
-        return panel.DeriveRule(kind=kind, target=target, source=(entry["source"],), k=int(entry["k"]))
+        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), k=int(req("k")))
     if kind == "rolling_mean":
-        return panel.DeriveRule(kind=kind, target=target, source=(entry["source"],), window=int(entry["window"]))
+        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), window=int(req("window")))
     if kind == "log":
-        return panel.DeriveRule.log(entry["source"], target)
+        return panel.DeriveRule.log(req("source"), target)
     if kind == "log_shift":
-        return panel.DeriveRule.log_shift(entry["source"], float(entry["shift"]), target)
+        return panel.DeriveRule.log_shift(req("source"), float(req("shift")), target)
     if kind == "ratio":
-        return panel.DeriveRule.ratio(entry["numerator"], entry["denominator"], target)
+        return panel.DeriveRule.ratio(req("numerator"), req("denominator"), target)
     if kind == "indicator":
-        return panel.DeriveRule.indicator(entry["predicate"], target)
+        return panel.DeriveRule.indicator(req("predicate"), target)
     if kind == "round":
-        return panel.DeriveRule.round_to_int(entry["source"], target)
+        return panel.DeriveRule.round_to_int(req("source"), target)
     raise ValidationError(f"unknown derive kind {kind!r}")
 
 
@@ -103,34 +107,34 @@ def preflight_validate(config: dict, stage_subset) -> None:
     run = [s for s in STAGE_ORDER if s in stages and (stage_subset is None or s in stage_subset)]
     for stage in run:
         sc = stages[stage]
+        where = f"{stage} stage"
         if stage == "heckman":
-            for name in (sc["outcome"], sc["selection"], *sc.get("outcome_regressors", []),
-                         *sc.get("exclusion_restrictions", []),
+            for name in (_req(sc, "outcome", where), _req(sc, "selection", where),
+                         *sc.get("outcome_regressors", []), *sc.get("exclusion_restrictions", []),
                          *[d for d in sc.get("fe", []) if d not in ("entity", "year")]):
-                need(name, "heckman stage")
+                need(name, where)
             resolved.add(sc.get("predict_as", "RDINT_hat"))
         elif stage == "counts":
             for model in sc.get("models", []):
-                for name in (model["dependent"], model.get("raw", model["dependent"]),
-                             *model.get("regressors", [])):
-                    need(name, f"counts model {model.get('name', model['dependent'])!r}")
-                need(sc.get("employees", "EMP"), "counts stage")
-                resolved.add(model["predict_as"])
-                resolved.add(model["intensity_as"])
+                dependent = _req(model, "dependent", "counts model")
+                label = f"counts model {model.get('name', dependent)!r}"
+                for name in (dependent, model.get("raw", dependent), *model.get("regressors", [])):
+                    need(name, label)
+                need(sc.get("employees", "EMP"), where)
+                resolved.add(_req(model, "predict_as", label))
+                resolved.add(_req(model, "intensity_as", label))
         elif stage == "productivity":
-            for name in (sc["dependent"], *sc.get("controls", []),
+            for name in (_req(sc, "dependent", where), *sc.get("controls", []),
                          *sc.get("classical", []), *sc.get("extended", [])):
-                need(name, "productivity stage")
-        elif stage == "uqr":
-            for name in (sc["dependent"], *[r for regs in sc.get("models", {}).values() for r in regs]):
-                need(name, "uqr stage")
+                need(name, where)
+        elif stage in ("uqr", "cqr"):
+            for name in (_req(sc, "dependent", where),
+                         *[r for regs in sc.get("models", {}).values() for r in regs]):
+                need(name, where)
         elif stage == "treatment":
-            for name in (sc["dependent"], sc["treatment"], *sc.get("propensity_regressors", []),
-                         *sc.get("controls", [])):
-                need(name, "treatment stage")
-        elif stage == "cqr":
-            for name in (sc["dependent"], *[r for regs in sc.get("models", {}).values() for r in regs]):
-                need(name, "cqr stage")
+            for name in (_req(sc, "dependent", where), _req(sc, "treatment", where),
+                         *sc.get("propensity_regressors", []), *sc.get("controls", [])):
+                need(name, where)
 
 
 def _boot_vcov(config: dict, seed_salt: int) -> VcovSpec:

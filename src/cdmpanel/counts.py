@@ -18,7 +18,7 @@ zero-activity entities stay defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -164,36 +164,24 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
         np.zeros(X.shape[1]),
     )
 
-    notes = {
-        "model": "poisson_fe",
-        "fe_dims": ("entity", *year_dims),
-        "fe_dummies": mapping,
-        "absorbed_columns": tuple(absorbed),
-        "dropped_entities": n_entities_dropped,
-        "newton_iterations": res.iterations,
-        "grad_norm": res.grad_norm,
-    }
-    if spec.vcov.kind == "cluster_bootstrap":
-        def refit(dsb: panel.PanelDataset) -> np.ndarray:
-            fb = poisson_fe_fit(dsb, CountSpec(spec.dependent, spec.regressors, spec.family,
-                                               spec.entity_fe, spec.year_fe, VcovSpec("analytic")))
-            return np.array([fb.base.coefficients[name] for name in names])
-
-        boot = estim.bootstrap_vcov(refit, ds, spec.vcov)
-        V, tag = boot.vcov, spec.vcov.tag()
-        notes["bootstrap_failures"] = boot.n_failed
-    else:
-        V, tag = res.vcov, "analytic"
-
     base = FitResult(
         coefficients=dict(zip(names, res.params)),
-        vcov=V,
+        vcov=res.vcov,
         n_obs=int(mask.sum()),
         loglik=res.loglik,
-        se_method=tag,
         n_dropped=ds.n_rows - int(mask.sum()),
-        notes=notes,
+        notes={
+            "model": "poisson_fe",
+            "fe_dims": ("entity", *year_dims),
+            "fe_dummies": mapping,
+            "absorbed_columns": tuple(absorbed),
+            "dropped_entities": n_entities_dropped,
+            "newton_iterations": res.iterations,
+            "grad_norm": res.grad_norm,
+        },
     )
+    analytic = replace(spec, vcov=VcovSpec())
+    estim.apply_vcov(base, lambda dsb: poisson_fe_fit(dsb, analytic).base, ds, spec.vcov, "poisson_fe_fit")
     if slopes:
         base.wald_chi2 = estim.wald_chi2(base, slopes)
         base.notes["wald_restrictions"] = tuple(slopes)
@@ -363,36 +351,23 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
                 entity_effects[level] = float(np.exp(coef[nm]))
     keep_ix = [names.index(nm) for nm in keep_names]
 
-    notes = {
-        "model": "nb2",
-        "fe_dims": dims,
-        "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-        "alpha_se": alpha_se,
-        "newton_iterations": res.iterations,
-        "grad_norm": res.grad_norm,
-    }
-    if spec.vcov.kind == "cluster_bootstrap":
-        def refit(dsb: panel.PanelDataset) -> np.ndarray:
-            fb = nb2_fit(dsb, CountSpec(spec.dependent, spec.regressors, spec.family,
-                                        spec.entity_fe, spec.year_fe, VcovSpec("analytic")),
-                         fix_alpha=fix_alpha)
-            return np.array([fb.base.coefficients[name] for name in keep_names])
-
-        boot = estim.bootstrap_vcov(refit, ds, spec.vcov)
-        V, tag = boot.vcov, spec.vcov.tag()
-        notes["bootstrap_failures"] = boot.n_failed
-    else:
-        V, tag = vcov_b[np.ix_(keep_ix, keep_ix)], "analytic"
-
     base = FitResult(
         coefficients={nm: coef[nm] for nm in keep_names},
-        vcov=V,
+        vcov=vcov_b[np.ix_(keep_ix, keep_ix)],
         n_obs=n,
         loglik=res.loglik,
-        se_method=tag,
         n_dropped=ds.n_rows - n,
-        notes=notes,
+        notes={
+            "model": "nb2",
+            "fe_dims": dims,
+            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
+            "alpha_se": alpha_se,
+            "newton_iterations": res.iterations,
+            "grad_norm": res.grad_norm,
+        },
     )
+    analytic = replace(spec, vcov=VcovSpec())
+    estim.apply_vcov(base, lambda dsb: nb2_fit(dsb, analytic, fix_alpha).base, ds, spec.vcov, "nb2_fit")
     slope_names = [nm for nm in spec.regressors]
     if slope_names:
         base.wald_chi2 = estim.wald_chi2(base, slope_names)

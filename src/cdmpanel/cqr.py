@@ -9,7 +9,7 @@ come from the entity-cluster bootstrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -102,33 +102,20 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     # resampling; report only the stable coefficients
     reported = [nm for nm in names if not nm.startswith("entity=")]
     coef_full = dict(zip(names, beta))
-    notes = {
-        "model": "cqr",
-        "tau": spec.tau,
-        "check_loss": loss,
-        "flat_optimum": flat,
-        "fe_dims": spec.fe_dims,
-        "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-    }
-
-    if spec.vcov is not None and spec.vcov.kind == "cluster_bootstrap":
-        spec_plain = CqrSpec(spec.dependent, spec.regressors, spec.tau, spec.intercept, spec.fe_dims, None)
-
-        def refit(dsb: panel.PanelDataset) -> np.ndarray:
-            fb = cqr_fit(dsb, spec_plain)
-            return np.array([fb.coefficients[name] for name in reported])
-
-        boot = estim.bootstrap_vcov(refit, ds, spec.vcov)
-        V, tag = boot.vcov, spec.vcov.tag()
-        notes["bootstrap_failures"] = boot.n_failed
-    else:
-        V, tag = np.zeros((len(reported), len(reported))), "none"
-
-    return FitResult(
+    fit = FitResult(
         coefficients={nm: coef_full[nm] for nm in reported},
-        vcov=V,
+        vcov=np.zeros((len(reported), len(reported))),
         n_obs=n,
-        se_method=tag,
+        se_method="none",
         n_dropped=ds.n_rows - n,
-        notes=notes,
+        notes={
+            "model": "cqr",
+            "tau": spec.tau,
+            "check_loss": loss,
+            "flat_optimum": flat,
+            "fe_dims": spec.fe_dims,
+            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
+        },
     )
+    plain = replace(spec, vcov=None)
+    return estim.apply_vcov(fit, lambda dsb: cqr_fit(dsb, plain), ds, spec.vcov, "cqr_fit")

@@ -5,9 +5,10 @@ one design builder (design_matrix) used by every estimator, an array-level OLS
 core with FE absorption by demeaning and analytic/HC1 covariances, a
 line-searched Newton maximizer for likelihoods that takes entity effects as
 integer codes (newton_design) and eliminates their diagonal Hessian block by a
-Schur complement (BlockHessian), the entity-cluster bootstrap,
-variance inflation factors, and Wald tests. Every downstream estimator builds
-on these.
+Schur complement (BlockHessian), the entity-cluster bootstrap and
+apply_vcov, through which every estimator gets its covariance (refusing a
+kind it cannot give), variance inflation factors, and Wald tests. Every
+downstream estimator builds on these.
 """
 
 from __future__ import annotations
@@ -406,27 +407,17 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = Non
         fe=[fe_codes(ds, dim, mask)[0] for dim in spec.fe_dims],
         robust=vcov.kind == "hc_robust",
     )
-    notes = {"absorbed_df": core.absorbed_df, "fe_dims": tuple(spec.fe_dims)}
-    V = core.vcov
-    if vcov.kind == "cluster_bootstrap":
-        def refit(dsb: panel.PanelDataset) -> np.ndarray:
-            res = ols_fit(dsb, spec, VcovSpec("analytic"))
-            return np.array([res.coefficients[name] for name in names])
-
-        boot = bootstrap_vcov(refit, ds, vcov)
-        V = boot.vcov
-        notes["bootstrap_failures"] = boot.n_failed
-
-    return FitResult(
+    fit = FitResult(
         coefficients=dict(zip(names, core.beta)),
-        vcov=V,
+        vcov=core.vcov,
         n_obs=X.shape[0],
         loglik=core.loglik,
         fit={"r2": core.r2, "adj_r2": core.adj_r2},
         se_method=vcov.tag(),
         n_dropped=ds.n_rows - X.shape[0],
-        notes=notes,
+        notes={"absorbed_df": core.absorbed_df, "fe_dims": tuple(spec.fe_dims)},
     )
+    return apply_vcov(fit, lambda dsb: ols_fit(dsb, spec), ds, vcov, "ols_fit")
 
 
 def mle_fit(
@@ -573,6 +564,40 @@ def bootstrap_vcov(
     else:
         V = np.atleast_2d(np.cov(mat, rowvar=False, ddof=1))
     return BootstrapResult((V + V.T) / 2.0, n_failed, mat.shape[0])
+
+
+def apply_vcov(
+    fit: FitResult,
+    refit: Callable[[panel.PanelDataset], FitResult],
+    ds: panel.PanelDataset,
+    vcov: VcovSpec | None,
+    estimator: str,
+) -> FitResult:
+    """Give a point fit the covariance ``vcov`` asks for; every estimator's
+    covariance is settled here.
+
+    ``fit`` carries the estimator's own covariance, which an analytic spec
+    (or None) keeps. An hc_robust spec is refused unless ``fit`` already
+    carries it (se_method "robust"). A cluster_bootstrap spec replaces it, in
+    place, by bootstrap_vcov over ``refit``, the estimator's point fit on one
+    resample, and sets the spec's tag and ``notes["bootstrap_failures"]``.
+    """
+    kind = vcov.kind if vcov is not None else "analytic"
+    if kind == "hc_robust" and fit.se_method != "robust":
+        raise ValidationError(f"{estimator} cannot give an {kind!r} covariance")
+    if kind != "cluster_bootstrap":
+        return fit
+    names = fit.names
+
+    def draw(dsb: panel.PanelDataset) -> np.ndarray:
+        coefficients = refit(dsb).coefficients
+        return np.array([coefficients[name] for name in names])
+
+    boot = bootstrap_vcov(draw, ds, vcov)
+    fit.vcov = boot.vcov
+    fit.se_method = vcov.tag()
+    fit.notes["bootstrap_failures"] = boot.n_failed
+    return fit
 
 
 def linear_index(

@@ -16,7 +16,7 @@ lambda = rho * sigma always holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -118,13 +118,7 @@ def probit_mle(y: np.ndarray, X: np.ndarray, tol: float = 1e-8, max_iter: int = 
     return res
 
 
-def probit_fit(
-    ds: panel.PanelDataset,
-    dependent: str,
-    regressors,
-    fe_dims=(),
-    vcov: VcovSpec | None = None,
-) -> FitResult:
+def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -> FitResult:
     """Probit with FE dims as indicators (first category dropped); entity
     effects are estimated without dummy columns (see estim.newton_design)."""
     regressors = list(regressors)
@@ -142,30 +136,18 @@ def probit_fit(
         raise ValidationError(f"only {n} complete cases for {len(names)} probit parameters")
 
     res = probit_mle(y, X, layout=layout)
-    notes = {
-        "model": "probit",
-        "fe_dummies": mapping,
-        "newton_iterations": res.iterations,
-        "grad_norm": res.grad_norm,
-    }
-    if vcov is not None and vcov.kind == "cluster_bootstrap":
-        def refit(dsb: panel.PanelDataset) -> np.ndarray:
-            fr = probit_fit(dsb, dependent, regressors, fe_dims)
-            return np.array([fr.coefficients[name] for name in names])
-
-        boot = estim.bootstrap_vcov(refit, ds, vcov)
-        V, tag = boot.vcov, vcov.tag()
-        notes["bootstrap_failures"] = boot.n_failed
-    else:
-        V, tag = res.vcov, "analytic"
     return FitResult(
         coefficients=dict(zip(names, res.params)),
-        vcov=V,
+        vcov=res.vcov,
         n_obs=n,
         loglik=res.loglik,
-        se_method=tag,
         n_dropped=ds.n_rows - n,
-        notes=notes,
+        notes={
+            "model": "probit",
+            "fe_dummies": mapping,
+            "newton_iterations": res.iterations,
+            "grad_norm": res.grad_norm,
+        },
     )
 
 
@@ -244,26 +226,10 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     step2_vif = estim.vif_matrix(X[:, :-1], names[:-1])
     imr_vif = step2_vif[IMR_NAME]
 
-    if spec.vcov.kind == "cluster_bootstrap":
-        order = list(outcome_fit.coefficients)
-        spec_analytic = HeckmanSpec(
-            outcome=spec.outcome,
-            selection=spec.selection,
-            outcome_regressors=spec.outcome_regressors,
-            exclusion_restrictions=spec.exclusion_restrictions,
-            fe_dims=spec.fe_dims,
-            vcov=VcovSpec("analytic"),
-        )
-
-        def refit(dsb: panel.PanelDataset) -> np.ndarray:
-            fit_b = heckman_two_step(dsb, spec_analytic)
-            return np.array([fit_b.outcome.coefficients[name] for name in order])
-
-        boot = estim.bootstrap_vcov(refit, ds, spec.vcov)
-        outcome_fit.vcov = boot.vcov
-        outcome_fit.se_method = spec.vcov.tag()
-        outcome_fit.notes["bootstrap_failures"] = boot.n_failed
-
+    analytic = replace(spec, vcov=VcovSpec())
+    estim.apply_vcov(
+        outcome_fit, lambda dsb: heckman_two_step(dsb, analytic).outcome, ds, spec.vcov, "heckman_two_step"
+    )
     slopes = [r for r in spec.outcome_regressors]
     if slopes:
         outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, slopes)

@@ -394,7 +394,7 @@ def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
     return PanelDataset(entities, new_periods, cols, meta)
 
 
-def take_entities(ds: PanelDataset, positions, labels=None) -> PanelDataset:
+def take_entities(ds: PanelDataset, positions) -> PanelDataset:
     """Dataset made of the given entity blocks, in order (used by cluster bootstrap).
 
     ``positions`` may repeat; repeated draws get distinct labels so downstream
@@ -402,8 +402,7 @@ def take_entities(ds: PanelDataset, positions, labels=None) -> PanelDataset:
     """
     P = len(ds.periods)
     positions = list(positions)
-    if labels is None:
-        labels = [f"{ds.entities[p]}#{r}" for r, p in enumerate(positions)]
+    labels = [f"{ds.entities[p]}#{r}" for r, p in enumerate(positions)]
     row_blocks = np.concatenate([np.arange(p * P, (p + 1) * P) for p in positions]) if positions else np.empty(0, int)
     cols = {name: arr[row_blocks] for name, arr in ds.columns.items()}
     return PanelDataset(tuple(labels), ds.periods, cols, dict(ds.metadata))

@@ -112,12 +112,10 @@ def render_table(
                 est = fit.coefficients[name]
                 p = fit.pvalue(name)
                 top.append(f"{_fmt(est)}{star_marker(p, thresholds)}")
-                se = fit.se(name)
                 if paren == "se":
-                    bottom.append(f"({_fmt(se, 3)})")
+                    bottom.append(f"({_fmt(fit.se(name), 3)})")
                 else:
-                    t = est / se if se > 0 else float("inf")
-                    bottom.append(f"({t:.3f})")
+                    bottom.append(f"({fit.tstat(name):.3f})")
             else:
                 top.append("")
                 bottom.append("")

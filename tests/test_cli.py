@@ -268,3 +268,28 @@ class TestTables:
     def test_emit_tables_unknown_style_key(self):
         with pytest.raises(ValidationError, match="unknown style key"):
             tables.emit_tables([], {"colour": "red"})
+
+
+class TestMissingKeys:
+    def test_heckman_without_outcome(self, small_run, capsys):
+        path, cfg = write_config(small_run)
+        del cfg["stages"]["heckman"]["outcome"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing required key 'outcome'" in err
+        assert not os.path.exists(small_run / "out" / "results" / "heckman__full.txt")
+
+    def test_counts_model_without_predict_as(self, small_run, capsys):
+        path, cfg = write_config(small_run)
+        del cfg["stages"]["counts"]["models"][0]["predict_as"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        assert "counts model 'PAT': missing required key 'predict_as'" in capsys.readouterr().err
+
+    def test_derive_without_source(self, small_run, capsys):
+        path, cfg = write_config(small_run)
+        del cfg["derives"][0]["source"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        assert "derive of 'PAT_rm3': missing required key 'source'" in capsys.readouterr().err
