@@ -50,14 +50,26 @@ def _derive_rule(entry: dict) -> panel.DeriveRule:
     def req(key: str):
         return _req(entry, key, f"derive of {target!r}")
 
+    def number(key: str, cast: type):
+        value = req(key)
+        try:
+            out = cast(value)
+            # int() would truncate 1.5 and accept True
+            if isinstance(value, bool) or out != float(value):
+                raise ValueError(value)
+        except (TypeError, ValueError, OverflowError):
+            what = "an integer" if cast is int else "a number"
+            raise ValidationError(f"derive of {target!r}: key {key!r} must be {what}, got {value!r}") from None
+        return out
+
     if kind in ("lag", "lead"):
-        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), k=int(req("k")))
+        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), k=number("k", int))
     if kind == "rolling_mean":
-        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), window=int(req("window")))
+        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), window=number("window", int))
     if kind == "log":
         return panel.DeriveRule.log(req("source"), target)
     if kind == "log_shift":
-        return panel.DeriveRule.log_shift(req("source"), float(req("shift")), target)
+        return panel.DeriveRule.log_shift(req("source"), number("shift", float), target)
     if kind == "ratio":
         return panel.DeriveRule.ratio(req("numerator"), req("denominator"), target)
     if kind == "indicator":
@@ -407,7 +419,10 @@ def run_pipeline(config_path: str, stages=None, seed=None, jobs: int = 1, output
     """Execute a pipeline config; returns the manifest dictionary."""
     with open(config_path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    config = json.loads(raw)
+    try:
+        config = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config {config_path}: not valid JSON: {exc}") from None
     mode = config.get("mode", "pipeline")
     if seed is not None:
         config.setdefault("bootstrap", {})["seed"] = int(seed)

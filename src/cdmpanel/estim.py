@@ -220,7 +220,7 @@ class BlockHessian(NamedTuple):
 
 
 def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
-    """design_matrix for a Newton fit, with the entity dummies left out of X.
+    """design_matrix for a Newton fit or the CQR LP, with the entity dummies left out of X.
 
     Returns (X, names, fe_dummies, layout): names and fe_dummies are exactly
     design_matrix's; layout is an EntityLayout when "entity" is among fe_dims
@@ -288,14 +288,20 @@ def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout | None, cr
     return BlockHessian(A, C, layout.entity_sums(h), dense_pos, layout.entity_pos)
 
 
-def _checked_qr(X: np.ndarray, names):
-    """Pivoted QR that raises CollinearityError naming a dependent column."""
+def _checked_qr(X: np.ndarray, names, scale: float | None = None):
+    """Pivoted QR that raises CollinearityError naming a dependent column.
+
+    A pivot counts as zero at or below max(n, p) * eps * scale; scale
+    defaults to the largest pivot.
+    """
     n, p = X.shape
     if p == 0:
         raise ValidationError("empty design matrix")
     q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    if scale is None:
+        scale = diag[0] if diag.size else 0.0
+    tol = max(n, p) * np.finfo(float).eps * scale
     rank = int(np.sum(diag > tol))
     if rank < p:
         culprit = names[piv[rank]]
@@ -305,9 +311,10 @@ def _checked_qr(X: np.ndarray, names):
     return q, r, piv
 
 
-def assert_full_rank(X: np.ndarray, names) -> None:
-    """Raise CollinearityError naming a dependent column if X is rank deficient."""
-    _checked_qr(X, names)
+def assert_full_rank(X: np.ndarray, names, scale: float | None = None) -> None:
+    """Raise CollinearityError naming a dependent column if X is rank deficient
+    (pivots judged against scale, by default the largest pivot)."""
+    _checked_qr(X, names, scale)
 
 
 def _solve_ls(X: np.ndarray, y: np.ndarray, names) -> np.ndarray:

@@ -293,3 +293,32 @@ class TestMissingKeys:
         path.write_text(json.dumps(cfg))
         assert cli.main([str(path)]) == 1
         assert "derive of 'PAT_rm3': missing required key 'source'" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("index, key, value, message", [
+        (2, "k", "one", "derive of 'lnVA_lead': key 'k' must be an integer, got 'one'"),
+        (2, "k", 1.5, "derive of 'lnVA_lead': key 'k' must be an integer, got 1.5"),
+        (0, "window", [3], "derive of 'PAT_rm3': key 'window' must be an integer, got [3]"),
+    ])
+    def test_non_integer_derive_key(self, small_run, capsys, index, key, value, message):
+        path, cfg = write_config(small_run)
+        cfg["derives"][index][key] = value
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_non_numeric_shift(self, small_run, capsys):
+        path, cfg = write_config(small_run)
+        cfg["derives"].append({"kind": "log_shift", "source": "PAT", "shift": "one", "target": "lnPAT1"})
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        assert "derive of 'lnPAT1': key 'shift' must be a number, got 'one'" in capsys.readouterr().err
+
+    def test_config_not_json(self, small_run, capsys):
+        path, cfg = write_config(small_run)
+        path.write_text(json.dumps(cfg)[:-1])
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path}: not valid JSON")

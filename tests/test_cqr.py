@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from cdmpanel import (
     CollinearityError,
@@ -11,7 +13,10 @@ from cdmpanel import (
     from_long,
     ols_fit,
 )
+from cdmpanel import cqr
 from cdmpanel.cqr import check_loss
+from cdmpanel.estim import design_matrix, newton_design
+from cdmpanel.panel import take_entities
 
 
 def iid_panel(columns):
@@ -142,3 +147,118 @@ class TestSlopeFits:
     def test_tau_validation(self):
         with pytest.raises(ValidationError):
             CqrSpec("y", tau=1.0)
+
+
+def fe_panel(seed, n_e=20, n_t=5):
+    rng = np.random.default_rng(seed)
+    ents = np.repeat([f"E{i}" for i in range(n_e)], n_t)
+    yrs = [int(t) for t in np.tile(np.arange(2010, 2010 + n_t), n_e)]
+    fe = np.repeat(rng.normal(size=n_e), n_t)
+    x = rng.normal(size=n_e * n_t)
+    z = rng.normal(size=n_e * n_t) + fe
+    y = 0.4 * x - 0.3 * z + fe + rng.standard_t(3, size=n_e * n_t)
+    region = np.repeat(rng.integers(0, 3, size=n_e), n_t).astype(float)
+    return from_long(list(ents), yrs, {"y": y, "x": x, "z": z, "region": region,
+                                       "firm_const": np.repeat(rng.normal(size=n_e), n_t)})
+
+
+def primal_oracle_loss(y, X, tau):
+    """Check loss at the optimum of the Koenker-Bassett primal LP:
+    min tau*1'u+ + (1-tau)*1'u-  s.t.  X b + u+ - u- = y."""
+    n, p = X.shape
+    eye = sparse.identity(n, format="csc")
+    A = sparse.hstack([sparse.csc_matrix(X), eye, -eye], format="csc")
+    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
+    bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
+    res = linprog(c, A_eq=A, b_eq=y, bounds=bounds, method="highs")
+    assert res.status == 0
+    return check_loss(y - X @ res.x[:p], tau)
+
+
+class TestEntityEffectsAsCodes:
+    @pytest.mark.parametrize("regressors", [("x", "firm_const"), ("firm_const", "x")])
+    def test_entity_constant_regressor_named(self, regressors):
+        ds = fe_panel(61)
+        with pytest.raises(CollinearityError, match="column 'firm_const'"):
+            cqr_fit(ds, CqrSpec("y", regressors, fe_dims=("entity", "year")))
+
+    @pytest.mark.parametrize("regressors, fe_dims", [
+        (("firm_const",), ("entity",)),
+        (("x", "big_const"), ("entity", "year")),
+        (("big_const", "x"), ("entity", "year")),
+        (("x", "zero"), ("entity", "year")),
+    ])
+    def test_entity_constant_regressor_named_at_any_scale(self, regressors, fe_dims):
+        # after the entity means are removed such a column is round-off only;
+        # it must be judged against its own norm, not the largest pivot
+        ds = fe_panel(70)
+        ds = ds.with_column("big_const", 1e3 * ds.column("firm_const"))
+        ds = ds.with_column("zero", np.zeros(ds.n_rows))
+        culprit = regressors[-1] if regressors[0] == "x" else regressors[0]
+        with pytest.raises(CollinearityError, match=f"column '{culprit}'"):
+            cqr_fit(ds, CqrSpec("y", regressors, fe_dims=fe_dims))
+
+    def test_baseline_entity_indicator_needs_no_intercept(self):
+        # without an intercept the dropped baseline entity's indicator is not
+        # spanned by the other entities' indicators; with one it is
+        ds = fe_panel(70)
+        ds = ds.with_column("baseline", (ds.entity_index() == 0).astype(float))
+        fit = cqr_fit(ds, CqrSpec("y", ("x", "baseline"), fe_dims=("entity", "year"), intercept=False))
+        assert np.isfinite(fit.coefficients["baseline"])
+        with pytest.raises(CollinearityError, match="column 'baseline'"):
+            cqr_fit(ds, CqrSpec("y", ("x", "baseline"), fe_dims=("entity", "year")))
+
+    @pytest.mark.parametrize("fe_dims", [("entity",), ("entity", "year")])
+    def test_intercept_only_with_entity_effects(self, fe_dims):
+        ds = fe_panel(62)
+        fit = cqr_fit(ds, CqrSpec("y", (), tau=0.4, fe_dims=fe_dims))
+        X, _, _ = design_matrix(ds, np.ones(ds.n_rows, dtype=bool), (), fe_dims, True)
+        oracle = primal_oracle_loss(ds.column("y"), X, 0.4)
+        assert "_cons" in fit.coefficients
+        assert abs(fit.notes["check_loss"] - oracle) <= 1e-9 * oracle
+
+    @pytest.mark.parametrize("fe_dims, intercept", [
+        (("entity", "year"), True),
+        (("year", "entity"), True),
+        (("entity", "region", "year"), False),
+        (("region", "entity"), True),
+        (("entity",), False),
+    ])
+    def test_lp_matrix_equals_dense_design(self, fe_dims, intercept):
+        ds = fe_panel(63)
+        mask = np.ones(ds.n_rows, dtype=bool)
+        X, names, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, intercept)
+        A = cqr._lp_matrix(X, layout)
+        dense, dense_names, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, intercept)
+        B = sparse.csr_matrix(dense.T)
+        assert names == dense_names
+        assert A.shape == B.shape and A.nnz == B.nnz
+        assert (A != B).nnz == 0
+
+
+class TestDualAgainstPrimal:
+    @pytest.mark.parametrize("seed, tau, fe_dims, duplicated", [
+        (64, 0.5, ("entity", "year"), False),
+        (65, 0.25, ("entity", "year"), False),
+        (66, 0.8, ("entity", "year"), False),
+        (67, 0.5, ("year", "entity"), False),
+        (68, 0.5, ("entity", "year"), True),
+        (69, 0.7, ("entity", "year"), True),
+    ])
+    def test_check_loss_and_dual_feasibility(self, seed, tau, fe_dims, duplicated):
+        ds = fe_panel(seed, n_e=30)
+        if duplicated:
+            # a cluster-bootstrap draw: some entities repeated, some left out
+            draw = np.random.default_rng(seed).integers(0, 30, size=30)
+            ds = take_entities(ds, draw)
+        fit = cqr_fit(ds, CqrSpec("y", ("x", "z"), tau=tau, fe_dims=fe_dims))
+        mask = np.ones(ds.n_rows, dtype=bool)
+        y = ds.column("y")
+        dense, _, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, True)
+        oracle = primal_oracle_loss(y, dense, tau)
+        assert abs(fit.notes["check_loss"] - oracle) <= 1e-9 * oracle
+
+        X, _, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, True)
+        _, d = cqr._lp_solve(y, cqr._lp_matrix(X, layout), tau)
+        assert np.max(np.abs(dense.T @ d)) <= 1e-9
+        assert np.all(d >= tau - 1.0 - 1e-9) and np.all(d <= tau + 1e-9)
