@@ -5,11 +5,17 @@ Two families:
 * ``poisson_fe`` - the exact conditional fixed-effects Poisson, which removes
   entity effects by conditioning on each entity's count total. All-zero
   entities carry no information and are dropped.
-* ``nb2`` - negative binomial with Var(y|x) = mu + alpha*mu^2, estimated
-  jointly over (beta, log alpha) by Newton steps. Entity effects are
-  estimated as parameters (first entity the baseline) but never built as
-  dummy columns: their Hessian block is diagonal and is eliminated by a Schur
-  complement in each step (estim.newton_design, estim.BlockHessian).
+* ``nb2`` - negative binomial with Var(y|x) = mu + alpha*mu^2, alpha >= 0,
+  estimated by profile likelihood in alpha (as MASS ``glm.nb``): the Poisson
+  fit (alpha = 0) first, which is the optimum when the alpha-score there is
+  not positive; otherwise a bounded root search on the profile score in
+  alpha, with Newton in beta at each alpha, and the covariance from the joint
+  (beta, log alpha) Hessian at the optimum. Entity effects are estimated as
+  parameters (first kept entity the baseline) but never built as dummy
+  columns: their Hessian block is diagonal and is eliminated by a Schur
+  complement in each step (estim.newton_design, estim.BlockHessian). As in
+  the conditional model, all-zero entities are dropped first (Hausman, Hall
+  & Griliches 1984): their effects have no finite MLE.
 
 Calibration rescales raw exponential-index predictions so each entity's mean
 prediction matches its realized mean, then adds a small epsilon so logs of
@@ -21,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.optimize import brentq
+from scipy.special import chdtrc, gammaln
 
 from . import estim, panel
 from .estim import FitResult, VcovSpec
@@ -88,6 +95,19 @@ def _validated_counts(y: np.ndarray, context: str) -> np.ndarray:
     return rounded
 
 
+def _drop_entities(ds: panel.PanelDataset, mask: np.ndarray, y: np.ndarray, min_rows: int):
+    """Drop the entities whose count total is zero or that have fewer than
+    ``min_rows`` rows: clears their rows in ``mask`` (in place) and returns
+    (y on the kept rows, number of entities dropped)."""
+    codes, _ = estim.fe_codes(ds, "entity", mask)
+    dropped = (np.bincount(codes) < min_rows) | (np.bincount(codes, weights=y) <= 0)
+    if dropped.all():
+        raise ValidationError("every entity has an all-zero count total; nothing to estimate")
+    keep = ~dropped[codes]
+    mask[np.flatnonzero(mask)[~keep]] = False
+    return y[keep], int(dropped.sum())
+
+
 # ---------------------------------------------------------------------------
 # conditional fixed-effects Poisson
 
@@ -128,17 +148,7 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
     if not mask.any():
         raise ValidationError("no complete cases for the count model")
     y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
-
-    codes, _ = estim.fe_codes(ds, "entity", mask)
-    starts, seg_of_row = _segments(codes)
-    sizes = np.diff(np.append(starts, len(y)))
-    dropped = (sizes < 2) | (np.add.reduceat(y, starts) <= 0)
-    n_entities_dropped = int(dropped.sum())
-    if dropped.all():
-        raise ValidationError("every entity has an all-zero count total; nothing to estimate")
-    keep = ~dropped[seg_of_row]
-    mask[np.flatnonzero(mask)[~keep]] = False
-    y = y[keep]
+    y, n_entities_dropped = _drop_entities(ds, mask, y, min_rows=2)
     codes, levels = estim.fe_codes(ds, "entity", mask)
     starts, seg_of_row = _segments(codes)
 
@@ -213,28 +223,22 @@ def _nb2_tables(theta: float, ymax: int):
     return pref_ln, pref_g, pref_h
 
 
-def _nb2_parts(params, y, X, lgy1, fix_log_alpha, probe_log=None, layout=None):
+def _nb2_parts(params, y, X, lgy1, fix_log_alpha, layout=None):
     """Loglik, gradient, Hessian for NB2 over (beta, log alpha); beta spans X
     and, with an estim.EntityLayout, the entity effects.
 
     Uses exact finite-sum identities for the Gamma-function differences so the
     alpha -> 0 (Poisson) limit stays numerically stable. Probes beyond the
-    alpha bound report -inf so the line search retreats; the caller decides
-    whether the bound was genuinely hit.
+    alpha bound, or where exp(log alpha) underflows, report -inf so the line
+    search retreats.
     """
     k = X.shape[1] if layout is None else layout.n_params
     if fix_log_alpha is None:
         beta, s = params[:k], params[k]
     else:
         beta, s = params, fix_log_alpha
-    if s > np.log(ALPHA_BOUND):
-        if probe_log is not None:
-            probe_log["alpha_bound_hit"] = True
-        dim = k + (1 if fix_log_alpha is None else 0)
-        return -np.inf, np.zeros(dim), np.eye(dim)
     a = float(np.exp(s))
-    if a == 0.0:
-        # exp(s) underflowed: theta = 1/a does not exist, so retreat as above
+    if a == 0.0 or s > np.log(ALPHA_BOUND):
         dim = k + (1 if fix_log_alpha is None else 0)
         return -np.inf, np.zeros(dim), np.eye(dim)
     theta = 1.0 / a
@@ -269,20 +273,76 @@ def _nb2_parts(params, y, X, lgy1, fix_log_alpha, probe_log=None, layout=None):
     return ll, grad, hess
 
 
-def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = None) -> CountFit:
-    """NB2 maximum likelihood over (beta, log alpha).
+def _nb2_profile_mle(y, X, lgy1, layout, beta, alpha0: float, score0: float):
+    """NB2 optimum over (beta, alpha > 0) when the alpha-score at alpha = 0 is
+    score0 > 0, so the profile loglik rises from the Poisson boundary.
 
-    Year effects enter as indicator columns. Entity effects are estimated as
-    parameters, first entity the baseline, without dummy columns: each Newton
-    step eliminates their diagonal Hessian block by a Schur complement.
-    ``fix_alpha=0`` collapses to the (dummy-variable) Poisson model.
+    By the envelope theorem the derivative of the profile loglik in alpha is
+    the partial alpha-score at beta(alpha). Its root is bracketed by moving up
+    from alpha0 in factors of 10 and found by Brent's method; each inner Newton
+    in beta starts from the previous inner solution, the first from ``beta``.
+    Returns the joint (beta, log alpha) MleResult started at that root, whose
+    covariance is the inverse of the joint Hessian there, and the Newton
+    iterations of every fit.
+    """
+    iterations = 0
+
+    def profile_score(alpha: float) -> float:
+        nonlocal beta, iterations
+        if alpha == 0.0:
+            return score0
+        s = float(np.log(alpha))
+        res = estim.mle_fit(lambda b: _nb2_parts(b, y, X, lgy1, s, layout=layout), beta)
+        beta, iterations = res.params, iterations + res.iterations
+        return _nb2_parts(np.append(beta, s), y, X, lgy1, None, layout=layout)[1][-1] / alpha
+
+    lo, hi = 0.0, alpha0
+    while profile_score(hi) > 0.0:
+        if hi == ALPHA_BOUND:
+            raise ConvergenceError(
+                f"overdispersion alpha exceeded the bound {ALPHA_BOUND:g} "
+                "(severe overdispersion or misfit)"
+            )
+        lo, hi = hi, min(10.0 * hi, ALPHA_BOUND)
+    alpha = brentq(profile_score, lo, hi)
+    res = estim.mle_fit(
+        lambda p: _nb2_parts(p, y, X, lgy1, None, layout=layout), np.append(beta, np.log(alpha))
+    )
+    return res, iterations + res.iterations
+
+
+def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = None) -> CountFit:
+    """NB2 maximum likelihood over beta and alpha >= 0.
+
+    With entity FE, entities whose count total is zero are dropped first
+    (``CountFit.n_dropped_entities``). Year effects enter as indicator
+    columns. Entity effects are estimated as parameters, first kept entity
+    the baseline, without dummy columns: each Newton step eliminates their
+    diagonal Hessian block by a Schur complement.
+
+    Alpha is estimated by profile likelihood. The Poisson fit (alpha = 0) is
+    the optimum when the alpha-score there, (1/2) sum((y - mu)^2 - y), is not
+    positive: alpha is then 0 and ``notes["alpha_se"]`` is None. Otherwise the
+    profile loglik is maximised over alpha in (0, ALPHA_BOUND] and the
+    covariance comes from the joint (beta, log alpha) Hessian at the optimum.
+    Either way ``notes["lr_alpha0"]`` holds the one-sided LR test of alpha =
+    0, (statistic, p) with p from the chi-bar-squared mixture 1/2 chi2(0) +
+    1/2 chi2(1) (Gutierrez, Carter & Drukker 2001).
+
+    ``fix_alpha`` holds alpha at the given value; ``fix_alpha=0`` is the
+    (dummy-variable) Poisson model.
     """
     if spec.family not in ("nb2",):
         raise ValidationError("nb2_fit requires family 'nb2'")
+    if fix_alpha is not None and fix_alpha < 0:
+        raise ValidationError("fix_alpha must be >= 0")
     mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
     if not mask.any():
         raise ValidationError("no complete cases for the count model")
     y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
+    n_entities_dropped = 0
+    if spec.entity_fe:
+        y, n_entities_dropped = _drop_entities(ds, mask, y, min_rows=1)
     n = int(mask.sum())
 
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
@@ -295,51 +355,27 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     start_b = np.zeros(len(names))
     start_b[-1] = np.log(ybar) if ybar > 0 else 0.0
 
-    if fix_alpha is not None:
-        if fix_alpha < 0:
-            raise ValidationError("fix_alpha must be >= 0")
-        if fix_alpha == 0.0:
-            res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
-            alpha_hat = 0.0
-        else:
-            s_fix = float(np.log(fix_alpha))
-            res = estim.mle_fit(lambda b: _nb2_parts(b, y, X, lgy1, s_fix, layout=layout), start_b)
-            alpha_hat = fix_alpha
-        params_b, vcov_b = res.params, res.vcov
-        alpha_se = None
+    notes: dict = {"alpha_se": None}
+    if fix_alpha is not None and fix_alpha > 0:
+        s_fix = float(np.log(fix_alpha))
+        res = estim.mle_fit(lambda b: _nb2_parts(b, y, X, lgy1, s_fix, layout=layout), start_b)
+        params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, fix_alpha, res.iterations
     else:
-        v = float(np.var(y))
-        alpha0 = min(max((v - ybar) / ybar**2 if ybar > 0 else 0.5, 0.01), 10.0)
-        start = np.concatenate((start_b, [np.log(alpha0)]))
-        probe_log: dict = {}
-        try:
-            res = estim.mle_fit(lambda p: _nb2_parts(p, y, X, lgy1, None, probe_log, layout), start)
-            params_b = res.params[:-1]
-            vcov_b = res.vcov[:-1, :-1]
-            alpha_hat = float(np.exp(res.params[-1]))
-            alpha_se = float(alpha_hat * np.sqrt(res.vcov[-1, -1]))
-            if alpha_hat > 0.999 * ALPHA_BOUND:
-                raise ConvergenceError(
-                    f"overdispersion alpha exceeded the bound {ALPHA_BOUND:g} "
-                    "(severe overdispersion or misfit)"
-                )
-        except ConvergenceError:
-            # alpha heading for the Poisson boundary flattens the Hessian in
-            # log-alpha; accept alpha = 0 when the overdispersion score there
-            # is non-positive, otherwise the failure is genuine
-            res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
+        res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
+        params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, 0.0, res.iterations
+        if fix_alpha is None:
             mu = np.exp(estim.design_index(X, res.params, layout))
-            score_alpha = 0.5 * float(np.sum((y - mu) ** 2 - y))
-            if score_alpha > 1e-6 * n:
-                if probe_log.get("alpha_bound_hit"):
-                    raise ConvergenceError(
-                        f"overdispersion alpha exceeded the bound {ALPHA_BOUND:g} "
-                        "(severe overdispersion or misfit)"
-                    ) from None
-                raise
-            params_b, vcov_b = res.params, res.vcov
-            alpha_hat = 0.0
-            alpha_se = None
+            score0 = 0.5 * float(np.sum((y - mu) ** 2 - y))
+            poisson_loglik = res.loglik
+            if score0 > 0.0:
+                alpha0 = min(max((float(np.var(y)) - ybar) / ybar**2 if ybar > 0 else 0.5, 0.01), 10.0)
+                res, more = _nb2_profile_mle(y, X, lgy1, layout, res.params, alpha0, score0)
+                params_b, vcov_b = res.params[:-1], res.vcov[:-1, :-1]
+                alpha_hat = float(np.exp(res.params[-1]))
+                notes["alpha_se"] = float(alpha_hat * np.sqrt(res.vcov[-1, -1]))
+                iterations += more
+            lr = max(2.0 * (res.loglik - poisson_loglik), 0.0)
+            notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
 
     coef = dict(zip(names, params_b))
     entity_effects = {}
@@ -361,8 +397,9 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
             "model": "nb2",
             "fe_dims": dims,
             "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-            "alpha_se": alpha_se,
-            "newton_iterations": res.iterations,
+            **notes,
+            "dropped_entities": n_entities_dropped,
+            "newton_iterations": iterations,
             "grad_norm": res.grad_norm,
         },
     )
@@ -376,7 +413,7 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
         base=base,
         family="nb2",
         alpha=alpha_hat,
-        n_dropped_entities=0,
+        n_dropped_entities=n_entities_dropped,
         entity_effects=entity_effects,
     )
 

@@ -58,7 +58,11 @@ def _lp_solve(y: np.ndarray, Xt: sparse.csr_matrix, tau: float) -> tuple[np.ndar
     Returns b, the duals of X'd = 0, and d, the duals of the primal
     min sum rho_tau(y - X b).
     """
-    res = linprog(-y, A_eq=Xt, b_eq=np.zeros(Xt.shape[0]), bounds=(tau - 1.0, tau), method="highs")
+    # presolve costs more time than it saves on this LP
+    res = linprog(
+        -y, A_eq=Xt, b_eq=np.zeros(Xt.shape[0]), bounds=(tau - 1.0, tau), method="highs",
+        options={"presolve": False},
+    )
     if res.status != 0:
         raise ConvergenceError(f"quantile LP not solved: {res.message}")
     return -res.eqlin.marginals, res.x

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+import scipy.special
 
 from . import panel
 from .exceptions import CollinearityError, ConvergenceError, ValidationError
@@ -118,7 +118,7 @@ class FitResult:
         if s <= 0:
             return 0.0 if self.coefficients[name] != 0 else 1.0
         z = abs(self.coefficients[name]) / s
-        return float(2.0 * stats.norm.sf(z))
+        return float(2.0 * scipy.special.ndtr(-z))
 
 
 class BootstrapResult(NamedTuple):
@@ -700,5 +700,5 @@ def wald_chi2(fit: FitResult, restricted) -> tuple[float, int, float]:
         raise ValidationError("restricted vcov block is singular")
     stat = float(beta @ sol)
     df = len(restricted)
-    p = float(stats.chi2.sf(stat, df))
+    p = float(scipy.special.chdtrc(df, stat))
     return stat, df, p

@@ -401,9 +401,9 @@ def take_entities(ds: PanelDataset, positions) -> PanelDataset:
     grouping treats them as separate clusters.
     """
     P = len(ds.periods)
-    positions = list(positions)
+    positions = np.asarray(positions, dtype=int)
     labels = [f"{ds.entities[p]}#{r}" for r, p in enumerate(positions)]
-    row_blocks = np.concatenate([np.arange(p * P, (p + 1) * P) for p in positions]) if positions else np.empty(0, int)
+    row_blocks = (positions[:, None] * P + np.arange(P)).ravel()
     cols = {name: arr[row_blocks] for name, arr in ds.columns.items()}
     return PanelDataset(tuple(labels), ds.periods, cols, dict(ds.metadata))
 

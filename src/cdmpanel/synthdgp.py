@@ -292,13 +292,14 @@ def _fit_nb2(ds: panel.PanelDataset):
     spec = counts_mod.CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False)
     fit = counts_mod.nb2_fit(ds, spec)
     base = fit.base
-    se_alpha = base.notes.get("alpha_se") or 0.0
+    se_alpha = base.notes["alpha_se"]
     coefficients = dict(base.coefficients)
     coefficients["alpha"] = fit.alpha
     k = len(coefficients)
     V = np.zeros((k, k))
     V[:-1, :-1] = base.vcov
-    V[-1, -1] = se_alpha**2
+    # alpha on the Poisson boundary has no SE: a NaN variance carries that
+    V[-1, -1] = np.nan if se_alpha is None else se_alpha**2
     merged = estim.FitResult(coefficients, V, base.n_obs, se_method=base.se_method)
     return merged, ("RDINT_star", "alpha")
 
@@ -329,7 +330,8 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
     Replication r draws its panel from a seed stream keyed by (seed, r), so
     results do not depend on scheduling. Fits that raise one of
     estim.ESTIMATION_ERRORS are dropped and counted; more than 10% failing is an
-    error. Any other exception propagates.
+    error. Any other exception propagates. A parameter whose SE is missing (a
+    NaN variance) in any replication gets coverage None.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -373,7 +375,7 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
         truth = float(true_vals[j])
         bias = float(np.mean(est[:, j]) - truth)
         rmse = float(np.sqrt(np.mean((est[:, j] - truth) ** 2)))
-        if est.shape[0] > 1:
+        if est.shape[0] > 1 and not np.isnan(se[:, j]).any():
             lo = est[:, j] - 1.96 * se[:, j]
             hi = est[:, j] + 1.96 * se[:, j]
             coverage = float(np.mean((lo <= truth) & (truth <= hi)))

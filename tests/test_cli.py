@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cdmpanel import DgpConfig, ValidationError, generate_panel
+from cdmpanel import DgpConfig, PanelDataset, ValidationError, generate_panel
 from cdmpanel import cli, tables
 from cdmpanel.estim import FitResult
 
@@ -147,6 +147,19 @@ class TestPipelineRun:
             d1, d2 = small_run / "seq" / sub, small_run / "par" / sub
             for name in sorted(os.listdir(d1)):
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_counts_table_shows_nb2_entities_dropped(self, tmp_path):
+        ds = generate_panel(DgpConfig(n_entities=50, n_periods=5, seed=17))
+        zero = np.isin(ds.entity_index(), [0, 1])
+        columns = {**ds.columns, "PAT": np.where(zero, 0.0, ds.column("PAT"))}
+        PanelDataset(ds.entities, ds.periods, columns, ds.metadata).to_csv(tmp_path / "panel.csv")
+        path, cfg = write_config(tmp_path)
+        cfg["stages"]["counts"]["models"][0]["families"] = ["poisson_fe", "nb2"]
+        path.write_text(json.dumps(cfg))
+        cli.run_pipeline(str(path), stages=["heckman", "counts"])
+        table = (tmp_path / "out" / "tables" / "counts__full.txt").read_text()
+        rows = [line.split() for line in table.splitlines() if line.startswith("entities dropped")]
+        assert rows == [["entities", "dropped", "2", "2"]]
 
     def test_subsample_runs_independently(self, small_run):
         path, cfg = write_config(small_run, subsamples={"x_positive": "X1 > 0"})

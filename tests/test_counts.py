@@ -12,8 +12,10 @@ from cdmpanel import (
     patent_intensity,
     poisson_fe_fit,
 )
-from cdmpanel import synthdgp
+from cdmpanel import estim, synthdgp
 from cdmpanel.counts import _nb2_parts
+from cdmpanel.exceptions import ConvergenceError
+from cdmpanel.panel import take_entities
 
 
 def dummy_poisson_oracle(y, X, tol=1e-10, max_iter=200):
@@ -195,6 +197,69 @@ class TestNb2:
         fit = nb2_fit(ds, spec)
         assert 0.6 <= fit.alpha <= 1.0
         assert abs(fit.base.coefficients["RDINT_star"] - 0.3) < 3 * fit.base.se("RDINT_star")
+
+    def test_interior_alpha_matches_joint_newton(self):
+        # the profile-likelihood optimum against the joint (beta, log alpha)
+        # Newton fit from the moment start; tolerance fixed before the first
+        # run: 1e-8 relative, since the joint Newton itself stops once its
+        # gradient max-norm is below 1e-8
+        ds = count_panel(seed=31, n_entities=300, n_periods=6, slope=0.3,
+                         entity_sd=0.0, alpha=0.8, family="nb2")
+        fit = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False))
+        y = ds.column("PAT")
+        X = np.column_stack([ds.column("RDINT_star"), np.ones(ds.n_rows)])
+        ybar = y.mean()
+        alpha0 = min(max((y.var() - ybar) / ybar**2, 0.01), 10.0)
+        joint = estim.mle_fit(lambda p: _nb2_parts(p, y, X, gammaln(y + 1.0), None),
+                              [0.0, np.log(ybar), np.log(alpha0)])
+        alpha = np.exp(joint.params[-1])
+        assert fit.alpha == pytest.approx(alpha, rel=1e-8)
+        assert fit.base.notes["alpha_se"] == pytest.approx(alpha * np.sqrt(joint.vcov[-1, -1]), rel=1e-8)
+        for j, name in enumerate(("RDINT_star", "_cons")):
+            assert fit.base.coefficients[name] == pytest.approx(joint.params[j], rel=1e-8)
+            assert fit.base.se(name) == pytest.approx(np.sqrt(joint.vcov[j, j]), rel=1e-8)
+        lr, p = fit.base.notes["lr_alpha0"]
+        assert lr > 0 and p < 1e-10
+
+    def test_poisson_panel_with_entity_fe_stops_at_boundary(self, monkeypatch):
+        failed = []
+        mle_fit = estim.mle_fit
+
+        def counted(objective, start, **kw):
+            try:
+                return mle_fit(objective, start, **kw)
+            except ConvergenceError:
+                failed.append(start)
+                raise
+
+        monkeypatch.setattr(estim, "mle_fit", counted)
+        ds = count_panel(seed=34, n_entities=30, n_periods=6, entity_sd=0.5)
+        spec = CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False)
+        fit = nb2_fit(ds, spec)
+        poisson = nb2_fit(ds, spec, fix_alpha=0.0)
+        assert failed == []
+        assert fit.alpha == 0.0
+        assert fit.base.notes["alpha_se"] is None
+        assert fit.base.notes["lr_alpha0"] == (0.0, 1.0)
+        assert fit.base.coefficients == poisson.base.coefficients
+
+    def test_entity_fe_drops_all_zero_entities(self):
+        # entity 0 (the baseline) and entity 7 get no counts; _cons is then
+        # identified and the fit equals one on the panel without them
+        # (tolerance fixed before the first run: 1e-12 relative)
+        ds = count_panel(seed=34, n_entities=30, n_periods=6, entity_sd=0.5)
+        zero = np.isin(ds.entity_index(), [0, 7])
+        ds = ds.with_column("PAT0", np.where(zero, 0.0, ds.column("PAT")))
+        spec = CountSpec("PAT0", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False)
+        fit = nb2_fit(ds, spec)
+        kept = nb2_fit(take_entities(ds, [e for e in range(30) if e not in (0, 7)]), spec)
+        assert fit.n_dropped_entities == 2 and fit.base.notes["dropped_entities"] == 2
+        assert fit.base.n_obs == 28 * 6 and fit.base.n_dropped == 2 * 6
+        assert len(fit.entity_effects) == 28 and fit.entity_effects[ds.entities[1]] == 1.0
+        assert np.isfinite(fit.base.coefficients["_cons"])
+        for name in ("RDINT_star", "_cons"):
+            assert fit.base.coefficients[name] == pytest.approx(kept.base.coefficients[name], rel=1e-12)
+        assert fit.alpha == pytest.approx(kept.alpha, rel=1e-12, abs=1e-300)
 
     def test_poisson_limit_on_equidispersed_data(self):
         ds = count_panel(seed=32, n_entities=300, n_periods=6, slope=0.3,

@@ -106,6 +106,21 @@ class TestMonteCarlo:
         stats = report.parameters["lnPATINT_true"]
         assert 0.90 <= stats["coverage"] <= 0.99
 
+    def test_nb2_default_dgp_does_not_raise(self):
+        # 5 of these 40 fits used to stall in the joint (beta, log alpha)
+        # Newton, so the call raised (> 10% failed)
+        report = monte_carlo(DgpConfig(500, 8), "nb2", 40, seed=1)
+        assert report.reps == 40 and report.n_failed <= 4
+
+    def test_missing_alpha_se_gives_no_coverage(self):
+        # equidispersed counts put alpha on the Poisson boundary, where its SE
+        # is missing, in some replications: no interval, so no coverage
+        cfg = DgpConfig(n_entities=100, n_periods=4, counts=synthdgp.CountConfig(entity_sd=0.0))
+        report = monte_carlo(cfg, "nb2", 10, seed=3)
+        assert report.parameters["alpha"]["coverage"] is None
+        assert report.parameters["alpha"]["mean"] >= 0.0
+        assert report.parameters["RDINT_star"]["coverage"] is not None
+
     def test_failure_accounting(self):
         # three entities cannot support the heckman stage; every rep fails
         cfg = DgpConfig(n_entities=3, n_periods=2)
