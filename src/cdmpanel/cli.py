@@ -6,6 +6,13 @@ uqr -> treatment -> cqr), and writes results documents, rendered tables,
 plot-data files, and a run manifest. Also exposes `simulate` and
 `monte_carlo` modes backed by the synthetic DGP.
 
+The config is read once, before any data are loaded. That one parse takes
+each key either as required or with its single default, builds every stage's
+specs, and checks each column a stage reads against the input header, the
+derive targets and the outputs of the stages before it. A key that nothing
+takes is an error that names the key and where it sits. The stage runners
+only consume what the parse built.
+
 Every artifact is written atomically and contains no timestamps, so a rerun
 with the same config and seed is bit-identical.
 """
@@ -14,6 +21,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -28,6 +38,7 @@ from .exceptions import ConvergenceError, ValidationError
 from .predicates import predicate_columns
 
 STAGE_ORDER = ("heckman", "counts", "productivity", "uqr", "treatment", "cqr")
+_REQUIRED = object()
 
 
 class PipelineStageError(RuntimeError):
@@ -37,21 +48,34 @@ class PipelineStageError(RuntimeError):
         self.subsample = subsample
 
 
-def _req(cfg: dict, key: str, context: str):
-    if key not in cfg:
-        raise ValidationError(f"{context}: missing required key {key!r}")
-    return cfg[key]
+class _Keys:
+    """One JSON object of the config. Each key is taken once, either required
+    or with its single default; `close` refuses a key that nothing took."""
 
+    def __init__(self, obj, where: str):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{where}: expected a JSON object, got {obj!r}")
+        self.obj = obj
+        self.where = where
+        self.taken: set[str] = set()
 
-def _derive_rule(entry: dict) -> panel.DeriveRule:
-    kind = _req(entry, "kind", "derive rule")
-    target = _req(entry, "target", "derive rule")
+    def get(self, key: str, default=_REQUIRED):
+        self.taken.add(key)
+        if key not in self.obj and default is _REQUIRED:
+            raise ValidationError(f"{self.where}: missing required key {key!r}")
+        return self.obj.get(key, default)
 
-    def req(key: str):
-        return _req(entry, key, f"derive of {target!r}")
+    def choice(self, key: str, options, default):
+        value = self.get(key, default)
+        if not isinstance(value, str) or value not in options:
+            raise ValidationError(f"{self.where}: key {key!r} must be one of {list(options)}, got {value!r}")
+        return value
 
-    def number(key: str, cast: type):
-        value = req(key)
+    def number(self, key: str, cast: type, default=_REQUIRED):
+        """The value cast to int or float; an absent key gives `default` as it is."""
+        if key not in self.obj:
+            return self.get(key, default)
+        value = self.get(key)
         try:
             out = cast(value)
             # int() would truncate 1.5 and accept True
@@ -59,148 +83,275 @@ def _derive_rule(entry: dict) -> panel.DeriveRule:
                 raise ValueError(value)
         except (TypeError, ValueError, OverflowError):
             what = "an integer" if cast is int else "a number"
-            raise ValidationError(f"derive of {target!r}: key {key!r} must be {what}, got {value!r}") from None
+            raise ValidationError(f"{self.where}: key {key!r} must be {what}, got {value!r}") from None
         return out
 
+    def list_of(self, key: str, kind: type, default=()) -> tuple:
+        """A list of names (kind str) or of numbers (kind float), as a tuple."""
+        value = self.get(key, default)
+        types = (int, float) if kind is float else kind
+        if not isinstance(value, (list, tuple)) or any(isinstance(v, bool) or not isinstance(v, types) for v in value):
+            what = "numbers" if kind is float else "names"
+            raise ValidationError(f"{self.where}: key {key!r} must be a list of {what}, got {value!r}")
+        return tuple(value)
+
+    def build(self, cls, **kwargs):
+        """A spec from parsed values; the spec's own checks name this object."""
+        try:
+            return cls(**kwargs)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.where}: {exc}") from None
+
+    def close(self) -> None:
+        for key in self.obj:
+            if key not in self.taken:
+                raise ValidationError(f"{self.where}: unknown key {key!r}")
+
+
+class _Columns:
+    """The columns a stage may read: the input's, the derive targets, and what
+    the stages before it wrote. With `names` None nothing is checked or
+    recorded, for a stage that is parsed but does not run."""
+
+    def __init__(self, names: set[str] | None):
+        self.names = names
+
+    def need(self, where: str, *names: str) -> None:
+        for name in names:
+            if self.names is not None and name not in self.names:
+                raise ValidationError(f"{where} references unresolved variable {name!r}")
+
+    def add(self, name: str) -> None:
+        if self.names is not None:
+            self.names.add(name)
+
+
+def _derive_rule(entry, cols: _Columns) -> panel.DeriveRule:
+    """One derive rule, whose sources must resolve and whose target must be new."""
+    keys = _Keys(entry, "derive rule")
+    kind = keys.get("kind")
+    target = keys.get("target")
+    keys.where = f"derive of {target!r}"
     if kind in ("lag", "lead"):
-        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), k=number("k", int))
-    if kind == "rolling_mean":
-        return panel.DeriveRule(kind=kind, target=target, source=(req("source"),), window=number("window", int))
-    if kind == "log":
-        return panel.DeriveRule.log(req("source"), target)
-    if kind == "log_shift":
-        return panel.DeriveRule.log_shift(req("source"), number("shift", float), target)
-    if kind == "ratio":
-        return panel.DeriveRule.ratio(req("numerator"), req("denominator"), target)
-    if kind == "indicator":
-        return panel.DeriveRule.indicator(req("predicate"), target)
-    if kind == "round":
-        return panel.DeriveRule.round_to_int(req("source"), target)
-    raise ValidationError(f"unknown derive kind {kind!r}")
+        rule = panel.DeriveRule(kind=kind, target=target, source=(keys.get("source"),), k=keys.number("k", int))
+    elif kind == "rolling_mean":
+        rule = panel.DeriveRule(kind=kind, target=target, source=(keys.get("source"),),
+                                window=keys.number("window", int))
+    elif kind == "log":
+        rule = panel.DeriveRule.log(keys.get("source"), target)
+    elif kind == "log_shift":
+        rule = panel.DeriveRule.log_shift(keys.get("source"), keys.number("shift", float), target)
+    elif kind == "ratio":
+        rule = panel.DeriveRule.ratio(keys.get("numerator"), keys.get("denominator"), target)
+    elif kind == "indicator":
+        rule = panel.DeriveRule.indicator(keys.get("predicate"), target)
+    elif kind == "round":
+        rule = panel.DeriveRule.round_to_int(keys.get("source"), target)
+    else:
+        raise ValidationError(f"unknown derive kind {kind!r}")
+    keys.close()
+    predicate = predicate_columns(rule.predicate) if kind == "indicator" else ()
+    cols.need(keys.where, *rule.source, *sorted(predicate))
+    if target in cols.names:
+        raise ValidationError(f"derive target {target!r} collides with an existing column")
+    cols.add(target)
+    return rule
 
 
-def _csv_header(path: str, entity_col: str, year_col: str) -> list[str]:
-    import csv as _csv
-
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        header = next(_csv.reader(fh))
-    for col in (entity_col, year_col):
-        if col not in header:
-            raise ValidationError(f"input {path}: column {col!r} not in header")
-    return [h for h in header if h not in (entity_col, year_col)]
+# --- stage parsers: each takes its stage's keys once and returns what stage_<name> runs
 
 
-def preflight_validate(config: dict, stage_subset) -> None:
-    """Resolve every referenced variable before any estimation begins."""
-    inp = _req(config, "input", "config")
-    resolved = set(_csv_header(_req(inp, "path", "input"), inp.get("entity_col", "entity"),
-                               inp.get("year_col", "year")))
-
-    def need(name: str, where: str):
-        if name not in resolved:
-            raise ValidationError(f"{where} references unresolved variable {name!r}")
-
-    for entry in config.get("derives", []):
-        rule = _derive_rule(entry)
-        for src in rule.source:
-            need(src, f"derive of {rule.target!r}")
-        if rule.kind == "indicator":
-            for name in predicate_columns(rule.predicate):
-                need(name, f"derive of {rule.target!r}")
-        if rule.target in resolved:
-            raise ValidationError(f"derive target {rule.target!r} collides with an existing column")
-        resolved.add(rule.target)
-
-    for name, pred in config.get("subsamples", {}).items():
-        for col in predicate_columns(pred):
-            need(col, f"subsample {name!r}")
-
-    stages = config.get("stages", {})
-    run = [s for s in STAGE_ORDER if s in stages and (stage_subset is None or s in stage_subset)]
-    for stage in run:
-        sc = stages[stage]
-        where = f"{stage} stage"
-        if stage == "heckman":
-            for name in (_req(sc, "outcome", where), _req(sc, "selection", where),
-                         *sc.get("outcome_regressors", []), *sc.get("exclusion_restrictions", []),
-                         *[d for d in sc.get("fe", []) if d not in ("entity", "year")]):
-                need(name, where)
-            resolved.add(sc.get("predict_as", "RDINT_hat"))
-        elif stage == "counts":
-            for model in sc.get("models", []):
-                dependent = _req(model, "dependent", "counts model")
-                label = f"counts model {model.get('name', dependent)!r}"
-                for name in (dependent, model.get("raw", dependent), *model.get("regressors", [])):
-                    need(name, label)
-                need(sc.get("employees", "EMP"), where)
-                resolved.add(_req(model, "predict_as", label))
-                resolved.add(_req(model, "intensity_as", label))
-        elif stage == "productivity":
-            for name in (_req(sc, "dependent", where), *sc.get("controls", []),
-                         *sc.get("classical", []), *sc.get("extended", [])):
-                need(name, where)
-        elif stage in ("uqr", "cqr"):
-            for name in (_req(sc, "dependent", where),
-                         *[r for regs in sc.get("models", {}).values() for r in regs]):
-                need(name, where)
-        elif stage == "treatment":
-            for name in (_req(sc, "dependent", where), _req(sc, "treatment", where),
-                         *sc.get("propensity_regressors", []), *sc.get("controls", [])):
-                need(name, where)
+def _parse_heckman(sc: _Keys, cols: _Columns):
+    """-> (HeckmanSpec, predict_as)"""
+    spec = sc.build(
+        heckman.HeckmanSpec,
+        outcome=sc.get("outcome"),
+        selection=sc.get("selection"),
+        outcome_regressors=sc.list_of("outcome_regressors", str),
+        exclusion_restrictions=sc.list_of("exclusion_restrictions", str),
+        fe_dims=sc.list_of("fe", str),
+    )
+    cols.need(sc.where, spec.outcome, spec.selection, *spec.outcome_regressors, *spec.exclusion_restrictions,
+              *[d for d in spec.fe_dims if d not in ("entity", "year")])
+    predict_as = sc.get("predict_as", "RDINT_hat")
+    cols.add(predict_as)
+    return spec, predict_as
 
 
-def _boot_vcov(config: dict, seed_salt: int) -> VcovSpec:
-    boot = config.get("bootstrap", {})
-    b = int(boot.get("replications", 0))
-    if b < 1:
-        return VcovSpec("analytic")
-    seed = int(boot.get("seed", 0)) + seed_salt
-    return VcovSpec("cluster_bootstrap", replications=b, seed=seed)
+def _parse_counts(sc: _Keys, cols: _Columns):
+    """-> (employees column, per model (label, CountSpec per family, predict_family,
+    CalibrationRule, predict_as, intensity_as))"""
+    employees = sc.get("employees", "EMP")
+    epsilon = sc.number("epsilon", float, 0.001)
+    models = []
+    for entry in sc.get("models", []):
+        m = _Keys(entry, "counts model")
+        dependent = m.get("dependent")
+        label = m.get("name", dependent)
+        m.where = f"counts model {label!r}"
+        families = m.list_of("families", str, ("poisson_fe", "nb2"))
+        regressors = m.list_of("regressors", str)
+        entity_fe = bool(m.get("entity_fe", True))
+        year_fe = bool(m.get("year_fe", True))
+        specs = tuple(m.build(counts.CountSpec, dependent=dependent, regressors=regressors, family=family,
+                              entity_fe=entity_fe, year_fe=year_fe) for family in families)
+        predict_family = m.choice("predict_family", families, families[-1] if families else None)
+        rule = m.build(counts.CalibrationRule, firm_mean_source=m.get("raw", dependent), epsilon=epsilon)
+        cols.need(m.where, dependent, rule.firm_mean_source, *regressors)
+        cols.need(sc.where, employees)
+        predict_as = m.get("predict_as")
+        intensity_as = m.get("intensity_as")
+        m.close()
+        # a later model may read an earlier one's outputs
+        cols.add(predict_as)
+        cols.add(intensity_as)
+        models.append((label, specs, predict_family, rule, predict_as, intensity_as))
+    return employees, tuple(models)
 
 
-def _thresholds(config: dict):
-    style = config.get("star_style", "uqr")
-    if style not in tables.STAR_STYLES:
-        raise ValidationError(f"unknown star style {style!r}")
-    return tables.STAR_STYLES[style]
+def _parse_productivity(sc: _Keys, cols: _Columns):
+    """-> ((label, ProdSpec) per form given, whether to run the Mundlak test)"""
+    dependent = sc.get("dependent")
+    controls = sc.list_of("controls", str)
+    forms = {label: sc.list_of(label, str) for label in ("classical", "extended")}
+    cols.need(sc.where, dependent, *controls, *forms["classical"], *forms["extended"])
+    specs = tuple((label, sc.build(productivity.ProdSpec, dependent=dependent, patent_intensities=intensities,
+                                   controls=controls))
+                  for label, intensities in forms.items() if intensities)
+    return specs, bool(sc.get("mundlak", True))
+
+
+def _dependent_and_models(sc: _Keys, cols: _Columns):
+    """A stage's dependent and its `models` object (label -> regressors)."""
+    dependent = sc.get("dependent")
+    keys = _Keys(sc.get("models", {}), f"{sc.where} models")
+    models = {label: keys.list_of(label, str) for label in keys.obj}
+    cols.need(sc.where, dependent, *[r for regressors in models.values() for r in regressors])
+    return dependent, models
+
+
+def _parse_uqr(sc: _Keys, cols: _Columns):
+    """-> (dependent, {label: regressors}, QuantileSpec)"""
+    qspec = sc.build(rif.QuantileSpec, taus=sc.list_of("taus", float, rif.DEFAULT_TAUS))
+    return (*_dependent_and_models(sc, cols), qspec)
+
+
+def _parse_treatment(sc: _Keys, cols: _Columns):
+    """-> (dependent, QuantileSpec, TreatmentSpec per weighting variant)"""
+    dependent = sc.get("dependent")
+    qspec = sc.build(rif.QuantileSpec, taus=sc.list_of("taus", float, rif.DEFAULT_TAUS))
+    treatment = sc.get("treatment")
+    propensity = sc.list_of("propensity_regressors", str)
+    controls = sc.list_of("controls", str)
+    clip = sc.list_of("clip", float, (0.01, 0.99))
+    cols.need(sc.where, dependent, treatment, *propensity, *controls)
+    specs = tuple(sc.build(rif.TreatmentSpec, treatment=treatment, propensity_regressors=propensity,
+                           controls=controls, clip=clip, weighting=variant)
+                  for variant in sc.list_of("variants", str, ("ipw", "none")))
+    return dependent, qspec, specs
+
+
+def _parse_cqr(sc: _Keys, cols: _Columns):
+    """-> (tau, (label, CqrSpec) per model)"""
+    tau = sc.number("tau", float, 0.5)
+    dependent, models = _dependent_and_models(sc, cols)
+    return tau, tuple((label, sc.build(cqr.CqrSpec, dependent=dependent, regressors=regressors, tau=tau,
+                                       fe_dims=("entity", "year"), vcov=VcovSpec("analytic")))
+                      for label, regressors in models.items())
+
+
+_STAGE_PARSERS = {"heckman": _parse_heckman, "counts": _parse_counts, "productivity": _parse_productivity,
+                  "uqr": _parse_uqr, "treatment": _parse_treatment, "cqr": _parse_cqr}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pipeline:
+    """A pipeline config as parsed, before any data are loaded."""
+
+    source: tuple[str, str, str]  # input path, entity column, year column
+    derives: tuple[panel.DeriveRule, ...]
+    subsamples: dict[str, str | None]  # name -> row predicate; "full" first
+    stages: dict[str, tuple]  # each stage that runs, in STAGE_ORDER -> what stage_<name> takes
+    thresholds: tuple
+    replications: int
+    seed: int | None  # bootstrap seed; replicate seeds add a per-subsample, per-stage salt
+
+
+def _parse_pipeline(top: _Keys, stage_subset, seed) -> _Pipeline:
+    inp = _Keys(top.get("input"), "input")
+    source = (inp.get("path"), inp.get("entity_col", "entity"), inp.get("year_col", "year"))
+    inp.close()
+    with open(source[0], "r", newline="", encoding="utf-8") as fh:
+        header = panel.read_header(csv.reader(fh), *source)
+    cols = _Columns(set(header) - set(source[1:]))
+
+    derives = tuple(_derive_rule(entry, cols) for entry in top.get("derives", []))
+    subsamples = _Keys(top.get("subsamples", {}), "subsamples").obj
+    for name, pred in subsamples.items():
+        cols.need(f"subsample {name!r}", *sorted(predicate_columns(pred)))
+
+    style = top.choice("star_style", tables.STAR_STYLES, "uqr")
+    boot = _Keys(top.get("bootstrap", {}), "bootstrap")
+    replications = boot.number("replications", int, 0)
+    boot_seed = boot.number("seed", int, None)
+    boot.close()
+
+    stage_keys = _Keys(top.get("stages", {}), "stages")
+    stages = {}
+    for name in STAGE_ORDER:
+        if name not in stage_keys.obj:
+            continue
+        runs = stage_subset is None or name in stage_subset
+        sc = _Keys(stage_keys.get(name), f"{name} stage")
+        parsed = _STAGE_PARSERS[name](sc, cols if runs else _Columns(None))
+        sc.close()
+        if runs:
+            stages[name] = parsed
+    stage_keys.close()
+    return _Pipeline(source, derives, {"full": None, **subsamples}, stages, tables.STAR_STYLES[style],
+                    replications, boot_seed if seed is None else int(seed))
 
 
 class _StageRunner:
-    """Runs the stage sequence for one subsample and collects artifacts."""
+    """Runs the parsed stages for one subsample and collects artifacts."""
 
-    def __init__(self, config: dict, ds: panel.PanelDataset, subsample: str, outdir: str, seed_salt: int):
-        self.config = config
+    def __init__(self, plan: _Pipeline, ds: panel.PanelDataset, subsample: str, outdir: str, seed_salt: int):
+        self.plan = plan
         self.ds = ds
         self.subsample = subsample
         self.outdir = outdir
         self.seed_salt = seed_salt
-        self.thresholds = _thresholds(config)
         self.doc_lines: dict[str, list[str]] = {}
-        self.table_texts: dict[str, list[str]] = {}
         self.manifest: list[dict] = []
         self.artifacts: list[str] = []
 
+    def _vcov(self, stage_salt: int) -> VcovSpec:
+        if self.plan.replications < 1:
+            return VcovSpec("analytic")
+        seed = (self.plan.seed or 0) + self.seed_salt + stage_salt
+        return VcovSpec("cluster_bootstrap", replications=self.plan.replications, seed=seed)
+
     def _emit(self, stage: str, model: str, fit, tau=None):
         self.doc_lines.setdefault(stage, []).extend(
-            tables.result_lines(stage, self.subsample, model, fit, self.thresholds, tau=tau)
+            tables.result_lines(stage, self.subsample, model, fit, self.plan.thresholds, tau=tau)
         )
         self.manifest.append(
             {"stage": stage, "subsample": self.subsample, "model": model,
              **({"tau": tau} if tau is not None else {}), "n": fit.n_obs}
         )
 
-    def _write_stage(self, stage: str):
-        base = f"{stage}__{self.subsample}"
-        lines = self.doc_lines.get(stage, [])
-        if lines:
-            path = os.path.join(self.outdir, "results", f"{base}.txt")
-            tables.atomic_write(path, "\n".join(lines) + "\n")
-            self.artifacts.append(path)
-        texts = self.table_texts.get(stage, [])
-        if texts:
-            path = os.path.join(self.outdir, "tables", f"{base}.txt")
-            tables.atomic_write(path, "\n\n".join(texts))
-            self.artifacts.append(path)
+    def _table(self, title: str, cols: list, paren: str = "se") -> str:
+        return tables.render_table(title, cols, self.plan.thresholds, paren=paren) if cols else ""
+
+    def _write_stage(self, stage: str, texts: list[str]):
+        """Write the stage's results document and its rendered tables."""
+        lines = self.doc_lines.get(stage)
+        docs = {"results": "\n".join(lines) + "\n" if lines else "", "tables": "\n\n".join(t for t in texts if t)}
+        for sub, text in docs.items():
+            if text:
+                path = os.path.join(self.outdir, sub, f"{stage}__{self.subsample}.txt")
+                tables.atomic_write(path, text)
+                self.artifacts.append(path)
 
     def _write_plotdata(self, stage: str, model: str, tau_fits, regressors):
         for reg in regressors:
@@ -211,18 +362,11 @@ class _StageRunner:
             tables.atomic_write(path, "\n".join(tables.plot_data_lines(tau_fits, reg)) + "\n")
             self.artifacts.append(path)
 
-    # --- stages ----------------------------------------------------------
+    # --- stages: each takes what its parser returned ------------------------
 
-    def stage_heckman(self, sc: dict):
-        spec = heckman.HeckmanSpec(
-            outcome=sc["outcome"],
-            selection=sc["selection"],
-            outcome_regressors=tuple(sc.get("outcome_regressors", [])),
-            exclusion_restrictions=tuple(sc.get("exclusion_restrictions", [])),
-            fe_dims=tuple(sc.get("fe", [])),
-            vcov=_boot_vcov(self.config, self.seed_salt + 1),
-        )
-        fit = heckman.heckman_two_step(self.ds, spec)
+    def stage_heckman(self, stage):
+        spec, predict_as = stage
+        fit = heckman.heckman_two_step(self.ds, dataclasses.replace(spec, vcov=self._vcov(1)))
         fit.outcome.notes["lambda"] = fit.lambda_
         fit.outcome.notes["rho"] = fit.rho
         fit.outcome.notes["sigma"] = fit.sigma
@@ -234,182 +378,100 @@ class _StageRunner:
             f"sigma = {fit.sigma:.4g}",
             f"mean step-2 VIF = {float(np.mean(list(fit.step2_vif.values()))):.3g}",
         ]
-        table = tables.render_table(
-            f"R&D equation (Heckman two-step), subsample {self.subsample}: step 2",
-            [tables.TableColumn("R&D investment", fit.outcome)],
-            self.thresholds,
-        )
-        table += "\n" + tables.render_table(
-            f"R&D equation (Heckman two-step), subsample {self.subsample}: step 1",
-            [tables.TableColumn("R&D dummy (probit)", fit.probit)],
-            self.thresholds,
-        )
+        title = f"R&D equation (Heckman two-step), subsample {self.subsample}"
+        table = self._table(f"{title}: step 2", [tables.TableColumn("R&D investment", fit.outcome)])
+        table += "\n" + self._table(f"{title}: step 1", [tables.TableColumn("R&D dummy (probit)", fit.probit)])
         table += "\n" + "\n".join(mills) + "\n"
-        self.table_texts.setdefault("heckman", []).append(table)
 
-        predict_as = sc.get("predict_as", "RDINT_hat")
         pred = heckman.predict_linear_index(fit, self.ds)
         self.ds = self.ds.with_column(predict_as, pred, note="heckman-predicted")
-        self._write_stage("heckman")
+        self._write_stage("heckman", [table])
 
-    def stage_counts(self, sc: dict):
-        epsilon = float(sc.get("epsilon", 0.001))
-        employees = sc.get("employees", "EMP")
+    def stage_counts(self, stage):
+        employees, models = stage
         cols = []
-        for model in sc.get("models", []):
-            label = model.get("name", model["dependent"])
-            families = model.get("families", ["poisson_fe", "nb2"])
+        for label, specs, predict_family, rule, predict_as, intensity_as in models:
             fits = {}
-            for family in families:
-                spec = counts.CountSpec(
-                    dependent=model["dependent"],
-                    regressors=tuple(model.get("regressors", [])),
-                    family=family,
-                    entity_fe=bool(model.get("entity_fe", True)),
-                    year_fe=bool(model.get("year_fe", True)),
-                    vcov=_boot_vcov(self.config, self.seed_salt + 2),
-                )
-                fit = counts.poisson_fe_fit(self.ds, spec) if family == "poisson_fe" else counts.nb2_fit(self.ds, spec)
+            for spec in specs:
+                spec = dataclasses.replace(spec, vcov=self._vcov(2))
+                fit = counts.poisson_fe_fit(self.ds, spec) if spec.family == "poisson_fe" else counts.nb2_fit(self.ds, spec)
                 if fit.alpha is not None:
                     fit.base.notes["alpha"] = fit.alpha
-                fits[family] = fit
-                self._emit("counts", f"{label}_{family}", fit.base)
+                fits[spec.family] = fit
+                self._emit("counts", f"{label}_{spec.family}", fit.base)
                 extra = {}
                 if fit.alpha is not None:
                     extra["alpha"] = f"{fit.alpha:.4g}"
                 if fit.n_dropped_entities:
                     extra["entities dropped"] = str(fit.n_dropped_entities)
-                cols.append(tables.TableColumn(f"{label} {family}", fit.base, extra))
+                cols.append(tables.TableColumn(f"{label} {spec.family}", fit.base, extra))
 
-            predict_family = model.get("predict_family", families[-1])
-            rule = counts.CalibrationRule(
-                firm_mean_source=model.get("raw", model["dependent"]),
-                epsilon=epsilon,
-            )
             pred = counts.calibrate_predictions(fits[predict_family], self.ds, rule)
-            self.ds = self.ds.with_column(model["predict_as"], pred, note=f"calibrated {predict_family} prediction")
-            intensity = counts.patent_intensity(pred, self.ds.column(employees), epsilon)
-            self.ds = self.ds.with_column(model["intensity_as"], intensity, note="log predicted patent intensity")
-        if cols:
-            self.table_texts.setdefault("counts", []).append(
-                tables.render_table(
-                    f"Patent equation (count models), subsample {self.subsample}",
-                    cols,
-                    self.thresholds,
-                )
-            )
-        self._write_stage("counts")
+            self.ds = self.ds.with_column(predict_as, pred, note=f"calibrated {predict_family} prediction")
+            intensity = counts.patent_intensity(pred, self.ds.column(employees), rule.epsilon)
+            self.ds = self.ds.with_column(intensity_as, intensity, note="log predicted patent intensity")
+        self._write_stage("counts", [self._table(f"Patent equation (count models), subsample {self.subsample}", cols)])
 
-    def stage_productivity(self, sc: dict):
-        controls = tuple(sc.get("controls", []))
+    def stage_productivity(self, stage):
+        specs, mundlak = stage
         cols = []
-        for label, intensities in (("classical", sc.get("classical")), ("extended", sc.get("extended"))):
-            if not intensities:
-                continue
-            spec = productivity.ProdSpec(
-                dependent=sc["dependent"],
-                patent_intensities=tuple(intensities),
-                controls=controls,
-                vcov=_boot_vcov(self.config, self.seed_salt + 3),
-            )
+        for label, spec in specs:
+            spec = dataclasses.replace(spec, vcov=self._vcov(3))
             fit = productivity.fe_ols(self.ds, spec)
             self._emit("productivity", label, fit)
             cols.append(tables.TableColumn(label, fit))
-            if sc.get("mundlak", True):
+            if mundlak:
                 chi2, df, p, means = productivity.mundlak_test(self.ds, spec)
                 self.doc_lines.setdefault("productivity", []).append(
                     f"stage=productivity subsample={self.subsample} model={label} record=mundlak "
                     f"chi2={chi2!r} df={df} p={p!r} "
                     + " ".join(f"mean:{k}={v!r}" for k, v in means.items())
                 )
-        if cols:
-            self.table_texts.setdefault("productivity", []).append(
-                tables.render_table(
-                    f"Productivity equation (two-way FE), subsample {self.subsample}",
-                    cols,
-                    self.thresholds,
-                )
-            )
-        self._write_stage("productivity")
+        title = f"Productivity equation (two-way FE), subsample {self.subsample}"
+        self._write_stage("productivity", [self._table(title, cols)])
 
-    def stage_uqr(self, sc: dict):
-        qspec = rif.QuantileSpec(taus=tuple(sc.get("taus", rif.DEFAULT_TAUS)))
-        for label, regressors in sc.get("models", {}).items():
-            fits = rif.uqr_fit(self.ds, sc["dependent"], tuple(regressors), qspec)
+    def stage_uqr(self, stage):
+        dependent, models, qspec = stage
+        texts = []
+        for label, regressors in models.items():
+            fits = rif.uqr_fit(self.ds, dependent, regressors, qspec)
             cols = []
             for tau in qspec.taus:
                 self._emit("uqr", label, fits[tau], tau=tau)
                 cols.append(tables.TableColumn(f"Q{int(round(tau * 100))}", fits[tau]))
-            self.table_texts.setdefault("uqr", []).append(
-                tables.render_table(
-                    f"UQR ({label}), subsample {self.subsample}",
-                    cols,
-                    self.thresholds,
-                    paren="t",
-                )
-            )
-            self._write_plotdata("uqr", label, fits, list(regressors))
-        self._write_stage("uqr")
+            texts.append(self._table(f"UQR ({label}), subsample {self.subsample}", cols, paren="t"))
+            self._write_plotdata("uqr", label, fits, regressors)
+        self._write_stage("uqr", texts)
 
-    def stage_treatment(self, sc: dict):
-        qspec = rif.QuantileSpec(taus=tuple(sc.get("taus", rif.DEFAULT_TAUS)))
-        for variant in sc.get("variants", ["ipw", "none"]):
-            spec = rif.TreatmentSpec(
-                treatment=sc["treatment"],
-                propensity_regressors=tuple(sc.get("propensity_regressors", [])),
-                controls=tuple(sc.get("controls", [])),
-                clip=tuple(sc.get("clip", (0.01, 0.99))),
-                weighting=variant,
-            )
-            fits = rif.rif_treatment_fit(self.ds, sc["dependent"], spec, qspec)
+    def stage_treatment(self, stage):
+        dependent, qspec, specs = stage
+        texts = []
+        for spec in specs:
+            model = f"rif_treat_{spec.weighting}"
+            fits = rif.rif_treatment_fit(self.ds, dependent, spec, qspec)
             cols = []
             for tau in qspec.taus:
-                self._emit("treatment", f"rif_treat_{variant}", fits[tau], tau=tau)
+                self._emit("treatment", model, fits[tau], tau=tau)
                 cols.append(tables.TableColumn(f"Q{int(round(tau * 100))}", fits[tau]))
-            title = "RIF treatment effects with IPW" if variant == "ipw" else "RIF treatment effects without weights"
-            self.table_texts.setdefault("treatment", []).append(
-                tables.render_table(
-                    f"{title}, subsample {self.subsample}",
-                    cols,
-                    self.thresholds,
-                    paren="t",
-                )
-            )
-            self._write_plotdata("treatment", f"rif_treat_{variant}", fits, [sc["treatment"]])
-        self._write_stage("treatment")
+            title = "RIF treatment effects with IPW" if spec.weighting == "ipw" else "RIF treatment effects without weights"
+            texts.append(self._table(f"{title}, subsample {self.subsample}", cols, paren="t"))
+            self._write_plotdata("treatment", model, fits, [spec.treatment])
+        self._write_stage("treatment", texts)
 
-    def stage_cqr(self, sc: dict):
-        tau = float(sc.get("tau", 0.5))
+    def stage_cqr(self, stage):
+        tau, specs = stage
         cols = []
-        for label, regressors in sc.get("models", {}).items():
-            spec = cqr.CqrSpec(
-                dependent=sc["dependent"],
-                regressors=tuple(regressors),
-                tau=tau,
-                fe_dims=("entity", "year"),
-                vcov=_boot_vcov(self.config, self.seed_salt + 4),
-            )
-            fit = cqr.cqr_fit(self.ds, spec)
+        for label, spec in specs:
+            fit = cqr.cqr_fit(self.ds, dataclasses.replace(spec, vcov=self._vcov(4)))
             self._emit("cqr", label, fit, tau=tau)
             cols.append(tables.TableColumn(label, fit))
-        if cols:
-            self.table_texts.setdefault("cqr", []).append(
-                tables.render_table(
-                    f"Bootstrap robust CQR (tau={tau:g}), subsample {self.subsample}",
-                    cols,
-                    self.thresholds,
-                    paren="t",
-                )
-            )
-        self._write_stage("cqr")
+        title = f"Bootstrap robust CQR (tau={tau:g}), subsample {self.subsample}"
+        self._write_stage("cqr", [self._table(title, cols, paren="t")])
 
-    def run(self, stage_subset) -> tuple[list[dict], list[str]]:
-        stages = self.config.get("stages", {})
-        for stage in STAGE_ORDER:
-            if stage not in stages or (stage_subset is not None and stage not in stage_subset):
-                continue
+    def run(self) -> tuple[list[dict], list[str]]:
+        for stage, parsed in self.plan.stages.items():
             try:
-                getattr(self, f"stage_{stage}")(stages[stage])
+                getattr(self, f"stage_{stage}")(parsed)
             except Exception as exc:
                 raise PipelineStageError(stage, self.subsample, exc) from exc
         return self.manifest, self.artifacts
@@ -423,41 +485,34 @@ def run_pipeline(config_path: str, stages=None, seed=None, jobs: int = 1, output
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {config_path}: not valid JSON: {exc}") from None
-    mode = config.get("mode", "pipeline")
-    if seed is not None:
-        config.setdefault("bootstrap", {})["seed"] = int(seed)
-        config["seed"] = int(seed)
+    top = _Keys(config, "config")
+    mode = top.choice("mode", ("pipeline", "simulate", "monte_carlo"), "pipeline")
+    outdir = top.get("output_dir", "cdmpanel_out")
     if output_dir is not None:
-        config["output_dir"] = output_dir
-    outdir = config.get("output_dir", "cdmpanel_out")
+        outdir = output_dir
+    if mode == "pipeline":
+        run = functools.partial(_run_plan, _parse_pipeline(top, set(stages) if stages else None, seed), raw, jobs)
+    elif mode == "simulate":
+        run = functools.partial(_run_simulate, _dgp(top, seed), top.get("write_csv", None))
+    else:
+        run = functools.partial(_run_monte_carlo, _dgp(top, seed), top.get("estimator"), top.number("reps", int))
+    top.close()
     for sub in ("results", "tables", "plotdata"):
         os.makedirs(os.path.join(outdir, sub), exist_ok=True)
+    return run(outdir)
 
-    if mode == "simulate":
-        return _run_simulate(config, outdir, raw)
-    if mode == "monte_carlo":
-        return _run_monte_carlo(config, outdir, raw)
-    if mode != "pipeline":
-        raise ValidationError(f"unknown mode {mode!r}")
 
-    stage_subset = set(stages) if stages else None
-    preflight_validate(config, stage_subset)
-
-    inp = config["input"]
-    ds = panel.load_csv(inp["path"], inp.get("entity_col", "entity"), inp.get("year_col", "year"))
-    for entry in config.get("derives", []):
-        ds = panel.derive(ds, _derive_rule(entry))
-
-    subsamples: dict[str, str | None] = {"full": None}
-    subsamples.update(config.get("subsamples", {}))
+def _run_plan(plan: _Pipeline, raw: str, jobs: int, outdir: str) -> dict:
+    ds = panel.load_csv(*plan.source)
+    for rule in plan.derives:
+        ds = panel.derive(ds, rule)
 
     def run_one(item):
         idx, (name, pred) = item
         ds_sub = ds if pred is None else panel.filter_rows(ds, pred)
-        runner = _StageRunner(config, ds_sub, name, outdir, seed_salt=1000 * idx)
-        return runner.run(stage_subset)
+        return _StageRunner(plan, ds_sub, name, outdir, seed_salt=1000 * idx).run()
 
-    items = list(enumerate(subsamples.items()))
+    items = list(enumerate(plan.subsamples.items()))
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_one, items))
@@ -468,7 +523,7 @@ def run_pipeline(config_path: str, stages=None, seed=None, jobs: int = 1, output
     artifacts = sorted(path for _, paths in results for path in paths)
     manifest = {
         "config_sha256": hashlib.sha256(raw.encode("utf-8")).hexdigest(),
-        "seed": config.get("bootstrap", {}).get("seed"),
+        "seed": plan.seed,
         "versions": {
             "cdmpanel": __version__,
             "numpy": np.__version__,
@@ -483,29 +538,33 @@ def run_pipeline(config_path: str, stages=None, seed=None, jobs: int = 1, output
     return manifest
 
 
-def _dgp_from_config(config: dict) -> synthdgp.DgpConfig:
-    dgp = dict(config.get("dgp", {}))
-    nested = {}
-    for key, cls in (
-        ("selection", synthdgp.SelectionConfig),
-        ("rd", synthdgp.RdConfig),
-        ("counts", synthdgp.CountConfig),
-        ("productivity", synthdgp.ProductivityConfig),
-        ("treatment", synthdgp.TreatmentConfig),
-    ):
-        if key in dgp:
-            nested[key] = cls(**dgp.pop(key))
-    return synthdgp.DgpConfig(**dgp, **nested)
+_DGP_PARTS = {"selection": synthdgp.SelectionConfig, "rd": synthdgp.RdConfig, "counts": synthdgp.CountConfig,
+              "productivity": synthdgp.ProductivityConfig, "treatment": synthdgp.TreatmentConfig}
 
 
-def _run_simulate(config: dict, outdir: str, raw: str) -> dict:
-    import dataclasses
+def _dgp_fields(cls, keys: _Keys, **values):
+    """A synthdgp config dataclass; each value is cast like its field's default."""
+    for f in dataclasses.fields(cls):
+        if f.name in keys.obj and f.name not in values:
+            values[f.name] = keys.get(f.name) if isinstance(f.default, str) else keys.number(f.name, type(f.default))
+    keys.close()
+    return cls(**values)
 
-    cfg = _dgp_from_config(config)
-    if config.get("seed") is not None:
-        cfg = dataclasses.replace(cfg, seed=int(config["seed"]))
+
+def _dgp(top: _Keys, seed) -> synthdgp.DgpConfig:
+    """The `dgp` object, with the config's `seed`, or `seed` if given, in place of its own."""
+    keys = _Keys(top.get("dgp", {}), "dgp")
+    parts = {name: _dgp_fields(cls, _Keys(keys.get(name), f"dgp {name}"))
+             for name, cls in _DGP_PARTS.items() if name in keys.obj}
+    cfg = _dgp_fields(synthdgp.DgpConfig, keys, **parts)
+    config_seed = top.number("seed", int, None)
+    seed = config_seed if seed is None else int(seed)
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
+
+
+def _run_simulate(cfg: synthdgp.DgpConfig, csv_path, outdir: str) -> dict:
     ds = synthdgp.generate_panel(cfg)
-    path = config.get("write_csv", os.path.join(outdir, "panel.csv"))
+    path = os.path.join(outdir, "panel.csv") if csv_path is None else csv_path
     ds.to_csv(path)
     truths = {k: v for k, v in ds.metadata.items() if k.startswith("true:")}
     tpath = os.path.join(outdir, "true_parameters.json")
@@ -513,14 +572,8 @@ def _run_simulate(config: dict, outdir: str, raw: str) -> dict:
     return {"mode": "simulate", "csv": path, "true_parameters": tpath, "rows": ds.n_rows}
 
 
-def _run_monte_carlo(config: dict, outdir: str, raw: str) -> dict:
-    cfg = _dgp_from_config(config)
-    report = synthdgp.monte_carlo(
-        cfg,
-        _req(config, "estimator", "monte_carlo"),
-        int(_req(config, "reps", "monte_carlo")),
-        int(config.get("seed", cfg.seed)),
-    )
+def _run_monte_carlo(cfg: synthdgp.DgpConfig, estimator: str, reps: int, outdir: str) -> dict:
+    report = synthdgp.monte_carlo(cfg, estimator, reps, cfg.seed)
     lines = []
     head = f"estimator={report.estimator} reps={report.reps} failed={report.n_failed}"
     for name, stats in report.parameters.items():
@@ -552,7 +605,7 @@ def main(argv=None) -> int:
     try:
         run_pipeline(args.config, stages=stages, seed=args.seed, jobs=args.jobs,
                      output_dir=args.output_dir)
-    except (ValidationError, ConvergenceError, PipelineStageError) as exc:
+    except (ValidationError, ConvergenceError, PipelineStageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

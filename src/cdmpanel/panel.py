@@ -239,24 +239,31 @@ def from_long(entity_values, year_values, columns: dict[str, list], metadata=Non
     return PanelDataset(tuple(entities), periods, cols, dict(metadata or {}))
 
 
+def read_header(reader, path, entity_col: str, year_col: str) -> list[str]:
+    """The header row of a panel CSV file, from a `csv.reader` over it: it must
+    hold the entity and year columns and no name twice."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: file is empty, no header row") from None
+    if entity_col not in header:
+        raise ValidationError(f"{path}: entity column {entity_col!r} not in header")
+    if year_col not in header:
+        raise ValidationError(f"{path}: year column {year_col!r} not in header")
+    if len(set(header)) != len(header):
+        raise ValidationError(f"{path}: duplicate column names in header")
+    return header
+
+
 def load_csv(path, entity_col: str, year_col: str) -> PanelDataset:
     """Load a comma-separated panel file; empty cells and "." are missing."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty, no header row") from None
-        if entity_col not in header:
-            raise ValidationError(f"{path}: entity column {entity_col!r} not in header")
-        if year_col not in header:
-            raise ValidationError(f"{path}: year column {year_col!r} not in header")
+        header = read_header(reader, path, entity_col, year_col)
         e_ix = header.index(entity_col)
         y_ix = header.index(year_col)
         var_names = [h for i, h in enumerate(header) if i not in (e_ix, y_ix)]
         var_ix = [i for i in range(len(header)) if i not in (e_ix, y_ix)]
-        if len(set(var_names)) != len(var_names):
-            raise ValidationError(f"{path}: duplicate column names in header")
 
         ents: list[str] = []
         years: list[int] = []

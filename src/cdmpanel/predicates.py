@@ -32,13 +32,18 @@ _ALLOWED_BIN = {
 }
 
 
-def predicate_columns(text: str) -> set[str]:
-    """Column names referenced by a predicate."""
+def _parse(text: str) -> ast.Expression:
+    if not isinstance(text, str):
+        raise ValidationError(f"predicate must be a string, got {text!r}")
     try:
-        tree = ast.parse(text, mode="eval")
+        return ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"cannot parse predicate {text!r}: {exc.msg}") from None
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def predicate_columns(text: str) -> set[str]:
+    """Column names referenced by a predicate."""
+    return {node.id for node in ast.walk(_parse(text)) if isinstance(node, ast.Name)}
 
 
 def evaluate_predicate(text: str, columns: Mapping[str, np.ndarray], n_rows: int) -> np.ndarray:
@@ -47,11 +52,7 @@ def evaluate_predicate(text: str, columns: Mapping[str, np.ndarray], n_rows: int
     Raises ValidationError if the expression references an unknown column or
     uses a disallowed construct.
     """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ValidationError(f"cannot parse predicate {text!r}: {exc.msg}") from None
-    value = _eval(tree.body, columns, text)
+    value = _eval(_parse(text).body, columns, text)
     if np.isscalar(value) or getattr(value, "ndim", 1) == 0:
         value = np.full(n_rows, bool(value))
     arr = np.asarray(value)

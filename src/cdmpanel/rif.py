@@ -89,9 +89,8 @@ class TreatmentSpec:
     def __post_init__(self):
         object.__setattr__(self, "propensity_regressors", tuple(self.propensity_regressors))
         object.__setattr__(self, "controls", tuple(self.controls))
-        lo, hi = self.clip
-        if not (0.0 < lo < 0.5 and 0.5 < hi < 1.0):
-            raise ValidationError("clip bounds must lie in (0, 0.5) and (0.5, 1)")
+        if len(self.clip) != 2 or not (0.0 < self.clip[0] < 0.5 and 0.5 < self.clip[1] < 1.0):
+            raise ValidationError("clip bounds must be a pair in (0, 0.5) and (0.5, 1)")
         if self.weighting not in ("none", "ipw"):
             raise ValidationError(f"unknown weighting {self.weighting!r}")
 

@@ -289,7 +289,7 @@ def _fit_poisson_fe(ds: panel.PanelDataset):
 
 
 def _fit_nb2(ds: panel.PanelDataset):
-    spec = counts_mod.CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False)
+    spec = counts_mod.CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False)
     fit = counts_mod.nb2_fit(ds, spec)
     base = fit.base
     se_alpha = base.notes["alpha_se"]

@@ -5,8 +5,11 @@ come from independent oracles (closed forms, brute-force summation, grid
 search, Monte Carlo truths), never from the code paths under test.
 """
 
+import copy
+import importlib
 import json
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -464,6 +467,18 @@ def _pipeline_config(tmp_path):
             },
         },
     }
+
+
+def test_benchmark_keeps_the_acceptance_config(tmp_path, monkeypatch):
+    # perfbench/workloads.py holds its own copy of _pipeline_config; they may
+    # differ only in where the input and the outputs go
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    workloads = importlib.import_module("perfbench.workloads")
+    ours, theirs = _pipeline_config(tmp_path), copy.deepcopy(workloads.ACCEPTANCE_CONFIG)
+    for config in (ours, theirs):
+        del config["input"]["path"]
+        config.pop("output_dir", None)
+    assert ours == theirs
 
 
 def test_criterion_11_end_to_end(tmp_path):

@@ -308,6 +308,53 @@ class TestMissingKeys:
         assert "derive of 'PAT_rm3': missing required key 'source'" in capsys.readouterr().err
 
 
+def monte_carlo_config(tmp_path, **overrides):
+    cfg = {
+        "mode": "monte_carlo",
+        "dgp": {"n_entities": 60, "n_periods": 4, "seed": 5, "rd": {"slope_x": 0.5}},
+        "estimator": "naive_ols",
+        "reps": 5,
+        "seed": 9,
+        "output_dir": str(tmp_path / "out"),
+        **overrides,
+    }
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(cfg))
+    return path, cfg
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("where, at, key", [
+        ("config", (), "seeed"),
+        ("input", ("input",), "entity"),
+        ("bootstrap", ("bootstrap",), "bootstrp"),
+        ("stages", ("stages",), "heckmann"),
+        ("heckman stage", ("stages", "heckman"), "exclusion_restriction"),
+        ("counts stage", ("stages", "counts"), "epsilon_"),
+        ("counts model 'PAT'", ("stages", "counts", "models", 0), "predict_familly"),
+        ("productivity stage", ("stages", "productivity"), "mundlack"),
+        ("uqr stage", ("stages", "uqr"), "tau"),
+        ("cqr stage", ("stages", "cqr"), "taus"),
+        ("derive of 'PAT_rm3'", ("derives", 0), "k"),
+        ("dgp", ("dgp",), "n_entity"),
+        ("dgp rd", ("dgp", "rd"), "slope"),
+    ])
+    def test_unknown_key_is_refused(self, small_run, capsys, where, at, key):
+        if at[:1] == ("dgp",):
+            path, cfg = monte_carlo_config(small_run)
+        else:
+            path, cfg = write_config(small_run)
+        obj = cfg
+        for step in at:
+            obj = obj[step]
+        obj[key] = 1
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{where}: unknown key {key!r}" in err
+        assert list((small_run / "out").glob("results/*")) == []
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("index, key, value, message", [
         (2, "k", "one", "derive of 'lnVA_lead': key 'k' must be an integer, got 'one'"),
@@ -328,6 +375,47 @@ class TestMalformedInput:
         path.write_text(json.dumps(cfg))
         assert cli.main([str(path)]) == 1
         assert "derive of 'lnPAT1': key 'shift' must be a number, got 'one'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, key, value, message", [
+        ("uqr", "taus", [0.5, 1.5], "uqr stage: quantile 1.5 outside (0, 1)"),
+        ("uqr", "taus", "0.5", "uqr stage: key 'taus' must be a list of numbers, got '0.5'"),
+        ("treatment", "clip", [0.2, 0.4], "treatment stage: clip bounds must be a pair"),
+        ("treatment", "clip", [0.1, 0.5, 0.9], "treatment stage: clip bounds must be a pair"),
+    ])
+    def test_bad_spec_value_caught_before_fitting(self, small_run, capsys, stage, key, value, message):
+        path, cfg = write_config(small_run)
+        cfg["stages"]["treatment"] = {"dependent": "lnVA_lead", "treatment": "TREAT", "controls": ["lnEMP"]}
+        cfg["stages"][stage][key] = value
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(small_run / "out" / "results" / "heckman__full.txt")
+
+    def test_predict_family_must_be_fitted(self, small_run, capsys):
+        path, cfg = write_config(small_run)
+        cfg["stages"]["counts"]["models"][0]["predict_family"] = "nb2"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "counts model 'PAT': key 'predict_family' must be one of ['poisson_fe'], got 'nb2'" in err
+
+    @pytest.mark.parametrize("content, message", [
+        ("", "file is empty, no header row"),
+        (None, "No such file or directory"),
+    ])
+    def test_unreadable_input_file(self, small_run, capsys, content, message):
+        path, cfg = write_config(small_run, panel_name="other.csv")
+        if content is not None:
+            (small_run / "other.csv").write_text(content)
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_monte_carlo_non_integer_reps(self, tmp_path, capsys):
+        path, _ = monte_carlo_config(tmp_path, reps="five")
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config: key 'reps' must be an integer, got 'five'" in err
 
     def test_config_not_json(self, small_run, capsys):
         path, cfg = write_config(small_run)

@@ -112,6 +112,14 @@ class TestMonteCarlo:
         report = monte_carlo(DgpConfig(500, 8), "nb2", 40, seed=1)
         assert report.reps == 40 and report.n_failed <= 4
 
+    def test_nb2_alpha_has_no_bias_from_entity_effects(self):
+        # the DGP draws log-normal entity effects (entity_sd 0.3); fitted without
+        # them, their spread reads as overdispersion, alpha ~ exp(0.3**2) - 1.
+        # 5.97 mc_se is perfbench's Monte Carlo window at 40 replications
+        report = monte_carlo(DgpConfig(500, 8), "nb2", 40, seed=1)
+        alpha = report.parameters["alpha"]
+        assert abs(alpha["bias"]) <= 5.97 * alpha["mc_se"]
+
     def test_missing_alpha_se_gives_no_coverage(self):
         # equidispersed counts put alpha on the Poisson boundary, where its SE
         # is missing, in some replications: no interval, so no coverage
