@@ -2,7 +2,8 @@
 
 Complete-case handling, one integer-coded fixed-effect encoding (fe_codes) and
 one design builder (design_matrix) used by every estimator, an array-level OLS
-core with FE absorption by demeaning and analytic/HC1 covariances, a
+core with FE absorption by demeaning and analytic/HC1 covariances (one
+demeaning and one factorisation for several dependent columns), a
 line-searched Newton maximizer for likelihoods that takes entity effects as
 integer codes (newton_design) and eliminates their diagonal Hessian block by a
 Schur complement (BlockHessian), the entity-cluster bootstrap and
@@ -317,16 +318,6 @@ def assert_full_rank(X: np.ndarray, names, scale: float | None = None) -> None:
     _checked_qr(X, names, scale)
 
 
-def _solve_ls(X: np.ndarray, y: np.ndarray, names) -> np.ndarray:
-    """Least squares with rank check; names a dependent column on deficiency."""
-    p = X.shape[1]
-    q, r, piv = _checked_qr(X, names)
-    beta_p = scipy.linalg.solve_triangular(r[:p, :], q.T[:p] @ y)
-    beta = np.empty(p)
-    beta[piv] = beta_p
-    return beta
-
-
 class OlsCore(NamedTuple):
     beta: np.ndarray
     resid: np.ndarray
@@ -344,13 +335,19 @@ def ols_core(
     w: np.ndarray | None = None,
     fe=(),
     robust: bool = False,
-) -> OlsCore:
+) -> OlsCore | list[OlsCore]:
     """Least squares on arrays: sample checks, rank-checked solve, analytic or
     HC1 covariance, r2 and the Gaussian loglik.
 
     ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed by
     demeaning y and X; r2 is then the within-R2. r2 is centred only when
     ``names`` holds the intercept. ``w`` are analytic weights.
+
+    ``y`` of shape (n, m) holds m dependent columns that share the design, FE
+    and weights: [y, X] are demeaned in one pass, X is factored once, and a
+    list of one OlsCore per column comes back. Each column's solve is the one
+    a 1-D ``y`` gets, so only the shared demeaning's stopping sweep can move
+    the result.
     """
     n = X.shape[0]
     k = X.shape[1] - (INTERCEPT in names)
@@ -360,39 +357,62 @@ def ols_core(
         raise ValidationError(f"only {n} complete cases for {k} regressors")
     if w is not None and (np.any(w < 0) or not np.sum(w) > 0):
         raise ValidationError("weights must be non-negative with a positive sum")
+    Y = y[:, None] if y.ndim == 1 else y
+    m = Y.shape[1]
     absorbed_df = 0
     if fe:
         absorbed_df = sum(int(codes.max()) for codes in fe) + 1  # + grand mean
-        demeaned = panel.alternating_demean(np.column_stack([y, X]), list(fe), weights=w)
-        y, X = demeaned[:, 0], np.ascontiguousarray(demeaned[:, 1:])
+        demeaned = panel.alternating_demean(np.column_stack([Y, X]), list(fe), weights=w)
+        Y, X = demeaned[:, :m], np.ascontiguousarray(demeaned[:, m:])
 
-    if w is not None:
-        sw = np.sqrt(w)
-        Xw, yw = X * sw[:, None], y * sw
-    else:
-        Xw, yw = X, y
-    beta = _solve_ls(Xw, yw, names)
-    resid = y - X @ beta
-
-    ww = w if w is not None else np.ones(n)
-    rss = float(np.sum(ww * resid**2))
-    ybar = np.average(y, weights=ww) if INTERCEPT in names else 0.0
-    tss = float(np.sum(ww * (y - ybar) ** 2))
-    r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    dof = max(n - X.shape[1] - absorbed_df, 1)
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
-
+    sw = np.sqrt(w) if w is not None else None
+    Xw = X * sw[:, None] if w is not None else X
+    p = X.shape[1]
+    q, r, piv = _checked_qr(Xw, names)
     XtX_inv = np.linalg.inv(Xw.T @ Xw)
-    if robust:
-        score = X * (ww * resid)[:, None]
-        V = XtX_inv @ (score.T @ score) @ XtX_inv
-        V *= n / dof
-    else:
-        V = rss / dof * XtX_inv
+    ww = w if w is not None else np.ones(n)
+    dof = max(n - p - absorbed_df, 1)
 
-    sigma2_mle = rss / n
-    loglik = float(-0.5 * n * (np.log(2.0 * np.pi * sigma2_mle) + 1.0)) if sigma2_mle > 0 else None
-    return OlsCore(beta, resid, V, r2, adj_r2, loglik, absorbed_df)
+    cores = []
+    for j in range(m):
+        yj = Y[:, j]
+        yw = yj * sw if w is not None else yj
+        beta = np.empty(p)
+        beta[piv] = scipy.linalg.solve_triangular(r[:p, :], q.T[:p] @ yw)
+        resid = yj - X @ beta
+
+        rss = float(np.sum(ww * resid**2))
+        ybar = np.average(yj, weights=ww) if INTERCEPT in names else 0.0
+        tss = float(np.sum(ww * (yj - ybar) ** 2))
+        r2 = 1.0 - rss / tss if tss > 0 else 1.0
+        adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
+
+        if robust:
+            score = X * (ww * resid)[:, None]
+            V = XtX_inv @ (score.T @ score) @ XtX_inv
+            V *= n / dof
+        else:
+            V = rss / dof * XtX_inv
+
+        sigma2_mle = rss / n
+        loglik = float(-0.5 * n * (np.log(2.0 * np.pi * sigma2_mle) + 1.0)) if sigma2_mle > 0 else None
+        cores.append(OlsCore(beta, resid, V, r2, adj_r2, loglik, absorbed_df))
+    return cores[0] if y.ndim == 1 else cores
+
+
+def ols_result(core: OlsCore, names, n_rows: int, vcov: VcovSpec, fe_dims) -> FitResult:
+    """FitResult of one ols_core fit on ``n_rows`` dataset rows, before apply_vcov."""
+    n_obs = core.resid.shape[0]
+    return FitResult(
+        coefficients=dict(zip(names, core.beta)),
+        vcov=core.vcov,
+        n_obs=n_obs,
+        loglik=core.loglik,
+        fit={"r2": core.r2, "adj_r2": core.adj_r2},
+        se_method=vcov.tag(),
+        n_dropped=n_rows - n_obs,
+        notes={"absorbed_df": core.absorbed_df, "fe_dims": tuple(fe_dims)},
+    )
 
 
 def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = None) -> FitResult:
@@ -414,16 +434,7 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = Non
         fe=[fe_codes(ds, dim, mask)[0] for dim in spec.fe_dims],
         robust=vcov.kind == "hc_robust",
     )
-    fit = FitResult(
-        coefficients=dict(zip(names, core.beta)),
-        vcov=core.vcov,
-        n_obs=X.shape[0],
-        loglik=core.loglik,
-        fit={"r2": core.r2, "adj_r2": core.adj_r2},
-        se_method=vcov.tag(),
-        n_dropped=ds.n_rows - X.shape[0],
-        notes={"absorbed_df": core.absorbed_df, "fe_dims": tuple(spec.fe_dims)},
-    )
+    fit = ols_result(core, names, ds.n_rows, vcov, spec.fe_dims)
     return apply_vcov(fit, lambda dsb: ols_fit(dsb, spec), ds, vcov, "ols_fit")
 
 

@@ -16,6 +16,11 @@ Regressing the RIF on covariates (with FE absorbed) gives the unconditional
 quantile partial effect. For treatment effects, each observation's RIF comes
 from its own group's reweighted distribution and the combined RIF is regressed
 on the treatment indicator.
+
+All taus of one model are fitted together: the sample is sorted once, which
+gives every tau's quantile and one Silverman bandwidth (rif_quantiles), and
+the RIF columns of all taus share one demeaned, factored design (one
+estim.ols_core call on the n x len(taus) RIF matrix).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import estim, heckman, panel
-from .estim import FitResult, ModelSpec, VcovSpec
+from .estim import FitResult, VcovSpec
 from .exceptions import ValidationError
 
 DEFAULT_TAUS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -95,13 +100,54 @@ class TreatmentSpec:
             raise ValidationError(f"unknown weighting {self.weighting!r}")
 
 
-def _weighted_sd_iqr(x: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+def _cdf(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x sorted ascending (stable, so ties keep their order) and the normalised
+    cumulative weight at each sorted value."""
+    order = np.argsort(x, kind="stable")
+    ws = w[order]
+    return x[order], np.cumsum(ws) / np.sum(ws)
+
+
+def _quantile(cdf: tuple[np.ndarray, np.ndarray], tau: float) -> float:
+    """Smallest sorted value whose cumulative weight reaches tau."""
+    xs, cum = cdf
+    idx = int(np.searchsorted(cum, tau - 1e-12, side="left"))
+    return float(xs[min(idx, xs.size - 1)])
+
+
+def _bandwidth(bandwidth, x: np.ndarray, w: np.ndarray, cdf=None) -> float:
+    """Kernel bandwidth: a fixed value, or Silverman's rule
+    h = 0.9 * min(sd, IQR/1.34) * n^(-1/5) with the weighted sd and IQR, the
+    IQR read from ``cdf`` (x's _cdf, sorted here when not given)."""
+    if not isinstance(bandwidth, str):
+        h = float(bandwidth)
+        if not h > 0:
+            raise ValidationError("bandwidth must be > 0")
+        return h
+    if x.size < 2:
+        raise ValidationError("silverman bandwidth needs a sample of at least 2")
+    cdf = cdf if cdf is not None else _cdf(x, w)
     wsum = float(np.sum(w))
     mean = float(np.sum(w * x)) / wsum
     sd = float(np.sqrt(np.sum(w * (x - mean) ** 2) / wsum))
-    q25 = weighted_quantile(x, 0.25, w)
-    q75 = weighted_quantile(x, 0.75, w)
-    return sd, q75 - q25
+    iqr = _quantile(cdf, 0.75) - _quantile(cdf, 0.25)
+    h = 0.9 * min(sd, iqr / 1.34) * x.size ** (-0.2)
+    if not h > 0:
+        raise ValidationError("silverman bandwidth is zero (sample has no spread)")
+    return h
+
+
+def _kde(x: np.ndarray, w: np.ndarray, point: float, h: float) -> float:
+    z = (point - x) / h
+    kern = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    return float(np.sum(w * kern) / (np.sum(w) * h))
+
+
+def _checked_weights(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0) or not np.sum(w) > 0:
+        raise ValidationError("weights must be non-negative with a positive sum")
+    return w
 
 
 def kde_at(sample, point: float, bandwidth="silverman", weights=None) -> float:
@@ -111,75 +157,60 @@ def kde_at(sample, point: float, bandwidth="silverman", weights=None) -> float:
     (constant sample) is an error.
     """
     x = np.asarray(sample, dtype=float)
-    if weights is None:
-        w = np.ones(x.shape)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or not np.sum(w) > 0:
-            raise ValidationError("weights must be non-negative with a positive sum")
-    if isinstance(bandwidth, str):
-        if x.size < 2:
-            raise ValidationError("silverman bandwidth needs a sample of at least 2")
-        sd, iqr = _weighted_sd_iqr(x, w)
-        h = 0.9 * min(sd, iqr / 1.34) * x.size ** (-0.2)
-        if not h > 0:
-            raise ValidationError("silverman bandwidth is zero (sample has no spread)")
-    else:
-        h = float(bandwidth)
-        if not h > 0:
-            raise ValidationError("bandwidth must be > 0")
-    z = (point - x) / h
-    kern = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
-    return float(np.sum(w * kern) / (np.sum(w) * h))
+    w = np.ones(x.shape) if weights is None else _checked_weights(weights)
+    return _kde(x, w, point, _bandwidth(bandwidth, x, w))
 
 
 def weighted_quantile(y: np.ndarray, tau: float, weights=None) -> float:
     """Left-continuous sample quantile: smallest y with cumulative weight >= tau.
 
-    Unweighted this is the order statistic at index ceil(tau*n); ties resolve
-    toward the lower value.
+    Unweighted this is the order statistic at index ceil(tau*n), with tau*n
+    taken exactly; ties resolve toward the lower value.
     """
     y = np.asarray(y, dtype=float)
-    order = np.argsort(y, kind="stable")
-    ys = y[order]
-    if weights is None:
-        k = int(np.ceil(tau * y.size)) - 1
-        return float(ys[max(k, 0)])
-    w = np.asarray(weights, dtype=float)[order]
-    cum = np.cumsum(w) / np.sum(w)
-    idx = int(np.searchsorted(cum, tau - 1e-12, side="left"))
-    return float(ys[min(idx, y.size - 1)])
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    return _quantile(_cdf(y, w), tau)
 
 
-def rif_quantile(y, spec: QuantileSpec, tau: float, weights=None) -> RifResult:
-    """RIF column for one quantile; missing y rows come back missing."""
-    if not 0.0 < tau < 1.0:
-        raise ValidationError(f"quantile {tau} outside (0, 1)")
+def rif_quantiles(y, spec: QuantileSpec, taus, weights=None) -> list[RifResult]:
+    """RIF columns for several quantiles of one sample, one RifResult per tau;
+    missing y rows come back missing.
+
+    y is sorted once: every tau's quantile and the Silverman bandwidth (one
+    for all taus) are read from that sort. The attained CDF, the density at
+    the quantile and the RIF are per tau.
+    """
+    taus = tuple(taus)
+    for tau in taus:
+        if not 0.0 < tau < 1.0:
+            raise ValidationError(f"quantile {tau} outside (0, 1)")
     y = np.asarray(y, dtype=float)
     obs = np.isfinite(y)
     yv = y[obs]
     if yv.size < 10:
         raise ValidationError(f"need at least 10 non-missing values, got {yv.size}")
-    if weights is None:
-        w = np.ones(yv.shape)
-    else:
-        w = np.asarray(weights, dtype=float)[obs]
-        if np.any(w < 0) or not np.sum(w) > 0:
-            raise ValidationError("weights must be non-negative with a positive sum")
+    w = np.ones(yv.shape) if weights is None else _checked_weights(np.asarray(weights, dtype=float)[obs])
 
-    q = weighted_quantile(yv, tau, w)
-    f = kde_at(yv, q, spec.bandwidth, w)
-    below = yv <= q
-    tau_star = float(np.sum(w * below) / np.sum(w))
-    vals = q + (tau_star - below.astype(float)) / f
-    rif = np.full(y.shape, np.nan)
-    rif[obs] = vals
-    sigma2_if = float(np.sum(w * (vals - q) ** 2) / np.sum(w))
-    return RifResult(tau=tau, q_hat=q, f_hat=f, rif=rif, sigma2_if=sigma2_if, tau_attained=tau_star)
+    cdf = _cdf(yv, w)
+    h = _bandwidth(spec.bandwidth, yv, w, cdf)
+    wsum = np.sum(w)
+    out = []
+    for tau in taus:
+        q = _quantile(cdf, tau)
+        f = _kde(yv, w, q, h)
+        below = yv <= q
+        tau_star = float(np.sum(w * below) / wsum)
+        vals = q + (tau_star - below.astype(float)) / f
+        rif = np.full(y.shape, np.nan)
+        rif[obs] = vals
+        sigma2_if = float(np.sum(w * (vals - q) ** 2) / wsum)
+        out.append(RifResult(tau=tau, q_hat=q, f_hat=f, rif=rif, sigma2_if=sigma2_if, tau_attained=tau_star))
+    return out
 
 
-RIF_COLUMN = "__rif__"
-WEIGHT_COLUMN = "__rif_weight__"
+def rif_quantile(y, spec: QuantileSpec, tau: float, weights=None) -> RifResult:
+    """RIF column for one quantile; missing y rows come back missing."""
+    return rif_quantiles(y, spec, (tau,), weights)[0]
 
 
 def uqr_fit(
@@ -189,32 +220,47 @@ def uqr_fit(
     spec: QuantileSpec,
     fe_dims: tuple[str, ...] = ("entity", "year"),
 ) -> dict[float, FitResult]:
-    """Per-quantile OLS of the RIF on the regressors with FE absorbed (HC1 SEs)."""
+    """Per-quantile OLS of the RIF on the regressors with FE absorbed (HC1 SEs).
+
+    All taus share one complete-case sample: the dependent is sorted once
+    (rif_quantiles), and the n x len(taus) RIF matrix is fitted by one
+    ols_core call, which demeans it with the design in one pass and factors
+    the design once.
+    """
     regressors = tuple(regressors)
+    fe_dims = tuple(fe_dims)
     cat_dims = [d for d in fe_dims if d not in ("entity", "year")]
     mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_dims])
     if not mask.any():
         raise ValidationError("no complete cases for the quantile regression")
-    y = np.where(mask, ds.column(dependent), np.nan)
-
-    out: dict[float, FitResult] = {}
-    for tau in spec.taus:
-        rr = rif_quantile(y, spec, tau)
-        ds_t = ds.with_column(RIF_COLUMN, rr.rif)
-        model = ModelSpec(
-            dependent=RIF_COLUMN,
-            regressors=regressors,
-            intercept=not fe_dims,
-            fe_dims=tuple(fe_dims),
-        )
-        fit = estim.ols_fit(ds_t, model, VcovSpec("hc_robust"))
+    rifs = rif_quantiles(ds.column(dependent)[mask], spec, spec.taus)
+    fits = _fit_rifs(ds, mask, np.column_stack([rr.rif for rr in rifs]), regressors, fe_dims)
+    for rr, fit in zip(rifs, fits):
         fit.notes["model"] = "uqr"
-        fit.notes["tau"] = tau
+        fit.notes["tau"] = rr.tau
         fit.notes["q_hat"] = rr.q_hat
         fit.notes["f_hat"] = rr.f_hat
         fit.notes["sigma2_if"] = rr.sigma2_if
-        out[tau] = fit
-    return out
+    return dict(zip(spec.taus, fits))
+
+
+def _fit_rifs(ds, mask, rifs: np.ndarray, regressors, fe_dims, w=None) -> list[FitResult]:
+    """HC1 OLS of each column of ``rifs`` (masked rows x taus) on the
+    regressors with fe_dims absorbed, in one ols_core call; the intercept is
+    reported only without FE. ``w`` are analytic weights on the masked rows."""
+    X, names, _ = estim.design_matrix(ds, mask, regressors, (), not fe_dims)
+    if not names:
+        raise ValidationError("need at least one regressor or an intercept")
+    vcov = VcovSpec("hc_robust")
+    cores = estim.ols_core(
+        X,
+        rifs,
+        names,
+        w=w,
+        fe=[estim.fe_codes(ds, dim, mask)[0] for dim in fe_dims],
+        robust=True,
+    )
+    return [estim.ols_result(core, names, ds.n_rows, vcov, fe_dims) for core in cores]
 
 
 def propensity_ipw(ds: panel.PanelDataset, spec: TreatmentSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +308,10 @@ def rif_treatment_fit(
 
     For each tau the treated and control RIFs are built from their own group's
     (IPW-reweighted) distribution, combined as T*RIF1 + (1-T)*RIF0, and
-    regressed on the treatment indicator plus controls with FE absorbed.
+    regressed on the treatment indicator plus controls with FE absorbed (HC1
+    SEs). Each group is sorted once for all taus (rif_quantiles), and the
+    combined n x len(taus) RIF matrix is fitted by one ols_core call on one
+    demeaned, factored design.
     """
     used = [dependent, spec.treatment, *spec.controls]
     if spec.weighting == "ipw":
@@ -293,30 +342,17 @@ def rif_treatment_fit(
         w_all = np.where(mask, 1.0, np.nan)
 
     fe_dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
-    out: dict[float, FitResult] = {}
-    for tau in qspec.taus:
-        combined = np.full(ds.n_rows, np.nan)
-        qs = {}
-        for label, rows in (("treated", treated_rows), ("control", control_rows)):
-            y_g = np.where(rows, y, np.nan)
-            rr = rif_quantile(y_g, qspec, tau, weights=np.where(rows, w_all, np.nan))
-            combined[rows] = rr.rif[rows]
-            qs[label] = rr
-        ds_t = ds.with_column(RIF_COLUMN, combined)
-        if spec.weighting == "ipw":
-            ds_t = ds_t.with_column(WEIGHT_COLUMN, w_all)
-        model = ModelSpec(
-            dependent=RIF_COLUMN,
-            regressors=(spec.treatment, *spec.controls),
-            intercept=not fe_dims,
-            fe_dims=fe_dims,
-            weights=WEIGHT_COLUMN if spec.weighting == "ipw" else None,
-        )
-        fit = estim.ols_fit(ds_t, model, VcovSpec("hc_robust"))
+    combined = np.full((ds.n_rows, len(qspec.taus)), np.nan)
+    qs = {}
+    for label, rows in (("treated", treated_rows), ("control", control_rows)):
+        qs[label] = rif_quantiles(y[rows], qspec, qspec.taus, weights=w_all[rows])
+        combined[rows] = np.column_stack([rr.rif for rr in qs[label]])
+    w = w_all[mask] if spec.weighting == "ipw" else None
+    fits = _fit_rifs(ds, mask, combined[mask], (spec.treatment, *spec.controls), fe_dims, w)
+    for tau, treated, control, fit in zip(qspec.taus, qs["treated"], qs["control"], fits):
         fit.notes["model"] = "rif_treatment"
         fit.notes["tau"] = tau
         fit.notes["weighting"] = spec.weighting
-        fit.notes["q_treated"] = qs["treated"].q_hat
-        fit.notes["q_control"] = qs["control"].q_hat
-        out[tau] = fit
-    return out
+        fit.notes["q_treated"] = treated.q_hat
+        fit.notes["q_control"] = control.q_hat
+    return dict(zip(qspec.taus, fits))

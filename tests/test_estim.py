@@ -30,6 +30,7 @@ from cdmpanel.estim import (
     fe_codes,
     linear_index,
     newton_design,
+    ols_core,
 )
 from cdmpanel.heckman import _probit_parts
 
@@ -125,6 +126,73 @@ class TestOls:
         yr = np.concatenate([y, y[[0, 3]]])
         coef, *_ = np.linalg.lstsq(np.column_stack([xr, np.ones(6)]), yr, rcond=None)
         assert fw.coefficients["x"] == pytest.approx(coef[0], rel=1e-12)
+
+
+class TestOlsCoreColumns:
+    """ols_core on an (n, m) y against m one-column calls."""
+
+    @staticmethod
+    def problem(seed=17, n_entities=40, n_periods=6, m=9):
+        rng = np.random.default_rng(seed)
+        ents = np.repeat([f"E{i}" for i in range(n_entities)], n_periods)
+        years = np.tile(np.arange(2010, 2010 + n_periods), n_entities)
+        keep = rng.random(ents.size) > 0.25
+        n = int(keep.sum())
+        x1, x2 = rng.normal(size=n), rng.normal(size=n)
+        effect = rng.normal(size=n_entities)[np.repeat(np.arange(n_entities), n_periods)][keep]
+        Y = np.column_stack([effect + 0.3 * x1 - x2 + rng.normal(size=n) * (1 + 0.3 * j) for j in range(m)])
+        ds = from_long(ents[keep], years[keep], {"x1": x1, "x2": x2})
+        mask = np.isfinite(ds.column("x1"))  # rows in input order: it is the grid's
+        X, names, _ = design_matrix(ds, mask, ("x1", "x2"), (), False)
+        fe = [fe_codes(ds, dim, mask)[0] for dim in ("entity", "year")]
+        return X, Y, names, fe, rng.uniform(0.5, 2.0, size=n)
+
+    @staticmethod
+    def gap(a, b) -> float:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_one_column_is_bit_identical(self, weighted, robust):
+        X, Y, names, fe, w = self.problem()
+        w = w if weighted else None
+        (batched,) = ols_core(X, Y[:, :1], names, w=w, fe=fe, robust=robust)
+        single = ols_core(X, Y[:, 0], names, w=w, fe=fe, robust=robust)
+        for a, b in zip(batched, single):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fe_used", [0, 1])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_exact_demeaning_gives_identical_columns(self, fe_used, weighted):
+        # with no FE or one FE dim the demeaning is one exact pass per column,
+        # so sharing it changes nothing
+        X, Y, names, fe, w = self.problem()
+        w = w if weighted else None
+        batched = ols_core(X, Y, names, w=w, fe=fe[:fe_used], robust=True)
+        for j, core in enumerate(batched):
+            for a, b in zip(core, ols_core(X, Y[:, j], names, w=w, fe=fe[:fe_used], robust=True)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_two_way_fe_columns_match(self, weighted, robust):
+        # The shared alternating demeaning runs until every column has
+        # converged, so a column may get one sweep more than alone; that moves
+        # the FE-space part of y by less than the 1e-10 stopping adjustment.
+        # beta lies outside that space: 1e-12 relative. Residuals and what is
+        # built from them: 1e-10 relative, the demeaning tolerance.
+        X, Y, names, fe, w = self.problem()
+        w = w if weighted else None
+        batched = ols_core(X, Y, names, w=w, fe=fe, robust=robust)
+        assert len(batched) == Y.shape[1]
+        for j, core in enumerate(batched):
+            single = ols_core(X, Y[:, j], names, w=w, fe=fe, robust=robust)
+            assert self.gap(core.beta, single.beta) <= 1e-12
+            for a, b in ((core.resid, single.resid), (core.vcov, single.vcov), (core.r2, single.r2),
+                         (core.adj_r2, single.adj_r2), (core.loglik, single.loglik)):
+                assert self.gap(a, b) <= 1e-10
+            assert core.absorbed_df == single.absorbed_df
 
 
 class TestMle:

@@ -12,7 +12,9 @@ from cdmpanel import (
     rif_treatment_fit,
     uqr_fit,
 )
-from cdmpanel.rif import weighted_quantile
+from cdmpanel import panel
+from cdmpanel.estim import design_matrix
+from cdmpanel.rif import rif_quantiles, weighted_quantile
 
 
 def iid_panel(columns, seed_names="E"):
@@ -55,6 +57,15 @@ class TestWeightedQuantile:
         assert weighted_quantile(y, 0.5) == 3.0
         assert weighted_quantile(y, 0.2) == 1.0
         assert weighted_quantile(y, 0.9) == 5.0
+
+    def test_unweighted_uses_the_exact_rank(self):
+        # tau*n = 7.000000000000001 in floating point at tau = 0.07, n = 100; the
+        # rule's rank is still 7, as with unit weights
+        y = np.random.default_rng(3).permutation(np.arange(1.0, 101.0))
+        for tau in (0.07, 0.14, 0.28, 0.55, 0.56):
+            rank = round(tau * 100)
+            assert weighted_quantile(y, tau) == float(rank)
+            assert weighted_quantile(y, tau) == weighted_quantile(y, tau, np.ones(100))
 
     def test_weighted_smallest_cumulative(self):
         y = np.array([1.0, 2.0, 3.0])
@@ -114,6 +125,25 @@ class TestRifQuantile:
     def test_too_few_observations_error(self):
         with pytest.raises(ValidationError, match="at least 10"):
             rif_quantile(np.arange(5.0), QuantileSpec(), 0.5)
+
+
+class TestRifQuantiles:
+    def test_each_tau_is_its_one_tau_call(self):
+        rng = np.random.default_rng(61)
+        y = rng.lognormal(size=300)
+        y[::17] = np.nan
+        w = rng.uniform(0.2, 3.0, size=300)
+        taus = (0.1, 0.25, 0.5, 0.9)
+        for weights in (None, w):
+            for rr, tau in zip(rif_quantiles(y, QuantileSpec(), taus, weights), taus):
+                one = rif_quantile(y, QuantileSpec(), tau, weights)
+                assert (rr.tau, rr.q_hat, rr.f_hat, rr.sigma2_if, rr.tau_attained) == (
+                    one.tau, one.q_hat, one.f_hat, one.sigma2_if, one.tau_attained)
+                assert np.array_equal(rr.rif, one.rif, equal_nan=True)
+
+    def test_bad_tau_named(self):
+        with pytest.raises(ValidationError, match="quantile 1.0 outside"):
+            rif_quantiles(np.arange(20.0), QuantileSpec(), (0.5, 1.0))
 
 
 class TestUqr:
@@ -271,3 +301,111 @@ class TestRifTreatment:
             TreatmentSpec(treatment="T", clip=(0.6, 0.9))
         with pytest.raises(ValidationError):
             TreatmentSpec(treatment="T", weighting="nope")
+
+
+def fe_panel(seed=51, n_entities=40, n_periods=6, drop=0.25):
+    """Unbalanced panel: entity and year effects, two regressors, a binary
+    treatment that varies within entities, and about ``drop`` of the rows missing."""
+    rng = np.random.default_rng(seed)
+    ents = np.repeat([f"E{i}" for i in range(n_entities)], n_periods)
+    years = np.tile(np.arange(2010, 2010 + n_periods), n_entities)
+    keep = rng.random(ents.size) > drop
+    n = int(keep.sum())
+    effect = rng.normal(size=n_entities)[np.repeat(np.arange(n_entities), n_periods)][keep]
+    x1, x2 = rng.normal(size=n), rng.normal(size=n)
+    t = (0.5 * x1 + rng.normal(size=n) > 0).astype(float)
+    y = effect + 0.1 * (years[keep] - 2010) + 0.4 * x1 - 0.3 * x2 + 0.5 * t + rng.normal(size=n) * (1 + 0.5 * np.abs(x2))
+    return from_long(ents[keep], years[keep], {"y": y, "x1": x1, "x2": x2, "T": t})
+
+
+def dummy_ols(ds, mask, regressors, rif, w=None):
+    """Least squares of rif on the regressors and entity and year dummies:
+    (beta, HC1 SEs, within-R2), the SEs and R2 over the regressors."""
+    Z, names, _ = design_matrix(ds, mask, regressors, ("entity", "year"), True)
+    D = Z[:, len(regressors):]
+    w = np.ones(len(rif)) if w is None else w
+    sw = np.sqrt(w)
+    beta = np.linalg.lstsq(Z * sw[:, None], rif * sw, rcond=None)[0]
+    e = rif - Z @ beta
+    bread = np.linalg.inv((Z * w[:, None]).T @ Z)
+    score = Z * (w * e)[:, None]
+    n, p = Z.shape
+    V = n / (n - p) * bread @ (score.T @ score) @ bread
+    within = rif - D @ np.linalg.lstsq(D * sw[:, None], rif * sw, rcond=None)[0]
+    r2 = 1.0 - np.sum(w * e**2) / np.sum(w * within**2)
+    k = len(regressors)
+    return beta[:k], np.sqrt(np.diag(V)[:k]), r2
+
+
+class TestFixedEffectOracles:
+    # tolerance, fixed before the first run: relative 1e-8, because the
+    # alternating demeaning stops once its adjustments fall below 1e-10
+    TOL = 1e-8
+
+    def check(self, fit, regressors, beta, se, r2):
+        for name, b, s in zip(regressors, beta, se):
+            assert fit.coefficients[name] == pytest.approx(b, rel=self.TOL)
+            assert fit.se(name) == pytest.approx(s, rel=self.TOL)
+        assert fit.fit["r2"] == pytest.approx(r2, rel=self.TOL)
+
+    def test_uqr_matches_dummy_variables(self):
+        ds = fe_panel()
+        regressors = ("x1", "x2")
+        fits = uqr_fit(ds, "y", regressors, QuantileSpec())
+        mask = np.isfinite(ds.column("y"))
+        assert len(fits) == 9
+        for tau, fit in fits.items():
+            rr = rif_quantile(ds.column("y")[mask], QuantileSpec(), tau)
+            self.check(fit, regressors, *dummy_ols(ds, mask, regressors, rr.rif))
+            assert fit.notes["q_hat"] == rr.q_hat and fit.notes["f_hat"] == rr.f_hat
+
+    @pytest.mark.parametrize("weighting", ["ipw", "none"])
+    def test_treatment_matches_dummy_variables(self, weighting):
+        ds = fe_panel()
+        spec = TreatmentSpec(treatment="T", propensity_regressors=("x1",), controls=("x2",),
+                             weighting=weighting)
+        qspec = QuantileSpec()
+        fits = rif_treatment_fit(ds, "y", spec, qspec)
+        mask = np.isfinite(ds.column("y"))
+        t = ds.column("T")[mask]
+        if weighting == "ipw":
+            w = propensity_ipw(ds, spec)[1][mask]
+            for g in (0.0, 1.0):
+                w[t == g] /= np.sum(w[t == g])
+        else:
+            w = None
+        regressors = ("T", "x2")
+        for tau, fit in fits.items():
+            rif = np.empty(t.size)
+            for g in (0.0, 1.0):
+                rows = t == g
+                rif[rows] = rif_quantile(ds.column("y")[mask][rows], qspec, tau,
+                                         weights=None if w is None else w[rows]).rif
+            self.check(fit, regressors, *dummy_ols(ds, mask, regressors, rif, w))
+
+
+class TestOneDemeaningPerModel:
+    """All taus of one model share one alternating demeaning of [RIF, X]."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = panel.alternating_demean
+
+        def counting(*args, **kwargs):
+            seen.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(panel, "alternating_demean", counting)
+        return seen
+
+    def test_uqr(self, calls):
+        uqr_fit(fe_panel(), "y", ("x1", "x2"), QuantileSpec())
+        assert len(calls) == 1 and calls[0][1] == 9 + 2
+
+    @pytest.mark.parametrize("weighting", ["ipw", "none"])
+    def test_treatment(self, calls, weighting):
+        spec = TreatmentSpec(treatment="T", propensity_regressors=("x1",), controls=("x2",),
+                             weighting=weighting)
+        rif_treatment_fit(fe_panel(), "y", spec, QuantileSpec())
+        assert len(calls) == 1 and calls[0][1] == 9 + 2
