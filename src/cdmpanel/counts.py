@@ -379,17 +379,17 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
 
     coef = dict(zip(names, params_b))
     entity_effects = {}
-    keep_names = [nm for nm in names if not nm.startswith("entity=")]
     if spec.entity_fe:
         entity_effects[estim.fe_codes(ds, "entity", mask)[1][0]] = 1.0
         for nm, (dim, level) in mapping.items():
             if dim == "entity":
                 entity_effects[level] = float(np.exp(coef[nm]))
-    keep_ix = [names.index(nm) for nm in keep_names]
 
+    # with entity FE, mle_fit's covariance already spans only the reported
+    # parameters (estim.MleResult)
     base = FitResult(
-        coefficients={nm: coef[nm] for nm in keep_names},
-        vcov=vcov_b[np.ix_(keep_ix, keep_ix)],
+        coefficients={nm: coef[nm] for nm in names if not nm.startswith("entity=")},
+        vcov=vcov_b,
         n_obs=n,
         loglik=res.loglik,
         n_dropped=ds.n_rows - n,
@@ -435,44 +435,48 @@ def _poisson_parts(beta, y, X, lgy1, layout=None):
 
 
 def calibrate_predictions(fit: CountFit, ds: panel.PanelDataset, rule: CalibrationRule) -> np.ndarray:
-    """Entity-calibrated count predictions: raw exp-index predictions, scaled so
-    each entity's mean matches its realized mean, plus epsilon everywhere.
+    """Entity-calibrated count predictions: raw exp-index predictions times the
+    entity effect, scaled so each entity's mean over its finite predictions
+    matches its mean over its finite realized values, plus epsilon everywhere.
 
-    Entities with zero realized mean get all-zero (then epsilon) predictions.
+    Works on the dataset's dense grid reshaped to (entities, periods), so the
+    per-entity means are row reductions. Entities with zero realized mean get
+    all-zero (then epsilon) predictions, entities with no finite realized
+    value NaN. ValidationError names the first entity, in dataset order, with
+    a non-zero realized mean but no finite raw prediction or a zero raw mean.
     """
     if not ds.has_column(rule.firm_mean_source):
         raise ValidationError(f"realized-count column {rule.firm_mean_source!r} missing")
+    shape = (len(ds.entities), len(ds.periods))
     index = estim.linear_index(fit.base, ds)
     with np.errstate(over="ignore"):
-        raw = np.exp(index)
-    ent_idx = ds.entity_index()
-    for i, name in enumerate(ds.entities):
-        eff = fit.entity_effects.get(name, 1.0)
-        if eff != 1.0:
-            raw[ent_idx == i] = raw[ent_idx == i] * eff
+        raw = np.exp(index).reshape(shape)
+    raw = raw * np.array([fit.entity_effects.get(name, 1.0) for name in ds.entities])[:, None]
 
-    realized = ds.column(rule.firm_mean_source)
-    out = np.full(ds.n_rows, np.nan)
-    for i, name in enumerate(ds.entities):
-        rows = ent_idx == i
-        real = realized[rows]
-        real = real[np.isfinite(real)]
-        if real.size == 0:
-            continue
-        real_mean = float(np.mean(real))
-        raw_e = raw[rows]
-        finite = np.isfinite(raw_e)
-        if real_mean == 0.0:
-            vals = np.where(finite, 0.0, np.nan)
-        else:
-            if not finite.any() or float(np.mean(raw_e[finite])) == 0.0:
-                raise ValidationError(
-                    f"cannot scale entity {name!r}: zero mean raw prediction but positive realized mean"
-                )
-            scale = real_mean / float(np.mean(raw_e[finite]))
-            vals = np.where(finite, raw_e * scale, np.nan)
-        out[rows] = vals
-    return out + rule.epsilon
+    n_real, real_mean = _finite_row_means(ds.column(rule.firm_mean_source).reshape(shape))
+    n_raw, raw_mean = _finite_row_means(raw)
+    zero = (n_real > 0) & (real_mean == 0.0)
+    scaled = (n_real > 0) & ~zero
+    bad = scaled & ((n_raw == 0) | (raw_mean == 0.0))
+    if bad.any():
+        name = ds.entities[int(np.argmax(bad))]
+        raise ValidationError(
+            f"cannot scale entity {name!r}: zero mean raw prediction but positive realized mean"
+        )
+    scale = np.full(shape[0], np.nan)
+    scale[zero] = 0.0
+    scale[scaled] = real_mean[scaled] / raw_mean[scaled]
+    with np.errstate(invalid="ignore"):  # inf * 0 in cells that stay NaN
+        out = np.where(np.isfinite(raw), raw * scale[:, None], np.nan)
+    return out.ravel() + rule.epsilon
+
+
+def _finite_row_means(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of v, the count and the mean of its finite entries (NaN for none)."""
+    finite = np.isfinite(v)
+    count = finite.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return count, np.where(finite, v, 0.0).sum(axis=1) / count
 
 
 def patent_intensity(predicted: np.ndarray, employees: np.ndarray, epsilon: float = 0.001) -> np.ndarray:

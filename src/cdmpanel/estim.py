@@ -129,6 +129,11 @@ class BootstrapResult(NamedTuple):
 
 
 class MleResult(NamedTuple):
+    """One mle_fit optimum. ``vcov`` is the inverse of the negative Hessian
+    there: over every parameter for a dense Hessian, and for a BlockHessian
+    over the parameters at its ``dense_pos`` only, in that order (the entity
+    effects get no covariance)."""
+
     params: np.ndarray
     vcov: np.ndarray
     loglik: float
@@ -451,7 +456,8 @@ def mle_fit(
     dense ndarray or, for designs with entity effects, a BlockHessian whose
     entity block is eliminated by a Schur complement. Converged when the
     gradient max-norm drops below ``tol``; the covariance is the inverse of the
-    negative Hessian at the optimum.
+    negative Hessian at the optimum, for a BlockHessian its dense block only
+    (see _hessian_vcov).
     """
     theta = np.array(start, dtype=float)
     f, g, H = objective(theta)
@@ -510,32 +516,30 @@ def _newton_direction(g: np.ndarray, H) -> np.ndarray:
     return g / max(denom, 1.0)
 
 
-def _block_inverse(H: BlockHessian) -> np.ndarray:
-    """(-H)^-1 assembled from the blocks: with S = A - C' diag(1/d) C,
-    V_dd = (-S)^-1, V_ed = -diag(1/d) C V_dd, V_ee = diag(-1/d) + (C/d) V_dd (C/d)'."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Cd = H.C / H.d[:, None]
-        Vdd = np.linalg.inv(Cd.T @ H.C - H.A)
-        Ved = -Cd @ Vdd
-        Vee = -Ved @ Cd.T
-        Vee[np.diag_indices_from(Vee)] -= 1.0 / H.d
-    V = np.empty((len(H.dense_pos) + len(H.entity_pos),) * 2)
-    V[np.ix_(H.dense_pos, H.dense_pos)] = Vdd
-    V[np.ix_(H.entity_pos, H.dense_pos)] = Ved
-    V[np.ix_(H.dense_pos, H.entity_pos)] = Ved.T
-    V[np.ix_(H.entity_pos, H.entity_pos)] = Vee
-    return V
-
-
 def _hessian_vcov(H) -> np.ndarray:
+    """(-H)^-1 at the optimum, symmetrised; ConvergenceError unless it is
+    finite with a positive diagonal.
+
+    For a BlockHessian only the block of the parameters at ``dense_pos`` is
+    returned, in that order: V_dd = (-S)^-1 with S = A - C' diag(1/d) C. The
+    entity rows of the inverse are not built, but their diagonal,
+    diag(V_ee) = -1/d + rowsum((C/d) V_dd * (C/d)), is checked in O(E k^2).
+    """
     try:
-        V = _block_inverse(H) if isinstance(H, BlockHessian) else np.linalg.inv(-H)
+        if isinstance(H, BlockHessian):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                Cd = H.C / H.d[:, None]
+                V = np.linalg.inv(Cd.T @ H.C - H.A)
+                diag = np.concatenate((np.diag(V), np.sum((Cd @ V) * Cd, axis=1) - 1.0 / H.d))
+        else:
+            V = np.linalg.inv(-H)
+            diag = np.diag(V)
     except np.linalg.LinAlgError:
         raise ConvergenceError(
             "Hessian is singular at the optimum (possible perfect separation "
             "or non-identified parameters)"
         ) from None
-    if not np.all(np.isfinite(V)) or (V.size and np.min(np.diag(V)) <= 0):
+    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(diag))) or (diag.size and np.min(diag) <= 0):
         raise ConvergenceError(
             "Hessian is singular or indefinite at the optimum (possible perfect "
             "separation or non-identified parameters)"
@@ -627,10 +631,14 @@ def linear_index(
 
     Indicator-column coefficients are placed through the (dim, level) mapping
     recorded in ``fit.notes['fe_dummies']``; unseen categories count as the
-    dropped baseline. Rows missing any required input come back NaN.
+    dropped baseline. Entity effects kept out of the coefficients, in
+    ``fit.notes['entity_effects']`` ({label: effect}), are added by entity in
+    one gather; an unseen entity counts as the baseline, 0. Rows missing any
+    required input come back NaN.
     """
     dummies: dict[str, tuple[str, object]] = fit.notes.get("fe_dummies", {})
-    out = np.zeros(ds.n_rows)
+    effects: dict[str, float] = fit.notes.get("entity_effects", {})
+    out = np.array([effects.get(label, 0.0) for label in ds.entities])[ds.entity_index()]
     missing = np.zeros(ds.n_rows, dtype=bool)
     years = ds.row_years()
     ent_idx = ds.entity_index()

@@ -98,7 +98,8 @@ def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray, layout=None):
 
 def probit_mle(y: np.ndarray, X: np.ndarray, tol: float = 1e-8, max_iter: int = 200, layout=None) -> MleResult:
     """Probit maximum likelihood on raw arrays (no dataset plumbing); with an
-    estim.EntityLayout the parameters also span its entity effects.
+    estim.EntityLayout the parameters also span its entity effects, and the
+    covariance only the parameters at its ``dense_pos``.
 
     Perfectly separated samples have no finite maximizer; the flat plateau the
     solver lands on is detected and reported as non-convergence.
@@ -119,8 +120,14 @@ def probit_mle(y: np.ndarray, X: np.ndarray, tol: float = 1e-8, max_iter: int = 
 
 
 def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -> FitResult:
-    """Probit with FE dims as indicators (first category dropped); entity
-    effects are estimated without dummy columns (see estim.newton_design)."""
+    """Probit with FE dims as indicators (first category dropped).
+
+    Entity effects are estimated without dummy columns (see
+    estim.newton_design) and, as in NB2 and CQR, are not reported:
+    ``coefficients`` and ``vcov`` cover the other parameters, and the effects
+    sit in ``notes["entity_effects"]`` ({label: effect}, the baseline entity
+    0.0), from which estim.linear_index reads them.
+    """
     regressors = list(regressors)
     cat_cols = [d for d in fe_dims if d not in ("entity", "year")]
     mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_cols])
@@ -136,18 +143,25 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
         raise ValidationError(f"only {n} complete cases for {len(names)} probit parameters")
 
     res = probit_mle(y, X, layout=layout)
+    coef = dict(zip(names, res.params))
+    notes = {
+        "model": "probit",
+        "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
+        "newton_iterations": res.iterations,
+        "grad_norm": res.grad_norm,
+    }
+    if layout is not None:
+        baseline = estim.fe_codes(ds, "entity", mask)[1][0]
+        notes["entity_effects"] = {
+            baseline: 0.0, **{level: coef[nm] for nm, (dim, level) in mapping.items() if dim == "entity"}
+        }
     return FitResult(
-        coefficients=dict(zip(names, res.params)),
+        coefficients={nm: coef[nm] for nm in names if not nm.startswith("entity=")},
         vcov=res.vcov,
         n_obs=n,
         loglik=res.loglik,
         n_dropped=ds.n_rows - n,
-        notes={
-            "model": "probit",
-            "fe_dummies": mapping,
-            "newton_iterations": res.iterations,
-            "grad_norm": res.grad_norm,
-        },
+        notes=notes,
     )
 
 

@@ -8,6 +8,7 @@ missing cells. Datasets are immutable; every operation returns a new dataset.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +19,9 @@ from .exceptions import ConvergenceError, ValidationError
 from .predicates import evaluate_predicate, predicate_columns
 
 MISSING_TOKENS = ("", ".")
+# rows load_csv parses at a time: large enough that the per-block numpy calls
+# cost little, small enough that the block's cells stay a small share of memory
+CSV_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -256,44 +260,85 @@ def read_header(reader, path, entity_col: str, year_col: str) -> list[str]:
 
 
 def load_csv(path, entity_col: str, year_col: str) -> PanelDataset:
-    """Load a comma-separated panel file; empty cells and "." are missing."""
+    """Load a comma-separated panel file; empty cells and "." are missing.
+
+    Rows are parsed in blocks of CSV_BLOCK_ROWS, column by column: each numeric
+    column of a block is one ``np.array(cells, dtype=float)``, which applies
+    Python's ``float`` to every cell, so the values are those of a
+    cell-by-cell parse. A block with a short or long row, a non-integer year
+    or a cell that does not parse is parsed again cell by cell, so an error
+    names the first bad line and cell as ``{path}:{lineno}: ...``.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = read_header(reader, path, entity_col, year_col)
         e_ix = header.index(entity_col)
         y_ix = header.index(year_col)
-        var_names = [h for i, h in enumerate(header) if i not in (e_ix, y_ix)]
         var_ix = [i for i in range(len(header)) if i not in (e_ix, y_ix)]
 
         ents: list[str] = []
         years: list[int] = []
-        values: list[list[float]] = [[] for _ in var_names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            raw_year = row[y_ix].strip()
-            try:
-                year = int(raw_year)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-integer year {raw_year!r}") from None
-            ents.append(row[e_ix])
-            years.append(year)
-            for j, i in enumerate(var_ix):
-                cell = row[i].strip()
-                if cell in MISSING_TOKENS:
-                    values[j].append(math.nan)
-                else:
-                    try:
-                        values[j].append(float(cell))
-                    except ValueError:
-                        raise ValidationError(
-                            f"{path}:{lineno}: cannot parse {cell!r} in column {var_names[j]!r}"
-                        ) from None
+        blocks: list[list[np.ndarray]] = []
+        rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+        while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+            block_years, arrays = _parse_block(block, path, header, y_ix, var_ix)
+            ents += [row[e_ix] for _, row in block]
+            years += block_years
+            blocks.append(arrays)
 
     meta = {"__source__": str(path), "__source_rows__": str(len(ents))}
-    return from_long(ents, years, dict(zip(var_names, values)), metadata=meta)
+    columns = {
+        header[i]: np.concatenate([np.empty(0), *(arrays[j] for arrays in blocks)])
+        for j, i in enumerate(var_ix)
+    }
+    return from_long(ents, years, columns, metadata=meta)
+
+
+def _parse_block(block, path, header, y_ix, var_ix) -> tuple[list[int], list[np.ndarray]]:
+    """Years and one array per column at var_ix of one block of non-blank
+    (lineno, row) pairs: column by column, or, if that fails, cell by cell, so
+    that the error is the one for the first bad cell."""
+    try:
+        if any(len(row) != len(header) for _, row in block):
+            raise ValueError("ragged row")
+        cols = list(zip(*(row for _, row in block)))
+        return list(map(int, cols[y_ix])), [np.array(_missing_as_nan(cols[i]), dtype=float) for i in var_ix]
+    except ValueError:
+        return _parse_cells(block, path, header, y_ix, var_ix)
+
+
+def _missing_as_nan(cells):
+    """The cells with the unpadded missing tokens as NaN; a padded one is left
+    for float to refuse, which sends its block to the cell-by-cell parse."""
+    if any(token in cells for token in MISSING_TOKENS):
+        return [math.nan if cell in MISSING_TOKENS else cell for cell in cells]
+    return cells
+
+
+def _parse_cells(block, path, header, y_ix, var_ix):
+    """Years and one array per column at var_ix of one block, cell by cell."""
+    years: list[int] = []
+    values: list[list[float]] = [[] for _ in var_ix]
+    for lineno, row in block:
+        if len(row) != len(header):
+            raise ValidationError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+        raw_year = row[y_ix].strip()
+        try:
+            years.append(int(raw_year))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-integer year {raw_year!r}") from None
+        for j, i in enumerate(var_ix):
+            cell = row[i].strip()
+            if cell in MISSING_TOKENS:
+                values[j].append(math.nan)
+            else:
+                try:
+                    values[j].append(float(cell))
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}:{lineno}: cannot parse {cell!r} in column {header[i]!r}"
+                    ) from None
+    return years, [np.array(v, dtype=float) for v in values]
 
 
 def derive(ds: PanelDataset, rule: DeriveRule) -> PanelDataset:
@@ -389,8 +434,7 @@ def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
     new_periods = ds.periods[y_lo : y_hi + 1]
     nP = len(new_periods)
 
-    ent_map = {int(old): new for new, old in enumerate(kept_entities)}
-    new_rows = np.array([ent_map[int(e)] * nP + (int(y) - y_lo) for e, y in zip(ent_idx, yr_idx)])
+    new_rows = np.searchsorted(kept_entities, ent_idx) * nP + (yr_idx - y_lo)
     n_rows = len(kept_entities) * nP
     cols: dict[str, np.ndarray] = {}
     for name, arr in ds.columns.items():

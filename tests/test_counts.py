@@ -396,3 +396,114 @@ class TestPatentIntensity:
         emps = np.sort(rng.uniform(0.5, 20.0, size=25))
         got2 = patent_intensity(np.full(25, 5.0), emps)
         assert np.all(np.diff(got2) < 0)
+
+
+def calibrate_by_entity(fit, ds, rule):
+    """Reference calibration, one entity at a time: each entity's rows are
+    found by a mask and its means taken over its finite cells."""
+    raw = np.exp(estim.linear_index(fit.base, ds))
+    ent_idx = ds.entity_index()
+    realized = ds.column(rule.firm_mean_source)
+    out = np.full(ds.n_rows, np.nan)
+    for i, name in enumerate(ds.entities):
+        rows = ent_idx == i
+        raw_e = raw[rows] * fit.entity_effects.get(name, 1.0)
+        real = realized[rows]
+        real = real[np.isfinite(real)]
+        if real.size == 0:
+            continue
+        finite = np.isfinite(raw_e)
+        if np.mean(real) == 0.0:
+            out[rows] = np.where(finite, 0.0, np.nan)
+            continue
+        if not finite.any() or np.mean(raw_e[finite]) == 0.0:
+            raise ValidationError(f"cannot scale entity {name!r}")
+        out[rows] = np.where(finite, raw_e * (np.mean(real) / np.mean(raw_e[finite])), np.nan)
+    return out + rule.epsilon
+
+
+class TestCalibrationOracle:
+    # tolerance, fixed before the first run: 1e-12 relative on every finite cell
+    TOL = 1e-12
+
+    def fit_and_panel(self, n_periods, seed):
+        from cdmpanel.counts import CountFit
+        from cdmpanel.estim import FitResult
+
+        rng = np.random.default_rng(seed)
+        n_e = 40
+        labels = [f"F{i:02d}" for i in rng.permutation(n_e)]  # not in label order
+        x = rng.normal(size=n_e * n_periods)
+        real = rng.poisson(3.0, size=n_e * n_periods).astype(float)
+        x[rng.random(x.size) < 0.15] = np.nan
+        real[rng.random(real.size) < 0.15] = np.nan
+        x_grid, real_grid = x.reshape(n_e, n_periods), real.reshape(n_e, n_periods)  # views
+        real_grid[3] = [0.0, np.nan] * (n_periods // 2)  # zero realized mean
+        real_grid[7] = np.nan  # no finite realized value
+        x_grid[9] = np.nan  # no finite raw prediction, zero realized mean
+        real_grid[9] = 0.0
+        ds = from_long(np.repeat(labels, n_periods), list(range(2001, 2001 + n_periods)) * n_e,
+                       {"x": x, "real": real})
+        base = FitResult(coefficients={"x": 0.7, "_cons": -0.2}, vcov=np.zeros((2, 2)), n_obs=ds.n_rows)
+        # non-unit effects for most entities; the rest fall back to 1.0
+        effects = {label: float(rng.uniform(0.2, 5.0)) for label in labels[: n_e - 6]}
+        return CountFit(base=base, family="nb2", entity_effects=effects), ds
+
+    @pytest.mark.parametrize("n_periods, seed", [(6, 1), (8, 2), (8, 3)])
+    def test_matches_per_entity_reference(self, n_periods, seed):
+        fit, ds = self.fit_and_panel(n_periods, seed)
+        rule = CalibrationRule("real")
+        got = calibrate_predictions(fit, ds, rule)
+        want = calibrate_by_entity(fit, ds, rule)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = np.isfinite(want)
+        assert np.max(np.abs(got[ok] - want[ok]) / np.abs(want[ok])) <= self.TOL
+        got, x = got.reshape(-1, n_periods), ds.column("x").reshape(-1, n_periods)
+        assert np.all(got[3][np.isfinite(x[3])] == rule.epsilon)
+        assert np.all(np.isnan(got[7])) and np.all(np.isnan(got[9]))
+
+    def test_zero_raw_mean_names_first_entity_in_dataset_order(self):
+        from cdmpanel.counts import CountFit
+        from cdmpanel.estim import FitResult
+
+        labels = ["Q", "B", "Z", "A", "C"]
+        x = np.array([[0.0, 0.0], [-800.0, -800.0], [0.0, 1.0], [-800.0, -800.0], [-800.0, 0.0]])
+        real = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0], [4.0, 5.0], [1.0, 1.0]])
+        real_b = real.copy()
+        ds = from_long(np.repeat(labels, 2), [2010, 2011] * 5, {"x": x.ravel(), "real": real.ravel()})
+        base = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=10)
+        fit = CountFit(base=base, family="nb2", entity_effects={"C": 0.0})
+        # B has a zero raw mean but a zero realized mean; A is the first to fail,
+        # C (a zero effect) the second
+        with pytest.raises(ValidationError, match=r"^cannot scale entity 'A': zero mean raw prediction"):
+            calibrate_predictions(fit, ds, CalibrationRule("real"))
+        real_b[3] = np.nan  # A has no realized value, so C fails
+        ds_b = from_long(np.repeat(labels, 2), [2010, 2011] * 5, {"x": x.ravel(), "real": real_b.ravel()})
+        with pytest.raises(ValidationError, match=r"^cannot scale entity 'C'"):
+            calibrate_predictions(fit, ds_b, CalibrationRule("real"))
+
+
+class TestCovarianceMemory:
+    # bound, fixed before the first run: a 20 MB traced peak; one E x E float64
+    # array at E = 3000 alone takes 72 MB
+    PEAK_MB = 20.0
+
+    def test_nb2_with_entity_fe_never_builds_an_entity_square(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        n_e, n_t = 3000, 4
+        x = rng.normal(size=n_e * n_t)
+        effect = np.repeat(rng.normal(scale=0.5, size=n_e), n_t)
+        y = rng.poisson(np.exp(0.5 * x + effect)).astype(float)
+        ds = from_long(np.repeat([f"E{i}" for i in range(n_e)], n_t), list(range(2001, 2001 + n_t)) * n_e,
+                       {"y": y, "x": x})
+        tracemalloc.start()
+        try:
+            fit = nb2_fit(ds, CountSpec("y", ("x",), "nb2", entity_fe=True, year_fe=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.base.vcov.shape == (len(fit.base.coefficients),) * 2
+        assert abs(fit.base.coefficients["x"] - 0.5) < 5 * fit.base.se("x")
+        assert peak / 2**20 < self.PEAK_MB

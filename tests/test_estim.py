@@ -479,7 +479,11 @@ class TestLinearIndex:
             + [(labels == f"F{i:02d}").astype(float) for i in range(1, n_e)]
             + [np.ones(int(rows.sum()))]
         )
-        expected = X @ fit.coef_vector()
+        # the entity effects are read from the notes, not the coefficients
+        effects = fit.notes["entity_effects"]
+        assert list(effects) == [f"F{i:02d}" for i in range(n_e)] and effects["F00"] == 0.0
+        c = fit.coefficients
+        expected = X @ np.array([c["x"], *[effects[f"F{i:02d}"] for i in range(1, n_e)], c["_cons"]])
         got = linear_index(fit, ds)
         assert np.allclose(got[rows], expected, rtol=0, atol=1e-12)
         assert np.isnan(got[5])
@@ -583,7 +587,25 @@ class TestBlockHessian:
         dense = dense_hessian(H)
         assert np.all(np.linalg.eigvalsh(dense) < 0)
         assert max_rel_gap(_newton_direction(g, H), np.linalg.solve(-dense, g)) < self.TOL
-        assert max_rel_gap(_hessian_vcov(H), np.linalg.inv(-dense)) < self.TOL
+        # only the dense block of the inverse is built
+        assert max_rel_gap(_hessian_vcov(H), np.linalg.inv(-dense)[np.ix_(H.dense_pos, H.dense_pos)]) < self.TOL
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_indefinite_entity_block_is_refused(self, seed):
+        H, _ = self.blocks(seed)
+        # flip the largest entity diagonal to positive and re-solve A so that the
+        # Schur complement stays -(M M' + I): V_dd alone then looks valid
+        j = int(np.argmax(np.abs(H.d)))
+        d = H.d.copy()
+        d[j] = -d[j]
+        S = H.A - H.C.T @ (H.C / H.d[:, None])
+        A = S + H.C.T @ (H.C / d[:, None])
+        flipped = H._replace(A=(A + A.T) / 2.0, d=d)
+        assert np.all(np.linalg.eigvalsh(flipped.A - flipped.C.T @ (flipped.C / d[:, None])) < 0)
+        pos = flipped.entity_pos[j]
+        assert np.linalg.inv(-dense_hessian(flipped))[pos, pos] <= 0
+        with pytest.raises(ConvergenceError, match="indefinite"):
+            _hessian_vcov(flipped)
 
     def test_fallback_scales_by_largest_diagonal_of_both_blocks(self):
         H, g = self.blocks(4)

@@ -170,8 +170,12 @@ class TestProbit:
             beta = beta + np.linalg.solve(H, grad)
         else:
             raise AssertionError("reference Newton did not converge")
-        assert list(fit.coefficients) == names
-        assert np.max(np.abs(fit.coef_vector() - beta)) < 1e-8
+        # the entity effects are read from the notes, not the coefficients
+        effects = fit.notes["entity_effects"]
+        assert effects["E0"] == 0.0
+        assert list(fit.coefficients) == [nm for nm in names if not nm.startswith("entity=")]
+        got = {**fit.coefficients, **{f"entity={label}": v for label, v in effects.items()}}
+        assert np.max(np.abs(np.array([got[nm] for nm in names]) - beta)) < 1e-8
 
 
 def two_step_panel(seed=0, n_entities=400, n_periods=5, rho=-0.5):

@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,96 @@ class TestLoadCsv:
         for name in ds.column_names:
             a, b = ds.column(name), back.column(name)
             assert ((a == b) | (np.isnan(a) & np.isnan(b))).all()
+
+
+def parse_cells(path):
+    """Reference parse of a dense entity-major file, one cell at a time: the
+    stripped cell is missing when it is "" or ".", else float(cell)."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = rows[0]
+    return {
+        name: np.array([math.nan if r[j].strip() in ("", ".") else float(r[j].strip()) for r in rows[1:]])
+        for j, name in enumerate(header) if name not in ("firm", "yr")
+    }
+
+
+class TestLoadCsvBlocks:
+    """Files longer than one parse block (CSV_BLOCK_ROWS rows)."""
+
+    N_ENT, N_T = 280, 5
+
+    def lines(self):
+        rng = np.random.default_rng(12)
+        cells = [".", "", "nan", "1e400", "-1e400", "1_000", "  2.5  ", "-0.0", "7"]
+        out = ["firm,yr,a,b,c"]
+        for e in range(self.N_ENT):
+            for t in range(self.N_T):
+                a = repr(float(rng.normal()))
+                b = cells[rng.integers(len(cells))] if rng.random() < 0.3 else f" {rng.uniform(0, 1e6)!r}"
+                c = "" if rng.random() < 0.4 else repr(float(rng.integers(0, 9)))
+                out.append(f"F{e:03d},{2001 + t},{a},{b},{c}")
+        out[700] = out[700].rsplit(",", 2)[0] + ", . ,"  # padded missing tokens, in one block only
+        return out
+
+    def write(self, path, lines):
+        # blank lines in several blocks
+        for at in (1, 300, 900, 1201):
+            lines.insert(at, "")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_bit_equal_to_cell_by_cell(self, tmp_path, monkeypatch):
+        from cdmpanel import panel
+
+        cell_by_cell = panel._parse_cells
+        slow = []
+
+        def counted(block, *args):
+            slow.append(block)
+            return cell_by_cell(block, *args)
+
+        monkeypatch.setattr(panel, "_parse_cells", counted)
+        assert self.N_ENT * self.N_T > 2 * panel.CSV_BLOCK_ROWS
+        path = self.write(tmp_path / "long.csv", self.lines())
+        ds = load_csv(path, "firm", "yr")
+        # missing tokens stay on the column-wise path; only the block with the
+        # padded ones is parsed cell by cell
+        assert len(slow) == 1
+        assert ds.entities == tuple(f"F{e:03d}" for e in range(self.N_ENT))
+        assert ds.periods == tuple(range(2001, 2001 + self.N_T))
+        want = parse_cells(path)
+        assert ds.column_names == tuple(want)
+        for name, arr in want.items():
+            assert np.array_equal(ds.column(name).view(np.uint64), arr.view(np.uint64)), name
+        b = ds.column("b")
+        assert np.isnan(b).sum() > 100 and np.isinf(b).any() and 1000.0 in b
+
+    @pytest.mark.parametrize("lineno, bad, message", [
+        (1103, "F999,2001,1.0,x1,2", "cannot parse 'x1' in column 'b'"),
+        (1103, "F999,2001,1.0,2", "expected 5 cells, got 4"),
+        (1103, "F999,2001.0,1.0,2,3", "non-integer year '2001.0'"),
+        (1103, "F999, 20 01 ,1,2,3", "non-integer year '20 01'"),
+        (1103, "F999,2001,1.0, . 5,3", "cannot parse '. 5' in column 'b'"),
+    ])
+    def test_error_names_the_line(self, tmp_path, lineno, bad, message):
+        lines = self.lines()
+        lines[lineno - 1] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            load_csv(path, "firm", "yr")
+        assert str(exc.value) == f"{path}:{lineno}: {message}"
+
+    def test_first_error_in_the_block_wins(self, tmp_path):
+        lines = self.lines()
+        lines[1099] = "F999,2001,1.0,2,3,4"  # line 1100: ragged
+        lines[1049] = "F999,2001,1.0,2,zz"  # line 1050: bad cell, earlier in the same block
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            load_csv(path, "firm", "yr")
+        assert str(exc.value) == f"{path}:1050: cannot parse 'zz' in column 'c'"
 
 
 class TestDerive:
