@@ -1,21 +1,23 @@
 """Count models for patent outcomes plus the prediction-calibration scheme.
 
-Two families:
+Two families, both fitted by maximum likelihood. Entity fixed effects (always
+in ``poisson_fe``, optional in ``nb2``) are estimated as parameters (first
+kept entity the baseline) but never built as dummy columns: their Hessian
+block is diagonal and is eliminated by a Schur complement in each step
+(estim.newton_design, estim.BlockHessian). All-zero entities are dropped
+first: their effects have no finite MLE.
 
-* ``poisson_fe`` - the exact conditional fixed-effects Poisson, which removes
-  entity effects by conditioning on each entity's count total. All-zero
-  entities carry no information and are dropped.
+* ``poisson_fe`` - the fixed-effects Poisson. The dummy-variable Poisson MLE
+  gives the slopes of the conditional likelihood, which conditions on each
+  entity's count total, and the same slope covariance, since profiling out
+  the entity effects leaves the conditional loglik plus a constant (Hausman,
+  Hall & Griliches 1984); the conditional loglik is reported.
 * ``nb2`` - negative binomial with Var(y|x) = mu + alpha*mu^2, alpha >= 0,
   estimated by profile likelihood in alpha (as MASS ``glm.nb``): the Poisson
   fit (alpha = 0) first, which is the optimum when the alpha-score there is
   not positive; otherwise a bounded root search on the profile score in
   alpha, with Newton in beta at each alpha, and the covariance from the joint
-  (beta, log alpha) Hessian at the optimum. Entity effects are estimated as
-  parameters (first kept entity the baseline) but never built as dummy
-  columns: their Hessian block is diagonal and is eliminated by a Schur
-  complement in each step (estim.newton_design, estim.BlockHessian). As in
-  the conditional model, all-zero entities are dropped first (Hausman, Hall
-  & Griliches 1984): their effects have no finite MLE.
+  (beta, log alpha) Hessian at the optimum.
 
 Calibration rescales raw exponential-index predictions so each entity's mean
 prediction matches its realized mean, then adds a small epsilon so logs of
@@ -109,39 +111,21 @@ def _drop_entities(ds: panel.PanelDataset, mask: np.ndarray, y: np.ndarray, min_
 
 
 # ---------------------------------------------------------------------------
-# conditional fixed-effects Poisson
-
-
-def _segments(entity_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and segment ids for entity-major sorted rows."""
-    change = np.flatnonzero(np.diff(entity_idx)) + 1
-    starts = np.concatenate(([0], change))
-    seg_of_row = np.repeat(np.arange(len(starts)), np.diff(np.concatenate((starts, [len(entity_idx)]))))
-    return starts, seg_of_row
-
-
-def _conditional_poisson_parts(beta, y, X, starts, seg_of_row, totals, const):
-    eta = X @ beta
-    with np.errstate(over="ignore", invalid="ignore"):
-        seg_max = np.maximum.reduceat(eta, starts)
-        expz = np.exp(eta - seg_max[seg_of_row])
-        seg_sum = np.add.reduceat(expz, starts)
-        p = expz / seg_sum[seg_of_row]
-        lse = seg_max + np.log(seg_sum)
-        ll = float(y @ eta - totals @ lse + const)
-        if not np.isfinite(ll):
-            return -np.inf, np.zeros(X.shape[1]), np.eye(X.shape[1])
-        w = totals[seg_of_row] * p
-        M = np.empty((len(starts), X.shape[1]))
-        for j in range(X.shape[1]):
-            M[:, j] = np.add.reduceat(p * X[:, j], starts)
-        grad = X.T @ y - M.T @ totals
-        hess = -((X * w[:, None]).T @ X - (M * totals[:, None]).T @ M)
-    return ll, grad, hess
+# fixed-effects Poisson
 
 
 def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
-    """Conditional (fixed-effects) Poisson; entities with all-zero totals drop out."""
+    """Fixed-effects Poisson: the dummy-variable Poisson MLE, entity effects as
+    codes (estim.newton_design); entities with an all-zero total or a single
+    complete row drop out.
+
+    Its slopes and their covariance are those of the conditional likelihood
+    (Hausman, Hall & Griliches 1984), and ``loglik`` is the conditional one,
+    the unconditional loglik plus sum_i [lgamma(T_i+1) - T_i log T_i + T_i]
+    over the entity totals T_i. Neither the intercept nor the entity effects
+    are reported as coefficients; ``entity_effects`` holds each kept entity's
+    T_i / sum_t exp(x_it'b).
+    """
     if spec.family != "poisson_fe":
         raise ValidationError("poisson_fe_fit requires family 'poisson_fe'")
     mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
@@ -150,7 +134,7 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
     y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
     y, n_entities_dropped = _drop_entities(ds, mask, y, min_rows=2)
     codes, levels = estim.fe_codes(ds, "entity", mask)
-    starts, seg_of_row = _segments(codes)
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # rows are entity-major
 
     slopes: list[str] = []
     absorbed: list[str] = []
@@ -162,28 +146,34 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
         else:
             slopes.append(name)
     year_dims = ("year",) if spec.year_fe else ()
-    X, names, mapping = estim.design_matrix(ds, mask, slopes, year_dims, intercept=False)
-    if not names:
+    dims = ("entity", *year_dims)
+    X, names, mapping, layout = estim.newton_design(ds, mask, slopes, dims, intercept=True)
+    reported = layout.dense_pos[:-1]  # slopes and year effects: all but entity effects and _cons
+    if not reported.size:
         raise ValidationError("no identifiable regressors remain after absorbing entity-constant columns")
+    estim.screen_rank(X, names, layout, intercept=True)
 
-    totals = np.add.reduceat(y, starts)
-    const = float(np.sum(gammaln(totals + 1)) - np.sum(gammaln(y + 1)))
+    # the exact profile at beta = 0: each entity's log mean count
+    totals = np.bincount(codes, weights=y)
+    log_means = np.log(totals / np.bincount(codes))
+    start = np.zeros(len(names))
+    start[layout.dense_pos[-1]] = log_means[0]
+    start[layout.entity_pos] = log_means[1:] - log_means[0]
+    lgy1 = gammaln(y + 1.0)
+    res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start)
 
-    res = estim.mle_fit(
-        lambda b: _conditional_poisson_parts(b, y, X, starts, seg_of_row, totals, const),
-        np.zeros(X.shape[1]),
-    )
-
+    beta = res.params[reported]
+    loglik = res.loglik + float(np.sum(gammaln(totals + 1.0) - totals * np.log(totals) + totals))
     base = FitResult(
-        coefficients=dict(zip(names, res.params)),
-        vcov=res.vcov,
+        coefficients=dict(zip([names[i] for i in reported], beta)),
+        vcov=res.vcov[:-1, :-1],
         n_obs=int(mask.sum()),
-        loglik=res.loglik,
+        loglik=loglik,
         n_dropped=ds.n_rows - int(mask.sum()),
         notes={
             "model": "poisson_fe",
-            "fe_dims": ("entity", *year_dims),
-            "fe_dummies": mapping,
+            "fe_dims": dims,
+            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
             "absorbed_columns": tuple(absorbed),
             "dropped_entities": n_entities_dropped,
             "newton_iterations": res.iterations,
@@ -196,10 +186,7 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
         base.wald_chi2 = estim.wald_chi2(base, slopes)
         base.notes["wald_restrictions"] = tuple(slopes)
 
-    eta = X @ res.params
-    seg_max = np.maximum.reduceat(eta, starts)
-    seg_sum = np.add.reduceat(np.exp(eta - seg_max[seg_of_row]), starts)
-    denom = np.exp(seg_max) * seg_sum
+    denom = np.bincount(codes, weights=np.exp(X[:, :-1] @ beta))
     effects = {level: float(t / d) for level, t, d in zip(levels, totals, denom)}
     return CountFit(
         base=base,
@@ -329,13 +316,14 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     0, (statistic, p) with p from the chi-bar-squared mixture 1/2 chi2(0) +
     1/2 chi2(1) (Gutierrez, Carter & Drukker 2001).
 
-    ``fix_alpha`` holds alpha at the given value; ``fix_alpha=0`` is the
-    (dummy-variable) Poisson model.
+    ``fix_alpha=0`` holds alpha at 0: the (dummy-variable) Poisson model,
+    without ``notes["lr_alpha0"]``. Any ``fix_alpha`` other than None or 0 is
+    refused.
     """
     if spec.family not in ("nb2",):
         raise ValidationError("nb2_fit requires family 'nb2'")
-    if fix_alpha is not None and fix_alpha < 0:
-        raise ValidationError("fix_alpha must be >= 0")
+    if fix_alpha not in (None, 0):
+        raise ValidationError(f"fix_alpha must be None (alpha estimated) or 0 (Poisson), got {fix_alpha!r}")
     mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
     if not mask.any():
         raise ValidationError("no complete cases for the count model")
@@ -349,6 +337,7 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, dims, intercept=True)
     if n < len(names) + 2:
         raise ValidationError(f"only {n} complete cases for {len(names)} parameters")
+    estim.screen_rank(X, names, layout, intercept=True)
     lgy1 = gammaln(y + 1.0)
 
     ybar = float(np.mean(y))
@@ -356,26 +345,21 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     start_b[-1] = np.log(ybar) if ybar > 0 else 0.0
 
     notes: dict = {"alpha_se": None}
-    if fix_alpha is not None and fix_alpha > 0:
-        s_fix = float(np.log(fix_alpha))
-        res = estim.mle_fit(lambda b: _nb2_parts(b, y, X, lgy1, s_fix, layout=layout), start_b)
-        params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, fix_alpha, res.iterations
-    else:
-        res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
-        params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, 0.0, res.iterations
-        if fix_alpha is None:
-            mu = np.exp(estim.design_index(X, res.params, layout))
-            score0 = 0.5 * float(np.sum((y - mu) ** 2 - y))
-            poisson_loglik = res.loglik
-            if score0 > 0.0:
-                alpha0 = min(max((float(np.var(y)) - ybar) / ybar**2 if ybar > 0 else 0.5, 0.01), 10.0)
-                res, more = _nb2_profile_mle(y, X, lgy1, layout, res.params, alpha0, score0)
-                params_b, vcov_b = res.params[:-1], res.vcov[:-1, :-1]
-                alpha_hat = float(np.exp(res.params[-1]))
-                notes["alpha_se"] = float(alpha_hat * np.sqrt(res.vcov[-1, -1]))
-                iterations += more
-            lr = max(2.0 * (res.loglik - poisson_loglik), 0.0)
-            notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
+    res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
+    params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, 0.0, res.iterations
+    if fix_alpha is None:
+        mu = np.exp(estim.design_index(X, res.params, layout))
+        score0 = 0.5 * float(np.sum((y - mu) ** 2 - y))
+        poisson_loglik = res.loglik
+        if score0 > 0.0:
+            alpha0 = min(max((float(np.var(y)) - ybar) / ybar**2 if ybar > 0 else 0.5, 0.01), 10.0)
+            res, more = _nb2_profile_mle(y, X, lgy1, layout, res.params, alpha0, score0)
+            params_b, vcov_b = res.params[:-1], res.vcov[:-1, :-1]
+            alpha_hat = float(np.exp(res.params[-1]))
+            notes["alpha_se"] = float(alpha_hat * np.sqrt(res.vcov[-1, -1]))
+            iterations += more
+        lr = max(2.0 * (res.loglik - poisson_loglik), 0.0)
+        notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
 
     coef = dict(zip(names, params_b))
     entity_effects = {}

@@ -70,44 +70,11 @@ def _lp_solve(y: np.ndarray, Xt: sparse.csr_matrix, tau: float) -> tuple[np.ndar
 
 def _lp_matrix(X: np.ndarray, layout: estim.EntityLayout | None) -> sparse.csr_matrix:
     """X' of the full design as CSR, rows in parameter order: the rows of the
-    dense X, and the entity indicators built from the layout's codes."""
+    dense X, and the layout's entity indicators but the baseline's."""
     if layout is None:
         return sparse.csr_matrix(X.T)
-    hit = np.flatnonzero(layout.codes)
-    entity = sparse.csr_matrix(
-        (np.ones(hit.size), (layout.codes[hit] - 1, hit)), shape=(len(layout.entity_pos), X.shape[0])
-    )
-    stacked = sparse.vstack([sparse.csr_matrix(X.T), entity], format="csr")
+    stacked = sparse.vstack([sparse.csr_matrix(X.T), layout.indicator[1:]], format="csr")
     return stacked[np.argsort(np.concatenate((layout.dense_pos, layout.entity_pos)))]
-
-
-def _screen_rank(X: np.ndarray, names, layout: estim.EntityLayout | None, intercept: bool) -> None:
-    """Raise CollinearityError naming a dependent column of the full design.
-
-    With entity effects, the indicators (with the intercept, all E of them;
-    without, the E - 1 non-baseline ones) have full column rank, so the design
-    has full rank iff the other non-intercept columns do after the entity
-    means are removed from their rows. Each projected column is divided by its
-    norm before projection and its pivots are judged against 1, so a column
-    that is entity-constant up to round-off is named whatever its scale or
-    that of the other columns.
-    """
-    if layout is None:
-        estim.assert_full_rank(X, names)
-        return
-    m = X.shape[1] - int(intercept)  # the intercept is the last dense column
-    if m == 0:
-        return
-    Z = X[:, :m]
-    means = np.column_stack([np.bincount(layout.codes, weights=z, minlength=layout.n_levels) for z in Z.T])
-    means /= np.bincount(layout.codes, minlength=layout.n_levels)[:, None]
-    if not intercept:
-        means[0] = 0.0
-    norms = np.linalg.norm(Z, axis=0)
-    norms[norms == 0] = 1.0
-    estim.assert_full_rank(
-        (Z - means[layout.codes]) / norms, [names[pos] for pos in layout.dense_pos[:m]], scale=1.0
-    )
 
 
 def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
@@ -126,7 +93,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         raise ValidationError(f"only {n} complete cases for {len(names)} parameters")
 
     # rank screen before solving so deficiency is reported on the design
-    _screen_rank(X, names, layout, spec.intercept)
+    estim.screen_rank(X, names, layout, spec.intercept)
     # solve on a scale-normalized response so the solver's absolute
     # tolerances are relative to the data and the fit is equivariant to
     # scaling y

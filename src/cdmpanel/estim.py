@@ -6,7 +6,8 @@ core with FE absorption by demeaning and analytic/HC1 covariances (one
 demeaning and one factorisation for several dependent columns), a
 line-searched Newton maximizer for likelihoods that takes entity effects as
 integer codes (newton_design) and eliminates their diagonal Hessian block by a
-Schur complement (BlockHessian), the entity-cluster bootstrap and
+Schur complement (BlockHessian), one rank screen for those designs
+(screen_rank), the entity-cluster bootstrap and
 apply_vcov, through which every estimator gets its covariance (refusing a
 kind it cannot give), variance inflation factors, and Wald tests. Every
 downstream estimator builds on these.
@@ -19,6 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 
 from . import panel
@@ -195,12 +197,15 @@ class EntityLayout(NamedTuple):
     dummy columns: ``codes`` (from fe_codes; code 0 is the dropped baseline)
     place each row in its entity, and the parameter vector is ordered as
     design_matrix orders it, with the E-1 entity effects at ``entity_pos`` and
-    the columns of the dense design X at ``dense_pos``."""
+    the columns of the dense design X at ``dense_pos``. ``indicator`` is the
+    E x n 0/1 matrix of the codes (CSC, one entry per row), so per-entity sums
+    of several columns are one sparse product, added in row order as
+    np.bincount adds them."""
 
     codes: np.ndarray
-    n_levels: int
     dense_pos: np.ndarray
     entity_pos: np.ndarray
+    indicator: scipy.sparse.csc_matrix
 
     @property
     def n_params(self) -> int:
@@ -208,9 +213,7 @@ class EntityLayout(NamedTuple):
 
     def entity_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-entity sums of v (a vector or the columns of a matrix), baseline left out."""
-        if v.ndim == 1:
-            return np.bincount(self.codes, weights=v, minlength=self.n_levels)[1:]
-        return np.column_stack([self.entity_sums(col) for col in v.T])
+        return (self.indicator @ v)[1:]
 
 
 class BlockHessian(NamedTuple):
@@ -247,7 +250,9 @@ def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
     n_entity = len(entity_names)
     entity_pos = np.arange(at, at + n_entity)
     dense_pos = np.concatenate((np.arange(at), np.arange(at + n_entity, len(names))))
-    return X, names, fe_dummies, EntityLayout(codes, len(levels), dense_pos, entity_pos)
+    n = len(codes)
+    indicator = scipy.sparse.csc_matrix((np.ones(n), codes, np.arange(n + 1)), shape=(len(levels), n))
+    return X, names, fe_dummies, EntityLayout(codes, dense_pos, entity_pos, indicator)
 
 
 def design_index(X: np.ndarray, params: np.ndarray, layout: EntityLayout | None) -> np.ndarray:
@@ -321,6 +326,35 @@ def assert_full_rank(X: np.ndarray, names, scale: float | None = None) -> None:
     """Raise CollinearityError naming a dependent column if X is rank deficient
     (pivots judged against scale, by default the largest pivot)."""
     _checked_qr(X, names, scale)
+
+
+def screen_rank(X: np.ndarray, names, layout: EntityLayout | None, intercept: bool) -> None:
+    """Raise CollinearityError naming a dependent column of the full design of
+    newton_design (X and its entity layout), before any fit on it.
+
+    With entity effects, the indicators (with the intercept, all E of them;
+    without, the E - 1 non-baseline ones) have full column rank, so the design
+    has full rank iff the other non-intercept columns do after the entity
+    means are removed from their rows. Each projected column is divided by its
+    norm before projection and its pivots are judged against 1, so a column
+    that is entity-constant up to round-off is named whatever its scale or
+    that of the other columns.
+    """
+    if layout is None:
+        assert_full_rank(X, names)
+        return
+    m = X.shape[1] - int(intercept)  # the intercept is the last dense column
+    if m == 0:
+        return
+    Z = X[:, :m]
+    means = (layout.indicator @ Z) / np.bincount(layout.codes)[:, None]
+    if not intercept:
+        means[0] = 0.0
+    norms = np.linalg.norm(Z, axis=0)
+    norms[norms == 0] = 1.0
+    assert_full_rank(
+        (Z - means[layout.codes]) / norms, [names[pos] for pos in layout.dense_pos[:m]], scale=1.0
+    )
 
 
 class OlsCore(NamedTuple):

@@ -141,6 +141,7 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     X, names, mapping, layout = estim.newton_design(ds, mask, regressors, fe_dims, intercept=True)
     if n < len(names) + 1:
         raise ValidationError(f"only {n} complete cases for {len(names)} probit parameters")
+    estim.screen_rank(X, names, layout, intercept=True)
 
     res = probit_mle(y, X, layout=layout)
     coef = dict(zip(names, res.params))

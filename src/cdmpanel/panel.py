@@ -215,24 +215,21 @@ def from_long(entity_values, year_values, columns: dict[str, list], metadata=Non
     if n_in == 0:
         return PanelDataset((), (), {name: np.empty(0) for name in columns}, dict(metadata or {}))
 
-    entities: list[str] = []
-    ent_pos: dict[str, int] = {}
-    for e in entity_values:
-        if e not in ent_pos:
-            ent_pos[e] = len(entities)
-            entities.append(e)
-    y_min, y_max = min(year_values), max(year_values)
+    labels, first, ent_code = np.unique(entity_values, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # entities in order of first appearance
+    rank = np.argsort(order)
+    entities = [str(e) for e in labels[order]]
+    years = np.array(year_values)
+    y_min, y_max = int(years.min()), int(years.max())
     periods = tuple(range(y_min, y_max + 1))
     n_periods = len(periods)
 
-    seen: set[tuple[str, int]] = set()
-    rows = np.empty(n_in, dtype=int)
-    for i, (e, y) in enumerate(zip(entity_values, year_values)):
-        key = (e, y)
-        if key in seen:
-            raise ValidationError(f"duplicate (entity, year) key ({e}, {y})")
-        seen.add(key)
-        rows[i] = ent_pos[e] * n_periods + (y - y_min)
+    rows = rank[ent_code] * n_periods + (years - y_min)
+    by_row = np.argsort(rows, kind="stable")
+    repeats = by_row[1:][rows[by_row[1:]] == rows[by_row[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())  # the first row whose key appeared before
+        raise ValidationError(f"duplicate (entity, year) key ({entity_values[i]}, {year_values[i]})")
 
     n_rows = len(entities) * n_periods
     cols: dict[str, np.ndarray] = {}

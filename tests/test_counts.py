@@ -14,7 +14,7 @@ from cdmpanel import (
 )
 from cdmpanel import estim, synthdgp
 from cdmpanel.counts import _nb2_parts
-from cdmpanel.exceptions import ConvergenceError
+from cdmpanel.exceptions import CollinearityError, ConvergenceError
 from cdmpanel.panel import take_entities
 
 
@@ -136,31 +136,81 @@ class TestPoissonFe:
             poisson_fe_fit(ds, CountSpec("c", ("x",), "poisson_fe", year_fe=False))
 
 
-class TestConditionalPoissonParts:
-    def test_gradient_and_hessian_match_finite_differences(self):
-        from cdmpanel.counts import _conditional_poisson_parts, _segments
+def conditional_poisson_oracle(beta, y, X, ent):
+    """Test-local conditional FE Poisson: loglik, score and Hessian in beta,
+    each entity's counts conditioned on its total T_i (multinomial with
+    shares p_it = exp(x_it'b) / sum_s exp(x_is'b))."""
+    ll = float(np.sum(gammaln(np.bincount(ent, weights=y) + 1.0)) - np.sum(gammaln(y + 1.0)))
+    grad = np.zeros(X.shape[1])
+    hess = np.zeros((X.shape[1], X.shape[1]))
+    for e in np.unique(ent):
+        ye, Xe = y[ent == e], X[ent == e]
+        eta = Xe @ beta
+        p = np.exp(eta - eta.max())
+        p /= p.sum()
+        t = ye.sum()
+        ll += float(ye @ np.log(p))
+        m = p @ Xe
+        grad += Xe.T @ ye - t * m
+        hess -= t * ((Xe * p[:, None]).T @ Xe - np.outer(m, m))
+    return ll, grad, hess
 
+
+class TestConditionalPoissonOracle:
+    def test_oracle_gradient_and_hessian_match_finite_differences(self):
         rng = np.random.default_rng(71)
         n_e, n_t = 8, 4
         ent = np.repeat(np.arange(n_e), n_t)
         X = np.column_stack([rng.normal(size=n_e * n_t), rng.normal(size=n_e * n_t)])
         y = rng.poisson(np.exp(0.4 * X[:, 0] + np.repeat(rng.normal(size=n_e), n_t))).astype(float)
-        keep = np.isin(ent, [e for e in range(n_e) if y[ent == e].sum() > 0])
-        y, X, ent = y[keep], X[keep], ent[keep]
-        starts, seg = _segments(ent)
-        totals = np.add.reduceat(y, starts)
         beta = np.array([0.3, -0.2])
-        ll, grad, hess = _conditional_poisson_parts(beta, y, X, starts, seg, totals, 0.0)
+        ll, grad, hess = conditional_poisson_oracle(beta, y, X, ent)
         eps = 1e-6
         for j in range(2):
             bp, bm = beta.copy(), beta.copy()
             bp[j] += eps
             bm[j] -= eps
-            lp, gp, _ = _conditional_poisson_parts(bp, y, X, starts, seg, totals, 0.0)
-            lm, gm, _ = _conditional_poisson_parts(bm, y, X, starts, seg, totals, 0.0)
+            lp, gp, _ = conditional_poisson_oracle(bp, y, X, ent)
+            lm, gm, _ = conditional_poisson_oracle(bm, y, X, ent)
             assert grad[j] == pytest.approx((lp - lm) / (2 * eps), rel=1e-5, abs=1e-6)
             for i in range(2):
                 assert hess[i, j] == pytest.approx((gp[i] - gm[i]) / (2 * eps), rel=1e-4, abs=1e-5)
+
+    @pytest.mark.parametrize("year_fe", [False, True])
+    def test_fit_is_the_conditional_optimum(self, year_fe):
+        # tolerances fixed before the first run: loglik 1e-10 relative,
+        # conditional score max-norm 1e-6, vcov = inv(-H) 1e-7 relative,
+        # entity effects 1e-12 relative
+        ds = count_panel(seed=73, n_entities=40, n_periods=6)
+        pat = ds.column("PAT").copy()
+        pat[ds.entity_index() == 3] = 0.0  # one all-zero entity, dropped
+        ds = ds.with_replaced({"PAT": pat})
+        fit = poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe", year_fe=year_fe))
+
+        y, x = ds.column("PAT"), ds.column("RDINT_star")
+        ent, years = ds.entity_index(), ds.row_years()
+        ok = np.isfinite(y) & np.isfinite(x)
+        totals = np.bincount(ent[ok], weights=y[ok], minlength=len(ds.entities))
+        rows = ok & (totals[ent] > 0)
+        cols = [x[rows]]
+        if year_fe:
+            cols += [(years[rows] == t).astype(float) for t in ds.periods[1:]]
+        X = np.column_stack(cols)
+        assert fit.base.names == ("RDINT_star", *(f"year={t}" for t in ds.periods[1:] if year_fe))
+
+        beta = fit.base.coef_vector()
+        ll, grad, hess = conditional_poisson_oracle(beta, y[rows], X, ent[rows])
+        assert fit.base.loglik == pytest.approx(ll, rel=1e-10)
+        assert np.max(np.abs(grad)) < 1e-6
+        V = np.linalg.inv(-hess)
+        assert np.max(np.abs(fit.base.vcov - V)) <= 1e-7 * np.max(np.abs(V))
+
+        kept = np.flatnonzero(totals > 0)
+        denom = np.bincount(ent[rows], weights=np.exp(X @ beta), minlength=len(ds.entities))
+        assert fit.n_dropped_entities == 1
+        assert list(fit.entity_effects) == [ds.entities[e] for e in kept]
+        for e in kept:
+            assert fit.entity_effects[ds.entities[e]] == pytest.approx(totals[e] / denom[e], rel=1e-12)
 
 
 class TestNb2:
@@ -242,6 +292,19 @@ class TestNb2:
         assert fit.base.notes["alpha_se"] is None
         assert fit.base.notes["lr_alpha0"] == (0.0, 1.0)
         assert fit.base.coefficients == poisson.base.coefficients
+
+    def test_fix_alpha_other_than_none_or_zero_refused(self):
+        ds = count_panel(seed=34, n_entities=30, n_periods=6)
+        spec = CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False)
+        with pytest.raises(ValidationError, match="fix_alpha"):
+            nb2_fit(ds, spec, fix_alpha=0.5)
+
+    def test_entity_constant_regressor_with_entity_fe_named(self):
+        ds = count_panel(seed=23, n_entities=40, n_periods=5)
+        ds = ds.with_column("const_by_entity", np.repeat(np.arange(40, dtype=float), 5))
+        spec = CountSpec("PAT", ("RDINT_star", "const_by_entity"), "nb2", entity_fe=True, year_fe=False)
+        with pytest.raises(CollinearityError, match="const_by_entity"):
+            nb2_fit(ds, spec)
 
     def test_entity_fe_drops_all_zero_entities(self):
         # entity 0 (the baseline) and entity 7 get no counts; _cons is then

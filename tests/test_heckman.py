@@ -131,6 +131,16 @@ class TestProbit:
         assert "year=2012" in fit.coefficients
         assert abs(fit.coefficients["year=2011"] - 0.6) < 3 * fit.se("year=2011")
 
+    def test_entity_constant_regressor_with_entity_fe_named(self):
+        rng = np.random.default_rng(9)
+        n_e, n_t = 40, 5
+        x = rng.normal(size=n_e * n_t)
+        d = ((0.5 * x + rng.normal(size=n_e * n_t)) > 0).astype(float)
+        ds = from_long(np.repeat([f"E{i}" for i in range(n_e)], n_t), list(range(2010, 2010 + n_t)) * n_e,
+                       {"d": d, "x": x, "const_by_entity": np.repeat(np.arange(n_e, dtype=float), n_t)})
+        with pytest.raises(CollinearityError, match="const_by_entity"):
+            probit_fit(ds, "d", ["x", "const_by_entity"], fe_dims=("entity",))
+
     def test_entity_effects_match_dense_dummy_newton(self):
         # tolerance fixed before the first run: 1e-8 on every coefficient
         rng = np.random.default_rng(8)
