@@ -149,7 +149,10 @@ def fe_codes(ds: panel.PanelDataset, dim: str, mask: np.ndarray) -> tuple[np.nda
     categories ascending."""
     if dim == "entity":
         present, codes = np.unique(ds.entity_index()[mask], return_inverse=True)
-        levels = [ds.entities[i] for i in present]
+        if len(present) == len(ds.entities):
+            levels = list(ds.entities)
+        else:
+            levels = np.array(ds.entities, dtype=object)[present].tolist()
     elif dim == "year":
         present, codes = np.unique(ds.year_index()[mask], return_inverse=True)
         levels = [int(ds.periods[i]) for i in present]

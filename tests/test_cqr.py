@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,6 +7,7 @@ from scipy.optimize import linprog
 
 from cdmpanel import (
     CollinearityError,
+    ConvergenceError,
     CqrSpec,
     ModelSpec,
     ValidationError,
@@ -224,16 +227,30 @@ class TestEntityEffectsAsCodes:
         (("region", "entity"), True),
         (("entity",), False),
     ])
-    def test_lp_matrix_equals_dense_design(self, fe_dims, intercept):
+    def test_operator_equals_dense_design(self, fe_dims, intercept):
+        # A = Z' for the full design Z, kept as X and the entity codes, with
+        # the dense columns first: A v, A'w and (A Q A')^-1 g against Z's.
+        # fe_panel's region is entity-constant; a region that varies within
+        # entities keeps Z'QZ nonsingular
+        rng = np.random.default_rng(63)
         ds = fe_panel(63)
+        ds = ds.with_replaced({"region": rng.integers(0, 3, size=ds.n_rows).astype(float)})
         mask = np.ones(ds.n_rows, dtype=bool)
         X, names, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, intercept)
-        A = cqr._lp_matrix(X, layout)
         dense, dense_names, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, intercept)
-        B = sparse.csr_matrix(dense.T)
         assert names == dense_names
-        assert A.shape == B.shape and A.nnz == B.nnz
-        assert (A != B).nnz == 0
+        Z = dense[:, np.concatenate((layout.dense_pos, layout.entity_pos))]
+        op = cqr._Operator.build(X, layout)
+        v = rng.normal(size=Z.shape[0])
+        w = rng.normal(size=Z.shape[1])
+        q = rng.uniform(0.1, 2.0, size=Z.shape[0])
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        assert close(op.dot(v), Z.T @ v)
+        assert close(op.tdot(w), Z @ w)
+        assert close(op.normal(q).solve(w), np.linalg.solve(Z.T @ (q[:, None] * Z), w))
 
 
 class TestDualAgainstPrimal:
@@ -259,6 +276,156 @@ class TestDualAgainstPrimal:
         assert abs(fit.notes["check_loss"] - oracle) <= 1e-9 * oracle
 
         X, _, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, True)
-        _, d = cqr._lp_solve(y, cqr._lp_matrix(X, layout), tau)
+        d = cqr._quantile_lp(y, X, layout, tau).d
         assert np.max(np.abs(dense.T @ d)) <= 1e-9
         assert np.all(d >= tau - 1.0 - 1e-9) and np.all(d <= tau + 1e-9)
+
+
+def stress_case(seed, n_e, n_t):
+    """One seeded LP of the stress oracle: a panel with continuous, integer
+    or heavily tied y, often a cluster-bootstrap draw with repeated
+    entities, and a random choice of regressors, fixed effects, intercept
+    and tau (among them tau with tau * T an integer)."""
+    rng = np.random.default_rng(seed)
+    ents = np.repeat([f"E{i}" for i in range(n_e)], n_t)
+    yrs = [int(t) for t in np.tile(np.arange(2010, 2010 + n_t), n_e)]
+    fe = np.repeat(rng.normal(size=n_e), n_t)
+    x = rng.normal(size=n_e * n_t)
+    z = rng.normal(size=n_e * n_t) + fe
+    kind = seed % 3
+    if kind == 0:
+        y = 0.4 * x - 0.3 * z + fe + rng.standard_t(3, size=n_e * n_t)
+    elif kind == 1:
+        y = np.round(2.0 + x + fe + rng.normal(size=n_e * n_t))
+    else:
+        y = np.round(2.0 * rng.exponential(size=n_e * n_t))
+    ds = from_long(list(ents), yrs, {"y": y, "x": x, "z": z})
+    if rng.random() < 0.5:
+        ds = take_entities(ds, rng.integers(0, n_e, size=n_e))
+    tau = float(rng.choice([0.5, 1.0 / n_t, 2.0 / n_t, 0.25, 0.8, rng.uniform(0.05, 0.95)]))
+    regressors = [("x", "z"), ("x",), ()][rng.integers(0, 3)]
+    intercept = rng.random() < 0.75 or not regressors
+    fe_dims = tuple(dim for dim, on in (("entity", rng.random() < 0.7), ("year", rng.random() < 0.5)) if on)
+    return ds, regressors, fe_dims, intercept, tau
+
+
+class TestAgainstHighs:
+    # tolerances, fixed before the first run: check loss within 1e-9
+    # relative of HiGHS's optimum, ||X'd||_inf <= 1e-9, d inside
+    # [tau - 1, tau] to 1e-9, and no certificate failure (ConvergenceError)
+    @pytest.mark.parametrize("n_e", [10, 30, 120])
+    @pytest.mark.parametrize("n_t", [3, 5, 6])
+    def test_seeded_panels(self, n_e, n_t):
+        failures = []
+        for seed in range(24):
+            ds, regressors, fe_dims, intercept, tau = stress_case(1000 * n_e + 10 * n_t + seed, n_e, n_t)
+            mask = np.ones(ds.n_rows, dtype=bool)
+            y = ds.column("y")
+            X, _, _, layout = newton_design(ds, mask, regressors, fe_dims, intercept)
+            dense, _, _ = design_matrix(ds, mask, regressors, fe_dims, intercept)
+            oracle = linprog(-y, A_eq=dense.T, b_eq=np.zeros(dense.shape[1]), bounds=(tau - 1.0, tau),
+                             method="highs")
+            assert oracle.status == 0
+            try:
+                sol = cqr._quantile_lp(y, X, layout, tau)
+            except ConvergenceError as exc:
+                failures.append((seed, repr(exc)))
+                continue
+            loss = check_loss(y - dense @ sol.b, tau)
+            checks = {
+                "loss": abs(loss + oracle.fun) <= 1e-9 * -oracle.fun,
+                "X'd": np.max(np.abs(dense.T @ sol.d)) <= 1e-9,
+                "bounds": np.all(sol.d >= tau - 1.0 - 1e-9) and np.all(sol.d <= tau + 1e-9),
+            }
+            failures.extend((seed, name) for name, ok in checks.items() if not ok)
+        assert failures == []
+
+
+class TestDegenerateInputs:
+    # each fit must be exact and raise no RuntimeWarning (tier-1 turns
+    # warnings into errors; the explicit filter keeps that true when this
+    # file runs alone)
+    def fit(self, ds, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return cqr_fit(ds, spec)
+
+    @pytest.mark.parametrize("fe_dims", [(), ("year",), ("entity", "year")])
+    def test_constant_y(self, fe_dims):
+        # the only zero-loss fit is y = 3 exactly, so the optimum is unique
+        ds = fe_panel(71)
+        ds = ds.with_replaced({"y": np.full(ds.n_rows, 3.0)})
+        fit = self.fit(ds, CqrSpec("y", ("x",), tau=0.3, fe_dims=fe_dims))
+        assert fit.coefficients["_cons"] == pytest.approx(3.0, abs=1e-12)
+        assert all(abs(b) <= 1e-12 for nm, b in fit.coefficients.items() if nm != "_cons")
+        assert fit.notes["check_loss"] == pytest.approx(0.0, abs=1e-12)
+        assert fit.notes["flat_optimum"] is False
+
+    @pytest.mark.parametrize("tau, cons, flat", [
+        (0.45, 1.0, False),       # tau * n = 5.4 falls inside the block of 1s
+        (0.25, 1.0, False),       # tau * n = 3 as well
+        (0.7, 2.0, False),        # tau * n = 8.4 inside the block of 2s
+        (2.0 / 12.0, None, True),  # tau * n = 2: any value in [0, 1]
+    ])
+    def test_integer_y_with_ties(self, tau, cons, flat):
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0])
+        fit = self.fit(iid_panel({"y": y}), CqrSpec("y", tau=tau))
+        if cons is None:
+            assert fit.coefficients["_cons"] in (0.0, 1.0)
+        else:
+            assert fit.coefficients["_cons"] == cons
+        assert fit.notes["flat_optimum"] is flat
+
+    def test_integer_y_with_ties_in_a_panel(self):
+        ds = fe_panel(72, n_e=30)
+        ds = ds.with_replaced({"y": np.round(ds.column("y"))})
+        fit = self.fit(ds, CqrSpec("y", ("x", "z"), tau=0.4, fe_dims=("entity", "year")))
+        dense, _, _ = design_matrix(ds, np.ones(ds.n_rows, dtype=bool), ("x", "z"), ("entity", "year"), True)
+        oracle = primal_oracle_loss(ds.column("y"), dense, 0.4)
+        assert abs(fit.notes["check_loss"] - oracle) <= 1e-12 * oracle
+
+    def test_entity_with_a_single_row(self):
+        # entity E3 keeps one complete row: its effect fits that row exactly
+        ds = fe_panel(73)
+        y = ds.column("y").copy()
+        y[ds.entity_index() == 3] = np.nan
+        y[3 * 5 + 2] = 1.7
+        ds = ds.with_replaced({"y": y})
+        fit = self.fit(ds, CqrSpec("y", ("x", "z"), tau=0.37, fe_dims=("entity",)))
+        mask = np.isfinite(y)
+        dense, _, _ = design_matrix(ds, mask, ("x", "z"), ("entity",), True)
+        oracle = primal_oracle_loss(y[mask], dense, 0.37)
+        assert abs(fit.notes["check_loss"] - oracle) <= 1e-12 * oracle
+        assert fit.notes["flat_optimum"] is False
+
+
+class TestLpNotes:
+    def test_iterations_and_pivots_recorded_not_reported(self):
+        from cdmpanel import tables
+
+        fit = cqr_fit(fe_panel(74), CqrSpec("y", ("x", "z"), tau=0.5, fe_dims=("entity", "year")))
+        assert isinstance(fit.notes["lp_iterations"], int) and fit.notes["lp_iterations"] >= 1
+        assert isinstance(fit.notes["vertex_pivots"], int) and fit.notes["vertex_pivots"] >= 0
+        lines = tables.result_lines("cqr", "full", "m", fit, tables.STAR_STYLES["uqr"], tau=0.5)
+        assert not any("lp_iterations" in line or "vertex_pivots" in line for line in lines)
+
+
+class TestVertexPivots:
+    @pytest.mark.parametrize("seed, fe_dims", [(75, ("entity", "year")), (76, ("year",)), (77, ("entity",))])
+    def test_pivots_reach_the_optimum_from_a_poor_vertex(self, seed, fe_dims):
+        # start from the vertex of random residuals, far from the optimum:
+        # the simplex pivots alone must reach HiGHS's check loss
+        ds = take_entities(fe_panel(seed, n_e=30), np.random.default_rng(seed).integers(0, 30, size=30))
+        mask = np.ones(ds.n_rows, dtype=bool)
+        y = ds.column("y")
+        X, _, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, True)
+        dense, _, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, True)
+        op = cqr._Operator.build(X, layout)
+        tau = 0.3
+        start = cqr._vertex(op, y, tau, *cqr._initial_basis(op, np.random.default_rng(seed).normal(size=len(y))),
+                            np.full(len(y), tau - 0.5))
+        v, pivots = cqr._certify(op, y, tau, start, np.full(len(y), tau - 0.5))
+        assert pivots > 0
+        oracle = primal_oracle_loss(y, dense, tau)
+        assert abs(check_loss(v.r, tau) - oracle) <= 1e-9 * oracle
+        assert np.all(v.d >= tau - 1.0 - cqr.DUAL_TOL) and np.all(v.d <= tau + cqr.DUAL_TOL)

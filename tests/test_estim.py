@@ -562,6 +562,21 @@ def max_rel_gap(a, b) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+class TestFeCodes:
+    @pytest.mark.parametrize("dropped", [(), (1,), (0, 3), (2, 3)])
+    def test_entity_levels_equal_the_per_label_lookup(self, dropped):
+        # the levels are the dataset's own label objects of the entities
+        # present, in dataset order, as a per-code lookup gives them
+        ds = synthdgp.generate_panel(synthdgp.DgpConfig(n_entities=5, n_periods=3, seed=80))
+        mask = ~np.isin(ds.entity_index(), dropped)
+        codes, levels = fe_codes(ds, "entity", mask)
+        present, expected_codes = np.unique(ds.entity_index()[mask], return_inverse=True)
+        expected = [ds.entities[i] for i in present]
+        assert type(levels) is list and levels == expected
+        assert all(a is b for a, b in zip(levels, expected))
+        assert np.array_equal(codes, expected_codes)
+
+
 class TestBlockHessian:
     # tolerance, fixed before the first run: relative 1e-10 in the max norm
     TOL = 1e-10
