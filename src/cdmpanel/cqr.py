@@ -4,12 +4,15 @@ The check loss rho_tau(u) = u * (tau - 1{u < 0}) is minimized exactly through
 the dual of the Koenker & Bassett (1978) LP, max y'd s.t. X'd = 0 with d in
 [tau - 1, tau] (Koenker 2005, sec. 6.2). It is solved in two steps, both on
 the design as newton_design builds it (the dense columns and the entity codes,
-no dummy block):
+no dummy block; a design without entity effects gets an empty entity block),
+through the Newton fits' primitives: the constraint products are
+estim.design_gradient and estim.design_index, and the normal matrix X'QX is
+estim.design_hessian's BlockHessian for the weights -q.
 
 - a Frisch-Newton interior point (Portnoy & Koenker 1997; quantreg's lp_fnm):
-  Mehrotra predictor-corrector steps on the bounded dual, whose normal matrix
-  X'QX has a diagonal entity block, so each iteration factors one Schur
-  complement over the non-entity parameters (as estim._newton_direction does);
+  Mehrotra predictor-corrector steps on the bounded dual, each of which
+  Cholesky factors the Schur complement of the normal matrix's diagonal
+  entity block (BlockHessian.schur) over the non-entity parameters;
 - an exact vertex: p rows of small residual (one anchor per non-baseline
   entity, then m rows whose differences to their anchor are independent) give
   the coefficients by one m x m solve and the duals d by its transpose. If a
@@ -25,13 +28,13 @@ entity-cluster bootstrap.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import estim, panel
-from .estim import FitResult, VcovSpec
+from .estim import FitResult, VcovSpec, design_gradient, design_hessian, design_index
 from .exceptions import ConvergenceError, ValidationError
 
 # a basic d within this distance of [tau - 1, tau] certifies the vertex, and a
@@ -68,68 +71,31 @@ def check_loss(u: np.ndarray, tau: float) -> float:
     return float(np.sum(u * (tau - (u < 0))))
 
 
-class _Normal(NamedTuple):
-    """Z'QZ factored by eliminating its diagonal entity block: the Cholesky
-    factor of the Schur complement S = X'QX - C' diag(1/D) C."""
-
-    chol: np.ndarray
-    Cd: np.ndarray
-    D: np.ndarray
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        m = self.Cd.shape[1]
-        gd, ge = g[:m], g[m:]
-        vd, _ = lapack.dpotrs(self.chol, gd - self.Cd.T @ ge)
-        return np.concatenate((vd, ge / self.D - self.Cd @ vd))
+def _params(layout: estim.EntityLayout, dense: np.ndarray, entity: np.ndarray) -> np.ndarray:
+    """A parameter vector in newton_design's order from its dense and entity parts."""
+    v = np.empty(layout.n_params)
+    v[layout.dense_pos] = dense
+    v[layout.entity_pos] = entity
+    return v
 
 
-class _Operator(NamedTuple):
-    """The LP's constraint matrix A = Z' for the full design Z = [X, entity
-    indicators but the baseline's], kept as X and the entity codes. Parameter
-    vectors hold the m columns of X first, then the E - 1 entity effects.
-    Rows are entity-major (PanelDataset's order), so each entity's rows are
-    the run starting at ``starts``; without entity effects every row is in
-    one run and the entity block is empty."""
+def _normal(X: np.ndarray, layout: estim.EntityLayout, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of the normal equations Z'QZ v = g of the full design Z (X and
+    the entity codes) for positive row weights q. -Z'QZ is design_hessian's
+    BlockHessian for h = -q; its Schur complement is Cholesky factored (LAPACK
+    dpotrf) once for any number of solves."""
+    H = design_hessian(X, -q, layout)
+    Cd, S = H.schur()
+    chol, info = lapack.dpotrf(S)
+    if info != 0:
+        raise np.linalg.LinAlgError("normal matrix of the quantile LP is not positive definite")
 
-    X: np.ndarray
-    codes: np.ndarray
-    starts: np.ndarray
+    def solve(g: np.ndarray) -> np.ndarray:
+        ge = g[layout.entity_pos]
+        vd = lapack.dpotrs(chol, g[layout.dense_pos] - Cd.T @ ge)[0]
+        return _params(layout, vd, -(ge + H.C @ vd) / H.d)
 
-    @classmethod
-    def build(cls, X: np.ndarray, layout: estim.EntityLayout | None) -> "_Operator":
-        if layout is None:
-            return cls(X, np.zeros(X.shape[0], dtype=np.intp), np.zeros(1, dtype=np.intp))
-        codes = layout.codes
-        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        if len(starts) != codes[-1] + 1:
-            raise ValidationError("rows are not grouped by entity")
-        return cls(X, codes, starts)
-
-    def entity_sums(self, V: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(V, self.starts, axis=0)[1:]
-
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        """A v = Z'v over the parameters."""
-        return np.concatenate((self.X.T @ v, self.entity_sums(v)))
-
-    def tdot(self, w: np.ndarray) -> np.ndarray:
-        """A'w = Z w over the rows."""
-        m = self.X.shape[1]
-        return self.X @ w[:m] + np.concatenate(([0.0], w[m:]))[self.codes]
-
-    def normal(self, q: np.ndarray) -> _Normal:
-        """A diag(q) A' = Z'QZ for positive row weights q, factored."""
-        n, m = self.X.shape
-        W = np.empty((n, m + 1))
-        W[:, 0] = q
-        np.multiply(self.X, q[:, None], out=W[:, 1:])
-        sums = self.entity_sums(W)
-        D, C = sums[:, 0], sums[:, 1:]
-        Cd = C / D[:, None]
-        chol, info = lapack.dpotrf(W[:, 1:].T @ self.X - C.T @ Cd)
-        if info != 0:
-            raise np.linalg.LinAlgError("normal matrix of the quantile LP is not positive definite")
-        return _Normal(chol, Cd, D)
+    return solve
 
 
 def _step_lengths(x, s, z, w, dx, dz, dw) -> tuple[float, float]:
@@ -140,9 +106,12 @@ def _step_lengths(x, s, z, w, dx, dz, dw) -> tuple[float, float]:
     return min(IPM_STEP * float(fp), 1.0), min(IPM_STEP * float(fd), 1.0)
 
 
-def _interior_point(op: _Operator, y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _interior_point(
+    X: np.ndarray, layout: estim.EntityLayout, y: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Frisch-Newton interior point for min c'x s.t. Ax = (1 - tau) A1,
-    0 <= x <= 1 with c = -y, so that d = x - (1 - tau) (Koenker & Ng 2005).
+    0 <= x <= 1 with c = -y and A = Z', so that d = x - (1 - tau) (Koenker &
+    Ng 2005).
 
     Returns the dual multipliers lam (the coefficients are -lam), d and the
     iteration count. Stops at the gap tolerance, or early when the normal
@@ -153,12 +122,12 @@ def _interior_point(op: _Operator, y: np.ndarray, tau: float) -> tuple[np.ndarra
     c = -y
     x = np.full(n, 1.0 - tau)
     s = 1.0 - x
-    b = op.dot(x)
-    lam = op.normal(np.ones(n)).solve(op.dot(c))  # least squares start
+    b = design_gradient(X, x, layout)
+    lam = _normal(X, layout, np.ones(n))(design_gradient(X, c, layout))  # least squares start
     # dual slacks with z - w = c - A'lam, both kept off zero so that rows
     # the least-squares fit leaves at a (round-off) zero residual do not
     # start with an unbounded weight
-    r = c - op.tdot(lam)
+    r = c - design_index(X, lam, layout)
     z = np.maximum(r, 0.0) + 1e-3
     w = z - r
     it = 0
@@ -170,9 +139,9 @@ def _interior_point(op: _Operator, y: np.ndarray, tau: float) -> tuple[np.ndarra
             # affine (predictor) step
             q = 1.0 / (z / x + w / s)
             r = z - w
-            normal = op.normal(q)
-            dlam = normal.solve(op.dot(q * r))
-            dx = q * (op.tdot(dlam) - r)
+            normal = _normal(X, layout, q)
+            dlam = normal(design_gradient(X, q * r, layout))
+            dx = q * (design_index(X, dlam, layout) - r)
             dz = -z * (dx / x + 1.0)
             dw = -w * (1.0 - dx / s)
             fp, fd = _step_lengths(x, s, z, w, dx, dz, dw)
@@ -187,8 +156,8 @@ def _interior_point(op: _Operator, y: np.ndarray, tau: float) -> tuple[np.ndarra
                 xinv = 1.0 / x
                 sinv = 1.0 / s
                 xi = mu * (xinv - sinv)
-                dlam = normal.solve(op.dot(q * (r + dxdz - dsdw - xi)))
-                dx = q * (op.tdot(dlam) + xi - r - dxdz + dsdw)
+                dlam = normal(design_gradient(X, q * (r + dxdz - dsdw - xi), layout))
+                dx = q * (design_index(X, dlam, layout) + xi - r - dxdz + dsdw)
                 dz = mu * xinv - z - xinv * z * dx - dxdz
                 dw = mu * sinv - w + sinv * w * dx - dsdw
                 fp, fd = _step_lengths(x, s, z, w, dx, dz, dw)
@@ -220,9 +189,9 @@ class _Vertex(NamedTuple):
     d: np.ndarray
 
 
-def _differenced(op: _Operator, v: np.ndarray, anchors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _differenced(layout: estim.EntityLayout, v: np.ndarray, anchors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """v at ``rows`` minus v at their entity's anchor (baseline rows as they are)."""
-    anchor = np.concatenate(([-1], anchors))[op.codes[rows]]
+    anchor = np.concatenate(([-1], anchors))[layout.codes[rows]]
     out = v[rows]
     out[anchor >= 0] -= v[anchor[anchor >= 0]]
     return out
@@ -233,23 +202,20 @@ def _excess(d: np.ndarray, tau: float) -> float:
     return float(max(np.max(d - tau), np.max(tau - 1.0 - d), 0.0))
 
 
-def _basic_duals(op: _Operator, lu, anchors, rows, d: np.ndarray) -> np.ndarray:
+def _basic_duals(X: np.ndarray, layout: estim.EntityLayout, lu, anchors, rows, d: np.ndarray) -> np.ndarray:
     """d with its basic entries solved from A d = 0 given the others:
     M'd_rows = -t_X + X[anchors]'t_E for t = A d over the rows off the basis,
     then each anchor's d closes its entity's sum."""
     d = d.copy()
     d[anchors] = 0.0
     d[rows] = 0.0
-    t = op.dot(d)
-    m = op.X.shape[1]
-    d_rows = lapack.dgetrs(*lu, op.X[anchors].T @ t[m:] - t[:m], trans=1)[0]
-    d[rows] = d_rows
-    in_entity = np.bincount(op.codes[rows], weights=d_rows, minlength=len(anchors) + 1)[1:]
-    d[anchors] = -t[m:] - in_entity
+    t = design_gradient(X, d, layout)
+    d[rows] = lapack.dgetrs(*lu, X[anchors].T @ t[layout.entity_pos] - t[layout.dense_pos], trans=1)[0]
+    d[anchors] = -layout.entity_sums(d)
     return d
 
 
-def _vertex(op: _Operator, y, tau, anchors, rows, d_ipm) -> _Vertex:
+def _vertex(X: np.ndarray, layout: estim.EntityLayout, y, tau, anchors, rows, d_ipm) -> _Vertex:
     """Solve the basis (anchors, rows) for b exactly, then for the duals.
 
     Off the basis, d is at the bound the sign of its residual gives; a row
@@ -260,14 +226,13 @@ def _vertex(op: _Operator, y, tau, anchors, rows, d_ipm) -> _Vertex:
     row instead (the projection onto A d = 0 weighted by each row's
     (d - tau + 1)(tau - d), then clipped), and the basic d are solved again.
     """
-    M = _differenced(op, op.X, anchors, rows)
+    M = _differenced(layout, X, anchors, rows)
     lu = lapack.dgetrf(M)[:2]
     if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) <= 1e-12 * np.max(np.abs(M)):
         raise ConvergenceError("quantile LP basis is singular")
-    beta = lapack.dgetrs(*lu, _differenced(op, y, anchors, rows))[0]
-    alpha = y[anchors] - op.X[anchors] @ beta
-    b = np.concatenate((beta, alpha))
-    r = y - op.tdot(b)
+    beta = lapack.dgetrs(*lu, _differenced(layout, y, anchors, rows))[0]
+    b = _params(layout, beta, y[anchors] - X[anchors] @ beta)
+    r = y - design_index(X, b, layout)
     basic = np.concatenate((anchors, rows))
     r[basic] = 0.0
     zero = np.abs(r) <= 1e-9 * (1.0 + np.max(np.abs(y)))
@@ -275,36 +240,37 @@ def _vertex(op: _Operator, y, tau, anchors, rows, d_ipm) -> _Vertex:
     d = np.where(r > 0, tau, tau - 1.0)
     d[zero] = np.clip(d_ipm[zero], tau - 1.0, tau)
     spreads = 3 if np.count_nonzero(zero) > len(basic) else 0
-    d = _basic_duals(op, lu, anchors, rows, d)
+    d = _basic_duals(X, layout, lu, anchors, rows, d)
     while spreads and _excess(d[basic], tau) > 0.0:
         spreads -= 1
         p = np.clip(d, tau - 1.0, tau)
         weight = np.where(zero, np.maximum((p - tau + 1.0) * (tau - p), 1e-12), 0.0)
         try:
-            p -= weight * op.tdot(op.normal(weight).solve(op.dot(p)))
+            p -= weight * design_index(X, _normal(X, layout, weight)(design_gradient(X, p, layout)), layout)
         except np.linalg.LinAlgError:
             break
-        p = _basic_duals(op, lu, anchors, rows, np.clip(p, tau - 1.0, tau))
+        p = _basic_duals(X, layout, lu, anchors, rows, np.clip(p, tau - 1.0, tau))
         if not _excess(p[basic], tau) < _excess(d[basic], tau):
             break
         d = p
     return _Vertex(anchors, rows, lu, b, r, d)
 
 
-def _initial_basis(op: _Operator, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _initial_basis(X: np.ndarray, layout: estim.EntityLayout, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Anchors by smallest |r| per entity, then m rows by smallest |r| whose
     differenced rows are independent, chosen greedily by Gram-Schmidt (over
     the first 4m + 16 candidates, and over all of them if those fall short)."""
     absr = np.abs(r)
-    order = np.lexsort((absr, op.codes))
-    anchors = order[op.starts[1:]]
+    order = np.lexsort((absr, layout.codes))
+    # the first row of each non-baseline entity in that order
+    anchors = order[1:][np.diff(layout.codes[order]) != 0]
     rest = np.ones(len(r), dtype=bool)
     rest[anchors] = False
     cand = np.flatnonzero(rest)
     cand = cand[np.argsort(absr[cand], kind="stable")]
-    m = op.X.shape[1]
+    m = X.shape[1]
     for size in (4 * m + 16, len(cand)):
-        V = _differenced(op, op.X, anchors, cand[:size])
+        V = _differenced(layout, X, anchors, cand[:size])
         floor = 1e-16 * np.einsum("ij,ij->i", V, V)
         chosen = []
         while len(chosen) < m:
@@ -331,24 +297,24 @@ def _violation(v: _Vertex, tau: float) -> tuple[int, float]:
     return int(basic[k]), (1.0 if db[k] > tau else -1.0)
 
 
-def _pivot(op: _Operator, v: _Vertex, tau: float, j: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+def _pivot(
+    X: np.ndarray, layout: estim.EntityLayout, v: _Vertex, tau: float, j: int, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
     """One Barrodale-Roberts step: release basic row j so that its residual
     moves by sigma, walk the check loss along that edge to its minimum (a
     weighted median over the rows' breakpoints) and return the new basis with
     the row met there in place of j."""
-    m = op.X.shape[1]
-    rhs = np.zeros(m)
+    rhs = np.zeros(X.shape[1])
     e_alpha = np.zeros(len(v.anchors))
     row_pos = np.flatnonzero(v.rows == j)
-    code_j = op.codes[j]
+    code_j = layout.codes[j]
     if row_pos.size:
         rhs[row_pos[0]] = -sigma
     else:  # j anchors entity code_j: its other basic rows move with it
-        rhs[op.codes[v.rows] == code_j] = sigma
+        rhs[layout.codes[v.rows] == code_j] = sigma
         e_alpha[code_j - 1] = -sigma
     dbeta = lapack.dgetrs(*v.lu, rhs)[0]
-    dalpha = e_alpha - op.X[v.anchors] @ dbeta
-    dr = -op.tdot(np.concatenate((dbeta, dalpha)))
+    dr = -design_index(X, _params(layout, dbeta, e_alpha - X[v.anchors] @ dbeta), layout)
     basic = np.concatenate((v.anchors, v.rows))
     dr[basic] = 0.0
     dr[np.abs(dr) <= 1e-12 * np.max(np.abs(dr))] = 0.0
@@ -378,7 +344,7 @@ def _pivot(op: _Operator, v: _Vertex, tau: float, j: int, sigma: float) -> tuple
     # first basic row
     anchors = v.anchors.copy()
     if not row_pos.size:
-        same = new[op.codes[new] == code_j]
+        same = new[layout.codes[new] == code_j]
         anchors[code_j - 1] = same[0]
     rows = np.setdiff1d(new, anchors, assume_unique=True)
     return anchors, rows
@@ -398,14 +364,16 @@ _QUIET = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 @_QUIET
-def _certify(op: _Operator, y: np.ndarray, tau: float, v: _Vertex, d_ipm: np.ndarray) -> tuple[_Vertex, int]:
+def _certify(
+    X: np.ndarray, layout: estim.EntityLayout, y: np.ndarray, tau: float, v: _Vertex, d_ipm: np.ndarray
+) -> tuple[_Vertex, int]:
     """Simplex pivots from vertex v until its duals certify it; returns the
     optimal vertex and the number of pivots."""
     pivots = 0
     while (violated := _violation(v, tau))[0] >= 0:
         if pivots >= 50 + 10 * len(y):
             raise ConvergenceError(f"quantile LP vertex not certified after {pivots} simplex pivots")
-        v = _vertex(op, y, tau, *_pivot(op, v, tau, *violated), d_ipm)
+        v = _vertex(X, layout, y, tau, *_pivot(X, layout, v, tau, *violated), d_ipm)
         pivots += 1
     return v, pivots
 
@@ -414,22 +382,23 @@ def _certify(op: _Operator, y: np.ndarray, tau: float, v: _Vertex, d_ipm: np.nda
 def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout | None, tau: float) -> _LpSolution:
     """Exact check-loss minimizer on a newton_design design: the interior
     point, then the vertex its residuals point to, then simplex pivots until
-    the vertex's duals certify it.
+    the vertex's duals certify it. A design without entity effects (layout
+    None) is solved with an empty entity block.
 
     The columns of X are solved at unit largest magnitude, so that the
     independence test of the basis rows and the factorisations do not depend
     on the units of the regressors.
     """
+    if layout is None:
+        layout = estim.EntityLayout.from_codes(np.zeros(len(y), dtype=np.intp), 1, X.shape[1], 0)
     scale = np.max(np.abs(X), axis=0)
     scale[scale == 0.0] = 1.0
-    op = _Operator.build(X / scale, layout)
-    lam, d_ipm, iterations = _interior_point(op, y, tau)
-    start = _vertex(op, y, tau, *_initial_basis(op, y + op.tdot(lam)), d_ipm)
-    v, pivots = _certify(op, y, tau, start, d_ipm)
-    m = X.shape[1]
-    order = np.arange(m) if layout is None else np.concatenate((layout.dense_pos, layout.entity_pos))
-    b = np.empty(len(order))
-    b[order] = np.concatenate((v.b[:m] / scale, v.b[m:]))
+    X = X / scale
+    lam, d_ipm, iterations = _interior_point(X, layout, y, tau)
+    start = _vertex(X, layout, y, tau, *_initial_basis(X, layout, y + design_index(X, lam, layout)), d_ipm)
+    v, pivots = _certify(X, layout, y, tau, start, d_ipm)
+    b = v.b.copy()
+    b[layout.dense_pos] /= scale
     return _LpSolution(b, v.d, iterations, pivots)
 
 
@@ -455,16 +424,16 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     # scaling y
     y_scale = float(np.mean(np.abs(y - np.median(y))))
     if not y_scale > 0:
-        y_scale = max(float(np.max(np.abs(y))), 1.0) if n else 1.0
+        y_scale = max(float(np.max(np.abs(y))), 1.0)
     sol = _quantile_lp(y / y_scale, X, layout, spec.tau)
     beta = sol.b * y_scale
     duals = sol.d
-    resid = y - estim.design_index(X, beta, layout)
+    resid = y - design_index(X, beta, layout)
     loss = check_loss(resid, spec.tau)
 
     # a zero-residual observation whose dual sits at a bound can leave the
     # basis at no cost, so the optimum is a flat interval
-    scale = float(np.max(np.abs(y))) if n else 1.0
+    scale = float(np.max(np.abs(y)))
     zero = np.abs(resid) <= 1e-9 * (1.0 + scale)
     at_bound = np.minimum(np.abs(duals - spec.tau), np.abs(duals - spec.tau + 1.0)) <= DUAL_TOL
     flat = bool(np.any(zero & at_bound))

@@ -1,14 +1,16 @@
 """Shared estimation machinery.
 
-Complete-case handling, one integer-coded fixed-effect encoding (fe_codes) and
-one design builder (design_matrix) used by every estimator, an array-level OLS
+Complete-case handling, one integer-coded fixed-effect encoding (fe_codes),
+the dense design builder of the linear fits (design_matrix) and its variant
+that keeps entity effects as integer codes (newton_design with an
+EntityLayout, used by every likelihood fit and the CQR LP), an array-level OLS
 core with FE absorption by demeaning and analytic/HC1 covariances (one
 demeaning and one factorisation for several dependent columns), a
-line-searched Newton maximizer for likelihoods that takes entity effects as
-integer codes (newton_design) and eliminates their diagonal Hessian block by a
-Schur complement (BlockHessian), one rank screen for those designs
-(screen_rank), the entity-cluster bootstrap and
-apply_vcov, through which every estimator gets its covariance (refusing a
+line-searched Newton maximizer for likelihoods on newton_design designs that
+eliminates their diagonal entity Hessian block by a Schur complement
+(BlockHessian, whose Schur complement the CQR LP's normal equations share),
+one rank screen for those designs (screen_rank), the entity-cluster bootstrap
+and apply_vcov, through which every estimator gets its covariance (refusing a
 kind it cannot give), variance inflation factors, and Wald tests. Every
 downstream estimator builds on these.
 """
@@ -196,19 +198,33 @@ def design_matrix(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
 
 
 class EntityLayout(NamedTuple):
-    """Entity fixed effects of a Newton fit kept as integer codes, not as
-    dummy columns: ``codes`` (from fe_codes; code 0 is the dropped baseline)
-    place each row in its entity, and the parameter vector is ordered as
-    design_matrix orders it, with the E-1 entity effects at ``entity_pos`` and
-    the columns of the dense design X at ``dense_pos``. ``indicator`` is the
-    E x n 0/1 matrix of the codes (CSC, one entry per row), so per-entity sums
-    of several columns are one sparse product, added in row order as
-    np.bincount adds them."""
+    """Entity fixed effects of a Newton fit or the CQR LP kept as integer
+    codes, not as dummy columns: ``codes`` (from fe_codes; code 0 is the
+    dropped baseline) place each row in its entity, and the parameter vector
+    is ordered as design_matrix orders it, with the E-1 entity effects at
+    ``entity_pos`` and the columns of the dense design X at ``dense_pos``.
+    ``indicator`` is the E x n 0/1 matrix of the codes (CSC, one entry per
+    row), so per-entity sums of several columns are one sparse product, added
+    in row order as np.bincount adds them. Rows need not be grouped by
+    entity."""
 
     codes: np.ndarray
     dense_pos: np.ndarray
     entity_pos: np.ndarray
     indicator: scipy.sparse.csc_matrix
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, n_levels: int, n_dense: int, at: int) -> "EntityLayout":
+        """Layout of entity codes 0..n_levels-1 whose n_levels - 1 effects sit
+        at position ``at`` among the n_dense columns of X. One level gives an
+        empty entity block: X alone, as the CQR LP takes a design without
+        entity effects."""
+        n_entity = n_levels - 1
+        entity_pos = np.arange(at, at + n_entity)
+        dense_pos = np.concatenate((np.arange(at), np.arange(at + n_entity, n_dense + n_entity)))
+        n = len(codes)
+        indicator = scipy.sparse.csc_matrix((np.ones(n), codes, np.arange(n + 1)), shape=(n_levels, n))
+        return cls(codes, dense_pos, entity_pos, indicator)
 
     @property
     def n_params(self) -> int:
@@ -230,6 +246,15 @@ class BlockHessian(NamedTuple):
     dense_pos: np.ndarray
     entity_pos: np.ndarray
 
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entity block of -H eliminated: Cd = diag(1/d) C and the Schur
+        complement of -H, S = C' diag(1/d) C - A. The dense part x of
+        (-H)^-1 g solves S x = g_dense - Cd' g_entity, and the entity part is
+        -(g_entity + C x) / d. The Newton step, the covariance and the CQR
+        LP's normal equations each factor S their own way."""
+        Cd = self.C / self.d[:, None]
+        return Cd, Cd.T @ self.C - self.A
+
 
 def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
     """design_matrix for a Newton fit or the CQR LP, with the entity dummies left out of X.
@@ -250,12 +275,7 @@ def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
     names = dense_names[:at] + entity_names + dense_names[at:]
     dummies = {**dense_map, **{nm: ("entity", level) for nm, level in zip(entity_names, levels[1:])}}
     fe_dummies = {nm: dummies[nm] for nm in names if nm in dummies}
-    n_entity = len(entity_names)
-    entity_pos = np.arange(at, at + n_entity)
-    dense_pos = np.concatenate((np.arange(at), np.arange(at + n_entity, len(names))))
-    n = len(codes)
-    indicator = scipy.sparse.csc_matrix((np.ones(n), codes, np.arange(n + 1)), shape=(len(levels), n))
-    return X, names, fe_dummies, EntityLayout(codes, dense_pos, entity_pos, indicator)
+    return X, names, fe_dummies, EntityLayout.from_codes(codes, len(levels), X.shape[1], at)
 
 
 def design_index(X: np.ndarray, params: np.ndarray, layout: EntityLayout | None) -> np.ndarray:
@@ -533,11 +553,11 @@ def _newton_direction(g: np.ndarray, H) -> np.ndarray:
     try:
         if isinstance(H, BlockHessian):
             # eliminate the diagonal entity block: solve the Schur complement
-            # S = A - C' diag(1/d) C for the dense step, back-substitute the rest
+            # for the dense step, back-substitute the rest
             ge = g[H.entity_pos]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                Cd = H.C / H.d[:, None]
-                sd = np.linalg.solve(Cd.T @ H.C - H.A, g[H.dense_pos] - Cd.T @ ge)
+                Cd, S = H.schur()
+                sd = np.linalg.solve(S, g[H.dense_pos] - Cd.T @ ge)
                 step = np.empty_like(g)
                 step[H.dense_pos] = sd
                 step[H.entity_pos] = -(ge + H.C @ sd) / H.d
@@ -558,15 +578,16 @@ def _hessian_vcov(H) -> np.ndarray:
     finite with a positive diagonal.
 
     For a BlockHessian only the block of the parameters at ``dense_pos`` is
-    returned, in that order: V_dd = (-S)^-1 with S = A - C' diag(1/d) C. The
-    entity rows of the inverse are not built, but their diagonal,
-    diag(V_ee) = -1/d + rowsum((C/d) V_dd * (C/d)), is checked in O(E k^2).
+    returned, in that order: V_dd = S^-1 for the Schur complement S of -H
+    (BlockHessian.schur). The entity rows of the inverse are not built, but
+    their diagonal, diag(V_ee) = -1/d + rowsum((C/d) V_dd * (C/d)), is checked
+    in O(E k^2).
     """
     try:
         if isinstance(H, BlockHessian):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                Cd = H.C / H.d[:, None]
-                V = np.linalg.inv(Cd.T @ H.C - H.A)
+                Cd, S = H.schur()
+                V = np.linalg.inv(S)
                 diag = np.concatenate((np.diag(V), np.sum((Cd @ V) * Cd, axis=1) - 1.0 / H.d))
         else:
             V = np.linalg.inv(-H)
@@ -592,9 +613,10 @@ def bootstrap_vcov(
     """Cluster bootstrap covariance of the coefficients returned by ``refit``.
 
     Entities are resampled with replacement; replication r draws from an RNG
-    stream keyed by (seed, r), so results do not depend on execution order. Replications whose refit raises one of ESTIMATION_ERRORS
-    are dropped and counted; more than 10% failures is an error. Any other
-    exception propagates.
+    stream keyed by (seed, r), so results do not depend on execution order.
+    Replications whose refit raises one of ESTIMATION_ERRORS are dropped and
+    counted; more than 10% failures is an error. Any other exception
+    propagates.
     """
     if vcov.kind != "cluster_bootstrap":
         raise ValidationError("bootstrap_vcov requires a cluster_bootstrap VcovSpec")

@@ -118,7 +118,8 @@ def _quantile(cdf: tuple[np.ndarray, np.ndarray], tau: float) -> float:
 def _bandwidth(bandwidth, x: np.ndarray, w: np.ndarray, cdf=None) -> float:
     """Kernel bandwidth: a fixed value, or Silverman's rule
     h = 0.9 * min(sd, IQR/1.34) * n^(-1/5) with the weighted sd and IQR, the
-    IQR read from ``cdf`` (x's _cdf, sorted here when not given)."""
+    IQR read from ``cdf`` (x's _cdf, sorted here when not given). A zero IQR
+    leaves sd in its place, as R's bw.nrd0 does."""
     if not isinstance(bandwidth, str):
         h = float(bandwidth)
         if not h > 0:
@@ -131,7 +132,7 @@ def _bandwidth(bandwidth, x: np.ndarray, w: np.ndarray, cdf=None) -> float:
     mean = float(np.sum(w * x)) / wsum
     sd = float(np.sqrt(np.sum(w * (x - mean) ** 2) / wsum))
     iqr = _quantile(cdf, 0.75) - _quantile(cdf, 0.25)
-    h = 0.9 * min(sd, iqr / 1.34) * x.size ** (-0.2)
+    h = 0.9 * (min(sd, iqr / 1.34) or sd) * x.size ** (-0.2)
     if not h > 0:
         raise ValidationError("silverman bandwidth is zero (sample has no spread)")
     return h
@@ -153,8 +154,8 @@ def _checked_weights(weights) -> np.ndarray:
 def kde_at(sample, point: float, bandwidth="silverman", weights=None) -> float:
     """Gaussian-kernel density estimate at one point.
 
-    Silverman's rule: h = 0.9 * min(sd, IQR/1.34) * n^(-1/5). A zero bandwidth
-    (constant sample) is an error.
+    Silverman's rule: h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), with sd alone
+    when the IQR is zero. A zero bandwidth (constant sample) is an error.
     """
     x = np.asarray(sample, dtype=float)
     w = np.ones(x.shape) if weights is None else _checked_weights(weights)

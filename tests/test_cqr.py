@@ -18,7 +18,7 @@ from cdmpanel import (
 )
 from cdmpanel import cqr
 from cdmpanel.cqr import check_loss
-from cdmpanel.estim import design_matrix, newton_design
+from cdmpanel.estim import EntityLayout, design_gradient, design_index, design_matrix, newton_design
 from cdmpanel.panel import take_entities
 
 
@@ -165,6 +165,14 @@ def fe_panel(seed, n_e=20, n_t=5):
                                        "firm_const": np.repeat(rng.normal(size=n_e), n_t)})
 
 
+def lp_layout(X, layout):
+    """newton_design's layout, or the empty entity block the quantile LP
+    solves a design without entity effects with."""
+    if layout is not None:
+        return layout
+    return EntityLayout.from_codes(np.zeros(X.shape[0], dtype=np.intp), 1, X.shape[1], 0)
+
+
 def primal_oracle_loss(y, X, tau):
     """Check loss at the optimum of the Koenker-Bassett primal LP:
     min tau*1'u+ + (1-tau)*1'u-  s.t.  X b + u+ - u- = y."""
@@ -226,21 +234,23 @@ class TestEntityEffectsAsCodes:
         (("entity", "region", "year"), False),
         (("region", "entity"), True),
         (("entity",), False),
+        (("year", "region"), True),
     ])
-    def test_operator_equals_dense_design(self, fe_dims, intercept):
-        # A = Z' for the full design Z, kept as X and the entity codes, with
-        # the dense columns first: A v, A'w and (A Q A')^-1 g against Z's.
-        # fe_panel's region is entity-constant; a region that varies within
-        # entities keeps Z'QZ nonsingular
+    def test_estim_primitives_equal_dense_design(self, fe_dims, intercept):
+        # the LP's A = Z' for the full design Z, kept as X and the entity
+        # codes in newton_design's parameter order: A v, A'w and
+        # (A Q A')^-1 g through the estim primitives against Z's. Without
+        # entity effects the entity block is empty. fe_panel's region is
+        # entity-constant; a region that varies within entities keeps Z'QZ
+        # nonsingular
         rng = np.random.default_rng(63)
         ds = fe_panel(63)
         ds = ds.with_replaced({"region": rng.integers(0, 3, size=ds.n_rows).astype(float)})
         mask = np.ones(ds.n_rows, dtype=bool)
         X, names, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, intercept)
-        dense, dense_names, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, intercept)
+        Z, dense_names, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, intercept)
         assert names == dense_names
-        Z = dense[:, np.concatenate((layout.dense_pos, layout.entity_pos))]
-        op = cqr._Operator.build(X, layout)
+        layout = lp_layout(X, layout)
         v = rng.normal(size=Z.shape[0])
         w = rng.normal(size=Z.shape[1])
         q = rng.uniform(0.1, 2.0, size=Z.shape[0])
@@ -248,9 +258,9 @@ class TestEntityEffectsAsCodes:
         def close(a, b):
             return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-        assert close(op.dot(v), Z.T @ v)
-        assert close(op.tdot(w), Z @ w)
-        assert close(op.normal(q).solve(w), np.linalg.solve(Z.T @ (q[:, None] * Z), w))
+        assert close(design_gradient(X, v, layout), Z.T @ v)
+        assert close(design_index(X, w, layout), Z @ w)
+        assert close(cqr._normal(X, layout, q)(w), np.linalg.solve(Z.T @ (q[:, None] * Z), w))
 
 
 class TestDualAgainstPrimal:
@@ -420,11 +430,12 @@ class TestVertexPivots:
         y = ds.column("y")
         X, _, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, True)
         dense, _, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, True)
-        op = cqr._Operator.build(X, layout)
+        layout = lp_layout(X, layout)
         tau = 0.3
-        start = cqr._vertex(op, y, tau, *cqr._initial_basis(op, np.random.default_rng(seed).normal(size=len(y))),
+        start = cqr._vertex(X, layout, y, tau,
+                            *cqr._initial_basis(X, layout, np.random.default_rng(seed).normal(size=len(y))),
                             np.full(len(y), tau - 0.5))
-        v, pivots = cqr._certify(op, y, tau, start, np.full(len(y), tau - 0.5))
+        v, pivots = cqr._certify(X, layout, y, tau, start, np.full(len(y), tau - 0.5))
         assert pivots > 0
         oracle = primal_oracle_loss(y, dense, tau)
         assert abs(check_loss(v.r, tau) - oracle) <= 1e-9 * oracle

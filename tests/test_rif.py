@@ -43,6 +43,12 @@ class TestKde:
         with pytest.raises(ValidationError, match="bandwidth"):
             kde_at(np.ones(50), 1.0)
 
+    def test_zero_iqr_falls_back_to_sd(self):
+        # IQR 0 with sd 1.50: Silverman's rule uses sd, as R's bw.nrd0 does
+        x = np.array([0.0] * 8 + [1.0, 5.0])
+        h = 0.9 * x.std() * x.size ** (-0.2)
+        assert kde_at(x, 0.5) == pytest.approx(kde_at(x, 0.5, bandwidth=h), rel=1e-12)
+
     def test_weighted_density_integrates_reweighting(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(4000)
