@@ -20,6 +20,7 @@ from .estim import (
     ols_fit,
     vif,
     wald_chi2,
+    within_demean,
 )
 from .exceptions import CollinearityError, ConvergenceError, ValidationError
 from .heckman import (
@@ -37,7 +38,6 @@ from .panel import (
     filter_rows,
     from_long,
     load_csv,
-    within_demean,
 )
 from .productivity import ProdSpec, fe_ols, mundlak_test
 from .rif import (

@@ -210,16 +210,16 @@ def _nb2_tables(theta: float, ymax: int):
     return pref_ln, pref_g, pref_h
 
 
-def _nb2_parts(params, y, X, lgy1, fix_log_alpha, layout=None):
+def _nb2_parts(params, y, X, lgy1, fix_log_alpha, layout):
     """Loglik, gradient, Hessian for NB2 over (beta, log alpha); beta spans X
-    and, with an estim.EntityLayout, the entity effects.
+    and the entity effects of the estim.EntityLayout.
 
     Uses exact finite-sum identities for the Gamma-function differences so the
     alpha -> 0 (Poisson) limit stays numerically stable. Probes beyond the
     alpha bound, or where exp(log alpha) underflows, report -inf so the line
     search retreats.
     """
-    k = X.shape[1] if layout is None else layout.n_params
+    k = layout.n_params
     if fix_log_alpha is None:
         beta, s = params[:k], params[k]
     else:
@@ -402,7 +402,7 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     )
 
 
-def _poisson_parts(beta, y, X, lgy1, layout=None):
+def _poisson_parts(beta, y, X, lgy1, layout):
     with np.errstate(over="ignore", invalid="ignore"):
         eta = estim.design_index(X, beta, layout)
         mu = np.exp(eta)

@@ -89,13 +89,7 @@ def _normal(X: np.ndarray, layout: estim.EntityLayout, q: np.ndarray) -> Callabl
     chol, info = lapack.dpotrf(S)
     if info != 0:
         raise np.linalg.LinAlgError("normal matrix of the quantile LP is not positive definite")
-
-    def solve(g: np.ndarray) -> np.ndarray:
-        ge = g[layout.entity_pos]
-        vd = lapack.dpotrs(chol, g[layout.dense_pos] - Cd.T @ ge)[0]
-        return _params(layout, vd, -(ge + H.C @ vd) / H.d)
-
-    return solve
+    return lambda g: H.solve(g, Cd, lambda r: lapack.dpotrs(chol, r)[0])
 
 
 def _step_lengths(x, s, z, w, dx, dz, dw) -> tuple[float, float]:
@@ -379,18 +373,15 @@ def _certify(
 
 
 @_QUIET
-def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout | None, tau: float) -> _LpSolution:
+def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tau: float) -> _LpSolution:
     """Exact check-loss minimizer on a newton_design design: the interior
     point, then the vertex its residuals point to, then simplex pivots until
-    the vertex's duals certify it. A design without entity effects (layout
-    None) is solved with an empty entity block.
+    the vertex's duals certify it.
 
     The columns of X are solved at unit largest magnitude, so that the
     independence test of the basis rows and the factorisations do not depend
     on the units of the regressors.
     """
-    if layout is None:
-        layout = estim.EntityLayout.from_codes(np.zeros(len(y), dtype=np.intp), 1, X.shape[1], 0)
     scale = np.max(np.abs(X), axis=0)
     scale[scale == 0.0] = 1.0
     X = X / scale

@@ -3,16 +3,17 @@
 Complete-case handling, one integer-coded fixed-effect encoding (fe_codes),
 the dense design builder of the linear fits (design_matrix) and its variant
 that keeps entity effects as integer codes (newton_design with an
-EntityLayout, used by every likelihood fit and the CQR LP), an array-level OLS
-core with FE absorption by demeaning and analytic/HC1 covariances (one
-demeaning and one factorisation for several dependent columns), a
-line-searched Newton maximizer for likelihoods on newton_design designs that
-eliminates their diagonal entity Hessian block by a Schur complement
-(BlockHessian, whose Schur complement the CQR LP's normal equations share),
-one rank screen for those designs (screen_rank), the entity-cluster bootstrap
-and apply_vcov, through which every estimator gets its covariance (refusing a
-kind it cannot give), variance inflation factors, and Wald tests. Every
-downstream estimator builds on these.
+EntityLayout, used by every likelihood fit and the CQR LP), and one way to
+absorb fixed effects: the diagonal entity block of a Hessian or normal matrix
+is eliminated by a Schur complement (BlockHessian). On top of these sit an
+array-level OLS core whose FE are absorbed exactly by that elimination
+(fe_residuals, the weighted least-squares residuals on the FE; one projection
+and one factorisation for several dependent columns) with analytic/HC1
+covariances, a line-searched Newton maximizer for likelihoods on newton_design
+designs, one rank screen for those designs (screen_rank), the entity-cluster
+bootstrap and apply_vcov, through which every estimator gets its covariance
+(refusing a kind it cannot give), variance inflation factors, and Wald tests.
+Every downstream estimator builds on these.
 """
 
 from __future__ import annotations
@@ -134,9 +135,8 @@ class BootstrapResult(NamedTuple):
 
 class MleResult(NamedTuple):
     """One mle_fit optimum. ``vcov`` is the inverse of the negative Hessian
-    there: over every parameter for a dense Hessian, and for a BlockHessian
-    over the parameters at its ``dense_pos`` only, in that order (the entity
-    effects get no covariance)."""
+    there over the parameters at the BlockHessian's ``dense_pos``, in that
+    order (the entity effects get no covariance)."""
 
     params: np.ndarray
     vcov: np.ndarray
@@ -186,8 +186,7 @@ def design_matrix(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
         X[:, j] = ds.column(name)[mask]
     fe_dummies: dict[str, tuple[str, object]] = {}
     for dim, (codes, levels) in zip(fe_dims, blocks):
-        hit = np.flatnonzero(codes)
-        X[hit, len(names) + codes[hit] - 1] = 1.0
+        _set_indicators(X, codes, len(names))
         for level in levels[1:]:
             names.append(f"{dim}={level}")
             fe_dummies[names[-1]] = (dim, level)
@@ -195,6 +194,12 @@ def design_matrix(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
         X[:, -1] = 1.0
         names.append(INTERCEPT)
     return X, names, fe_dummies
+
+
+def _set_indicators(X: np.ndarray, codes: np.ndarray, at: int) -> None:
+    """Set the first-level-dropped indicators of ``codes`` into the columns of X from ``at`` on."""
+    hit = np.flatnonzero(codes)
+    X[hit, at + codes[hit] - 1] = 1.0
 
 
 class EntityLayout(NamedTuple):
@@ -217,8 +222,8 @@ class EntityLayout(NamedTuple):
     def from_codes(cls, codes: np.ndarray, n_levels: int, n_dense: int, at: int) -> "EntityLayout":
         """Layout of entity codes 0..n_levels-1 whose n_levels - 1 effects sit
         at position ``at`` among the n_dense columns of X. One level gives an
-        empty entity block: X alone, as the CQR LP takes a design without
-        entity effects."""
+        empty entity block: X alone, as a design without entity effects is
+        laid out."""
         n_entity = n_levels - 1
         entity_pos = np.arange(at, at + n_entity)
         dense_pos = np.concatenate((np.arange(at), np.arange(at + n_entity, n_dense + n_entity)))
@@ -248,26 +253,37 @@ class BlockHessian(NamedTuple):
 
     def schur(self) -> tuple[np.ndarray, np.ndarray]:
         """The entity block of -H eliminated: Cd = diag(1/d) C and the Schur
-        complement of -H, S = C' diag(1/d) C - A. The dense part x of
-        (-H)^-1 g solves S x = g_dense - Cd' g_entity, and the entity part is
-        -(g_entity + C x) / d. The Newton step, the covariance and the CQR
-        LP's normal equations each factor S their own way."""
+        complement of -H, S = C' diag(1/d) C - A. The Newton step, the
+        covariance, the CQR LP's normal equations and the FE projection of
+        the linear fits each factor S their own way."""
         Cd = self.C / self.d[:, None]
         return Cd, Cd.T @ self.C - self.A
+
+    def solve(self, g: np.ndarray, Cd: np.ndarray, solve_schur: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """(-H)^-1 g, given schur()'s Cd and a solver of S x = r: the dense
+        part x solves S x = g_dense - Cd' g_entity, and the entity part is
+        -(g_entity + C x) / d."""
+        ge = g[self.entity_pos]
+        x = solve_schur(g[self.dense_pos] - Cd.T @ ge)
+        out = np.empty(len(self.dense_pos) + len(self.entity_pos))
+        out[self.dense_pos] = x
+        out[self.entity_pos] = -(ge + self.C @ x) / self.d
+        return out
 
 
 def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
     """design_matrix for a Newton fit or the CQR LP, with the entity dummies left out of X.
 
     Returns (X, names, fe_dummies, layout): names and fe_dummies are exactly
-    design_matrix's; layout is an EntityLayout when "entity" is among fe_dims
-    and None otherwise, in which case X is design_matrix's X.
+    design_matrix's, and layout is the EntityLayout of the entity effects.
+    Without "entity" among fe_dims it has one level (an empty entity block),
+    and X is design_matrix's X.
     """
-    if "entity" not in fe_dims:
-        return (*design_matrix(ds, mask, regressors, fe_dims, intercept), None)
     X, dense_names, dense_map = design_matrix(
         ds, mask, regressors, [d for d in fe_dims if d != "entity"], intercept
     )
+    if "entity" not in fe_dims:
+        return X, dense_names, dense_map, EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
     codes, levels = fe_codes(ds, "entity", mask)
     before = set(fe_dims[: list(fe_dims).index("entity")])
     at = len(regressors) + sum(dim in before for dim, _ in dense_map.values())
@@ -278,27 +294,23 @@ def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
     return X, names, fe_dummies, EntityLayout.from_codes(codes, len(levels), X.shape[1], at)
 
 
-def design_index(X: np.ndarray, params: np.ndarray, layout: EntityLayout | None) -> np.ndarray:
+def design_index(X: np.ndarray, params: np.ndarray, layout: EntityLayout) -> np.ndarray:
     """Linear index of a Newton design: X @ params, plus the entity effects."""
-    if layout is None:
-        return X @ params
     effects = np.concatenate(([0.0], params[layout.entity_pos]))
     return X @ params[layout.dense_pos] + effects[layout.codes]
 
 
-def design_gradient(X: np.ndarray, r: np.ndarray, layout: EntityLayout | None) -> np.ndarray:
+def design_gradient(X: np.ndarray, r: np.ndarray, layout: EntityLayout) -> np.ndarray:
     """Gradient sum_i r_i z_i over a Newton design's parameters, r_i = dl_i/d index_i."""
-    if layout is None:
-        return X.T @ r
     g = np.empty(layout.n_params)
     g[layout.dense_pos] = X.T @ r
     g[layout.entity_pos] = layout.entity_sums(r)
     return g
 
 
-def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout | None, cross=None, own=None):
+def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout, cross=None, own=None) -> BlockHessian:
     """Hessian sum_i h_i z_i z_i' over a Newton design's parameters, h_i =
-    d2l_i/d index_i^2; a dense ndarray without a layout, a BlockHessian with one.
+    d2l_i/d index_i^2, as a BlockHessian.
 
     With ``cross`` (per-row d2l_i/d index_i ds) and ``own`` (d2l/ds2) it spans
     one more parameter s, placed last in the parameter vector.
@@ -312,8 +324,6 @@ def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout | None, cr
         Ae[:m, m] = Ae[m, :m] = X.T @ cross
         Ae[m, m] = own
         A = Ae
-    if layout is None:
-        return A
     C = layout.entity_sums(Xh)
     dense_pos = layout.dense_pos
     if cross is not None:
@@ -345,27 +355,18 @@ def _checked_qr(X: np.ndarray, names, scale: float | None = None):
     return q, r, piv
 
 
-def assert_full_rank(X: np.ndarray, names, scale: float | None = None) -> None:
-    """Raise CollinearityError naming a dependent column if X is rank deficient
-    (pivots judged against scale, by default the largest pivot)."""
-    _checked_qr(X, names, scale)
-
-
-def screen_rank(X: np.ndarray, names, layout: EntityLayout | None, intercept: bool) -> None:
+def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> None:
     """Raise CollinearityError naming a dependent column of the full design of
     newton_design (X and its entity layout), before any fit on it.
 
-    With entity effects, the indicators (with the intercept, all E of them;
-    without, the E - 1 non-baseline ones) have full column rank, so the design
-    has full rank iff the other non-intercept columns do after the entity
-    means are removed from their rows. Each projected column is divided by its
+    The entity indicators (with the intercept, all E of them; without, the
+    E - 1 non-baseline ones; E = 1 without entity effects) have full column
+    rank, so the design has full rank iff the other non-intercept columns do
+    after the entity means are removed from their rows. Each projected column is divided by its
     norm before projection and its pivots are judged against 1, so a column
     that is entity-constant up to round-off is named whatever its scale or
     that of the other columns.
     """
-    if layout is None:
-        assert_full_rank(X, names)
-        return
     m = X.shape[1] - int(intercept)  # the intercept is the last dense column
     if m == 0:
         return
@@ -375,9 +376,46 @@ def screen_rank(X: np.ndarray, names, layout: EntityLayout | None, intercept: bo
         means[0] = 0.0
     norms = np.linalg.norm(Z, axis=0)
     norms[norms == 0] = 1.0
-    assert_full_rank(
-        (Z - means[layout.codes]) / norms, [names[pos] for pos in layout.dense_pos[:m]], scale=1.0
-    )
+    _checked_qr((Z - means[layout.codes]) / norms, [names[pos] for pos in layout.dense_pos[:m]], scale=1.0)
+
+
+def fe_residuals(M: np.ndarray, fe, w: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Residuals of the columns of M from their weighted least-squares fit on
+    the fixed effects ``fe`` (one code array per FE dim, see fe_codes), and
+    the number of FE parameters absorbed, E - 1 + rank(S).
+
+    The dim with the most levels (E of them) enters as the codes of an
+    EntityLayout, the others as first-level-dropped indicators plus a
+    constant, so one design_hessian and one factorisation of its Schur
+    complement S serve every column. S is singular when the levels fall into
+    unconnected groups (say, two sets of entities observed in disjoint
+    years); its pseudo-inverse then still gives the least-squares fit. A
+    level of the largest dim whose weights sum to 0 keeps effect 0. Each
+    column is solved on its own, so its residuals do not depend on the other
+    columns.
+    """
+    w = np.ones(M.shape[0]) if w is None else w
+    big = int(np.argmax([codes.max() for codes in fe]))
+    others = [codes for i, codes in enumerate(fe) if i != big]
+    at = np.cumsum([0] + [int(codes.max()) for codes in others])
+    D = np.zeros((M.shape[0], at[-1] + 1))
+    for codes, start in zip(others, at):
+        _set_indicators(D, codes, start)
+    D[:, -1] = 1.0
+    layout = EntityLayout.from_codes(fe[big], int(fe[big].max()) + 1, D.shape[1], 0)
+    H = design_hessian(D, -w, layout)
+    H = H._replace(d=np.where(H.d < 0, H.d, -1.0))  # an entity of zero weight: C row 0, effect 0
+    Cd, S = H.schur()
+    # S sums over the n rows, so eigenvalues within n eps of its largest are
+    # rounding: the directions of unconnected groups
+    s, U = np.linalg.eigh(S)
+    keep = s > len(M) * np.finfo(float).eps * s[-1]
+    pinv = (U[:, keep] / s[keep]) @ U[:, keep].T
+    out = np.empty_like(M)
+    for j in range(M.shape[1]):
+        params = H.solve(design_gradient(D, w * M[:, j], layout), Cd, lambda r: pinv @ r)
+        out[:, j] = M[:, j] - design_index(D, params, layout)
+    return out, len(layout.entity_pos) + int(keep.sum())
 
 
 class OlsCore(NamedTuple):
@@ -401,15 +439,17 @@ def ols_core(
     """Least squares on arrays: sample checks, rank-checked solve, analytic or
     HC1 covariance, r2 and the Gaussian loglik.
 
-    ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed by
-    demeaning y and X; r2 is then the within-R2. r2 is centred only when
-    ``names`` holds the intercept. ``w`` are analytic weights.
+    ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed
+    exactly by replacing y and X with their residuals on the FE
+    (fe_residuals); r2 is then the within-R2 and ``absorbed_df`` the number of
+    FE parameters identified. r2 is centred only when ``names`` holds the
+    intercept. ``w`` are analytic weights.
 
     ``y`` of shape (n, m) holds m dependent columns that share the design, FE
-    and weights: [y, X] are demeaned in one pass, X is factored once, and a
-    list of one OlsCore per column comes back. Each column's solve is the one
-    a 1-D ``y`` gets, so only the shared demeaning's stopping sweep can move
-    the result.
+    and weights: [y, X] go through one fe_residuals call, X is factored once,
+    and a list of one OlsCore per column comes back. Each column is projected
+    and solved as a 1-D ``y`` is, so its OlsCore is bit-identical to the one
+    the column gets alone.
     """
     n = X.shape[0]
     k = X.shape[1] - (INTERCEPT in names)
@@ -423,9 +463,8 @@ def ols_core(
     m = Y.shape[1]
     absorbed_df = 0
     if fe:
-        absorbed_df = sum(int(codes.max()) for codes in fe) + 1  # + grand mean
-        demeaned = panel.alternating_demean(np.column_stack([Y, X]), list(fe), weights=w)
-        Y, X = demeaned[:, :m], np.ascontiguousarray(demeaned[:, m:])
+        within, absorbed_df = fe_residuals(np.column_stack([Y, X]), fe, w)
+        Y, X = within[:, :m], np.ascontiguousarray(within[:, m:])
 
     sw = np.sqrt(w) if w is not None else None
     Xw = X * sw[:, None] if w is not None else X
@@ -478,7 +517,7 @@ def ols_result(core: OlsCore, names, n_rows: int, vcov: VcovSpec, fe_dims) -> Fi
 
 
 def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = None) -> FitResult:
-    """OLS on complete cases, absorbing fixed effects by demeaning.
+    """OLS on complete cases, absorbing fixed effects exactly (fe_residuals).
 
     The intercept is reported only when no fixed effects are absorbed. r2 is
     the within-R2 when FE dims are present.
@@ -510,11 +549,10 @@ def mle_fit(
     """Maximize a likelihood by Newton steps with step-halving line search.
 
     ``objective(theta)`` returns (loglik, gradient, Hessian); the Hessian is a
-    dense ndarray or, for designs with entity effects, a BlockHessian whose
-    entity block is eliminated by a Schur complement. Converged when the
-    gradient max-norm drops below ``tol``; the covariance is the inverse of the
-    negative Hessian at the optimum, for a BlockHessian its dense block only
-    (see _hessian_vcov).
+    BlockHessian, whose entity block (empty without entity effects) is
+    eliminated by a Schur complement. Converged when the gradient max-norm
+    drops below ``tol``; the covariance is the dense block of the inverse of
+    the negative Hessian at the optimum (see _hessian_vcov).
     """
     theta = np.array(start, dtype=float)
     f, g, H = objective(theta)
@@ -549,49 +587,36 @@ def mle_fit(
     )
 
 
-def _newton_direction(g: np.ndarray, H) -> np.ndarray:
+def _newton_direction(g: np.ndarray, H: BlockHessian) -> np.ndarray:
     try:
-        if isinstance(H, BlockHessian):
-            # eliminate the diagonal entity block: solve the Schur complement
-            # for the dense step, back-substitute the rest
-            ge = g[H.entity_pos]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                Cd, S = H.schur()
-                sd = np.linalg.solve(S, g[H.dense_pos] - Cd.T @ ge)
-                step = np.empty_like(g)
-                step[H.dense_pos] = sd
-                step[H.entity_pos] = -(ge + H.C @ sd) / H.d
-        else:
-            step = np.linalg.solve(-H, g)
+        # eliminate the diagonal entity block: solve the Schur complement for
+        # the dense step, back-substitute the rest
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Cd, S = H.schur()
+            step = H.solve(g, Cd, lambda r: np.linalg.solve(S, r))
         if np.all(np.isfinite(step)) and float(step @ g) > 0:
             return step
     except np.linalg.LinAlgError:
         pass
     # fall back to (scaled) steepest ascent when the Hessian is unusable
-    diag = np.concatenate((np.diag(H.A), H.d)) if isinstance(H, BlockHessian) else np.diag(H)
+    diag = np.concatenate((np.diag(H.A), H.d))
     denom = float(np.max(np.abs(diag))) if diag.size else 1.0
     return g / max(denom, 1.0)
 
 
-def _hessian_vcov(H) -> np.ndarray:
-    """(-H)^-1 at the optimum, symmetrised; ConvergenceError unless it is
-    finite with a positive diagonal.
-
-    For a BlockHessian only the block of the parameters at ``dense_pos`` is
-    returned, in that order: V_dd = S^-1 for the Schur complement S of -H
-    (BlockHessian.schur). The entity rows of the inverse are not built, but
-    their diagonal, diag(V_ee) = -1/d + rowsum((C/d) V_dd * (C/d)), is checked
-    in O(E k^2).
+def _hessian_vcov(H: BlockHessian) -> np.ndarray:
+    """The block of (-H)^-1 at the optimum over the parameters at
+    ``dense_pos``, in that order, symmetrised: V_dd = S^-1 for the Schur
+    complement S of -H (BlockHessian.schur). ConvergenceError unless it is
+    finite with a positive diagonal. The entity rows of the inverse are not
+    built, but their diagonal, diag(V_ee) = -1/d + rowsum((C/d) V_dd * (C/d)),
+    is checked in O(E k^2).
     """
     try:
-        if isinstance(H, BlockHessian):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                Cd, S = H.schur()
-                V = np.linalg.inv(S)
-                diag = np.concatenate((np.diag(V), np.sum((Cd @ V) * Cd, axis=1) - 1.0 / H.d))
-        else:
-            V = np.linalg.inv(-H)
-            diag = np.diag(V)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Cd, S = H.schur()
+            V = np.linalg.inv(S)
+            diag = np.concatenate((np.diag(V), np.sum((Cd @ V) * Cd, axis=1) - 1.0 / H.d))
     except np.linalg.LinAlgError:
         raise ConvergenceError(
             "Hessian is singular at the optimum (possible perfect separation "
@@ -603,6 +628,29 @@ def _hessian_vcov(H) -> np.ndarray:
             "separation or non-identified parameters)"
         )
     return (V + V.T) / 2.0
+
+
+def within_demean(ds: panel.PanelDataset, columns, dims) -> panel.PanelDataset:
+    """Demean the named columns within entity and/or year groups: each is
+    replaced by its residuals from the exact least-squares fit on the dims'
+    effects (fe_residuals).
+
+    Only rows that are non-missing in all named columns participate; other rows
+    come back missing in the demeaned columns.
+    """
+    columns = list(columns)
+    dims = list(dims)
+    if not dims:
+        raise ValidationError("within_demean needs at least one dimension")
+    for d in dims:
+        if d not in ("entity", "year"):
+            raise ValidationError(f"unknown demean dimension {d!r}")
+    data = np.column_stack([ds.column(c) for c in columns])
+    mask = np.all(np.isfinite(data), axis=1)
+    if mask.any():
+        data[mask] = fe_residuals(data[mask], [fe_codes(ds, d, mask)[0] for d in dims])[0]
+    updates = {name: np.where(mask, data[:, j], np.nan) for j, name in enumerate(columns)}
+    return ds.with_replaced(updates, note=f"within-demeaned over {','.join(dims)}")
 
 
 def bootstrap_vcov(

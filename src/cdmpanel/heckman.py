@@ -23,7 +23,7 @@ from scipy.special import log_ndtr
 
 from . import estim, panel
 from .estim import INTERCEPT, FitResult, MleResult, VcovSpec
-from .exceptions import CollinearityError, ValidationError
+from .exceptions import CollinearityError, ConvergenceError, ValidationError
 
 IMR_NAME = "IMR"
 
@@ -84,7 +84,7 @@ def inverse_mills(index):
     return out
 
 
-def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray, layout=None):
+def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout):
     z = estim.design_index(X, theta, layout)
     log_cdf = log_ndtr(z)
     log_sf = log_ndtr(-z)
@@ -96,18 +96,19 @@ def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray, layout=None):
     return ll, grad, hess
 
 
-def probit_mle(y: np.ndarray, X: np.ndarray, tol: float = 1e-8, max_iter: int = 200, layout=None) -> MleResult:
-    """Probit maximum likelihood on raw arrays (no dataset plumbing); with an
-    estim.EntityLayout the parameters also span its entity effects, and the
-    covariance only the parameters at its ``dense_pos``.
+def probit_mle(
+    y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tol: float = 1e-8, max_iter: int = 200
+) -> MleResult:
+    """Probit maximum likelihood on raw arrays (no dataset plumbing); the
+    parameters span X and the entity effects of the estim.EntityLayout, and
+    the covariance only the parameters at its ``dense_pos``.
 
     Perfectly separated samples have no finite maximizer; the flat plateau the
     solver lands on is detected and reported as non-convergence.
     """
-    from .exceptions import ConvergenceError
-
-    k = X.shape[1] if layout is None else layout.n_params
-    res = estim.mle_fit(lambda t: _probit_parts(t, y, X, layout), np.zeros(k), tol=tol, max_iter=max_iter)
+    res = estim.mle_fit(
+        lambda t: _probit_parts(t, y, X, layout), np.zeros(layout.n_params), tol=tol, max_iter=max_iter
+    )
     z = estim.design_index(X, res.params, layout)
     p = np.exp(log_ndtr(z))
     separated = np.all(np.where(y > 0.5, p > 1.0 - 1e-6, p < 1e-6))
@@ -143,7 +144,7 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
         raise ValidationError(f"only {n} complete cases for {len(names)} probit parameters")
     estim.screen_rank(X, names, layout, intercept=True)
 
-    res = probit_mle(y, X, layout=layout)
+    res = probit_mle(y, X, layout)
     coef = dict(zip(names, res.params))
     notes = {
         "model": "probit",
@@ -151,7 +152,7 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
         "newton_iterations": res.iterations,
         "grad_norm": res.grad_norm,
     }
-    if layout is not None:
+    if "entity" in fe_dims:
         baseline = estim.fe_codes(ds, "entity", mask)[1][0]
         notes["entity_effects"] = {
             baseline: 0.0, **{level: coef[nm] for nm, (dim, level) in mapping.items() if dim == "entity"}

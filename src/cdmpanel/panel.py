@@ -3,6 +3,8 @@
 A :class:`PanelDataset` holds a dense entity-by-year grid: every entity carries
 one row per year of the dataset's contiguous period range, with NaN marking
 missing cells. Datasets are immutable; every operation returns a new dataset.
+Demeaning within entity and year groups (within_demean) sits in estim, with
+the fixed-effects machinery it uses.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConvergenceError, ValidationError
+from .exceptions import ValidationError
 from .predicates import evaluate_predicate, predicate_columns
 
 MISSING_TOKENS = ("", ".")
@@ -454,85 +456,3 @@ def take_entities(ds: PanelDataset, positions) -> PanelDataset:
     row_blocks = (positions[:, None] * P + np.arange(P)).ravel()
     cols = {name: arr[row_blocks] for name, arr in ds.columns.items()}
     return PanelDataset(tuple(labels), ds.periods, cols, dict(ds.metadata))
-
-
-def alternating_demean(
-    matrix: np.ndarray,
-    labels: list[np.ndarray],
-    weights: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_sweeps: int = 1000,
-) -> np.ndarray:
-    """Remove (weighted) group means for each label factor from the columns of ``matrix``.
-
-    One factor is a single exact pass; several factors alternate projections
-    until the largest absolute adjustment falls below ``tol``.
-    """
-    M = np.array(matrix, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
-    if weights is None:
-        w = np.ones(M.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float)
-    sizes = [int(lab.max()) + 1 if len(lab) else 0 for lab in labels]
-
-    def sweep(target: np.ndarray) -> float:
-        biggest = 0.0
-        for lab, size in zip(labels, sizes):
-            wsum = np.bincount(lab, weights=w, minlength=size)
-            wsum = np.where(wsum > 0, wsum, 1.0)
-            for j in range(target.shape[1]):
-                gsum = np.bincount(lab, weights=w * target[:, j], minlength=size)
-                means = gsum / wsum
-                adj = means[lab]
-                target[:, j] -= adj
-                if adj.size:
-                    biggest = max(biggest, float(np.max(np.abs(adj))))
-        return biggest
-
-    if len(labels) <= 1:
-        sweep(M)
-        return M
-    for _ in range(max_sweeps):
-        change = sweep(M)
-        if change < tol:
-            return M
-    raise ConvergenceError(
-        f"alternating demeaning did not converge in {max_sweeps} sweeps; "
-        f"final max adjustment {change:.3e}"
-    )
-
-
-def within_demean(
-    ds: PanelDataset,
-    columns,
-    dims,
-    tol: float = 1e-10,
-    max_sweeps: int = 1000,
-) -> PanelDataset:
-    """Demean the named columns within entity and/or year groups.
-
-    Only rows that are non-missing in all named columns participate; other rows
-    come back missing in the demeaned columns.
-    """
-    columns = list(columns)
-    dims = list(dims)
-    if not dims:
-        raise ValidationError("within_demean needs at least one dimension")
-    for d in dims:
-        if d not in ("entity", "year"):
-            raise ValidationError(f"unknown demean dimension {d!r}")
-    data = np.column_stack([ds.column(c) for c in columns])
-    mask = np.all(np.isfinite(data), axis=1)
-    labels = []
-    for d in dims:
-        idx = ds.entity_index() if d == "entity" else ds.year_index()
-        labels.append(idx[mask])
-    demeaned = alternating_demean(data[mask], labels, tol=tol, max_sweeps=max_sweeps)
-    updates = {}
-    for j, name in enumerate(columns):
-        out = np.full(ds.n_rows, np.nan)
-        out[mask] = demeaned[:, j]
-        updates[name] = out
-    return ds.with_replaced(updates, note=f"within-demeaned over {','.join(dims)}")

@@ -102,8 +102,9 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
 
     # variance components from the within / between decomposition
     within_y = y - np.bincount(ent, weights=y, minlength=n_ent)[ent] / counts[ent]
-    within_Z = Z - np.vstack([np.bincount(ent, weights=Z[:, j], minlength=n_ent) / counts
-                              for j in range(Z.shape[1])]).T[ent]
+    Zbar = np.vstack([np.bincount(ent, weights=Z[:, j], minlength=n_ent) / counts
+                      for j in range(Z.shape[1])]).T
+    within_Z = Z - Zbar[ent]
     keep_w = [j for j in range(within_Z.shape[1]) if np.max(np.abs(within_Z[:, j])) > 1e-12]
     bw, *_ = np.linalg.lstsq(within_Z[:, keep_w], within_y, rcond=None)
     rss_w = float(np.sum((within_y - within_Z[:, keep_w] @ bw) ** 2))
@@ -128,8 +129,6 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     theta_i = 1.0 - np.sqrt(sigma2_e / (sigma2_e + counts * sigma2_u))
     th = theta_i[ent]
     y_t = y - th * ybar[ent]
-    Zbar = np.vstack([np.bincount(ent, weights=Z[:, j], minlength=n_ent) / counts
-                      for j in range(Z.shape[1])]).T
     Z_t = Z - th[:, None] * Zbar[ent]
     const_t = 1.0 - th
     G = np.column_stack([Z_t, const_t])

@@ -12,15 +12,16 @@ tau* makes the weighted mean of the RIF equal the quantile exactly, which is
 the identity everything downstream leans on; with continuous data tau* and tau
 differ by at most one observation's weight.
 
-Regressing the RIF on covariates (with FE absorbed) gives the unconditional
+Regressing the RIF on covariates (with FE absorbed exactly, as residuals from
+the least-squares fit on the FE: estim.fe_residuals) gives the unconditional
 quantile partial effect. For treatment effects, each observation's RIF comes
 from its own group's reweighted distribution and the combined RIF is regressed
 on the treatment indicator.
 
 All taus of one model are fitted together: the sample is sorted once, which
 gives every tau's quantile and one Silverman bandwidth (rif_quantiles), and
-the RIF columns of all taus share one demeaned, factored design (one
-estim.ols_core call on the n x len(taus) RIF matrix).
+the RIF columns of all taus share one FE projection and one factored design
+(one estim.ols_core call on the n x len(taus) RIF matrix).
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ def uqr_fit(
 
     All taus share one complete-case sample: the dependent is sorted once
     (rif_quantiles), and the n x len(taus) RIF matrix is fitted by one
-    ols_core call, which demeans it with the design in one pass and factors
-    the design once.
+    ols_core call, which projects the FE out of it and the design in one
+    fe_residuals call and factors the design once.
     """
     regressors = tuple(regressors)
     fe_dims = tuple(fe_dims)
@@ -311,8 +312,8 @@ def rif_treatment_fit(
     (IPW-reweighted) distribution, combined as T*RIF1 + (1-T)*RIF0, and
     regressed on the treatment indicator plus controls with FE absorbed (HC1
     SEs). Each group is sorted once for all taus (rif_quantiles), and the
-    combined n x len(taus) RIF matrix is fitted by one ols_core call on one
-    demeaned, factored design.
+    combined n x len(taus) RIF matrix is fitted by one ols_core call: one FE
+    projection, one factored design.
     """
     used = [dependent, spec.treatment, *spec.controls]
     if spec.weighting == "ipw":

@@ -31,6 +31,11 @@ def dummy_poisson_oracle(y, X, tol=1e-10, max_iter=200):
     raise AssertionError("oracle failed to converge")
 
 
+def one_level(X):
+    """The EntityLayout of a design without entity effects (an empty entity block)."""
+    return estim.EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
+
+
 def count_panel(seed, n_entities, n_periods, slope=0.5, entity_sd=0.4, alpha=0.0, family="poisson"):
     cfg = synthdgp.DgpConfig(
         n_entities=n_entities,
@@ -221,22 +226,24 @@ class TestNb2:
         y = rng.poisson(np.exp(0.3 * X[:, 0])).astype(float)
         lgy1 = gammaln(y + 1.0)
         theta = np.array([0.25, -0.1, np.log(0.7)])
-        ll, grad, hess = _nb2_parts(theta, y, X, lgy1, None)
+        layout = one_level(X)
+        ll, grad, hess = _nb2_parts(theta, y, X, lgy1, None, layout)
         eps = 1e-6
         for j in range(3):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += eps
             tm[j] -= eps
-            lp, gp, _ = _nb2_parts(tp, y, X, lgy1, None)
-            lm, gm, _ = _nb2_parts(tm, y, X, lgy1, None)
+            lp, gp, _ = _nb2_parts(tp, y, X, lgy1, None, layout)
+            lm, gm, _ = _nb2_parts(tm, y, X, lgy1, None, layout)
             assert grad[j] == pytest.approx((lp - lm) / (2 * eps), rel=1e-5, abs=1e-5)
             for i in range(3):
-                assert hess[i, j] == pytest.approx((gp[i] - gm[i]) / (2 * eps), rel=1e-4, abs=1e-4)
+                assert hess.A[i, j] == pytest.approx((gp[i] - gm[i]) / (2 * eps), rel=1e-4, abs=1e-4)
 
     def test_underflowing_alpha_probe_reports_minus_inf(self):
         # a line-search probe at log alpha = -800 underflows exp to 0
         y = np.array([0.0, 1.0, 2.0, 5.0])
-        ll, grad, hess = _nb2_parts(np.array([0.0, -800.0]), y, np.ones((4, 1)), gammaln(y + 1.0), None)
+        X = np.ones((4, 1))
+        ll, grad, hess = _nb2_parts(np.array([0.0, -800.0]), y, X, gammaln(y + 1.0), None, one_level(X))
         assert ll == -np.inf
         assert grad.shape == (2,) and hess.shape == (2, 2)
 
@@ -260,7 +267,7 @@ class TestNb2:
         X = np.column_stack([ds.column("RDINT_star"), np.ones(ds.n_rows)])
         ybar = y.mean()
         alpha0 = min(max((y.var() - ybar) / ybar**2, 0.01), 10.0)
-        joint = estim.mle_fit(lambda p: _nb2_parts(p, y, X, gammaln(y + 1.0), None),
+        joint = estim.mle_fit(lambda p: _nb2_parts(p, y, X, gammaln(y + 1.0), None, one_level(X)),
                               [0.0, np.log(ybar), np.log(alpha0)])
         alpha = np.exp(joint.params[-1])
         assert fit.alpha == pytest.approx(alpha, rel=1e-8)

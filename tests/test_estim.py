@@ -23,11 +23,13 @@ from cdmpanel import synthdgp
 from cdmpanel.counts import _nb2_parts, _poisson_parts
 from cdmpanel.estim import (
     BlockHessian,
+    EntityLayout,
     FitResult,
     _hessian_vcov,
     _newton_direction,
     design_matrix,
     fe_codes,
+    fe_residuals,
     linear_index,
     newton_design,
     ols_core,
@@ -37,6 +39,17 @@ from cdmpanel.heckman import _probit_parts
 
 def iid_panel(n, columns, seed=0):
     return from_long([f"E{i}" for i in range(n)], [2010] * n, columns)
+
+
+def one_level(X):
+    """The EntityLayout of a design without entity effects (an empty entity block)."""
+    return EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
+
+
+def no_entity_block(H):
+    """A dense Hessian as a BlockHessian with no entity block."""
+    k = len(H)
+    return BlockHessian(H, np.zeros((0, k)), np.zeros(0), np.arange(k), np.arange(0))
 
 
 class TestOls:
@@ -76,12 +89,11 @@ class TestOls:
         y = 1 + x1 - 2 * x2 + rng.normal(size=50)
         ds = from_long(ents, yrs, {"x1": x1, "x2": x2, "y": y})
         fit = ols_fit(ds, ModelSpec("y", ("x1", "x2"), fe_dims=("entity", "year")))
-        from cdmpanel.panel import alternating_demean
-
-        M = alternating_demean(
-            np.column_stack([y, x1, x2]),
-            [ds.entity_index(), ds.year_index()],
-        )
+        # [y, x1, x2] less their least-squares fit on entity and year dummies
+        D = np.column_stack([ds.entity_index()[:, None] == np.arange(10),
+                             ds.year_index()[:, None] == np.arange(5)]).astype(float)
+        Y = np.column_stack([y, x1, x2])
+        M = Y - D @ np.linalg.lstsq(D, Y, rcond=None)[0]
         resid = M[:, 0] - M[:, 1:] @ np.array([fit.coefficients["x1"], fit.coefficients["x2"]])
         assert abs(resid @ M[:, 1]) < 1e-8
         assert abs(resid @ M[:, 2]) < 1e-8
@@ -162,11 +174,11 @@ class TestOlsCoreColumns:
         for a, b in zip(batched, single):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("fe_used", [0, 1])
+    @pytest.mark.parametrize("fe_used", [0, 1, 2])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_exact_demeaning_gives_identical_columns(self, fe_used, weighted):
-        # with no FE or one FE dim the demeaning is one exact pass per column,
-        # so sharing it changes nothing
+        # the FE projection solves each column on its own, so sharing it
+        # changes nothing
         X, Y, names, fe, w = self.problem()
         w = w if weighted else None
         batched = ols_core(X, Y, names, w=w, fe=fe[:fe_used], robust=True)
@@ -177,11 +189,10 @@ class TestOlsCoreColumns:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("robust", [False, True])
     def test_two_way_fe_columns_match(self, weighted, robust):
-        # The shared alternating demeaning runs until every column has
-        # converged, so a column may get one sweep more than alone; that moves
-        # the FE-space part of y by less than the 1e-10 stopping adjustment.
-        # beta lies outside that space: 1e-12 relative. Residuals and what is
-        # built from them: 1e-10 relative, the demeaning tolerance.
+        # Tolerances set when the two-way demeaning was iterative and could
+        # stop one sweep later in a batch: beta 1e-12 relative; residuals and
+        # what is built from them 1e-10 relative. The exact projection now
+        # meets them with identical columns.
         X, Y, names, fe, w = self.problem()
         w = w if weighted else None
         batched = ols_core(X, Y, names, w=w, fe=fe, robust=robust)
@@ -195,6 +206,75 @@ class TestOlsCoreColumns:
             assert core.absorbed_df == single.absorbed_df
 
 
+def two_block_panel(seed=23):
+    """Entities 0-4 observed in years 0-2 and entities 5-9 in years 3-5: an
+    entity-year graph of two unconnected parts."""
+    rng = np.random.default_rng(seed)
+    ent = np.repeat(np.arange(10), 3)
+    year = np.tile(np.arange(3), 10) + 3 * (ent >= 5)
+    return ent, year, rng
+
+
+def dummy_residuals(M, fe, w):
+    """Oracle: M less its weighted least-squares fit on every level's dummy."""
+    D = np.column_stack([codes[:, None] == np.arange(codes.max() + 1) for codes in fe]).astype(float)
+    sw = np.sqrt(w)
+    return M - D @ np.linalg.lstsq(D * sw[:, None], M * sw[:, None], rcond=None)[0]
+
+
+class TestFeResiduals:
+    """fe_residuals against a dense-dummy least-squares oracle."""
+
+    # tolerance, fixed before the first run: relative 1e-12 in the max norm
+    TOL = 1e-12
+
+    @staticmethod
+    def unbalanced(seed=29, n_entities=30, n_periods=6):
+        rng = np.random.default_rng(seed)
+        ent = np.repeat(np.arange(n_entities), n_periods)
+        year = np.tile(np.arange(n_periods), n_entities)
+        keep = rng.random(ent.size) > 0.3
+        keep[::n_periods] = True  # every entity keeps a row
+        return np.unique(ent[keep], return_inverse=True)[1], year[keep], rng
+
+    @pytest.mark.parametrize("panel", ["unbalanced", "two_block"])
+    def test_matches_dummy_oracle(self, panel):
+        ent, year, rng = self.unbalanced() if panel == "unbalanced" else two_block_panel()
+        M = rng.normal(size=(len(ent), 3)) * np.array([1.0, 10.0, 0.1])
+        w = rng.uniform(0.2, 3.0, size=len(ent))
+        for fe in ([ent, year], [year, ent], [ent]):
+            out, _ = fe_residuals(M, fe, w)
+            assert max_rel_gap(out, dummy_residuals(M, fe, w)) < self.TOL
+
+    def test_zero_weight_entity(self):
+        # finite everywhere, and the fit of the positive-weight rows unchanged
+        ent, year, rng = self.unbalanced(seed=31)
+        M = rng.normal(size=(len(ent), 2))
+        w = rng.uniform(0.2, 3.0, size=len(ent))
+        w[ent == 4] = 0.0
+        out, _ = fe_residuals(M, [ent, year], w)
+        assert np.all(np.isfinite(out))
+        rows = w > 0
+        assert max_rel_gap(out[rows], dummy_residuals(M, [ent, year], w)[rows]) < self.TOL
+
+    def test_absorbed_df_counts_unconnected_parts(self):
+        # two parts: 10 entity + 6 year levels identify 10 + 6 - 2 = 14
+        # effects, not the 15 a connected panel would; the slope's SE then
+        # uses n - 1 - 14 residual degrees of freedom. SE tolerance, fixed
+        # before the first run: 1e-10 relative.
+        ent, year, rng = two_block_panel()
+        x = rng.normal(size=len(ent))
+        y = 0.5 * x + rng.normal(size=len(ent))
+        ds = from_long([f"E{e}" for e in ent], (2010 + year).tolist(), {"x": x, "y": y})
+        fit = ols_fit(ds, ModelSpec("y", ("x",), fe_dims=("entity", "year")))
+        assert fit.notes["absorbed_df"] == 14
+        ones = np.ones(len(ent))
+        xt = dummy_residuals(x[:, None], [ent, year], ones)[:, 0]
+        e = dummy_residuals(y[:, None], [ent, year], ones)[:, 0] - fit.coefficients["x"] * xt
+        se = np.sqrt(e @ e / (len(ent) - 1 - 14) / (xt @ xt))
+        assert fit.se("x") == pytest.approx(se, rel=1e-10)
+
+
 class TestMle:
     def test_quadratic_converges_in_one_step(self):
         A = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -204,7 +284,7 @@ class TestMle:
 
         def objective(t):
             calls.append(t.copy())
-            return -0.5 * t @ A @ t + b @ t, b - A @ t, -A
+            return -0.5 * t @ A @ t + b @ t, b - A @ t, no_entity_block(-A)
 
         res = mle_fit(objective, np.array([5.0, -7.0]))
         assert res.iterations == 1
@@ -213,7 +293,7 @@ class TestMle:
 
     def test_gradient_norm_below_tol_and_positive_vcov(self):
         def objective(t):
-            return -((t[0] - 3.0) ** 4) - t[0] ** 2, np.array([-4 * (t[0] - 3) ** 3 - 2 * t[0]]), np.array([[-12 * (t[0] - 3) ** 2 - 2.0]])
+            return -((t[0] - 3.0) ** 4) - t[0] ** 2, np.array([-4 * (t[0] - 3) ** 3 - 2 * t[0]]), no_entity_block(np.array([[-12 * (t[0] - 3) ** 2 - 2.0]]))
 
         res = mle_fit(objective, np.array([0.0]))
         assert res.grad_norm < 1e-8
@@ -221,7 +301,7 @@ class TestMle:
 
     def test_non_finite_start_errors(self):
         def objective(t):
-            return np.inf, np.zeros(1), -np.eye(1)
+            return np.inf, np.zeros(1), no_entity_block(-np.eye(1))
 
         with pytest.raises(ValidationError, match="starting point"):
             mle_fit(objective, np.zeros(1))
@@ -229,7 +309,7 @@ class TestMle:
     def test_max_iter_reports_gradient_norm(self):
         # gradient never vanishes: linear objective with fake curvature
         def objective(t):
-            return float(t[0]), np.array([1.0]), np.array([[-1e-8]])
+            return float(t[0]), np.array([1.0]), no_entity_block(np.array([[-1e-8]]))
 
         with pytest.raises(ConvergenceError, match="gradient max-norm"):
             mle_fit(objective, np.zeros(1), max_iter=5)
@@ -656,7 +736,7 @@ class TestEntityLayout:
         assert isinstance(H, BlockHessian)
         assert abs(ll - ll_d) <= self.TOL * abs(ll_d)
         assert max_rel_gap(g, g_d) < self.TOL
-        assert max_rel_gap(dense_hessian(H), H_d) < self.TOL
+        assert max_rel_gap(dense_hessian(H), H_d.A) < self.TOL
 
     def test_count_parts_match_dummy_design(self):
         ds, mask = self.panel()
@@ -666,10 +746,10 @@ class TestEntityLayout:
         rng = np.random.default_rng(5)
         beta = 0.3 * rng.normal(size=Xd.shape[1])
         self.check(_nb2_parts(np.append(beta, np.log(0.6)), y, X, lgy1, None, layout=layout),
-                   _nb2_parts(np.append(beta, np.log(0.6)), y, Xd, lgy1, None))
+                   _nb2_parts(np.append(beta, np.log(0.6)), y, Xd, lgy1, None, one_level(Xd)))
         self.check(_nb2_parts(beta, y, X, lgy1, np.log(0.6), layout=layout),
-                   _nb2_parts(beta, y, Xd, lgy1, np.log(0.6)))
-        self.check(_poisson_parts(beta, y, X, lgy1, layout), _poisson_parts(beta, y, Xd, lgy1))
+                   _nb2_parts(beta, y, Xd, lgy1, np.log(0.6), one_level(Xd)))
+        self.check(_poisson_parts(beta, y, X, lgy1, layout), _poisson_parts(beta, y, Xd, lgy1, one_level(Xd)))
 
     def test_probit_parts_match_dummy_design(self):
         ds, mask = self.panel()
@@ -678,13 +758,13 @@ class TestEntityLayout:
         assert layout.entity_pos.tolist() == list(range(6, 30))
         y = (ds.column("PAT")[mask] > 0).astype(float)
         beta = 0.3 * np.random.default_rng(6).normal(size=Xd.shape[1])
-        self.check(_probit_parts(beta, y, X, layout), _probit_parts(beta, y, Xd))
+        self.check(_probit_parts(beta, y, X, layout), _probit_parts(beta, y, Xd, one_level(Xd)))
 
     def test_no_entity_fe_is_the_dense_design(self):
         ds, mask = self.panel()
         X, names, mapping, layout = newton_design(ds, mask, ["X1"], ("year",), True)
         Xd, names_d, mapping_d = design_matrix(ds, mask, ["X1"], ("year",), True)
-        assert layout is None
+        assert len(layout.entity_pos) == 0 and np.array_equal(layout.dense_pos, np.arange(X.shape[1]))
         assert np.array_equal(X, Xd) and names == names_d and mapping == mapping_d
 
 

@@ -98,6 +98,7 @@ class TestProbit:
             probit_fit(ds, "d", [])
 
     def test_gradient_and_hessian_match_finite_differences(self):
+        from cdmpanel.estim import EntityLayout
         from cdmpanel.heckman import _probit_parts
 
         rng = np.random.default_rng(61)
@@ -105,17 +106,18 @@ class TestProbit:
         X = np.column_stack([rng.normal(size=n), np.ones(n)])
         y = ((0.4 * X[:, 0] + rng.normal(size=n)) > 0).astype(float)
         theta = np.array([0.2, -0.1])
-        ll, grad, hess = _probit_parts(theta, y, X)
+        layout = EntityLayout.from_codes(np.zeros(n, dtype=np.intp), 1, X.shape[1], 0)  # no entity effects
+        ll, grad, hess = _probit_parts(theta, y, X, layout)
         eps = 1e-6
         for j in range(2):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += eps
             tm[j] -= eps
-            lp, gp, _ = _probit_parts(tp, y, X)
-            lm, gm, _ = _probit_parts(tm, y, X)
+            lp, gp, _ = _probit_parts(tp, y, X, layout)
+            lm, gm, _ = _probit_parts(tm, y, X, layout)
             assert grad[j] == pytest.approx((lp - lm) / (2 * eps), rel=1e-5, abs=1e-6)
             for i in range(2):
-                assert hess[i, j] == pytest.approx((gp[i] - gm[i]) / (2 * eps), rel=1e-4, abs=1e-5)
+                assert hess.A[i, j] == pytest.approx((gp[i] - gm[i]) / (2 * eps), rel=1e-4, abs=1e-5)
 
     def test_year_dummies_enter_as_indicators(self):
         rng = np.random.default_rng(3)

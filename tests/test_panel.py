@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cdmpanel import DeriveRule, ValidationError, derive, filter_rows, from_long, load_csv, within_demean
-from cdmpanel.exceptions import ConvergenceError
 
 
 def make_panel():
@@ -327,18 +326,6 @@ class TestWithinDemean:
         for idx in (ds.entity_index(), ds.year_index()):
             for g in np.unique(idx[mask]):
                 assert abs(v[mask][idx[mask] == g].mean()) < 1e-8
-
-    def test_non_convergence_reports_residual_change(self):
-        rng = np.random.default_rng(3)
-        ents, yrs, vals = [], [], []
-        for i in range(10):
-            for t in range(2010, 2010 + int(rng.integers(2, 6))):
-                ents.append(f"E{i}")
-                yrs.append(t)
-                vals.append(rng.normal())
-        ds = from_long(ents, yrs, {"v": vals})
-        with pytest.raises(ConvergenceError, match="adjustment"):
-            within_demean(ds, ["v"], ["entity", "year"], max_sweeps=1)
 
     def test_missing_rows_do_not_participate(self):
         ds = from_long(["A"] * 3, [2010, 2011, 2012], {"v": [1.0, np.nan, 3.0]})

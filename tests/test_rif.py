@@ -12,7 +12,7 @@ from cdmpanel import (
     rif_treatment_fit,
     uqr_fit,
 )
-from cdmpanel import panel
+from cdmpanel import estim
 from cdmpanel.estim import design_matrix
 from cdmpanel.rif import rif_quantiles, weighted_quantile
 
@@ -391,18 +391,18 @@ class TestFixedEffectOracles:
 
 
 class TestOneDemeaningPerModel:
-    """All taus of one model share one alternating demeaning of [RIF, X]."""
+    """All taus of one model share one FE projection of [RIF, X]."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
-        original = panel.alternating_demean
+        original = estim.fe_residuals
 
         def counting(*args, **kwargs):
             seen.append(args[0].shape)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(panel, "alternating_demean", counting)
+        monkeypatch.setattr(estim, "fe_residuals", counting)
         return seen
 
     def test_uqr(self, calls):
