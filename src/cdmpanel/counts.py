@@ -1,11 +1,15 @@
 """Count models for patent outcomes plus the prediction-calibration scheme.
 
-Two families, both fitted by maximum likelihood. Entity fixed effects (always
-in ``poisson_fe``, optional in ``nb2``) are estimated as parameters (first
-kept entity the baseline) but never built as dummy columns: their Hessian
-block is diagonal and is eliminated by a Schur complement in each step
-(estim.newton_design, estim.BlockHessian). All-zero entities are dropped
-first: their effects have no finite MLE.
+Two families on one path. Both take the same sample (complete cases with
+validated counts, less, with entity FE, the entities whose count total is zero,
+since their effects have no finite MLE, or that have too few rows) and fit the
+same dummy-variable Poisson MLE, started at its exact profile for zero slopes:
+each entity's log mean count. Entity effects (always in ``poisson_fe``,
+optional in ``nb2``) are estimated as parameters (first kept entity the
+baseline) but never built as dummy columns: their Hessian block is diagonal and
+is eliminated by a Schur complement in each Newton step (estim.newton_design,
+estim.BlockHessian). One tail builds either family's FitResult, its covariance
+and the Wald test on its slopes.
 
 * ``poisson_fe`` - the fixed-effects Poisson. The dummy-variable Poisson MLE
   gives the slopes of the conditional likelihood, which conditions on each
@@ -13,11 +17,11 @@ first: their effects have no finite MLE.
   the entity effects leaves the conditional loglik plus a constant (Hausman,
   Hall & Griliches 1984); the conditional loglik is reported.
 * ``nb2`` - negative binomial with Var(y|x) = mu + alpha*mu^2, alpha >= 0,
-  estimated by profile likelihood in alpha (as MASS ``glm.nb``): the Poisson
-  fit (alpha = 0) first, which is the optimum when the alpha-score there is
-  not positive; otherwise a bounded root search on the profile score in
-  alpha, with Newton in beta at each alpha, and the covariance from the joint
-  (beta, log alpha) Hessian at the optimum.
+  which nests that Poisson fit at alpha = 0, estimated by profile likelihood
+  in alpha (as MASS ``glm.nb``): the Poisson fit is the optimum when the
+  alpha-score there is not positive; otherwise a bounded root search on the
+  profile score in alpha, with Newton in beta at each alpha, and the
+  covariance from the joint (beta, log alpha) Hessian at the optimum.
 
 Calibration rescales raw exponential-index predictions so each entity's mean
 prediction matches its realized mean, then adds a small epsilon so logs of
@@ -27,6 +31,7 @@ zero-activity entities stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -97,17 +102,80 @@ def _validated_counts(y: np.ndarray, context: str) -> np.ndarray:
     return rounded
 
 
-def _drop_entities(ds: panel.PanelDataset, mask: np.ndarray, y: np.ndarray, min_rows: int):
-    """Drop the entities whose count total is zero or that have fewer than
-    ``min_rows`` rows: clears their rows in ``mask`` (in place) and returns
-    (y on the kept rows, number of entities dropped)."""
+def _count_sample(ds: panel.PanelDataset, spec: CountSpec, min_rows: int):
+    """The rows a count fit uses: complete cases with validated counts and,
+    with entity FE, without the entities whose count total is zero or that
+    have fewer than ``min_rows`` rows. Returns (row mask, y on those rows,
+    number of entities dropped)."""
+    mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
+    if not mask.any():
+        raise ValidationError("no complete cases for the count model")
+    y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
+    if not spec.entity_fe:
+        return mask, y, 0
     codes, _ = estim.fe_codes(ds, "entity", mask)
     dropped = (np.bincount(codes) < min_rows) | (np.bincount(codes, weights=y) <= 0)
     if dropped.all():
         raise ValidationError("every entity has an all-zero count total; nothing to estimate")
     keep = ~dropped[codes]
     mask[np.flatnonzero(mask)[~keep]] = False
-    return y[keep], int(dropped.sum())
+    return mask, y[keep], int(dropped.sum())
+
+
+def _poisson_mle(y, X, names, layout) -> estim.MleResult:
+    """The Poisson MLE on a newton_design design (intercept last), after
+    screen_rank. It starts at the exact profile for zero slopes: each
+    entity's log mean count, the baseline's at ``_cons`` and the others'
+    relative to it; without entity effects ``_cons`` at the log mean count,
+    or at 0 when every count is 0."""
+    estim.screen_rank(X, names, layout, intercept=True)
+    means = np.bincount(layout.codes, weights=y) / np.bincount(layout.codes)
+    log_means = np.log(means, out=np.zeros_like(means), where=means > 0)
+    start = np.zeros(layout.n_params)
+    start[layout.dense_pos[-1]] = log_means[0]
+    start[layout.entity_pos] = log_means[1:] - log_means[0]
+    lgy1 = gammaln(y + 1.0)
+    return estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start)
+
+
+def _poisson_parts(beta, y, X, lgy1, layout):
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = estim.design_index(X, beta, layout)
+        mu = np.exp(eta)
+        ll = float(np.sum(y * eta - mu - lgy1))
+        if not np.isfinite(ll):
+            return -np.inf, np.zeros(len(beta)), np.eye(len(beta))
+        grad = estim.design_gradient(X, y - mu, layout)
+        hess = estim.design_hessian(X, -mu, layout)
+    return ll, grad, hess
+
+
+def _count_result(ds, spec: CountSpec, refit, coefficients, vcov, loglik, n_obs: int, dims, mapping, notes):
+    """A count fit's FitResult: the notes both families share (model, fe_dims
+    and the fe_dummies of the non-entity indicators) ahead of the family's
+    ``notes``, the covariance settled by estim.apply_vcov over the analytic
+    ``refit(dsb, spec)``, and the Wald test that the regressors among the
+    coefficients are jointly zero."""
+    base = FitResult(
+        coefficients=coefficients,
+        vcov=vcov,
+        n_obs=n_obs,
+        loglik=loglik,
+        n_dropped=ds.n_rows - n_obs,
+        notes={
+            "model": spec.family,
+            "fe_dims": dims,
+            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
+            **notes,
+        },
+    )
+    analytic = replace(spec, vcov=VcovSpec())
+    # each family's fit function is named after it: poisson_fe_fit, nb2_fit
+    estim.apply_vcov(base, lambda dsb: refit(dsb, analytic).base, ds, spec.vcov, f"{spec.family}_fit")
+    slopes = [nm for nm in spec.regressors if nm in coefficients]
+    if slopes:
+        base.wald_chi2 = estim.wald_chi2(base, slopes)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +190,15 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
     Its slopes and their covariance are those of the conditional likelihood
     (Hausman, Hall & Griliches 1984), and ``loglik`` is the conditional one,
     the unconditional loglik plus sum_i [lgamma(T_i+1) - T_i log T_i + T_i]
-    over the entity totals T_i. Neither the intercept nor the entity effects
-    are reported as coefficients; ``entity_effects`` holds each kept entity's
+    over the entity totals T_i. Regressors constant within every entity are
+    absorbed by the entity effects and listed in ``notes["absorbed_columns"]``.
+    Neither the intercept nor the entity effects are reported as
+    coefficients; ``entity_effects`` holds each kept entity's
     T_i / sum_t exp(x_it'b).
     """
     if spec.family != "poisson_fe":
         raise ValidationError("poisson_fe_fit requires family 'poisson_fe'")
-    mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
-    if not mask.any():
-        raise ValidationError("no complete cases for the count model")
-    y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
-    y, n_entities_dropped = _drop_entities(ds, mask, y, min_rows=2)
+    mask, y, n_entities_dropped = _count_sample(ds, spec, min_rows=2)
     codes, levels = estim.fe_codes(ds, "entity", mask)
     starts = np.flatnonzero(np.diff(codes, prepend=-1))  # rows are entity-major
 
@@ -151,50 +217,24 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
     reported = layout.dense_pos[:-1]  # slopes and year effects: all but entity effects and _cons
     if not reported.size:
         raise ValidationError("no identifiable regressors remain after absorbing entity-constant columns")
-    estim.screen_rank(X, names, layout, intercept=True)
-
-    # the exact profile at beta = 0: each entity's log mean count
-    totals = np.bincount(codes, weights=y)
-    log_means = np.log(totals / np.bincount(codes))
-    start = np.zeros(len(names))
-    start[layout.dense_pos[-1]] = log_means[0]
-    start[layout.entity_pos] = log_means[1:] - log_means[0]
-    lgy1 = gammaln(y + 1.0)
-    res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start)
+    res = _poisson_mle(y, X, names, layout)
 
     beta = res.params[reported]
+    totals = np.bincount(codes, weights=y)
     loglik = res.loglik + float(np.sum(gammaln(totals + 1.0) - totals * np.log(totals) + totals))
-    base = FitResult(
-        coefficients=dict(zip([names[i] for i in reported], beta)),
-        vcov=res.vcov[:-1, :-1],
-        n_obs=int(mask.sum()),
-        loglik=loglik,
-        n_dropped=ds.n_rows - int(mask.sum()),
-        notes={
-            "model": "poisson_fe",
-            "fe_dims": dims,
-            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-            "absorbed_columns": tuple(absorbed),
-            "dropped_entities": n_entities_dropped,
-            "newton_iterations": res.iterations,
-            "grad_norm": res.grad_norm,
-        },
+    notes = {
+        "absorbed_columns": tuple(absorbed),
+        "dropped_entities": n_entities_dropped,
+        "newton_iterations": res.iterations,
+        "grad_norm": res.grad_norm,
+    }
+    coefficients = dict(zip([names[i] for i in reported], beta))
+    base = _count_result(
+        ds, spec, poisson_fe_fit, coefficients, res.vcov[:-1, :-1], loglik, len(y), dims, mapping, notes
     )
-    analytic = replace(spec, vcov=VcovSpec())
-    estim.apply_vcov(base, lambda dsb: poisson_fe_fit(dsb, analytic).base, ds, spec.vcov, "poisson_fe_fit")
-    if slopes:
-        base.wald_chi2 = estim.wald_chi2(base, slopes)
-        base.notes["wald_restrictions"] = tuple(slopes)
-
     denom = np.bincount(codes, weights=np.exp(X[:, :-1] @ beta))
     effects = {level: float(t / d) for level, t, d in zip(levels, totals, denom)}
-    return CountFit(
-        base=base,
-        family="poisson_fe",
-        alpha=None,
-        n_dropped_entities=n_entities_dropped,
-        entity_effects=effects,
-    )
+    return CountFit(base=base, family="poisson_fe", n_dropped_entities=n_entities_dropped, entity_effects=effects)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +300,7 @@ def _nb2_parts(params, y, X, lgy1, fix_log_alpha, layout):
     return ll, grad, hess
 
 
-def _nb2_profile_mle(y, X, lgy1, layout, beta, alpha0: float, score0: float):
+def _nb2_profile_mle(y, X, layout, beta, alpha0: float, score0: float):
     """NB2 optimum over (beta, alpha > 0) when the alpha-score at alpha = 0 is
     score0 > 0, so the profile loglik rises from the Poisson boundary.
 
@@ -272,6 +312,7 @@ def _nb2_profile_mle(y, X, lgy1, layout, beta, alpha0: float, score0: float):
     covariance is the inverse of the joint Hessian there, and the Newton
     iterations of every fit.
     """
+    lgy1 = gammaln(y + 1.0)
     iterations = 0
 
     def profile_score(alpha: float) -> float:
@@ -302,10 +343,9 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     """NB2 maximum likelihood over beta and alpha >= 0.
 
     With entity FE, entities whose count total is zero are dropped first
-    (``CountFit.n_dropped_entities``). Year effects enter as indicator
-    columns. Entity effects are estimated as parameters, first kept entity
-    the baseline, without dummy columns: each Newton step eliminates their
-    diagonal Hessian block by a Schur complement.
+    (``CountFit.n_dropped_entities``) and the entity effects are parameters
+    without dummy columns, as in poisson_fe_fit. Year effects enter as
+    indicator columns.
 
     Alpha is estimated by profile likelihood. The Poisson fit (alpha = 0) is
     the optimum when the alpha-score there, (1/2) sum((y - mu)^2 - y), is not
@@ -324,36 +364,25 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
         raise ValidationError("nb2_fit requires family 'nb2'")
     if fix_alpha not in (None, 0):
         raise ValidationError(f"fix_alpha must be None (alpha estimated) or 0 (Poisson), got {fix_alpha!r}")
-    mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
-    if not mask.any():
-        raise ValidationError("no complete cases for the count model")
-    y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
-    n_entities_dropped = 0
-    if spec.entity_fe:
-        y, n_entities_dropped = _drop_entities(ds, mask, y, min_rows=1)
-    n = int(mask.sum())
+    mask, y, n_entities_dropped = _count_sample(ds, spec, min_rows=1)
+    n = len(y)
 
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
     X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, dims, intercept=True)
     if n < len(names) + 2:
         raise ValidationError(f"only {n} complete cases for {len(names)} parameters")
-    estim.screen_rank(X, names, layout, intercept=True)
-    lgy1 = gammaln(y + 1.0)
-
-    ybar = float(np.mean(y))
-    start_b = np.zeros(len(names))
-    start_b[-1] = np.log(ybar) if ybar > 0 else 0.0
+    res = _poisson_mle(y, X, names, layout)
 
     notes: dict = {"alpha_se": None}
-    res = estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start_b)
     params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, 0.0, res.iterations
     if fix_alpha is None:
         mu = np.exp(estim.design_index(X, res.params, layout))
         score0 = 0.5 * float(np.sum((y - mu) ** 2 - y))
         poisson_loglik = res.loglik
         if score0 > 0.0:
+            ybar = float(np.mean(y))
             alpha0 = min(max((float(np.var(y)) - ybar) / ybar**2 if ybar > 0 else 0.5, 0.01), 10.0)
-            res, more = _nb2_profile_mle(y, X, lgy1, layout, res.params, alpha0, score0)
+            res, more = _nb2_profile_mle(y, X, layout, res.params, alpha0, score0)
             params_b, vcov_b = res.params[:-1], res.vcov[:-1, :-1]
             alpha_hat = float(np.exp(res.params[-1]))
             notes["alpha_se"] = float(alpha_hat * np.sqrt(res.vcov[-1, -1]))
@@ -369,49 +398,14 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
             if dim == "entity":
                 entity_effects[level] = float(np.exp(coef[nm]))
 
+    notes.update(dropped_entities=n_entities_dropped, newton_iterations=iterations, grad_norm=res.grad_norm)
     # with entity FE, mle_fit's covariance already spans only the reported
     # parameters (estim.MleResult)
-    base = FitResult(
-        coefficients={nm: coef[nm] for nm in names if not nm.startswith("entity=")},
-        vcov=vcov_b,
-        n_obs=n,
-        loglik=res.loglik,
-        n_dropped=ds.n_rows - n,
-        notes={
-            "model": "nb2",
-            "fe_dims": dims,
-            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-            **notes,
-            "dropped_entities": n_entities_dropped,
-            "newton_iterations": iterations,
-            "grad_norm": res.grad_norm,
-        },
-    )
-    analytic = replace(spec, vcov=VcovSpec())
-    estim.apply_vcov(base, lambda dsb: nb2_fit(dsb, analytic, fix_alpha).base, ds, spec.vcov, "nb2_fit")
-    slope_names = [nm for nm in spec.regressors]
-    if slope_names:
-        base.wald_chi2 = estim.wald_chi2(base, slope_names)
-        base.notes["wald_restrictions"] = tuple(slope_names)
-    return CountFit(
-        base=base,
-        family="nb2",
-        alpha=alpha_hat,
-        n_dropped_entities=n_entities_dropped,
-        entity_effects=entity_effects,
-    )
-
-
-def _poisson_parts(beta, y, X, lgy1, layout):
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = estim.design_index(X, beta, layout)
-        mu = np.exp(eta)
-        ll = float(np.sum(y * eta - mu - lgy1))
-        if not np.isfinite(ll):
-            return -np.inf, np.zeros(len(beta)), np.eye(len(beta))
-        grad = estim.design_gradient(X, y - mu, layout)
-        hess = estim.design_hessian(X, -mu, layout)
-    return ll, grad, hess
+    coefficients = {nm: coef[nm] for nm in names if not nm.startswith("entity=")}
+    refit = partial(nb2_fit, fix_alpha=fix_alpha)
+    base = _count_result(ds, spec, refit, coefficients, vcov_b, res.loglik, n, dims, mapping, notes)
+    return CountFit(base=base, family="nb2", alpha=alpha_hat, n_dropped_entities=n_entities_dropped,
+                    entity_effects=entity_effects)
 
 
 # ---------------------------------------------------------------------------

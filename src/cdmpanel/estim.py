@@ -236,7 +236,10 @@ class EntityLayout(NamedTuple):
         return len(self.dense_pos) + len(self.entity_pos)
 
     def entity_sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-entity sums of v (a vector or the columns of a matrix), baseline left out."""
+        """Per-entity sums of v (a vector or the columns of a matrix), baseline
+        left out; with an empty entity block, an empty array and no product."""
+        if not len(self.entity_pos):
+            return np.zeros((0, *v.shape[1:]))
         return (self.indicator @ v)[1:]
 
 

@@ -199,20 +199,17 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         raise ValidationError(f"column {IMR_NAME!r} already exists")
     if spec.outcome in spec.outcome_regressors:
         raise ValidationError(f"dependent {spec.outcome!r} appears among the regressors")
-    selected = panel.filter_rows(ds, f"{spec.selection} == 1")
-    index = estim.linear_index(probit, selected)
+    index = estim.linear_index(probit, ds)
     cat_cols = [d for d in spec.fe_dims if d not in ("entity", "year")]
-    mask = estim.complete_case_mask(selected, [spec.outcome, *spec.outcome_regressors, *cat_cols])
-    mask &= np.isfinite(index)
+    mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors, *cat_cols])
+    mask &= (sel == 1.0) & np.isfinite(index)
     index = index[mask]
     imr = inverse_mills(index)
-    X, names, mapping = estim.design_matrix(
-        selected, mask, spec.outcome_regressors, spec.fe_dims, intercept=False
-    )
+    X, names, mapping = estim.design_matrix(ds, mask, spec.outcome_regressors, spec.fe_dims, intercept=False)
     X = np.column_stack([X, imr, np.ones(X.shape[0])])
     names += [IMR_NAME, INTERCEPT]
     try:
-        core = estim.ols_core(X, selected.column(spec.outcome)[mask], names)
+        core = estim.ols_core(X, outcome[mask], names)
     except CollinearityError as exc:
         raise CollinearityError(
             f"{exc}; the selection correction is collinear with the outcome regressors - "
@@ -224,7 +221,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         n_obs=X.shape[0],
         loglik=core.loglik,
         fit={"r2": core.r2, "adj_r2": core.adj_r2},
-        n_dropped=selected.n_rows - X.shape[0],
+        n_dropped=ds.n_rows - X.shape[0],
         notes={"absorbed_df": 0, "fe_dims": (), "fe_dummies": mapping, "model": "heckman_step2"},
     )
 
@@ -249,7 +246,6 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     slopes = [r for r in spec.outcome_regressors]
     if slopes:
         outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, slopes)
-        outcome_fit.notes["wald_restrictions"] = tuple(slopes)
 
     return HeckmanFit(
         probit=probit,

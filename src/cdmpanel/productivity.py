@@ -53,7 +53,6 @@ def fe_ols(ds: panel.PanelDataset, spec: ProdSpec) -> FitResult:
     )
     fit = estim.ols_fit(ds, model, spec.vcov)
     fit.wald_chi2 = estim.wald_chi2(fit, list(spec.regressors))
-    fit.notes["wald_restrictions"] = spec.regressors
     fit.notes["model"] = "fe_ols"
     return fit
 
@@ -147,7 +146,6 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
         n_obs=n,
         se_method="analytic",
         n_dropped=ds.n_rows - n,
-        notes={"model": "mundlak_re", "sigma2_e": sigma2_e, "sigma2_u": sigma2_u},
     )
     chi2, df, p = estim.wald_chi2(fit, mean_names)
     mean_coefficients = {nm: fit.coefficients[nm] for nm in mean_names}

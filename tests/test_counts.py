@@ -357,6 +357,20 @@ class TestNb2:
         assert len(fit.entity_effects) == 30
         assert fit.entity_effects[ds.entities[0]] == 1.0
 
+    @pytest.mark.parametrize("seed", [35, 36, 37])
+    def test_fixed_alpha_zero_equals_poisson_fe_exactly(self, seed):
+        # both families fit one Poisson MLE from one start, so on a balanced
+        # panel (no entity drops out of one sample but not the other) the
+        # slopes, year effects and their covariance block are bit-equal
+        ds = count_panel(seed=seed, n_entities=40, n_periods=6, entity_sd=0.4)
+        nb2 = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2"), fix_alpha=0)
+        pois = poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe"))
+        assert nb2.base.n_obs == pois.base.n_obs
+        assert list(nb2.base.coefficients)[:-1] == list(pois.base.coefficients)
+        for name, value in pois.base.coefficients.items():
+            assert nb2.base.coefficients[name] == value
+        assert np.array_equal(nb2.base.vcov[:-1, :-1], pois.base.vcov)
+
     def test_fixed_alpha_zero_entity_fe_matches_conditional_poisson(self):
         # the conditional-vs-dummy identity of acceptance criterion 3, on the
         # entity-layout path; tolerance fixed before the first run: 1e-6

@@ -18,7 +18,7 @@ from cdmpanel import (
 )
 from cdmpanel import cqr
 from cdmpanel.cqr import check_loss
-from cdmpanel.estim import EntityLayout, design_gradient, design_index, design_matrix, newton_design
+from cdmpanel.estim import design_gradient, design_index, design_matrix, newton_design
 from cdmpanel.panel import take_entities
 
 
@@ -165,14 +165,6 @@ def fe_panel(seed, n_e=20, n_t=5):
                                        "firm_const": np.repeat(rng.normal(size=n_e), n_t)})
 
 
-def lp_layout(X, layout):
-    """newton_design's layout, or the empty entity block the quantile LP
-    solves a design without entity effects with."""
-    if layout is not None:
-        return layout
-    return EntityLayout.from_codes(np.zeros(X.shape[0], dtype=np.intp), 1, X.shape[1], 0)
-
-
 def primal_oracle_loss(y, X, tau):
     """Check loss at the optimum of the Koenker-Bassett primal LP:
     min tau*1'u+ + (1-tau)*1'u-  s.t.  X b + u+ - u- = y."""
@@ -250,7 +242,6 @@ class TestEntityEffectsAsCodes:
         X, names, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, intercept)
         Z, dense_names, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, intercept)
         assert names == dense_names
-        layout = lp_layout(X, layout)
         v = rng.normal(size=Z.shape[0])
         w = rng.normal(size=Z.shape[1])
         q = rng.uniform(0.1, 2.0, size=Z.shape[0])
@@ -430,7 +421,6 @@ class TestVertexPivots:
         y = ds.column("y")
         X, _, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, True)
         dense, _, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, True)
-        layout = lp_layout(X, layout)
         tau = 0.3
         start = cqr._vertex(X, layout, y, tau,
                             *cqr._initial_basis(X, layout, np.random.default_rng(seed).normal(size=len(y))),

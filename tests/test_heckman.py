@@ -274,6 +274,19 @@ class TestTwoStep:
         with pytest.raises(ValidationError, match="missing on 1 selected"):
             heckman_two_step(ds, base_spec())
 
+    def test_selection_name_that_is_not_an_identifier(self):
+        # step 2 picks its rows by the selection column's values, so a name
+        # such as "R&D" is not parsed as an expression
+        ds = two_step_panel(seed=5, n_entities=60, n_periods=4)
+        fit = heckman_two_step(ds, base_spec())
+        renamed = heckman_two_step(
+            ds.with_column("R&D", ds.column("D")),
+            HeckmanSpec(outcome="RDINT", selection="R&D", outcome_regressors=("X1",), exclusion_restrictions=("Z",)),
+        )
+        assert renamed.outcome.coefficients == fit.outcome.coefficients
+        assert renamed.outcome.n_obs == fit.outcome.n_obs
+        assert renamed.outcome.n_dropped == ds.n_rows - renamed.outcome.n_obs
+
     def test_bootstrap_se_method_recorded(self):
         ds = two_step_panel(seed=3, n_entities=80, n_periods=4)
         spec = base_spec(vcov=VcovSpec("cluster_bootstrap", replications=25, seed=42))

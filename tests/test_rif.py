@@ -344,8 +344,9 @@ def dummy_ols(ds, mask, regressors, rif, w=None):
 
 
 class TestFixedEffectOracles:
-    # tolerance, fixed before the first run: relative 1e-8, because the
-    # alternating demeaning stops once its adjustments fall below 1e-10
+    # tolerance, fixed before the first run: relative 1e-8; both sides are
+    # direct least-squares solves (estim.fe_residuals against lstsq on the
+    # dummies), so they differ by rounding only
     TOL = 1e-8
 
     def check(self, fit, regressors, beta, se, r2):
