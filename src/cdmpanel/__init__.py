@@ -4,7 +4,6 @@ estimation with distributional (RIF/UQR, IPW treatment, CQR) extensions."""
 from .cqr import CqrSpec, cqr_fit
 from .counts import (
     CalibrationRule,
-    CountFit,
     CountSpec,
     calibrate_predictions,
     nb2_fit,
@@ -59,7 +58,6 @@ __all__ = [
     "CalibrationRule",
     "CollinearityError",
     "ConvergenceError",
-    "CountFit",
     "CountSpec",
     "CqrSpec",
     "DeriveRule",

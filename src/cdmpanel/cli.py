@@ -293,6 +293,8 @@ def _parse_pipeline(top: _Keys, stage_subset, seed) -> _Pipeline:
     style = top.choice("star_style", tables.STAR_STYLES, "uqr")
     boot = _Keys(top.get("bootstrap", {}), "bootstrap")
     replications = boot.number("replications", int, 0)
+    if replications == 1 or replications < 0:
+        raise ValidationError(f"{boot.where}: key 'replications' must be 0 (analytic) or at least 2, got {replications}")
     boot_seed = boot.number("seed", int, None)
     boot.close()
 
@@ -395,16 +397,14 @@ class _StageRunner:
             for spec in specs:
                 spec = dataclasses.replace(spec, vcov=self._vcov(2))
                 fit = counts.poisson_fe_fit(self.ds, spec) if spec.family == "poisson_fe" else counts.nb2_fit(self.ds, spec)
-                if fit.alpha is not None:
-                    fit.base.notes["alpha"] = fit.alpha
                 fits[spec.family] = fit
-                self._emit("counts", f"{label}_{spec.family}", fit.base)
+                self._emit("counts", f"{label}_{spec.family}", fit)
                 extra = {}
-                if fit.alpha is not None:
-                    extra["alpha"] = f"{fit.alpha:.4g}"
-                if fit.n_dropped_entities:
-                    extra["entities dropped"] = str(fit.n_dropped_entities)
-                cols.append(tables.TableColumn(f"{label} {spec.family}", fit.base, extra))
+                if "alpha" in fit.notes:
+                    extra["alpha"] = f"{fit.notes['alpha']:.4g}"
+                if fit.notes["dropped_entities"]:
+                    extra["entities dropped"] = str(fit.notes["dropped_entities"])
+                cols.append(tables.TableColumn(f"{label} {spec.family}", fit, extra))
 
             pred = counts.calibrate_predictions(fits[predict_family], self.ds, rule)
             self.ds = self.ds.with_column(predict_as, pred, note=f"calibrated {predict_family} prediction")

@@ -8,8 +8,10 @@ each entity's log mean count. Entity effects (always in ``poisson_fe``,
 optional in ``nb2``) are estimated as parameters (first kept entity the
 baseline) but never built as dummy columns: their Hessian block is diagonal and
 is eliminated by a Schur complement in each Newton step (estim.newton_design,
-estim.BlockHessian). One tail builds either family's FitResult, its covariance
-and the Wald test on its slopes.
+estim.BlockHessian). They are not coefficients; each fit reports them in
+``notes["entity_effects"]`` ({label: effect on the linear index}), from which
+estim.linear_index reads them. One tail builds either family's FitResult, its
+covariance and the Wald test on its slopes.
 
 * ``poisson_fe`` - the fixed-effects Poisson. The dummy-variable Poisson MLE
   gives the slopes of the conditional likelihood, which conditions on each
@@ -25,7 +27,8 @@ and the Wald test on its slopes.
 
 Calibration rescales raw exponential-index predictions so each entity's mean
 prediction matches its realized mean, then adds a small epsilon so logs of
-zero-activity entities stay defined.
+zero-activity entities stay defined. The rescaling absorbs the entity effects,
+so they only set a level that it takes out again.
 """
 
 from __future__ import annotations
@@ -74,19 +77,6 @@ class CalibrationRule:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be > 0")
-
-
-@dataclass
-class CountFit:
-    base: FitResult
-    family: str
-    alpha: float | None = None
-    n_dropped_entities: int = 0
-    entity_effects: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.alpha is not None and self.alpha < 0:
-            raise ValidationError("alpha must be non-negative")
 
 
 def _validated_counts(y: np.ndarray, context: str) -> np.ndarray:
@@ -151,27 +141,21 @@ def _poisson_parts(beta, y, X, lgy1, layout):
 
 
 def _count_result(ds, spec: CountSpec, refit, coefficients, vcov, loglik, n_obs: int, dims, mapping, notes):
-    """A count fit's FitResult: the notes both families share (model, fe_dims
-    and the fe_dummies of the non-entity indicators) ahead of the family's
-    ``notes``, the covariance settled by estim.apply_vcov over the analytic
-    ``refit(dsb, spec)``, and the Wald test that the regressors among the
-    coefficients are jointly zero."""
+    """A count fit's FitResult: the notes both families share (fe_dims and
+    fe_dummies) ahead of the family's ``notes``, the covariance settled by
+    estim.apply_vcov over the analytic ``refit(dsb, spec)``, and the Wald test
+    that the regressors among the coefficients are jointly zero."""
     base = FitResult(
         coefficients=coefficients,
         vcov=vcov,
         n_obs=n_obs,
         loglik=loglik,
         n_dropped=ds.n_rows - n_obs,
-        notes={
-            "model": spec.family,
-            "fe_dims": dims,
-            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-            **notes,
-        },
+        notes={"fe_dims": dims, "fe_dummies": mapping, **notes},
     )
     analytic = replace(spec, vcov=VcovSpec())
     # each family's fit function is named after it: poisson_fe_fit, nb2_fit
-    estim.apply_vcov(base, lambda dsb: refit(dsb, analytic).base, ds, spec.vcov, f"{spec.family}_fit")
+    estim.apply_vcov(base, lambda dsb: refit(dsb, analytic), ds, spec.vcov, f"{spec.family}_fit")
     slopes = [nm for nm in spec.regressors if nm in coefficients]
     if slopes:
         base.wald_chi2 = estim.wald_chi2(base, slopes)
@@ -182,7 +166,7 @@ def _count_result(ds, spec: CountSpec, refit, coefficients, vcov, loglik, n_obs:
 # fixed-effects Poisson
 
 
-def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
+def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> FitResult:
     """Fixed-effects Poisson: the dummy-variable Poisson MLE, entity effects as
     codes (estim.newton_design); entities with an all-zero total or a single
     complete row drop out.
@@ -193,8 +177,8 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
     over the entity totals T_i. Regressors constant within every entity are
     absorbed by the entity effects and listed in ``notes["absorbed_columns"]``.
     Neither the intercept nor the entity effects are reported as
-    coefficients; ``entity_effects`` holds each kept entity's
-    T_i / sum_t exp(x_it'b).
+    coefficients; ``notes["entity_effects"]`` holds each kept entity's
+    log T_i - log sum_t exp(x_it'b).
     """
     if spec.family != "poisson_fe":
         raise ValidationError("poisson_fe_fit requires family 'poisson_fe'")
@@ -222,19 +206,18 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> CountFit:
     beta = res.params[reported]
     totals = np.bincount(codes, weights=y)
     loglik = res.loglik + float(np.sum(gammaln(totals + 1.0) - totals * np.log(totals) + totals))
+    denom = np.bincount(codes, weights=np.exp(X[:, :-1] @ beta))
     notes = {
         "absorbed_columns": tuple(absorbed),
         "dropped_entities": n_entities_dropped,
         "newton_iterations": res.iterations,
         "grad_norm": res.grad_norm,
+        "entity_effects": dict(zip(levels, (np.log(totals) - np.log(denom)).tolist())),
     }
-    coefficients = dict(zip([names[i] for i in reported], beta))
-    base = _count_result(
+    coefficients = dict(zip(names[:-1], beta))
+    return _count_result(
         ds, spec, poisson_fe_fit, coefficients, res.vcov[:-1, :-1], loglik, len(y), dims, mapping, notes
     )
-    denom = np.bincount(codes, weights=np.exp(X[:, :-1] @ beta))
-    effects = {level: float(t / d) for level, t, d in zip(levels, totals, denom)}
-    return CountFit(base=base, family="poisson_fe", n_dropped_entities=n_entities_dropped, entity_effects=effects)
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +322,21 @@ def _nb2_profile_mle(y, X, layout, beta, alpha0: float, score0: float):
     return res, iterations + res.iterations
 
 
-def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = None) -> CountFit:
+def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = None) -> FitResult:
     """NB2 maximum likelihood over beta and alpha >= 0.
 
     With entity FE, entities whose count total is zero are dropped first
-    (``CountFit.n_dropped_entities``) and the entity effects are parameters
-    without dummy columns, as in poisson_fe_fit. Year effects enter as
-    indicator columns.
+    (``notes["dropped_entities"]``) and the entity effects are parameters
+    without dummy columns, as in poisson_fe_fit: ``notes["entity_effects"]``
+    holds them, the baseline entity 0.0. Year effects enter as indicator
+    columns.
 
-    Alpha is estimated by profile likelihood. The Poisson fit (alpha = 0) is
-    the optimum when the alpha-score there, (1/2) sum((y - mu)^2 - y), is not
-    positive: alpha is then 0 and ``notes["alpha_se"]`` is None. Otherwise the
-    profile loglik is maximised over alpha in (0, ALPHA_BOUND] and the
-    covariance comes from the joint (beta, log alpha) Hessian at the optimum.
+    Alpha is estimated by profile likelihood and written to ``notes["alpha"]``.
+    The Poisson fit (alpha = 0) is the optimum when the alpha-score there,
+    (1/2) sum((y - mu)^2 - y), is not positive: alpha is then 0 and
+    ``notes["alpha_se"]`` is None. Otherwise the profile loglik is maximised
+    over alpha in (0, ALPHA_BOUND] and the covariance comes from the joint
+    (beta, log alpha) Hessian at the optimum.
     Either way ``notes["lr_alpha0"]`` holds the one-sided LR test of alpha =
     0, (statistic, p) with p from the chi-bar-squared mixture 1/2 chi2(0) +
     1/2 chi2(1) (Gutierrez, Carter & Drukker 2001).
@@ -369,8 +354,8 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
 
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
     X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, dims, intercept=True)
-    if n < len(names) + 2:
-        raise ValidationError(f"only {n} complete cases for {len(names)} parameters")
+    if n < layout.n_params + 2:
+        raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
     res = _poisson_mle(y, X, names, layout)
 
     notes: dict = {"alpha_se": None}
@@ -390,32 +375,26 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
         lr = max(2.0 * (res.loglik - poisson_loglik), 0.0)
         notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
 
-    coef = dict(zip(names, params_b))
-    entity_effects = {}
+    notes.update(alpha=alpha_hat, dropped_entities=n_entities_dropped, newton_iterations=iterations,
+                 grad_norm=res.grad_norm)
     if spec.entity_fe:
-        entity_effects[estim.fe_codes(ds, "entity", mask)[1][0]] = 1.0
-        for nm, (dim, level) in mapping.items():
-            if dim == "entity":
-                entity_effects[level] = float(np.exp(coef[nm]))
-
-    notes.update(dropped_entities=n_entities_dropped, newton_iterations=iterations, grad_norm=res.grad_norm)
+        levels = estim.fe_codes(ds, "entity", mask)[1]
+        notes["entity_effects"] = dict(zip(levels, [0.0, *params_b[layout.entity_pos]]))
     # with entity FE, mle_fit's covariance already spans only the reported
     # parameters (estim.MleResult)
-    coefficients = {nm: coef[nm] for nm in names if not nm.startswith("entity=")}
+    coefficients = dict(zip(names, params_b[layout.dense_pos]))
     refit = partial(nb2_fit, fix_alpha=fix_alpha)
-    base = _count_result(ds, spec, refit, coefficients, vcov_b, res.loglik, n, dims, mapping, notes)
-    return CountFit(base=base, family="nb2", alpha=alpha_hat, n_dropped_entities=n_entities_dropped,
-                    entity_effects=entity_effects)
+    return _count_result(ds, spec, refit, coefficients, vcov_b, res.loglik, n, dims, mapping, notes)
 
 
 # ---------------------------------------------------------------------------
 # calibration
 
 
-def calibrate_predictions(fit: CountFit, ds: panel.PanelDataset, rule: CalibrationRule) -> np.ndarray:
-    """Entity-calibrated count predictions: raw exp-index predictions times the
-    entity effect, scaled so each entity's mean over its finite predictions
-    matches its mean over its finite realized values, plus epsilon everywhere.
+def calibrate_predictions(fit: FitResult, ds: panel.PanelDataset, rule: CalibrationRule) -> np.ndarray:
+    """Entity-calibrated count predictions: raw predictions exp(linear_index),
+    scaled so each entity's mean over its finite predictions matches its mean
+    over its finite realized values, plus epsilon everywhere.
 
     Works on the dataset's dense grid reshaped to (entities, periods), so the
     per-entity means are row reductions. Entities with zero realized mean get
@@ -426,10 +405,8 @@ def calibrate_predictions(fit: CountFit, ds: panel.PanelDataset, rule: Calibrati
     if not ds.has_column(rule.firm_mean_source):
         raise ValidationError(f"realized-count column {rule.firm_mean_source!r} missing")
     shape = (len(ds.entities), len(ds.periods))
-    index = estim.linear_index(fit.base, ds)
     with np.errstate(over="ignore"):
-        raw = np.exp(index).reshape(shape)
-    raw = raw * np.array([fit.entity_effects.get(name, 1.0) for name in ds.entities])[:, None]
+        raw = np.exp(estim.linear_index(fit, ds)).reshape(shape)
 
     n_real, real_mean = _finite_row_means(ds.column(rule.firm_mean_source).reshape(shape))
     n_raw, raw_mean = _finite_row_means(raw)

@@ -405,8 +405,8 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
 
     y = ds.column(spec.dependent)[mask]
     X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, spec.fe_dims, spec.intercept)
-    if n <= len(names):
-        raise ValidationError(f"only {n} complete cases for {len(names)} parameters")
+    if n <= layout.n_params:
+        raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
 
     # rank screen before solving so deficiency is reported on the design
     estim.screen_rank(X, names, layout, spec.intercept)
@@ -429,23 +429,20 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     at_bound = np.minimum(np.abs(duals - spec.tau), np.abs(duals - spec.tau + 1.0)) <= DUAL_TOL
     flat = bool(np.any(zero & at_bound))
 
-    # entity dummies are nuisance parameters whose labels change under
+    # entity effects are nuisance parameters whose labels change under
     # resampling; report only the stable coefficients
-    reported = [nm for nm in names if not nm.startswith("entity=")]
-    coef_full = dict(zip(names, beta))
     fit = FitResult(
-        coefficients={nm: coef_full[nm] for nm in reported},
-        vcov=np.zeros((len(reported), len(reported))),
+        coefficients=dict(zip(names, beta[layout.dense_pos])),
+        vcov=np.zeros((len(names), len(names))),
         n_obs=n,
         se_method="none",
         n_dropped=ds.n_rows - n,
         notes={
-            "model": "cqr",
             "tau": spec.tau,
             "check_loss": loss,
             "flat_optimum": flat,
             "fe_dims": spec.fe_dims,
-            "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
+            "fe_dummies": mapping,
             "lp_iterations": sol.iterations,
             "vertex_pivots": sol.pivots,
         },

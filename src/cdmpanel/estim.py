@@ -48,8 +48,8 @@ class VcovSpec:
         if self.kind not in ("analytic", "hc_robust", "cluster_bootstrap"):
             raise ValidationError(f"unknown vcov kind {self.kind!r}")
         if self.kind == "cluster_bootstrap":
-            if self.replications < 1:
-                raise ValidationError("cluster_bootstrap needs replications >= 1")
+            if self.replications < 2:
+                raise ValidationError("cluster_bootstrap needs replications >= 2")
             if self.seed is None:
                 raise ValidationError("cluster_bootstrap needs a seed")
 
@@ -277,23 +277,19 @@ class BlockHessian(NamedTuple):
 def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
     """design_matrix for a Newton fit or the CQR LP, with the entity dummies left out of X.
 
-    Returns (X, names, fe_dummies, layout): names and fe_dummies are exactly
-    design_matrix's, and layout is the EntityLayout of the entity effects.
+    Returns (X, names, fe_dummies, layout): names and fe_dummies are
+    design_matrix's for the FE dims other than "entity", so they describe X's
+    columns only, and layout is the EntityLayout of the entity effects, which
+    sit in the parameter vector where design_matrix puts the entity dummies.
     Without "entity" among fe_dims it has one level (an empty entity block),
     and X is design_matrix's X.
     """
-    X, dense_names, dense_map = design_matrix(
-        ds, mask, regressors, [d for d in fe_dims if d != "entity"], intercept
-    )
+    X, names, fe_dummies = design_matrix(ds, mask, regressors, [d for d in fe_dims if d != "entity"], intercept)
     if "entity" not in fe_dims:
-        return X, dense_names, dense_map, EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
+        return X, names, fe_dummies, EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
     codes, levels = fe_codes(ds, "entity", mask)
     before = set(fe_dims[: list(fe_dims).index("entity")])
-    at = len(regressors) + sum(dim in before for dim, _ in dense_map.values())
-    entity_names = [f"entity={level}" for level in levels[1:]]
-    names = dense_names[:at] + entity_names + dense_names[at:]
-    dummies = {**dense_map, **{nm: ("entity", level) for nm, level in zip(entity_names, levels[1:])}}
-    fe_dummies = {nm: dummies[nm] for nm in names if nm in dummies}
+    at = len(regressors) + sum(dim in before for dim, _ in fe_dummies.values())
     return X, names, fe_dummies, EntityLayout.from_codes(codes, len(levels), X.shape[1], at)
 
 
@@ -360,7 +356,8 @@ def _checked_qr(X: np.ndarray, names, scale: float | None = None):
 
 def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> None:
     """Raise CollinearityError naming a dependent column of the full design of
-    newton_design (X and its entity layout), before any fit on it.
+    newton_design (X, whose columns ``names`` names, and its entity layout),
+    before any fit on it.
 
     The entity indicators (with the intercept, all E of them; without, the
     E - 1 non-baseline ones; E = 1 without entity effects) have full column
@@ -379,7 +376,7 @@ def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> 
         means[0] = 0.0
     norms = np.linalg.norm(Z, axis=0)
     norms[norms == 0] = 1.0
-    _checked_qr((Z - means[layout.codes]) / norms, [names[pos] for pos in layout.dense_pos[:m]], scale=1.0)
+    _checked_qr((Z - means[layout.codes]) / norms, names[:m], scale=1.0)
 
 
 def fe_residuals(M: np.ndarray, fe, w: np.ndarray | None = None) -> tuple[np.ndarray, int]:
@@ -691,10 +688,7 @@ def bootstrap_vcov(
     if n_failed > 0.10 * B:
         raise ConvergenceError(f"{n_failed} of {B} bootstrap replications failed (> 10%)")
     mat = np.vstack(draws)
-    if mat.shape[0] < 2:
-        V = np.zeros((mat.shape[1], mat.shape[1]))
-    else:
-        V = np.atleast_2d(np.cov(mat, rowvar=False, ddof=1))
+    V = np.atleast_2d(np.cov(mat, rowvar=False, ddof=1))
     return BootstrapResult((V + V.T) / 2.0, n_failed, mat.shape[0])
 
 
@@ -742,9 +736,10 @@ def linear_index(
     Indicator-column coefficients are placed through the (dim, level) mapping
     recorded in ``fit.notes['fe_dummies']``; unseen categories count as the
     dropped baseline. Entity effects kept out of the coefficients, in
-    ``fit.notes['entity_effects']`` ({label: effect}), are added by entity in
-    one gather; an unseen entity counts as the baseline, 0. Rows missing any
-    required input come back NaN.
+    ``fit.notes['entity_effects']`` ({label: effect on the index}, as probit,
+    the FE Poisson and NB2 report them), are added by entity in one gather; an
+    unseen entity counts as the baseline, 0. Rows missing any required input
+    come back NaN.
     """
     dummies: dict[str, tuple[str, object]] = fit.notes.get("fe_dummies", {})
     effects: dict[str, float] = fit.notes.get("entity_effects", {})

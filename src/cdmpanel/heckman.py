@@ -124,10 +124,10 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     """Probit with FE dims as indicators (first category dropped).
 
     Entity effects are estimated without dummy columns (see
-    estim.newton_design) and, as in NB2 and CQR, are not reported:
+    estim.newton_design) and, as in the count fits, are not coefficients:
     ``coefficients`` and ``vcov`` cover the other parameters, and the effects
-    sit in ``notes["entity_effects"]`` ({label: effect}, the baseline entity
-    0.0), from which estim.linear_index reads them.
+    sit in ``notes["entity_effects"]`` ({label: effect on the linear index},
+    the baseline entity 0.0), from which estim.linear_index reads them.
     """
     regressors = list(regressors)
     cat_cols = [d for d in fe_dims if d not in ("entity", "year")]
@@ -140,25 +140,17 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
         raise ValidationError(f"probit dependent {dependent!r} must be binary 0/1")
 
     X, names, mapping, layout = estim.newton_design(ds, mask, regressors, fe_dims, intercept=True)
-    if n < len(names) + 1:
-        raise ValidationError(f"only {n} complete cases for {len(names)} probit parameters")
+    if n < layout.n_params + 1:
+        raise ValidationError(f"only {n} complete cases for {layout.n_params} probit parameters")
     estim.screen_rank(X, names, layout, intercept=True)
 
     res = probit_mle(y, X, layout)
-    coef = dict(zip(names, res.params))
-    notes = {
-        "model": "probit",
-        "fe_dummies": {nm: mapping[nm] for nm in mapping if not nm.startswith("entity=")},
-        "newton_iterations": res.iterations,
-        "grad_norm": res.grad_norm,
-    }
+    notes = {"fe_dummies": mapping, "newton_iterations": res.iterations, "grad_norm": res.grad_norm}
     if "entity" in fe_dims:
-        baseline = estim.fe_codes(ds, "entity", mask)[1][0]
-        notes["entity_effects"] = {
-            baseline: 0.0, **{level: coef[nm] for nm, (dim, level) in mapping.items() if dim == "entity"}
-        }
+        levels = estim.fe_codes(ds, "entity", mask)[1]
+        notes["entity_effects"] = dict(zip(levels, [0.0, *res.params[layout.entity_pos]]))
     return FitResult(
-        coefficients={nm: coef[nm] for nm in names if not nm.startswith("entity=")},
+        coefficients=dict(zip(names, res.params[layout.dense_pos])),
         vcov=res.vcov,
         n_obs=n,
         loglik=res.loglik,
@@ -215,15 +207,8 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
             f"{exc}; the selection correction is collinear with the outcome regressors - "
             "consider adding exclusion restrictions to the selection equation"
         ) from None
-    outcome_fit = FitResult(
-        coefficients=dict(zip(names, core.beta)),
-        vcov=core.vcov,
-        n_obs=X.shape[0],
-        loglik=core.loglik,
-        fit={"r2": core.r2, "adj_r2": core.adj_r2},
-        n_dropped=ds.n_rows - X.shape[0],
-        notes={"absorbed_df": 0, "fe_dims": (), "fe_dummies": mapping, "model": "heckman_step2"},
-    )
+    outcome_fit = estim.ols_result(core, names, ds.n_rows, VcovSpec(), ())
+    outcome_fit.notes["fe_dummies"] = mapping
 
     lam = outcome_fit.coefficients[IMR_NAME]
     delta_bar = float(np.mean(imr * (imr + index)))

@@ -53,7 +53,6 @@ def fe_ols(ds: panel.PanelDataset, spec: ProdSpec) -> FitResult:
     )
     fit = estim.ols_fit(ds, model, spec.vcov)
     fit.wald_chi2 = estim.wald_chi2(fit, list(spec.regressors))
-    fit.notes["model"] = "fe_ols"
     return fit
 
 

@@ -238,11 +238,9 @@ def uqr_fit(
     rifs = rif_quantiles(ds.column(dependent)[mask], spec, spec.taus)
     fits = _fit_rifs(ds, mask, np.column_stack([rr.rif for rr in rifs]), regressors, fe_dims)
     for rr, fit in zip(rifs, fits):
-        fit.notes["model"] = "uqr"
         fit.notes["tau"] = rr.tau
         fit.notes["q_hat"] = rr.q_hat
         fit.notes["f_hat"] = rr.f_hat
-        fit.notes["sigma2_if"] = rr.sigma2_if
     return dict(zip(spec.taus, fits))
 
 
@@ -345,16 +343,12 @@ def rif_treatment_fit(
 
     fe_dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
     combined = np.full((ds.n_rows, len(qspec.taus)), np.nan)
-    qs = {}
-    for label, rows in (("treated", treated_rows), ("control", control_rows)):
-        qs[label] = rif_quantiles(y[rows], qspec, qspec.taus, weights=w_all[rows])
-        combined[rows] = np.column_stack([rr.rif for rr in qs[label]])
+    for rows in (treated_rows, control_rows):
+        rifs = rif_quantiles(y[rows], qspec, qspec.taus, weights=w_all[rows])
+        combined[rows] = np.column_stack([rr.rif for rr in rifs])
     w = w_all[mask] if spec.weighting == "ipw" else None
     fits = _fit_rifs(ds, mask, combined[mask], (spec.treatment, *spec.controls), fe_dims, w)
-    for tau, treated, control, fit in zip(qspec.taus, qs["treated"], qs["control"], fits):
-        fit.notes["model"] = "rif_treatment"
+    for tau, fit in zip(qspec.taus, fits):
         fit.notes["tau"] = tau
         fit.notes["weighting"] = spec.weighting
-        fit.notes["q_treated"] = treated.q_hat
-        fit.notes["q_control"] = control.q_hat
     return dict(zip(qspec.taus, fits))

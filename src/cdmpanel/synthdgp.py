@@ -284,17 +284,15 @@ def _fit_naive_ols(ds: panel.PanelDataset):
 
 def _fit_poisson_fe(ds: panel.PanelDataset):
     spec = counts_mod.CountSpec("PAT", ("RDINT_star",), "poisson_fe", entity_fe=True, year_fe=False)
-    fit = counts_mod.poisson_fe_fit(ds, spec)
-    return fit.base, ("RDINT_star",)
+    return counts_mod.poisson_fe_fit(ds, spec), ("RDINT_star",)
 
 
 def _fit_nb2(ds: panel.PanelDataset):
     spec = counts_mod.CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False)
-    fit = counts_mod.nb2_fit(ds, spec)
-    base = fit.base
+    base = counts_mod.nb2_fit(ds, spec)
     se_alpha = base.notes["alpha_se"]
     coefficients = dict(base.coefficients)
-    coefficients["alpha"] = fit.alpha
+    coefficients["alpha"] = base.notes["alpha"]
     k = len(coefficients)
     V = np.zeros((k, k))
     V[:-1, :-1] = base.vcov

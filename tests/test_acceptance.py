@@ -129,7 +129,7 @@ def test_criterion_03_count_models():
         if np.max(np.abs(g)) < 1e-10:
             break
         beta = beta + np.linalg.solve((Xd * mu[:, None]).T @ Xd, g)
-    gap = abs(cond.base.coefficients["RDINT_star"] - beta[0])
+    gap = abs(cond.coefficients["RDINT_star"] - beta[0])
 
     # NB2 recovery at alpha = 0.8 on a 300x6 panel
     ds2 = synthdgp.generate_panel(synthdgp.DgpConfig(
@@ -139,7 +139,7 @@ def test_criterion_03_count_models():
     ))
     spec2 = cp.CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False)
     nb = cp.nb2_fit(ds2, spec2)
-    slope_ok = abs(nb.base.coefficients["RDINT_star"] - 0.3) < 3 * nb.base.se("RDINT_star")
+    slope_ok = abs(nb.coefficients["RDINT_star"] - 0.3) < 3 * nb.se("RDINT_star")
 
     # NB2 at the Poisson limit
     ds3 = synthdgp.generate_panel(synthdgp.DgpConfig(
@@ -148,14 +148,14 @@ def test_criterion_03_count_models():
     ))
     free = cp.nb2_fit(ds3, spec2)
     fixed = cp.nb2_fit(ds3, spec2, fix_alpha=0.0)
-    ll_gap = abs(free.base.loglik - fixed.base.loglik) / free.base.n_obs
+    ll_gap = abs(free.loglik - fixed.loglik) / free.n_obs
     elapsed = time.monotonic() - t0
 
-    ok = gap < 1e-6 and 0.6 <= nb.alpha <= 1.0 and slope_ok and ll_gap < 1e-3 and elapsed < 120
+    ok = gap < 1e-6 and 0.6 <= nb.notes["alpha"] <= 1.0 and slope_ok and ll_gap < 1e-3 and elapsed < 120
     report(
         3,
         ok,
-        f"conditional-vs-dummy gap {gap:.2e} (<1e-6), alpha {nb.alpha:.3f} in [0.6, 1.0], "
+        f"conditional-vs-dummy gap {gap:.2e} (<1e-6), alpha {nb.notes['alpha']:.3f} in [0.6, 1.0], "
         f"slope within 3 SE: {slope_ok}, NB2-Poisson loglik/obs gap {ll_gap:.2e} (<1e-3), {elapsed:.1f}s",
     )
 

@@ -417,6 +417,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "config: key 'reps' must be an integer, got 'five'" in err
 
+    @pytest.mark.parametrize("replications", [1, -5])
+    def test_bootstrap_replications_zero_or_at_least_two(self, small_run, capsys, replications):
+        path, cfg = write_config(small_run)
+        cfg["bootstrap"]["replications"] = replications
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"bootstrap: key 'replications' must be 0 (analytic) or at least 2, got {replications}" in err
+        assert list((small_run / "out").glob("results/*")) == []
+
     def test_config_not_json(self, small_run, capsys):
         path, cfg = write_config(small_run)
         path.write_text(json.dumps(cfg)[:-1])

@@ -64,7 +64,7 @@ class TestPoissonFe:
         for i, e in enumerate(entk):
             D[i, levels[e]] = 1.0
         beta = dummy_poisson_oracle(yk, np.column_stack([xk, D]))
-        assert abs(fit.base.coefficients["RDINT_star"] - beta[0]) < 1e-6
+        assert abs(fit.coefficients["RDINT_star"] - beta[0]) < 1e-6
 
     def test_all_zero_entity_excluded_and_counted(self):
         ds = from_long(
@@ -73,9 +73,9 @@ class TestPoissonFe:
             {"c": [0.0, 0.0, 1.0, 3.0], "x": [0.1, 0.5, 0.2, 0.9]},
         )
         fit = poisson_fe_fit(ds, CountSpec("c", ("x",), "poisson_fe", year_fe=False))
-        assert fit.n_dropped_entities == 1
-        assert "A" not in fit.entity_effects
-        assert "B" in fit.entity_effects
+        assert fit.notes["dropped_entities"] == 1
+        assert "A" not in fit.notes["entity_effects"]
+        assert "B" in fit.notes["entity_effects"]
 
     def test_entity_screens_match_per_entity_loop(self):
         rng = np.random.default_rng(41)
@@ -105,10 +105,10 @@ class TestPoissonFe:
             tol = 1e-12 * (1 + np.max(np.abs(v[rows])))
             if all(np.ptp(v[rows & (ent == e)]) <= tol for e in kept):
                 absorbed.append(name)
-        assert fit.n_dropped_entities == n_e - len(kept) == 2
-        assert fit.base.notes["absorbed_columns"] == tuple(absorbed) == ("near", "step")
-        assert fit.base.n_obs == int(rows.sum())
-        assert list(fit.entity_effects) == [f"E{e}" for e in kept]
+        assert fit.notes["dropped_entities"] == n_e - len(kept) == 2
+        assert fit.notes["absorbed_columns"] == tuple(absorbed) == ("near", "step")
+        assert fit.n_obs == int(rows.sum())
+        assert list(fit.notes["entity_effects"]) == [f"E{e}" for e in kept]
 
     def test_all_entities_zero_errors(self):
         ds = from_long(["A", "A"], [2010, 2011], {"c": [0.0, 0.0], "x": [0.1, 0.5]})
@@ -119,7 +119,7 @@ class TestPoissonFe:
         ds = count_panel(seed=22, n_entities=200, n_periods=5, slope=0.5)
         spec = CountSpec("PAT", ("RDINT_star",), "poisson_fe", entity_fe=True, year_fe=False)
         fit = poisson_fe_fit(ds, spec)
-        assert abs(fit.base.coefficients["RDINT_star"] - 0.5) < 3 * fit.base.se("RDINT_star")
+        assert abs(fit.coefficients["RDINT_star"] - 0.5) < 3 * fit.se("RDINT_star")
 
     def test_entity_constant_column_absorbed(self):
         ds = count_panel(seed=23, n_entities=40, n_periods=5)
@@ -129,9 +129,9 @@ class TestPoissonFe:
         spec2 = CountSpec("PAT", ("RDINT_star", "const_by_entity"), "poisson_fe", year_fe=False)
         f1 = poisson_fe_fit(ds, spec1)
         f2 = poisson_fe_fit(ds2, spec2)
-        assert "const_by_entity" in f2.base.notes["absorbed_columns"]
+        assert "const_by_entity" in f2.notes["absorbed_columns"]
         assert abs(
-            f1.base.coefficients["RDINT_star"] - f2.base.coefficients["RDINT_star"]
+            f1.coefficients["RDINT_star"] - f2.coefficients["RDINT_star"]
         ) < 1e-8
 
     def test_non_integer_count_rejected(self):
@@ -201,21 +201,21 @@ class TestConditionalPoissonOracle:
         if year_fe:
             cols += [(years[rows] == t).astype(float) for t in ds.periods[1:]]
         X = np.column_stack(cols)
-        assert fit.base.names == ("RDINT_star", *(f"year={t}" for t in ds.periods[1:] if year_fe))
+        assert fit.names == ("RDINT_star", *(f"year={t}" for t in ds.periods[1:] if year_fe))
 
-        beta = fit.base.coef_vector()
+        beta = fit.coef_vector()
         ll, grad, hess = conditional_poisson_oracle(beta, y[rows], X, ent[rows])
-        assert fit.base.loglik == pytest.approx(ll, rel=1e-10)
+        assert fit.loglik == pytest.approx(ll, rel=1e-10)
         assert np.max(np.abs(grad)) < 1e-6
         V = np.linalg.inv(-hess)
-        assert np.max(np.abs(fit.base.vcov - V)) <= 1e-7 * np.max(np.abs(V))
+        assert np.max(np.abs(fit.vcov - V)) <= 1e-7 * np.max(np.abs(V))
 
         kept = np.flatnonzero(totals > 0)
         denom = np.bincount(ent[rows], weights=np.exp(X @ beta), minlength=len(ds.entities))
-        assert fit.n_dropped_entities == 1
-        assert list(fit.entity_effects) == [ds.entities[e] for e in kept]
+        assert fit.notes["dropped_entities"] == 1
+        assert list(fit.notes["entity_effects"]) == [ds.entities[e] for e in kept]
         for e in kept:
-            assert fit.entity_effects[ds.entities[e]] == pytest.approx(totals[e] / denom[e], rel=1e-12)
+            assert np.exp(fit.notes["entity_effects"][ds.entities[e]]) == pytest.approx(totals[e] / denom[e], rel=1e-12)
 
 
 class TestNb2:
@@ -252,8 +252,8 @@ class TestNb2:
                          entity_sd=0.0, alpha=0.8, family="nb2")
         spec = CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False)
         fit = nb2_fit(ds, spec)
-        assert 0.6 <= fit.alpha <= 1.0
-        assert abs(fit.base.coefficients["RDINT_star"] - 0.3) < 3 * fit.base.se("RDINT_star")
+        assert 0.6 <= fit.notes["alpha"] <= 1.0
+        assert abs(fit.coefficients["RDINT_star"] - 0.3) < 3 * fit.se("RDINT_star")
 
     def test_interior_alpha_matches_joint_newton(self):
         # the profile-likelihood optimum against the joint (beta, log alpha)
@@ -270,12 +270,12 @@ class TestNb2:
         joint = estim.mle_fit(lambda p: _nb2_parts(p, y, X, gammaln(y + 1.0), None, one_level(X)),
                               [0.0, np.log(ybar), np.log(alpha0)])
         alpha = np.exp(joint.params[-1])
-        assert fit.alpha == pytest.approx(alpha, rel=1e-8)
-        assert fit.base.notes["alpha_se"] == pytest.approx(alpha * np.sqrt(joint.vcov[-1, -1]), rel=1e-8)
+        assert fit.notes["alpha"] == pytest.approx(alpha, rel=1e-8)
+        assert fit.notes["alpha_se"] == pytest.approx(alpha * np.sqrt(joint.vcov[-1, -1]), rel=1e-8)
         for j, name in enumerate(("RDINT_star", "_cons")):
-            assert fit.base.coefficients[name] == pytest.approx(joint.params[j], rel=1e-8)
-            assert fit.base.se(name) == pytest.approx(np.sqrt(joint.vcov[j, j]), rel=1e-8)
-        lr, p = fit.base.notes["lr_alpha0"]
+            assert fit.coefficients[name] == pytest.approx(joint.params[j], rel=1e-8)
+            assert fit.se(name) == pytest.approx(np.sqrt(joint.vcov[j, j]), rel=1e-8)
+        lr, p = fit.notes["lr_alpha0"]
         assert lr > 0 and p < 1e-10
 
     def test_poisson_panel_with_entity_fe_stops_at_boundary(self, monkeypatch):
@@ -295,10 +295,10 @@ class TestNb2:
         fit = nb2_fit(ds, spec)
         poisson = nb2_fit(ds, spec, fix_alpha=0.0)
         assert failed == []
-        assert fit.alpha == 0.0
-        assert fit.base.notes["alpha_se"] is None
-        assert fit.base.notes["lr_alpha0"] == (0.0, 1.0)
-        assert fit.base.coefficients == poisson.base.coefficients
+        assert fit.notes["alpha"] == 0.0
+        assert fit.notes["alpha_se"] is None
+        assert fit.notes["lr_alpha0"] == (0.0, 1.0)
+        assert fit.coefficients == poisson.coefficients
 
     def test_fix_alpha_other_than_none_or_zero_refused(self):
         ds = count_panel(seed=34, n_entities=30, n_periods=6)
@@ -323,13 +323,13 @@ class TestNb2:
         spec = CountSpec("PAT0", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False)
         fit = nb2_fit(ds, spec)
         kept = nb2_fit(take_entities(ds, [e for e in range(30) if e not in (0, 7)]), spec)
-        assert fit.n_dropped_entities == 2 and fit.base.notes["dropped_entities"] == 2
-        assert fit.base.n_obs == 28 * 6 and fit.base.n_dropped == 2 * 6
-        assert len(fit.entity_effects) == 28 and fit.entity_effects[ds.entities[1]] == 1.0
-        assert np.isfinite(fit.base.coefficients["_cons"])
+        assert fit.notes["dropped_entities"] == 2
+        assert fit.n_obs == 28 * 6 and fit.n_dropped == 2 * 6
+        assert len(fit.notes["entity_effects"]) == 28 and fit.notes["entity_effects"][ds.entities[1]] == 0.0
+        assert np.isfinite(fit.coefficients["_cons"])
         for name in ("RDINT_star", "_cons"):
-            assert fit.base.coefficients[name] == pytest.approx(kept.base.coefficients[name], rel=1e-12)
-        assert fit.alpha == pytest.approx(kept.alpha, rel=1e-12, abs=1e-300)
+            assert fit.coefficients[name] == pytest.approx(kept.coefficients[name], rel=1e-12)
+        assert fit.notes["alpha"] == pytest.approx(kept.notes["alpha"], rel=1e-12, abs=1e-300)
 
     def test_poisson_limit_on_equidispersed_data(self):
         ds = count_panel(seed=32, n_entities=300, n_periods=6, slope=0.3,
@@ -337,8 +337,8 @@ class TestNb2:
         spec = CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False)
         free = nb2_fit(ds, spec)
         fixed = nb2_fit(ds, spec, fix_alpha=0.0)
-        assert free.alpha < 0.05
-        assert abs(free.base.loglik - fixed.base.loglik) / free.base.n_obs < 1e-3
+        assert free.notes["alpha"] < 0.05
+        assert abs(free.loglik - fixed.loglik) / free.n_obs < 1e-3
 
     def test_fix_alpha_zero_reproduces_poisson(self):
         ds = count_panel(seed=33, n_entities=60, n_periods=5, entity_sd=0.0)
@@ -347,15 +347,15 @@ class TestNb2:
         y = ds.column("PAT")
         X = np.column_stack([ds.column("RDINT_star"), np.ones(ds.n_rows)])
         beta = dummy_poisson_oracle(y, X)
-        assert fit.base.coefficients["RDINT_star"] == pytest.approx(beta[0], abs=1e-6)
-        assert fit.base.coefficients["_cons"] == pytest.approx(beta[1], abs=1e-6)
+        assert fit.coefficients["RDINT_star"] == pytest.approx(beta[0], abs=1e-6)
+        assert fit.coefficients["_cons"] == pytest.approx(beta[1], abs=1e-6)
 
     def test_entity_fe_dummies_recover_effects(self):
         ds = count_panel(seed=34, n_entities=30, n_periods=6, entity_sd=0.5)
         spec = CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False)
         fit = nb2_fit(ds, spec)
-        assert len(fit.entity_effects) == 30
-        assert fit.entity_effects[ds.entities[0]] == 1.0
+        assert len(fit.notes["entity_effects"]) == 30
+        assert fit.notes["entity_effects"][ds.entities[0]] == 0.0
 
     @pytest.mark.parametrize("seed", [35, 36, 37])
     def test_fixed_alpha_zero_equals_poisson_fe_exactly(self, seed):
@@ -365,11 +365,11 @@ class TestNb2:
         ds = count_panel(seed=seed, n_entities=40, n_periods=6, entity_sd=0.4)
         nb2 = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2"), fix_alpha=0)
         pois = poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe"))
-        assert nb2.base.n_obs == pois.base.n_obs
-        assert list(nb2.base.coefficients)[:-1] == list(pois.base.coefficients)
-        for name, value in pois.base.coefficients.items():
-            assert nb2.base.coefficients[name] == value
-        assert np.array_equal(nb2.base.vcov[:-1, :-1], pois.base.vcov)
+        assert nb2.n_obs == pois.n_obs
+        assert list(nb2.coefficients)[:-1] == list(pois.coefficients)
+        for name, value in pois.coefficients.items():
+            assert nb2.coefficients[name] == value
+        assert np.array_equal(nb2.vcov[:-1, :-1], pois.vcov)
 
     def test_fixed_alpha_zero_entity_fe_matches_conditional_poisson(self):
         # the conditional-vs-dummy identity of acceptance criterion 3, on the
@@ -378,8 +378,8 @@ class TestNb2:
         dummy = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False),
                         fix_alpha=0.0)
         cond = poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe", year_fe=False))
-        assert len(dummy.entity_effects) == 40
-        assert abs(dummy.base.coefficients["RDINT_star"] - cond.base.coefficients["RDINT_star"]) < 1e-6
+        assert len(dummy.notes["entity_effects"]) == 40
+        assert abs(dummy.coefficients["RDINT_star"] - cond.coefficients["RDINT_star"]) < 1e-6
 
     def test_non_integer_count_rejected(self):
         ds = from_long(["A", "B", "C", "D", "E"], [2010] * 5,
@@ -399,24 +399,20 @@ class TestCalibration:
 
     def test_ratio_scaling_arithmetic(self):
         # raw predictions [2, 4] with realized mean 6 -> scaled [4, 8] + eps
-        from cdmpanel.counts import CountFit
         from cdmpanel.estim import FitResult
 
         ds = from_long(["A", "A"], [2010, 2011],
                        {"x": [np.log(2.0), np.log(4.0)], "real": [5.0, 7.0]})
-        base = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=2)
-        fit = CountFit(base=base, family="poisson_fe", entity_effects={"A": 1.0})
+        fit = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=2, notes={"entity_effects": {"A": 0.0}})
         pred = calibrate_predictions(fit, ds, CalibrationRule("real"))
         assert pred[0] == pytest.approx(4.001, abs=1e-12)
         assert pred[1] == pytest.approx(8.001, abs=1e-12)
 
     def test_zero_realized_mean_gives_epsilon(self):
-        from cdmpanel.counts import CountFit
         from cdmpanel.estim import FitResult
 
         ds = from_long(["A", "A"], [2010, 2011], {"x": [0.0, 1.0], "real": [0.0, 0.0]})
-        base = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=2)
-        fit = CountFit(base=base, family="poisson_fe", entity_effects={})
+        fit = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=2)
         pred = calibrate_predictions(fit, ds, CalibrationRule("real"))
         assert np.allclose(pred, 0.001)
 
@@ -433,17 +429,30 @@ class TestCalibration:
                 got = pred[rows][np.isfinite(pred[rows])]
                 assert abs(np.mean(got - 0.001) - realized.mean()) < 1e-9
 
+    def test_entity_effect_level_is_calibrated_away(self):
+        # each entity is scaled to its realized mean, so its effect only sets
+        # a level that the calibration takes out again
+        ds = count_panel(seed=41, n_entities=50, n_periods=6)
+        fit = self.fit_for(ds)
+        pred = calibrate_predictions(fit, ds, CalibrationRule("PAT"))
+        effects = fit.notes["entity_effects"]
+        label = list(effects)[5]
+        shifted = estim.FitResult(fit.coefficients, fit.vcov, fit.n_obs,
+                                  notes={**fit.notes, "entity_effects": {**effects, label: effects[label] + 0.7}})
+        got = calibrate_predictions(shifted, ds, CalibrationRule("PAT"))
+        assert np.array_equal(np.isnan(got), np.isnan(pred))
+        ok = np.isfinite(pred)
+        assert np.max(np.abs(got[ok] - pred[ok]) / pred[ok]) <= 1e-12
+
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValidationError):
             CalibrationRule("real", epsilon=0.0)
 
     def test_cannot_scale_zero_raw_prediction(self):
-        from cdmpanel.counts import CountFit
         from cdmpanel.estim import FitResult
 
         ds = from_long(["A", "A"], [2010, 2011], {"x": [-800.0, -800.0], "real": [3.0, 5.0]})
-        base = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=2)
-        fit = CountFit(base=base, family="poisson_fe", entity_effects={})
+        fit = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=2)
         with pytest.raises(ValidationError, match="cannot scale"):
             calibrate_predictions(fit, ds, CalibrationRule("real"))
 
@@ -485,13 +494,13 @@ class TestPatentIntensity:
 def calibrate_by_entity(fit, ds, rule):
     """Reference calibration, one entity at a time: each entity's rows are
     found by a mask and its means taken over its finite cells."""
-    raw = np.exp(estim.linear_index(fit.base, ds))
+    raw = np.exp(estim.linear_index(fit, ds))
     ent_idx = ds.entity_index()
     realized = ds.column(rule.firm_mean_source)
     out = np.full(ds.n_rows, np.nan)
     for i, name in enumerate(ds.entities):
         rows = ent_idx == i
-        raw_e = raw[rows] * fit.entity_effects.get(name, 1.0)
+        raw_e = raw[rows]
         real = realized[rows]
         real = real[np.isfinite(real)]
         if real.size == 0:
@@ -511,7 +520,6 @@ class TestCalibrationOracle:
     TOL = 1e-12
 
     def fit_and_panel(self, n_periods, seed):
-        from cdmpanel.counts import CountFit
         from cdmpanel.estim import FitResult
 
         rng = np.random.default_rng(seed)
@@ -528,10 +536,11 @@ class TestCalibrationOracle:
         real_grid[9] = 0.0
         ds = from_long(np.repeat(labels, n_periods), list(range(2001, 2001 + n_periods)) * n_e,
                        {"x": x, "real": real})
-        base = FitResult(coefficients={"x": 0.7, "_cons": -0.2}, vcov=np.zeros((2, 2)), n_obs=ds.n_rows)
-        # non-unit effects for most entities; the rest fall back to 1.0
-        effects = {label: float(rng.uniform(0.2, 5.0)) for label in labels[: n_e - 6]}
-        return CountFit(base=base, family="nb2", entity_effects=effects), ds
+        # non-zero effects for most entities; the rest fall back to 0.0
+        effects = {label: float(np.log(rng.uniform(0.2, 5.0))) for label in labels[: n_e - 6]}
+        fit = FitResult(coefficients={"x": 0.7, "_cons": -0.2}, vcov=np.zeros((2, 2)), n_obs=ds.n_rows,
+                        notes={"entity_effects": effects})
+        return fit, ds
 
     @pytest.mark.parametrize("n_periods, seed", [(6, 1), (8, 2), (8, 3)])
     def test_matches_per_entity_reference(self, n_periods, seed):
@@ -547,7 +556,6 @@ class TestCalibrationOracle:
         assert np.all(np.isnan(got[7])) and np.all(np.isnan(got[9]))
 
     def test_zero_raw_mean_names_first_entity_in_dataset_order(self):
-        from cdmpanel.counts import CountFit
         from cdmpanel.estim import FitResult
 
         labels = ["Q", "B", "Z", "A", "C"]
@@ -555,10 +563,10 @@ class TestCalibrationOracle:
         real = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0], [4.0, 5.0], [1.0, 1.0]])
         real_b = real.copy()
         ds = from_long(np.repeat(labels, 2), [2010, 2011] * 5, {"x": x.ravel(), "real": real.ravel()})
-        base = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=10)
-        fit = CountFit(base=base, family="nb2", entity_effects={"C": 0.0})
+        fit = FitResult(coefficients={"x": 1.0}, vcov=np.zeros((1, 1)), n_obs=10,
+                        notes={"entity_effects": {"C": -np.inf}})
         # B has a zero raw mean but a zero realized mean; A is the first to fail,
-        # C (a zero effect) the second
+        # C (an effect of -inf) the second
         with pytest.raises(ValidationError, match=r"^cannot scale entity 'A': zero mean raw prediction"):
             calibrate_predictions(fit, ds, CalibrationRule("real"))
         real_b[3] = np.nan  # A has no realized value, so C fails
@@ -588,6 +596,6 @@ class TestCovarianceMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fit.base.vcov.shape == (len(fit.base.coefficients),) * 2
-        assert abs(fit.base.coefficients["x"] - 0.5) < 5 * fit.base.se("x")
+        assert fit.vcov.shape == (len(fit.coefficients),) * 2
+        assert abs(fit.coefficients["x"] - 0.5) < 5 * fit.se("x")
         assert peak / 2**20 < self.PEAK_MB

@@ -241,7 +241,8 @@ class TestEntityEffectsAsCodes:
         mask = np.ones(ds.n_rows, dtype=bool)
         X, names, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, intercept)
         Z, dense_names, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, intercept)
-        assert names == dense_names
+        assert names == [dense_names[pos] for pos in layout.dense_pos]
+        assert layout.n_params == len(dense_names)
         v = rng.normal(size=Z.shape[0])
         w = rng.normal(size=Z.shape[1])
         q = rng.uniform(0.1, 2.0, size=Z.shape[0])

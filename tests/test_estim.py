@@ -6,6 +6,7 @@ import pytest
 from cdmpanel import (
     CollinearityError,
     ConvergenceError,
+    CountSpec,
     CqrSpec,
     ModelSpec,
     ValidationError,
@@ -14,6 +15,7 @@ from cdmpanel import (
     cqr_fit,
     from_long,
     mle_fit,
+    nb2_fit,
     ols_fit,
     probit_fit,
     vif,
@@ -376,8 +378,9 @@ class TestBootstrap:
             bootstrap_vcov(refit, ds, VcovSpec("cluster_bootstrap", replications=5, seed=1))
 
     def test_zero_replications_rejected(self):
-        with pytest.raises(ValidationError):
-            VcovSpec("cluster_bootstrap", replications=0, seed=1)
+        for replications in (0, 1):
+            with pytest.raises(ValidationError):
+                VcovSpec("cluster_bootstrap", replications=replications, seed=1)
 
     def test_seed_required(self):
         with pytest.raises(ValidationError):
@@ -725,9 +728,11 @@ class TestEntityLayout:
     def designs(self, ds, mask, fe_dims):
         X, names, mapping, layout = newton_design(ds, mask, ["RDINT_star", "X1"], fe_dims, True)
         Xd, names_d, mapping_d = design_matrix(ds, mask, ["RDINT_star", "X1"], fe_dims, True)
-        assert names == names_d
-        assert list(mapping.items()) == list(mapping_d.items())
-        assert X.shape[1] == len(names) - 24
+        # names and fe_dummies describe X's columns only: design_matrix's less
+        # the entity dummies, whose positions the layout keeps
+        assert names == [names_d[pos] for pos in layout.dense_pos]
+        assert list(mapping.items()) == [(nm, v) for nm, v in mapping_d.items() if v[0] != "entity"]
+        assert X.shape[1] == len(names) == layout.n_params - 24 == len(names_d) - 24
         return X, layout, Xd
 
     def check(self, layout_parts, dense_parts):
@@ -767,6 +772,20 @@ class TestEntityLayout:
         assert len(layout.entity_pos) == 0 and np.array_equal(layout.dense_pos, np.arange(X.shape[1]))
         assert np.array_equal(X, Xd) and names == names_d and mapping == mapping_d
 
+    @pytest.mark.parametrize("fit, message", [
+        (lambda ds: probit_fit(ds, "d", ["x"], fe_dims=("entity",)), "only 5 complete cases for 6 probit parameters"),
+        (lambda ds: nb2_fit(ds, CountSpec("c", ("x",), "nb2", year_fe=False)), "only 5 complete cases for 6 parameters"),
+        (lambda ds: cqr_fit(ds, CqrSpec("c", ("x",), fe_dims=("entity",))), "only 5 complete cases for 6 parameters"),
+    ])
+    def test_size_checks_count_the_entity_effects(self, fit, message):
+        # one row per entity: the 5 rows cover the 2 parameters of X (x and
+        # _cons) but not those plus the 4 entity effects
+        ds = from_long([f"E{i}" for i in range(5)], [2010] * 5,
+                       {"d": [0.0, 1.0, 0.0, 1.0, 1.0], "c": [1.0, 2.0, 3.0, 1.0, 2.0],
+                        "x": [0.3, -1.2, 0.8, 0.1, -0.5]})
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fit(ds)
+
 
 class TestNewtonNotes:
     def test_fits_keep_newton_iterations_and_grad_norm(self):
@@ -774,8 +793,8 @@ class TestNewtonNotes:
 
         ds = synthdgp.generate_panel(synthdgp.DgpConfig(n_entities=30, n_periods=5, seed=72))
         fits = [
-            nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2")).base,
-            poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe")).base,
+            nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2")),
+            poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe")),
             probit_fit(ds, "D", ["Z", "X1"], fe_dims=("year",)),
         ]
         for fit in fits:

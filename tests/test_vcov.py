@@ -35,12 +35,12 @@ ESTIMATORS = {
         lambda ds: ols_fit(ds, OLS).coefficients,
     ),
     "poisson_fe_fit": (
-        lambda ds, vcov: poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe", vcov=vcov)).base,
-        lambda ds: poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe")).base.coefficients,
+        lambda ds, vcov: poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe", vcov=vcov)),
+        lambda ds: poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe")).coefficients,
     ),
     "nb2_fit": (
-        lambda ds, vcov: nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", vcov=vcov)).base,
-        lambda ds: nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2")).base.coefficients,
+        lambda ds, vcov: nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", vcov=vcov)),
+        lambda ds: nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2")).coefficients,
     ),
     "heckman_two_step": (
         lambda ds, vcov: heckman_two_step(ds, HeckmanSpec(**HECKMAN, vcov=vcov)).outcome,
