@@ -172,7 +172,7 @@ def _parse_heckman(sc: _Keys, cols: _Columns):
         fe_dims=sc.list_of("fe", str),
     )
     cols.need(sc.where, spec.outcome, spec.selection, *spec.outcome_regressors, *spec.exclusion_restrictions,
-              *[d for d in spec.fe_dims if d not in ("entity", "year")])
+              *[d for d in spec.fe_dims if d != "year"])
     predict_as = sc.get("predict_as", "RDINT_hat")
     cols.add(predict_as)
     return spec, predict_as

@@ -9,8 +9,10 @@ is eliminated by a Schur complement (BlockHessian). On top of these sit an
 array-level OLS core whose FE are absorbed exactly by that elimination
 (fe_residuals, the weighted least-squares residuals on the FE; one projection
 and one factorisation for several dependent columns) with analytic/HC1
-covariances, a line-searched Newton maximizer for likelihoods on newton_design
-designs, one rank screen for those designs (screen_rank), the entity-cluster
+covariances, the one least-squares solver of the linear fits (ols_fit,
+Heckman step 2, the RIF regressions and the Mundlak test's three fits), a
+line-searched Newton maximizer for likelihoods on newton_design designs, one
+rank screen for those designs (screen_rank), the entity-cluster
 bootstrap and apply_vcov, through which every estimator gets its covariance
 (refusing a kind it cannot give), variance inflation factors, and Wald tests.
 Every downstream estimator builds on these.
@@ -733,9 +735,10 @@ def linear_index(
 ) -> np.ndarray:
     """Apply a fit's coefficients to dataset rows, returning the linear predictor.
 
-    Indicator-column coefficients are placed through the (dim, level) mapping
-    recorded in ``fit.notes['fe_dummies']``; unseen categories count as the
-    dropped baseline. Entity effects kept out of the coefficients, in
+    Indicator-column coefficients (year or category dims; no fit reports
+    entity dummies) are placed through the (dim, level) mapping recorded in
+    ``fit.notes['fe_dummies']``; unseen categories count as the dropped
+    baseline. Entity effects, kept out of the coefficients in
     ``fit.notes['entity_effects']`` ({label: effect on the index}, as probit,
     the FE Poisson and NB2 report them), are added by entity in one gather; an
     unseen entity counts as the baseline, 0. Rows missing any required input
@@ -746,8 +749,6 @@ def linear_index(
     out = np.array([effects.get(label, 0.0) for label in ds.entities])[ds.entity_index()]
     missing = np.zeros(ds.n_rows, dtype=bool)
     years = ds.row_years()
-    ent_idx = ds.entity_index()
-    ent_pos = {label: i for i, label in enumerate(ds.entities)}
     for name, coef in fit.coefficients.items():
         if name in exclude:
             continue
@@ -757,8 +758,6 @@ def linear_index(
             dim, level = dummies[name]
             if dim == "year":
                 match = years == level
-            elif dim == "entity":
-                match = ent_idx == ent_pos.get(level, -1)
             else:
                 vals = ds.column(dim)
                 missing |= ~np.isfinite(vals)

@@ -12,6 +12,11 @@ outcome error scale sigma follow the classical two-step decomposition
 
 with sigma redefined as |lambda| whenever rho is clamped so that
 lambda = rho * sigma always holds.
+
+Year and category effects enter both steps as indicator columns. Entity
+effects are refused: a probit with entity effects is inconsistent at a fixed
+number of periods (the incidental-parameters problem; Greene 2004), and so
+is the inverse Mills ratio built from it.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ class HeckmanSpec:
             raise ValidationError(
                 f"exclusion restrictions {sorted(shared)} also appear among the outcome "
                 "regressors; they must enter the selection equation only"
+            )
+        if self.outcome in self.outcome_regressors:
+            raise ValidationError(f"dependent {self.outcome!r} appears among the regressors")
+        if "entity" in self.fe_dims:
+            raise ValidationError(
+                "entity fixed effects are not supported: a probit with entity effects is "
+                "inconsistent at a fixed number of periods (the incidental-parameters "
+                "problem), and so is the inverse Mills ratio built from it"
             )
 
 
@@ -161,9 +174,14 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
 
 def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     """Probit on the full sample, then selection-corrected OLS on disclosing rows."""
+    # the step-2 design names the correction term IMR; a data column of that
+    # name would be ambiguous
+    if ds.has_column(IMR_NAME):
+        raise ValidationError(f"column {IMR_NAME!r} already exists")
     sel = ds.column(spec.selection)
     sel_regs = [*spec.exclusion_restrictions, *spec.outcome_regressors]
-    model_cols = [spec.outcome, *sel_regs, *[d for d in spec.fe_dims if d not in ("entity", "year")]]
+    cat_cols = [d for d in spec.fe_dims if d != "year"]
+    model_cols = [spec.outcome, *sel_regs, *cat_cols]
     has_data = np.zeros(ds.n_rows, dtype=bool)
     for name in model_cols:
         has_data |= np.isfinite(ds.column(name))
@@ -185,14 +203,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         )
 
     probit = probit_fit(ds, spec.selection, sel_regs, spec.fe_dims)
-    # the step-2 design names the correction term IMR; a data column of that
-    # name would be ambiguous
-    if ds.has_column(IMR_NAME):
-        raise ValidationError(f"column {IMR_NAME!r} already exists")
-    if spec.outcome in spec.outcome_regressors:
-        raise ValidationError(f"dependent {spec.outcome!r} appears among the regressors")
     index = estim.linear_index(probit, ds)
-    cat_cols = [d for d in spec.fe_dims if d not in ("entity", "year")]
     mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors, *cat_cols])
     mask &= (sel == 1.0) & np.isfinite(index)
     index = index[mask]

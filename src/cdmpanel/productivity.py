@@ -3,7 +3,10 @@
 The dependent variable is the one-period lead of log value added per employee,
 built with a lead derive rule so the shift never crosses entity boundaries.
 The Mundlak test augments a feasible-GLS random-effects model with entity
-means of the time-varying regressors and tests the mean block jointly.
+means of the time-varying regressors and tests the mean block jointly. Both
+estimators are least squares on estim.ols_core: the within fit absorbs its
+fixed effects there, and the Mundlak test's within, between and GLS fits are
+three ols_core calls.
 """
 
 from __future__ import annotations
@@ -59,31 +62,38 @@ def fe_ols(ds: panel.PanelDataset, spec: ProdSpec) -> FitResult:
 def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     """Random-effects GLS augmented with entity means of time-varying regressors.
 
+    Three least-squares fits (estim.ols_core): the within fit (entity effects,
+    and year effects under ``year_fe``, absorbed through ``fe``) and the
+    between fit on entity means give the variance components; the fit on the
+    quasi-demeaned data is the GLS fit whose mean block is tested jointly.
+
     Returns (chi2, df, p, mean_coefficients). Time-invariant regressors are
     excluded from the mean set with a warning; a negative estimated variance
-    component is clamped to zero with a warning.
+    component is clamped to zero with a warning. A regressor whose entity
+    means do not vary across entities leaves the between fit rank deficient,
+    a CollinearityError naming its mean.
     """
     regressors = list(spec.regressors)
     mask = estim.complete_case_mask(ds, [spec.dependent, *regressors])
     n = int(mask.sum())
     if n == 0:
         raise ValidationError("no complete cases for the Mundlak test")
-    ent, entities = estim.fe_codes(ds, "entity", mask)
-    n_ent = len(entities)
-
-    y = ds.column(spec.dependent)[mask]
+    ent = estim.fe_codes(ds, "entity", mask)[0]
     year_dims = ("year",) if spec.year_fe else ()
     design, names, _ = estim.design_matrix(ds, mask, regressors, year_dims, intercept=False)
     X = design[:, : len(regressors)]
 
-    counts = np.bincount(ent, minlength=n_ent).astype(float)
-    means_X = np.vstack([np.bincount(ent, weights=X[:, j], minlength=n_ent) / counts
-                         for j in range(X.shape[1])]).T
+    # rows are entity-major, so each entity's rows are one run of its code
+    starts = np.flatnonzero(np.diff(ent, prepend=-1))
+    counts = np.diff(np.append(starts, n))
+    data = np.column_stack([ds.column(spec.dependent)[mask], design])
+    means = np.add.reduceat(data, starts) / counts[:, None]
+    ybar, Xbar = means[:, 0], means[:, 1 : 1 + len(regressors)]
 
     time_varying: list[int] = []
     for j, name in enumerate(regressors):
-        within = X[:, j] - means_X[ent, j]
-        if np.max(np.abs(within)) <= 1e-10 * (1.0 + np.max(np.abs(X[:, j]))):
+        dev = X[:, j] - Xbar[ent, j]
+        if np.max(np.abs(dev)) <= 1e-10 * (1.0 + np.max(np.abs(X[:, j]))):
             warnings.warn(
                 f"regressor {name!r} is constant within every entity; "
                 "its entity mean duplicates it and is excluded from the Mundlak mean set",
@@ -93,30 +103,18 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
             time_varying.append(j)
     if len(time_varying) < 2:
         raise ValidationError("Mundlak test needs at least two time-varying regressors")
-
     mean_names = [f"mean_{regressors[j]}" for j in time_varying]
-    Z = np.column_stack([design, means_X[ent][:, time_varying]])
-    names += mean_names
 
     # variance components from the within / between decomposition
-    within_y = y - np.bincount(ent, weights=y, minlength=n_ent)[ent] / counts[ent]
-    Zbar = np.vstack([np.bincount(ent, weights=Z[:, j], minlength=n_ent) / counts
-                      for j in range(Z.shape[1])]).T
-    within_Z = Z - Zbar[ent]
-    keep_w = [j for j in range(within_Z.shape[1]) if np.max(np.abs(within_Z[:, j])) > 1e-12]
-    bw, *_ = np.linalg.lstsq(within_Z[:, keep_w], within_y, rcond=None)
-    rss_w = float(np.sum((within_y - within_Z[:, keep_w] @ bw) ** 2))
-    dof_w = max(n - n_ent - len(keep_w), 1)
-    sigma2_e = rss_w / dof_w
-
-    ybar = np.bincount(ent, weights=y, minlength=n_ent) / counts
-    Xbar = means_X
-    Bmat = np.column_stack([Xbar, np.ones(n_ent)])
-    bb, *_ = np.linalg.lstsq(Bmat, ybar, rcond=None)
-    rss_b = float(np.sum((ybar - Bmat @ bb) ** 2))
-    dof_b = max(n_ent - Bmat.shape[1], 1)
+    fe = [ent, *(estim.fe_codes(ds, dim, mask)[0] for dim in year_dims)]
+    within = estim.ols_core(X[:, time_varying], data[:, 0], [regressors[j] for j in time_varying], fe=fe)
+    sigma2_e = float(within.resid @ within.resid) / max(n - len(time_varying) - within.absorbed_df, 1)
+    n_ent = len(starts)
+    between_X = np.column_stack([Xbar, np.ones(n_ent)])
+    between = estim.ols_core(between_X, ybar, [*(f"mean_{r}" for r in regressors), INTERCEPT])
+    rss_b = float(between.resid @ between.resid)
     t_harm = n_ent / float(np.sum(1.0 / counts))
-    sigma2_u = rss_b / dof_b - sigma2_e / t_harm
+    sigma2_u = rss_b / max(n_ent - between_X.shape[1], 1) - sigma2_e / t_harm
     if sigma2_u < 0:
         warnings.warn(
             f"estimated entity variance component was negative ({sigma2_u:.3e}); clamped to 0",
@@ -124,28 +122,14 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
         )
         sigma2_u = 0.0
 
-    theta_i = 1.0 - np.sqrt(sigma2_e / (sigma2_e + counts * sigma2_u))
-    th = theta_i[ent]
-    y_t = y - th * ybar[ent]
-    Z_t = Z - th[:, None] * Zbar[ent]
-    const_t = 1.0 - th
-    G = np.column_stack([Z_t, const_t])
-    all_names = [*names, INTERCEPT]
-
-    coef, *_ = np.linalg.lstsq(G, y_t, rcond=None)
-    resid = y_t - G @ coef
-    dof = max(n - G.shape[1], 1)
-    sigma2 = float(np.sum(resid**2)) / dof
-    GtG_inv = np.linalg.inv(G.T @ G)
-    V = sigma2 * GtG_inv
-
-    fit = FitResult(
-        coefficients=dict(zip(all_names, coef)),
-        vcov=V,
-        n_obs=n,
-        se_method="analytic",
-        n_dropped=ds.n_rows - n,
-    )
+    # GLS: y and the design quasi-demeaned by theta_i; the entity means and the
+    # intercept are constant within entity, so they are scaled by 1 - theta_i
+    theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + counts * sigma2_u))[ent]
+    quasi = data - theta[:, None] * means[ent]
+    G = np.column_stack([quasi[:, 1:], (1.0 - theta)[:, None] * between_X[:, [*time_varying, -1]][ent]])
+    all_names = [*names, *mean_names, INTERCEPT]
+    gls = estim.ols_core(G, quasi[:, 0], all_names)
+    fit = estim.ols_result(gls, all_names, ds.n_rows, VcovSpec(), ())
     chi2, df, p = estim.wald_chi2(fit, mean_names)
     mean_coefficients = {nm: fit.coefficients[nm] for nm in mean_names}
     return chi2, df, p, mean_coefficients

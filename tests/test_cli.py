@@ -89,6 +89,14 @@ class TestPreflight:
         with pytest.raises(ValidationError, match="RDINT_hat"):
             cli.run_pipeline(str(path), stages=["counts"])
 
+    def test_heckman_entity_effects_refused_before_fitting(self, small_run):
+        path, cfg = write_config(small_run)
+        cfg["stages"]["heckman"]["fe"] = ["entity", "year"]
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValidationError, match="heckman stage: entity fixed effects"):
+            cli.run_pipeline(str(path))
+        assert not os.path.exists(small_run / "out" / "results" / "heckman__full.txt")
+
     def test_derive_collision_caught(self, small_run):
         path, cfg = write_config(small_run)
         cfg["derives"].append({"kind": "round", "source": "PAT", "target": "PAT_dep"})

@@ -220,6 +220,27 @@ class TestTwoStep:
                 exclusion_restrictions=("EPD",),
             )
 
+    def test_entity_effects_refused_by_the_spec(self):
+        with pytest.raises(ValidationError, match="entity fixed effects are not supported.*incidental"):
+            base_spec(fe_dims=("entity", "year"))
+
+    def test_outcome_among_regressors_refused_by_the_spec(self):
+        with pytest.raises(ValidationError, match="dependent 'RDINT' appears among the regressors"):
+            HeckmanSpec(outcome="RDINT", selection="D", outcome_regressors=("RDINT", "X1"),
+                        exclusion_restrictions=("Z",))
+
+    def test_imr_column_refused_before_the_probit(self):
+        # Z separates the selection perfectly, so a probit would fail first
+        n = 40
+        z = np.linspace(-1.0, 1.0, n)
+        d = (z > 0).astype(float)
+        ds = from_long([f"E{i}" for i in range(n)], [2010] * n,
+                       {"Z": z, "X1": np.cos(z), "D": d, "RDINT": np.where(d == 1, z, np.nan), "IMR": z})
+        with pytest.raises(ConvergenceError):
+            probit_fit(ds, "D", ["Z", "X1"])
+        with pytest.raises(ValidationError, match="column 'IMR' already exists"):
+            heckman_two_step(ds, base_spec())
+
     def test_two_step_corrects_selection_bias(self):
         ds = two_step_panel(seed=11)
         fit = heckman_two_step(ds, base_spec())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from cdmpanel import (
     fe_ols,
     mundlak_test,
 )
-from cdmpanel import synthdgp
+from cdmpanel import estim, synthdgp
+from cdmpanel.estim import INTERCEPT, FitResult
 
 
 def prod_panel(seed=0, n_entities=200, n_periods=6, corr=0.0):
@@ -160,3 +163,120 @@ class TestMundlak:
         _, df, _, means = mundlak_test(ds, base_spec())
         assert set(means) == {"mean_lnPATINT_true", "mean_lnEMP", "mean_lnCAPINT"}
         assert df == 3
+
+    def test_regressor_with_equal_entity_means_named_by_the_between_fit(self):
+        # lnEMP demeaned within entity on the test's sample varies over time,
+        # but its entity means are all zero up to rounding: its mean column
+        # is noise and must not enter the Wald test as a degree of freedom
+        ds = prod_panel(seed=5, n_entities=100, n_periods=6)
+        demeaned = estim.within_demean(ds, ["lnEMP", "lnVA_lead"], ["entity"])
+        ds = ds.with_column("dEMP", demeaned.column("lnEMP"))
+        spec = ProdSpec(
+            dependent="lnVA_lead",
+            patent_intensities=("lnPATINT_true",),
+            controls=("dEMP", "lnCAPINT"),
+        )
+        with pytest.raises(CollinearityError, match="mean_dEMP"):
+            mundlak_test(ds, spec)
+
+
+def reference_mundlak(ds, spec):
+    """Within / between / GLS by per-entity bincount means and lstsq solves,
+    with a hand-built covariance: an independent oracle for mundlak_test."""
+    regressors = list(spec.regressors)
+    mask = estim.complete_case_mask(ds, [spec.dependent, *regressors])
+    n = int(mask.sum())
+    ent, entities = estim.fe_codes(ds, "entity", mask)
+    n_ent = len(entities)
+
+    y = ds.column(spec.dependent)[mask]
+    year_dims = ("year",) if spec.year_fe else ()
+    design, names, _ = estim.design_matrix(ds, mask, regressors, year_dims, intercept=False)
+    X = design[:, : len(regressors)]
+
+    counts = np.bincount(ent, minlength=n_ent).astype(float)
+    means_X = np.vstack([np.bincount(ent, weights=X[:, j], minlength=n_ent) / counts
+                         for j in range(X.shape[1])]).T
+
+    time_varying = []
+    for j, name in enumerate(regressors):
+        within = X[:, j] - means_X[ent, j]
+        if np.max(np.abs(within)) <= 1e-10 * (1.0 + np.max(np.abs(X[:, j]))):
+            warnings.warn(f"regressor {name!r} is constant within every entity", stacklevel=2)
+        else:
+            time_varying.append(j)
+
+    mean_names = [f"mean_{regressors[j]}" for j in time_varying]
+    Z = np.column_stack([design, means_X[ent][:, time_varying]])
+    names += mean_names
+
+    within_y = y - np.bincount(ent, weights=y, minlength=n_ent)[ent] / counts[ent]
+    Zbar = np.vstack([np.bincount(ent, weights=Z[:, j], minlength=n_ent) / counts
+                      for j in range(Z.shape[1])]).T
+    within_Z = Z - Zbar[ent]
+    keep_w = [j for j in range(within_Z.shape[1]) if np.max(np.abs(within_Z[:, j])) > 1e-12]
+    bw, *_ = np.linalg.lstsq(within_Z[:, keep_w], within_y, rcond=None)
+    rss_w = float(np.sum((within_y - within_Z[:, keep_w] @ bw) ** 2))
+    sigma2_e = rss_w / max(n - n_ent - len(keep_w), 1)
+
+    ybar = np.bincount(ent, weights=y, minlength=n_ent) / counts
+    Bmat = np.column_stack([means_X, np.ones(n_ent)])
+    bb, *_ = np.linalg.lstsq(Bmat, ybar, rcond=None)
+    rss_b = float(np.sum((ybar - Bmat @ bb) ** 2))
+    t_harm = n_ent / float(np.sum(1.0 / counts))
+    sigma2_u = max(rss_b / max(n_ent - Bmat.shape[1], 1) - sigma2_e / t_harm, 0.0)
+
+    th = (1.0 - np.sqrt(sigma2_e / (sigma2_e + counts * sigma2_u)))[ent]
+    G = np.column_stack([Z - th[:, None] * Zbar[ent], 1.0 - th])
+    coef, *_ = np.linalg.lstsq(G, y - th * ybar[ent], rcond=None)
+    resid = y - th * ybar[ent] - G @ coef
+    V = float(np.sum(resid**2)) / max(n - G.shape[1], 1) * np.linalg.inv(G.T @ G)
+    fit = FitResult(coefficients=dict(zip([*names, INTERCEPT], coef)), vcov=V, n_obs=n)
+    chi2, df, p = estim.wald_chi2(fit, mean_names)
+    return chi2, df, p, {nm: fit.coefficients[nm] for nm in mean_names}
+
+
+def _holes_in_capint(ds):
+    rng = np.random.default_rng(3)
+    capint = ds.column("lnCAPINT").copy()
+    capint[rng.random(ds.n_rows) < 0.15] = np.nan
+    return ds.with_replaced({"lnCAPINT": capint})
+
+
+def _time_invariant_control(ds):
+    return ds.with_column("tic", np.repeat(np.arange(len(ds.entities), dtype=float), len(ds.periods)))
+
+
+MUNDLAK_CASES = {
+    "balanced": (lambda ds: ds, {}),
+    "holes_in_control": (_holes_in_capint, {}),
+    "no_year_fe": (lambda ds: ds, {"year_fe": False}),
+    "time_invariant_control": (_time_invariant_control, {"controls": ("lnEMP", "lnCAPINT", "tic")}),
+}
+
+
+@pytest.mark.parametrize("case", list(MUNDLAK_CASES))
+def test_mundlak_matches_reference(case):
+    edit, spec_kw = MUNDLAK_CASES[case]
+    ds = edit(prod_panel(seed=60, n_entities=500, n_periods=8, corr=0.3))
+    spec = ProdSpec(**{
+        "dependent": "lnVA_lead",
+        "patent_intensities": ("lnPATINT_true",),
+        "controls": ("lnEMP", "lnCAPINT"),
+        **spec_kw,
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chi2, df, p, means = mundlak_test(ds, spec)
+    with warnings.catch_warnings(record=True) as caught_ref:
+        warnings.simplefilter("always")
+        ref_chi2, ref_df, ref_p, ref_means = reference_mundlak(ds, spec)
+    assert len(caught) == len(caught_ref)
+    if case == "time_invariant_control":
+        assert "tic" in str(caught[0].message) and "mean_tic" not in means
+    assert df == ref_df == len(means)
+    assert list(means) == list(ref_means)
+    assert chi2 == pytest.approx(ref_chi2, rel=1e-9)
+    assert p == pytest.approx(ref_p, rel=1e-9)
+    for name, value in ref_means.items():
+        assert means[name] == pytest.approx(value, rel=1e-9)
