@@ -19,7 +19,6 @@ from .estim import (
     ols_fit,
     vif,
     wald_chi2,
-    within_demean,
 )
 from .exceptions import CollinearityError, ConvergenceError, ValidationError
 from .heckman import (
@@ -43,14 +42,13 @@ from .rif import (
     QuantileSpec,
     RifResult,
     TreatmentSpec,
-    kde_at,
     propensity_ipw,
     rif_quantile,
     rif_treatment_fit,
     uqr_fit,
 )
 from .synthdgp import DgpConfig, MonteCarloReport, generate_panel, monte_carlo
-from .tables import emit_tables, render_table
+from .tables import render_table
 
 __version__ = "0.1.0"
 
@@ -78,14 +76,12 @@ __all__ = [
     "calibrate_predictions",
     "cqr_fit",
     "derive",
-    "emit_tables",
     "fe_ols",
     "filter_rows",
     "from_long",
     "generate_panel",
     "heckman_two_step",
     "inverse_mills",
-    "kde_at",
     "load_csv",
     "mle_fit",
     "monte_carlo",
@@ -103,5 +99,4 @@ __all__ = [
     "uqr_fit",
     "vif",
     "wald_chi2",
-    "within_demean",
 ]

@@ -394,9 +394,8 @@ class _StageRunner:
         cols = []
         for label, specs, predict_family, rule, predict_as, intensity_as in models:
             fits = {}
-            for spec in specs:
-                spec = dataclasses.replace(spec, vcov=self._vcov(2))
-                fit = counts.poisson_fe_fit(self.ds, spec) if spec.family == "poisson_fe" else counts.nb2_fit(self.ds, spec)
+            specs = [dataclasses.replace(spec, vcov=self._vcov(2)) for spec in specs]
+            for spec, fit in zip(specs, counts.count_fits(self.ds, specs)):
                 fits[spec.family] = fit
                 self._emit("counts", f"{label}_{spec.family}", fit)
                 extra = {}

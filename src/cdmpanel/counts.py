@@ -1,40 +1,33 @@
 """Count models for patent outcomes plus the prediction-calibration scheme.
 
-Two families on one path. Both take the same sample (complete cases with
-validated counts, less, with entity FE, the entities whose count total is zero,
-since their effects have no finite MLE, or that have too few rows) and fit the
-same dummy-variable Poisson MLE, started at its exact profile for zero slopes:
-each entity's log mean count. Entity effects (always in ``poisson_fe``,
-optional in ``nb2``) are estimated as parameters (first kept entity the
-baseline) but never built as dummy columns: their Hessian block is diagonal and
-is eliminated by a Schur complement in each Newton step (estim.newton_design,
-estim.BlockHessian). They are not coefficients; each fit reports them in
-``notes["entity_effects"]`` ({label: effect on the linear index}), from which
-estim.linear_index reads them. One tail builds either family's FitResult, its
-covariance and the Wald test on its slopes.
+One fit per count model (count_fits): its families share one sample
+(complete cases with validated counts, less, with entity FE, the entities
+whose count total is zero, since their effects have no finite MLE, or that
+have a single complete row), one design and one dummy-variable Poisson MLE,
+started at its exact profile for zero slopes: each entity's log mean count.
+Each family runs its own tail on that MLE, and one bootstrap settles every
+family's covariance. Entity effects (always in ``poisson_fe``, optional in
+``nb2``) are parameters (first kept entity the baseline) but never dummy
+columns: their diagonal Hessian block is eliminated by a Schur complement in
+each Newton step (estim.newton_design, estim.BlockHessian). Each fit reports
+them in ``notes["entity_effects"]`` ({label: effect on the linear index}),
+from which estim.linear_index reads them.
 
-* ``poisson_fe`` - the fixed-effects Poisson. The dummy-variable Poisson MLE
-  gives the slopes of the conditional likelihood, which conditions on each
-  entity's count total, and the same slope covariance, since profiling out
-  the entity effects leaves the conditional loglik plus a constant (Hausman,
-  Hall & Griliches 1984); the conditional loglik is reported.
-* ``nb2`` - negative binomial with Var(y|x) = mu + alpha*mu^2, alpha >= 0,
-  which nests that Poisson fit at alpha = 0, estimated by profile likelihood
-  in alpha (as MASS ``glm.nb``): the Poisson fit is the optimum when the
-  alpha-score there is not positive; otherwise a bounded root search on the
-  profile score in alpha, with Newton in beta at each alpha, and the
-  covariance from the joint (beta, log alpha) Hessian at the optimum.
+* ``poisson_fe`` (poisson_fe_fit) - the fixed-effects Poisson: that MLE gives
+  the slopes and slope covariance of the conditional likelihood (Hausman,
+  Hall & Griliches 1984), whose loglik is reported.
+* ``nb2`` (nb2_fit) - negative binomial with Var(y|x) = mu + alpha*mu^2,
+  alpha >= 0, which nests that Poisson fit at alpha = 0, estimated by
+  profile likelihood in alpha (as MASS ``glm.nb``).
 
 Calibration rescales raw exponential-index predictions so each entity's mean
 prediction matches its realized mean, then adds a small epsilon so logs of
 zero-activity entities stay defined. The rescaling absorbs the entity effects,
 so they only set a level that it takes out again.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -92,11 +85,11 @@ def _validated_counts(y: np.ndarray, context: str) -> np.ndarray:
     return rounded
 
 
-def _count_sample(ds: panel.PanelDataset, spec: CountSpec, min_rows: int):
+def _count_sample(ds: panel.PanelDataset, spec: CountSpec):
     """The rows a count fit uses: complete cases with validated counts and,
     with entity FE, without the entities whose count total is zero or that
-    have fewer than ``min_rows`` rows. Returns (row mask, y on those rows,
-    number of entities dropped)."""
+    have a single complete row, which its own effect fits exactly. Returns
+    (row mask, y on those rows, number of entities dropped)."""
     mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
     if not mask.any():
         raise ValidationError("no complete cases for the count model")
@@ -104,7 +97,7 @@ def _count_sample(ds: panel.PanelDataset, spec: CountSpec, min_rows: int):
     if not spec.entity_fe:
         return mask, y, 0
     codes, _ = estim.fe_codes(ds, "entity", mask)
-    dropped = (np.bincount(codes) < min_rows) | (np.bincount(codes, weights=y) <= 0)
+    dropped = (np.bincount(codes) < 2) | (np.bincount(codes, weights=y) <= 0)
     if dropped.all():
         raise ValidationError("every entity has an all-zero count total; nothing to estimate")
     keep = ~dropped[codes]
@@ -140,26 +133,59 @@ def _poisson_parts(beta, y, X, lgy1, layout):
     return ll, grad, hess
 
 
-def _count_result(ds, spec: CountSpec, refit, coefficients, vcov, loglik, n_obs: int, dims, mapping, notes):
-    """A count fit's FitResult: the notes both families share (fe_dims and
-    fe_dummies) ahead of the family's ``notes``, the covariance settled by
-    estim.apply_vcov over the analytic ``refit(dsb, spec)``, and the Wald test
-    that the regressors among the coefficients are jointly zero."""
-    base = FitResult(
-        coefficients=coefficients,
-        vcov=vcov,
-        n_obs=n_obs,
-        loglik=loglik,
-        n_dropped=ds.n_rows - n_obs,
-        notes={"fe_dims": dims, "fe_dummies": mapping, **notes},
-    )
-    analytic = replace(spec, vcov=VcovSpec())
+# ---------------------------------------------------------------------------
+# one fit for every family of a count model
+
+
+def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) -> list[FitResult]:
+    """One FitResult per spec, in order; the specs may differ only in
+    ``family``, and ``fix_alpha`` is nb2_fit's. One estim.apply_vcov settles
+    every family's covariance: a bootstrap replicate refits them all, so one
+    that fails in one family is dropped for all. Each fit then gets the Wald
+    test that its regressors are jointly zero."""
+    specs = tuple(specs)
+    if not specs:
+        raise ValidationError("count_fits needs at least one CountSpec")
+    spec = specs[0]
+    # nb2 accepts every value of the other fields
+    if any(replace(s, family="nb2") != replace(spec, family="nb2") for s in specs):
+        raise ValidationError("the CountSpecs of one count model may differ only in family")
+    if fix_alpha not in (None, 0):
+        raise ValidationError(f"fix_alpha must be None (alpha estimated) or 0 (Poisson), got {fix_alpha!r}")
+    families = [s.family for s in specs]
+    mask, y, n_entities_dropped = _count_sample(ds, spec)
+    codes, levels = estim.fe_codes(ds, "entity", mask)
+    # without NB2, the FE Poisson absorbs the regressors that NB2's
+    # screen_rank would name as entity-constant
+    absorbed = () if "nb2" in families else _entity_constant(ds, mask, codes, spec.regressors)
+    slopes = [name for name in spec.regressors if name not in absorbed]
+    dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
+    X, names, mapping, layout = estim.newton_design(ds, mask, slopes, dims, intercept=True)
+    n = len(y)
+    for family in families:
+        if family == "poisson_fe" and layout.dense_pos.size == 1:  # nothing but _cons
+            raise ValidationError("no identifiable regressors remain after absorbing entity-constant columns")
+        if family == "nb2" and n < layout.n_params + 2:
+            raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
+    res = _poisson_mle(y, X, names, layout)
+
+    fits = []
+    for family in families:
+        coefficients, vcov, loglik, notes = (
+            _poisson_fe_tail(res, y, X, names, layout, levels, absorbed) if family == "poisson_fe"
+            else _nb2_tail(res, y, X, names, layout, levels if spec.entity_fe else None, fix_alpha))
+        fits.append(FitResult(
+            coefficients=coefficients, vcov=vcov, n_obs=n, loglik=loglik, n_dropped=ds.n_rows - n,
+            notes={"fe_dims": dims, "fe_dummies": mapping, "dropped_entities": n_entities_dropped, **notes},
+        ))
+    analytic = [replace(s, vcov=VcovSpec()) for s in specs]
     # each family's fit function is named after it: poisson_fe_fit, nb2_fit
-    estim.apply_vcov(base, lambda dsb: refit(dsb, analytic), ds, spec.vcov, f"{spec.family}_fit")
-    slopes = [nm for nm in spec.regressors if nm in coefficients]
-    if slopes:
-        base.wald_chi2 = estim.wald_chi2(base, slopes)
-    return base
+    estim.apply_vcov(fits, lambda dsb: count_fits(dsb, analytic, fix_alpha), ds, spec.vcov, f"{spec.family}_fit")
+    for fit in fits:
+        slopes = [name for name in spec.regressors if name in fit.coefficients]
+        if slopes:
+            fit.wald_chi2 = estim.wald_chi2(fit, slopes)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -167,57 +193,43 @@ def _count_result(ds, spec: CountSpec, refit, coefficients, vcov, loglik, n_obs:
 
 
 def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> FitResult:
-    """Fixed-effects Poisson: the dummy-variable Poisson MLE, entity effects as
-    codes (estim.newton_design); entities with an all-zero total or a single
-    complete row drop out.
-
-    Its slopes and their covariance are those of the conditional likelihood
-    (Hausman, Hall & Griliches 1984), and ``loglik`` is the conditional one,
-    the unconditional loglik plus sum_i [lgamma(T_i+1) - T_i log T_i + T_i]
-    over the entity totals T_i. Regressors constant within every entity are
-    absorbed by the entity effects and listed in ``notes["absorbed_columns"]``.
-    Neither the intercept nor the entity effects are reported as
-    coefficients; ``notes["entity_effects"]`` holds each kept entity's
+    """Fixed-effects Poisson, a one-family count_fits. Its slopes and their
+    covariance are those of the conditional likelihood (Hausman, Hall &
+    Griliches 1984), and ``loglik`` is the conditional one, the unconditional
+    loglik plus sum_i [lgamma(T_i+1) - T_i log T_i + T_i] over the entity
+    totals T_i. Regressors constant within every entity are absorbed by the
+    entity effects and listed in ``notes["absorbed_columns"]``. Neither the
+    intercept nor the entity effects are reported as coefficients;
+    ``notes["entity_effects"]`` holds each kept entity's
     log T_i - log sum_t exp(x_it'b).
     """
     if spec.family != "poisson_fe":
         raise ValidationError("poisson_fe_fit requires family 'poisson_fe'")
-    mask, y, n_entities_dropped = _count_sample(ds, spec, min_rows=2)
-    codes, levels = estim.fe_codes(ds, "entity", mask)
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # rows are entity-major
+    return count_fits(ds, [spec])[0]
 
-    slopes: list[str] = []
-    absorbed: list[str] = []
-    for name in spec.regressors:
+
+def _entity_constant(ds, mask, codes, regressors) -> tuple[str, ...]:
+    """The regressors constant within every entity on the rows of ``mask``."""
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # rows are entity-major
+    out = []
+    for name in regressors:
         x = ds.column(name)[mask]
         spans = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
         if np.all(spans <= 1e-12 * (1.0 + np.max(np.abs(x)))):
-            absorbed.append(name)
-        else:
-            slopes.append(name)
-    year_dims = ("year",) if spec.year_fe else ()
-    dims = ("entity", *year_dims)
-    X, names, mapping, layout = estim.newton_design(ds, mask, slopes, dims, intercept=True)
-    reported = layout.dense_pos[:-1]  # slopes and year effects: all but entity effects and _cons
-    if not reported.size:
-        raise ValidationError("no identifiable regressors remain after absorbing entity-constant columns")
-    res = _poisson_mle(y, X, names, layout)
+            out.append(name)
+    return tuple(out)
 
-    beta = res.params[reported]
-    totals = np.bincount(codes, weights=y)
+
+def _poisson_fe_tail(res, y, X, names, layout, levels, absorbed):
+    """The FE Poisson's part of count_fits on the Poisson MLE ``res``: its
+    (coefficients, vcov, loglik, notes)."""
+    beta = res.params[layout.dense_pos[:-1]]  # slopes and year effects: all but entity effects and _cons
+    totals = np.bincount(layout.codes, weights=y)
     loglik = res.loglik + float(np.sum(gammaln(totals + 1.0) - totals * np.log(totals) + totals))
-    denom = np.bincount(codes, weights=np.exp(X[:, :-1] @ beta))
-    notes = {
-        "absorbed_columns": tuple(absorbed),
-        "dropped_entities": n_entities_dropped,
-        "newton_iterations": res.iterations,
-        "grad_norm": res.grad_norm,
-        "entity_effects": dict(zip(levels, (np.log(totals) - np.log(denom)).tolist())),
-    }
-    coefficients = dict(zip(names[:-1], beta))
-    return _count_result(
-        ds, spec, poisson_fe_fit, coefficients, res.vcov[:-1, :-1], loglik, len(y), dims, mapping, notes
-    )
+    denom = np.bincount(layout.codes, weights=np.exp(X[:, :-1] @ beta))
+    notes = {"absorbed_columns": absorbed, "newton_iterations": res.iterations, "grad_norm": res.grad_norm,
+             "entity_effects": dict(zip(levels, (np.log(totals) - np.log(denom)).tolist()))}
+    return dict(zip(names[:-1], beta)), res.vcov[:-1, :-1], loglik, notes
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +335,9 @@ def _nb2_profile_mle(y, X, layout, beta, alpha0: float, score0: float):
 
 
 def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = None) -> FitResult:
-    """NB2 maximum likelihood over beta and alpha >= 0.
-
-    With entity FE, entities whose count total is zero are dropped first
-    (``notes["dropped_entities"]``) and the entity effects are parameters
-    without dummy columns, as in poisson_fe_fit: ``notes["entity_effects"]``
-    holds them, the baseline entity 0.0. Year effects enter as indicator
-    columns.
+    """NB2 maximum likelihood over beta and alpha >= 0; a one-family count_fits.
+    With entity FE, ``notes["entity_effects"]`` holds the entity effects, the
+    baseline's 0.0. Year effects enter as indicator columns.
 
     Alpha is estimated by profile likelihood and written to ``notes["alpha"]``.
     The Poisson fit (alpha = 0) is the optimum when the alpha-score there,
@@ -345,19 +353,15 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     without ``notes["lr_alpha0"]``. Any ``fix_alpha`` other than None or 0 is
     refused.
     """
-    if spec.family not in ("nb2",):
+    if spec.family != "nb2":
         raise ValidationError("nb2_fit requires family 'nb2'")
-    if fix_alpha not in (None, 0):
-        raise ValidationError(f"fix_alpha must be None (alpha estimated) or 0 (Poisson), got {fix_alpha!r}")
-    mask, y, n_entities_dropped = _count_sample(ds, spec, min_rows=1)
-    n = len(y)
+    return count_fits(ds, [spec], fix_alpha)[0]
 
-    dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
-    X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, dims, intercept=True)
-    if n < layout.n_params + 2:
-        raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
-    res = _poisson_mle(y, X, names, layout)
 
+def _nb2_tail(res, y, X, names, layout, levels, fix_alpha):
+    """NB2's part of count_fits on the Poisson MLE ``res``, the fit at alpha
+    = 0: its (coefficients, vcov, loglik, notes); ``levels`` is None without
+    entity FE."""
     notes: dict = {"alpha_se": None}
     params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, 0.0, res.iterations
     if fix_alpha is None:
@@ -374,17 +378,12 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
             iterations += more
         lr = max(2.0 * (res.loglik - poisson_loglik), 0.0)
         notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
-
-    notes.update(alpha=alpha_hat, dropped_entities=n_entities_dropped, newton_iterations=iterations,
-                 grad_norm=res.grad_norm)
-    if spec.entity_fe:
-        levels = estim.fe_codes(ds, "entity", mask)[1]
+    notes.update(alpha=alpha_hat, newton_iterations=iterations, grad_norm=res.grad_norm)
+    if levels is not None:
         notes["entity_effects"] = dict(zip(levels, [0.0, *params_b[layout.entity_pos]]))
     # with entity FE, mle_fit's covariance already spans only the reported
     # parameters (estim.MleResult)
-    coefficients = dict(zip(names, params_b[layout.dense_pos]))
-    refit = partial(nb2_fit, fix_alpha=fix_alpha)
-    return _count_result(ds, spec, refit, coefficients, vcov_b, res.loglik, n, dims, mapping, notes)
+    return dict(zip(names, params_b[layout.dense_pos])), vcov_b, res.loglik, notes
 
 
 # ---------------------------------------------------------------------------

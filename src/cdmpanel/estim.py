@@ -133,6 +133,7 @@ class BootstrapResult(NamedTuple):
     vcov: np.ndarray
     n_failed: int
     n_used: int
+    draws: np.ndarray  # one row per replicate used
 
 
 class MleResult(NamedTuple):
@@ -632,29 +633,6 @@ def _hessian_vcov(H: BlockHessian) -> np.ndarray:
     return (V + V.T) / 2.0
 
 
-def within_demean(ds: panel.PanelDataset, columns, dims) -> panel.PanelDataset:
-    """Demean the named columns within entity and/or year groups: each is
-    replaced by its residuals from the exact least-squares fit on the dims'
-    effects (fe_residuals).
-
-    Only rows that are non-missing in all named columns participate; other rows
-    come back missing in the demeaned columns.
-    """
-    columns = list(columns)
-    dims = list(dims)
-    if not dims:
-        raise ValidationError("within_demean needs at least one dimension")
-    for d in dims:
-        if d not in ("entity", "year"):
-            raise ValidationError(f"unknown demean dimension {d!r}")
-    data = np.column_stack([ds.column(c) for c in columns])
-    mask = np.all(np.isfinite(data), axis=1)
-    if mask.any():
-        data[mask] = fe_residuals(data[mask], [fe_codes(ds, d, mask)[0] for d in dims])[0]
-    updates = {name: np.where(mask, data[:, j], np.nan) for j, name in enumerate(columns)}
-    return ds.with_replaced(updates, note=f"within-demeaned over {','.join(dims)}")
-
-
 def bootstrap_vcov(
     refit: Callable[[panel.PanelDataset], np.ndarray],
     ds: panel.PanelDataset,
@@ -690,17 +668,22 @@ def bootstrap_vcov(
     if n_failed > 0.10 * B:
         raise ConvergenceError(f"{n_failed} of {B} bootstrap replications failed (> 10%)")
     mat = np.vstack(draws)
-    V = np.atleast_2d(np.cov(mat, rowvar=False, ddof=1))
-    return BootstrapResult((V + V.T) / 2.0, n_failed, mat.shape[0])
+    return BootstrapResult(_draw_cov(mat), n_failed, mat.shape[0], mat)
+
+
+def _draw_cov(draws: np.ndarray) -> np.ndarray:
+    """The symmetrised sample covariance of bootstrap draws, one row each."""
+    V = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
+    return (V + V.T) / 2.0
 
 
 def apply_vcov(
-    fit: FitResult,
-    refit: Callable[[panel.PanelDataset], FitResult],
+    fit: FitResult | list[FitResult],
+    refit: Callable[[panel.PanelDataset], FitResult | list[FitResult]],
     ds: panel.PanelDataset,
     vcov: VcovSpec | None,
     estimator: str,
-) -> FitResult:
+) -> FitResult | list[FitResult]:
     """Give a point fit the covariance ``vcov`` asks for; every estimator's
     covariance is settled here.
 
@@ -709,22 +692,31 @@ def apply_vcov(
     carries it (se_method "robust"). A cluster_bootstrap spec replaces it, in
     place, by bootstrap_vcov over ``refit``, the estimator's point fit on one
     resample, and sets the spec's tag and ``notes["bootstrap_failures"]``.
+
+    ``fit`` may also be a list of fits that one ``refit`` returns together, in
+    the same order (the families of a count model, counts.count_fits). One
+    bootstrap then draws all their coefficients, and each fit's covariance is
+    that of its own columns of the draws; a replicate whose refit fails is
+    dropped for every fit.
     """
     kind = vcov.kind if vcov is not None else "analytic"
-    if kind == "hc_robust" and fit.se_method != "robust":
+    fits, refits = (fit, refit) if isinstance(fit, list) else ([fit], lambda dsb: [refit(dsb)])
+    if kind == "hc_robust" and any(f.se_method != "robust" for f in fits):
         raise ValidationError(f"{estimator} cannot give an {kind!r} covariance")
     if kind != "cluster_bootstrap":
         return fit
-    names = fit.names
+    names = [f.names for f in fits]
 
     def draw(dsb: panel.PanelDataset) -> np.ndarray:
-        coefficients = refit(dsb).coefficients
-        return np.array([coefficients[name] for name in names])
+        return np.array([r.coefficients[nm] for r, nms in zip(refits(dsb), names) for nm in nms])
 
     boot = bootstrap_vcov(draw, ds, vcov)
-    fit.vcov = boot.vcov
-    fit.se_method = vcov.tag()
-    fit.notes["bootstrap_failures"] = boot.n_failed
+    stop = 0
+    for f, nms in zip(fits, names):
+        start, stop = stop, stop + len(nms)
+        f.vcov = _draw_cov(boot.draws[:, start:stop])
+        f.se_method = vcov.tag()
+        f.notes["bootstrap_failures"] = boot.n_failed
     return fit
 
 

@@ -3,7 +3,7 @@
 A :class:`PanelDataset` holds a dense entity-by-year grid: every entity carries
 one row per year of the dataset's contiguous period range, with NaN marking
 missing cells. Datasets are immutable; every operation returns a new dataset.
-Demeaning within entity and year groups (within_demean) sits in estim, with
+Demeaning within entity and year groups (fe_residuals) sits in estim, with
 the fixed-effects machinery it uses.
 """
 

@@ -152,17 +152,6 @@ def _checked_weights(weights) -> np.ndarray:
     return w
 
 
-def kde_at(sample, point: float, bandwidth="silverman", weights=None) -> float:
-    """Gaussian-kernel density estimate at one point.
-
-    Silverman's rule: h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), with sd alone
-    when the IQR is zero. A zero bandwidth (constant sample) is an error.
-    """
-    x = np.asarray(sample, dtype=float)
-    w = np.ones(x.shape) if weights is None else _checked_weights(weights)
-    return _kde(x, w, point, _bandwidth(bandwidth, x, w))
-
-
 def weighted_quantile(y: np.ndarray, tau: float, weights=None) -> float:
     """Left-continuous sample quantile: smallest y with cumulative weight >= tau.
 

@@ -204,83 +204,3 @@ def atomic_write(path, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-# ---------------------------------------------------------------------------
-# re-rendering tables from results documents
-
-
-def _parse_records(lines):
-    models: dict[tuple, dict] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        pairs = dict(tok.split("=", 1) for tok in line.split(" ") if "=" in tok)
-        if "record" not in pairs:
-            continue
-        key = (
-            pairs.get("stage", ""),
-            pairs.get("subsample", ""),
-            pairs.get("model", ""),
-            pairs.get("tau"),
-        )
-        entry = models.setdefault(key, {"coefs": {}, "diags": {}})
-        if pairs["record"] == "coef":
-            entry["coefs"][pairs["name"]] = (
-                float(pairs["est"]), float(pairs["se"]), float(pairs["p"])
-            )
-        elif pairs["record"] == "diag":
-            entry["diags"][pairs["name"]] = pairs["value"]
-    return models
-
-
-def emit_tables(results, style: dict | None = None) -> str:
-    """Rebuild text tables from results-document lines.
-
-    ``results`` is an iterable of document lines (or a whole document split on
-    newlines upstream). ``style`` takes ``stars`` (threshold convention name)
-    and ``paren`` ("se" or "t"); anything else is an unknown style key.
-    """
-    style = dict(style or {})
-    stars_name = style.pop("stars", "uqr")
-    paren = style.pop("paren", "se")
-    if style:
-        raise ValidationError(f"unknown style key {sorted(style)[0]!r}")
-    if stars_name not in STAR_STYLES:
-        raise ValidationError(f"unknown star style {stars_name!r}")
-    thresholds = STAR_STYLES[stars_name]
-
-    models = _parse_records(results)
-    groups: dict[tuple, list[tuple]] = {}
-    for key in models:
-        groups.setdefault((key[0], key[1]), []).append(key)
-
-    blocks = []
-    for (stage, subsample), keys in groups.items():
-        columns = []
-        for key in keys:
-            entry = models[key]
-            coef = {name: est for name, (est, _se, _p) in entry["coefs"].items()}
-            ses = np.array([entry["coefs"][name][1] for name in coef])
-            fit = FitResult(
-                coefficients=coef,
-                vcov=np.diag(ses**2),
-                n_obs=int(entry["diags"].get("n_obs", 0)),
-            )
-            extra = {}
-            diags = entry["diags"]
-            extra["Individual FE"] = diags.get("individual_fe", "N")
-            extra["Time FE"] = diags.get("time_fe", "N")
-            if "wald_chi2" in diags:
-                extra["Wald chi2"] = f"{float(diags['wald_chi2']):.4g} [{float(diags['wald_p']):.3f}]"
-            if "adj_r2" in diags:
-                extra["adj. R-sq"] = f"{float(diags['adj_r2']):.3g}"
-            if "loglik" in diags:
-                extra["Log likelihood"] = f"{float(diags['loglik']):.1f}"
-            if "alpha" in diags:
-                extra["alpha"] = f"{float(diags['alpha']):.4g}"
-            label = key[2] if key[3] is None else f"{key[2]} Q{int(round(float(key[3]) * 100))}"
-            columns.append(TableColumn(label, fit, extra))
-        blocks.append(render_table(f"{stage}, subsample {subsample}", columns, thresholds, paren))
-    return "\n\n".join(blocks)

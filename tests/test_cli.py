@@ -277,19 +277,6 @@ class TestTables:
         text = tables.render_table("demo", [tables.TableColumn("m", fit)])
         assert "Individual FE" in text and "Time FE" in text
 
-    def test_emit_tables_from_results_document(self, small_run):
-        path, _ = write_config(small_run)
-        cli.run_pipeline(str(path))
-        doc = (small_run / "out" / "results" / "uqr__full.txt").read_text()
-        text = tables.emit_tables(doc.splitlines(), {"stars": "uqr", "paren": "t"})
-        assert "classical Q25" in text and "classical Q75" in text
-        assert "t statistics in parenthesis" in text
-        assert "Individual FE" in text
-
-    def test_emit_tables_unknown_style_key(self):
-        with pytest.raises(ValidationError, match="unknown style key"):
-            tables.emit_tables([], {"colour": "red"})
-
 
 class TestMissingKeys:
     def test_heckman_without_outcome(self, small_run, capsys):

@@ -774,7 +774,12 @@ class TestEntityLayout:
 
     @pytest.mark.parametrize("fit, message", [
         (lambda ds: probit_fit(ds, "d", ["x"], fe_dims=("entity",)), "only 5 complete cases for 6 probit parameters"),
-        (lambda ds: nb2_fit(ds, CountSpec("c", ("x",), "nb2", year_fe=False)), "only 5 complete cases for 6 parameters"),
+        # a count fit drops one-row entities, so NB2 gets the same 5 rows as
+        # two entities over four years: x, three year effects, _cons and one
+        # entity effect
+        (lambda ds: nb2_fit(from_long(["E0"] * 3 + ["E1"] * 2, [2010, 2011, 2012, 2012, 2013],
+                                      {"c": ds.column("c"), "x": ds.column("x")}), CountSpec("c", ("x",), "nb2")),
+         "only 5 complete cases for 6 parameters"),
         (lambda ds: cqr_fit(ds, CqrSpec("c", ("x",), fe_dims=("entity",))), "only 5 complete cases for 6 parameters"),
     ])
     def test_size_checks_count_the_entity_effects(self, fit, message):

@@ -169,8 +169,11 @@ class TestMundlak:
         # but its entity means are all zero up to rounding: its mean column
         # is noise and must not enter the Wald test as a degree of freedom
         ds = prod_panel(seed=5, n_entities=100, n_periods=6)
-        demeaned = estim.within_demean(ds, ["lnEMP", "lnVA_lead"], ["entity"])
-        ds = ds.with_column("dEMP", demeaned.column("lnEMP"))
+        mask = estim.complete_case_mask(ds, ["lnEMP", "lnVA_lead"])
+        demeaned = np.full(ds.n_rows, np.nan)
+        demeaned[mask] = estim.fe_residuals(ds.column("lnEMP")[mask][:, None],
+                                            [estim.fe_codes(ds, "entity", mask)[0]])[0][:, 0]
+        ds = ds.with_column("dEMP", demeaned)
         spec = ProdSpec(
             dependent="lnVA_lead",
             patent_intensities=("lnPATINT_true",),

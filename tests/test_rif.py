@@ -6,7 +6,6 @@ from cdmpanel import (
     TreatmentSpec,
     ValidationError,
     from_long,
-    kde_at,
     propensity_ipw,
     rif_quantile,
     rif_treatment_fit,
@@ -14,7 +13,7 @@ from cdmpanel import (
 )
 from cdmpanel import estim
 from cdmpanel.estim import design_matrix
-from cdmpanel.rif import rif_quantiles, weighted_quantile
+from cdmpanel.rif import _bandwidth, _kde, rif_quantiles, weighted_quantile
 
 
 def iid_panel(columns, seed_names="E"):
@@ -22,38 +21,46 @@ def iid_panel(columns, seed_names="E"):
     return from_long([f"{seed_names}{i}" for i in range(n)], [2010] * n, columns)
 
 
+def kde(sample, point, bandwidth="silverman", weights=None):
+    """Gaussian-kernel density at one point by rif's own kernel and bandwidth."""
+    x = np.asarray(sample, dtype=float)
+    w = np.ones(x.shape) if weights is None else np.asarray(weights, dtype=float)
+    return _kde(x, w, point, _bandwidth(bandwidth, x, w))
+
+
 class TestKde:
     def test_kernel_at_its_center(self):
-        assert kde_at([0.0], 0.0, bandwidth=1.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-12)
+        assert kde([0.0], 0.0, bandwidth=1.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_symmetric_sample_average_of_kernels(self):
-        got = kde_at([-1.0, 1.0], 0.0, bandwidth=0.7)
+        got = kde([-1.0, 1.0], 0.0, bandwidth=0.7)
         z = 1.0 / 0.7
         expected = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi) / 0.7
         assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(kde_at([1.0, -1.0], 0.0, bandwidth=0.7), rel=1e-15)
+        assert got == pytest.approx(kde([1.0, -1.0], 0.0, bandwidth=0.7), rel=1e-15)
 
     def test_standard_normal_density_at_zero(self):
         rng = np.random.default_rng(2024)
         sample = rng.standard_normal(10000)
-        got = kde_at(sample, 0.0)
+        got = kde(sample, 0.0)
         assert abs(got - 0.3989422804014327) < 0.02
 
     def test_constant_sample_errors_under_silverman(self):
         with pytest.raises(ValidationError, match="bandwidth"):
-            kde_at(np.ones(50), 1.0)
+            kde(np.ones(50), 1.0)
 
     def test_zero_iqr_falls_back_to_sd(self):
         # IQR 0 with sd 1.50: Silverman's rule uses sd, as R's bw.nrd0 does
         x = np.array([0.0] * 8 + [1.0, 5.0])
         h = 0.9 * x.std() * x.size ** (-0.2)
-        assert kde_at(x, 0.5) == pytest.approx(kde_at(x, 0.5, bandwidth=h), rel=1e-12)
+        assert _bandwidth("silverman", x, np.ones(x.size)) == pytest.approx(h, rel=1e-12)
+        assert kde(x, 0.5) == pytest.approx(kde(x, 0.5, bandwidth=h), rel=1e-12)
 
     def test_weighted_density_integrates_reweighting(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(4000)
         w = np.ones(4000)
-        assert kde_at(x, 0.3, weights=w) == pytest.approx(kde_at(x, 0.3), rel=1e-12)
+        assert kde(x, 0.3, weights=w) == pytest.approx(kde(x, 0.3), rel=1e-12)
 
 
 class TestWeightedQuantile:
