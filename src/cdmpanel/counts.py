@@ -3,15 +3,18 @@
 One fit per count model (count_fits): its families share one sample
 (complete cases with validated counts, less, with entity FE, the entities
 whose count total is zero, since their effects have no finite MLE, or that
-have a single complete row), one design and one dummy-variable Poisson MLE,
-started at its exact profile for zero slopes: each entity's log mean count.
-Each family runs its own tail on that MLE, and one bootstrap settles every
-family's covariance. Entity effects (always in ``poisson_fe``, optional in
-``nb2``) are parameters (first kept entity the baseline) but never dummy
+have a single complete row), one design of all its regressors and one
+dummy-variable Poisson MLE, started at its exact profile for zero slopes:
+each entity's log mean count. Each family runs its own tail on that MLE, and
+one bootstrap settles every family's covariance. Entity effects (always in
+``poisson_fe``, optional in ``nb2``) are nuisance parameters, never dummy
 columns: their diagonal Hessian block is eliminated by a Schur complement in
-each Newton step (estim.newton_design, estim.BlockHessian). Each fit reports
-them in ``notes["entity_effects"]`` ({label: effect on the linear index}),
-from which estim.linear_index reads them.
+each Newton step (estim.newton_design, estim.BlockHessian). One rule holds
+in both families: the level ``_cons`` is one of them, so the coefficients are
+the slopes and year effects, and ``notes["entity_effects"]`` ({label:
+absolute effect on the linear index}) holds the levels for
+estim.linear_index; an entity-constant regressor is named by
+CollinearityError, and a model of entity effects alone is refused.
 
 * ``poisson_fe`` (poisson_fe_fit) - the fixed-effects Poisson: that MLE gives
   the slopes and slope covariance of the conditional likelihood (Hausman,
@@ -97,9 +100,12 @@ def _count_sample(ds: panel.PanelDataset, spec: CountSpec):
     if not spec.entity_fe:
         return mask, y, 0
     codes, _ = estim.fe_codes(ds, "entity", mask)
-    dropped = (np.bincount(codes) < 2) | (np.bincount(codes, weights=y) <= 0)
+    single, zero = np.bincount(codes) < 2, np.bincount(codes, weights=y) <= 0
+    dropped = single | zero
     if dropped.all():
-        raise ValidationError("every entity has an all-zero count total; nothing to estimate")
+        cause = ("an all-zero count total" if zero.all() else "a single complete row" if single.all()
+                 else "an all-zero count total or a single complete row")
+        raise ValidationError(f"every entity has {cause}; nothing to estimate")
     keep = ~dropped[codes]
     mask[np.flatnonzero(mask)[~keep]] = False
     return mask, y[keep], int(dropped.sum())
@@ -154,26 +160,25 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
         raise ValidationError(f"fix_alpha must be None (alpha estimated) or 0 (Poisson), got {fix_alpha!r}")
     families = [s.family for s in specs]
     mask, y, n_entities_dropped = _count_sample(ds, spec)
-    codes, levels = estim.fe_codes(ds, "entity", mask)
-    # without NB2, the FE Poisson absorbs the regressors that NB2's
-    # screen_rank would name as entity-constant
-    absorbed = () if "nb2" in families else _entity_constant(ds, mask, codes, spec.regressors)
-    slopes = [name for name in spec.regressors if name not in absorbed]
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
-    X, names, mapping, layout = estim.newton_design(ds, mask, slopes, dims, intercept=True)
+    X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, dims, intercept=True)
+    levels = estim.fe_codes(ds, "entity", mask)[1] if spec.entity_fe else None
     n = len(y)
-    for family in families:
-        if family == "poisson_fe" and layout.dense_pos.size == 1:  # nothing but _cons
-            raise ValidationError("no identifiable regressors remain after absorbing entity-constant columns")
-        if family == "nb2" and n < layout.n_params + 2:
-            raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
+    if spec.entity_fe and layout.dense_pos.size == 1:  # nothing but _cons, one of the entity levels
+        raise ValidationError("no identifiable regressors beside the entity effects")
+    if "nb2" in families and n < layout.n_params + 2:
+        raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
     res = _poisson_mle(y, X, names, layout)
 
     fits = []
     for family in families:
-        coefficients, vcov, loglik, notes = (
-            _poisson_fe_tail(res, y, X, names, layout, levels, absorbed) if family == "poisson_fe"
-            else _nb2_tail(res, y, X, names, layout, levels if spec.entity_fe else None, fix_alpha))
+        params, vcov, loglik, notes = (
+            _poisson_fe_tail(res, y, X, layout, levels) if family == "poisson_fe"
+            else _nb2_tail(res, y, X, layout, levels, fix_alpha))
+        coefficients = dict(zip(names, params))
+        if spec.entity_fe:  # _cons is in the entity effects (intercept last)
+            del coefficients[estim.INTERCEPT]
+            vcov = vcov[:-1, :-1]
         fits.append(FitResult(
             coefficients=coefficients, vcov=vcov, n_obs=n, loglik=loglik, n_dropped=ds.n_rows - n,
             notes={"fe_dims": dims, "fe_dummies": mapping, "dropped_entities": n_entities_dropped, **notes},
@@ -181,10 +186,9 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
     analytic = [replace(s, vcov=VcovSpec()) for s in specs]
     # each family's fit function is named after it: poisson_fe_fit, nb2_fit
     estim.apply_vcov(fits, lambda dsb: count_fits(dsb, analytic, fix_alpha), ds, spec.vcov, f"{spec.family}_fit")
-    for fit in fits:
-        slopes = [name for name in spec.regressors if name in fit.coefficients]
-        if slopes:
-            fit.wald_chi2 = estim.wald_chi2(fit, slopes)
+    if spec.regressors:
+        for fit in fits:
+            fit.wald_chi2 = estim.wald_chi2(fit, spec.regressors)
     return fits
 
 
@@ -197,39 +201,26 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> FitResult:
     covariance are those of the conditional likelihood (Hausman, Hall &
     Griliches 1984), and ``loglik`` is the conditional one, the unconditional
     loglik plus sum_i [lgamma(T_i+1) - T_i log T_i + T_i] over the entity
-    totals T_i. Regressors constant within every entity are absorbed by the
-    entity effects and listed in ``notes["absorbed_columns"]``. Neither the
-    intercept nor the entity effects are reported as coefficients;
-    ``notes["entity_effects"]`` holds each kept entity's
-    log T_i - log sum_t exp(x_it'b).
+    totals T_i. The coefficients are the slopes and year effects; the entity
+    effects, the level included, are not, and ``notes["entity_effects"]``
+    holds each kept entity's log T_i - log sum_t exp(x_it'b). A regressor
+    constant within every entity raises CollinearityError naming it.
     """
     if spec.family != "poisson_fe":
         raise ValidationError("poisson_fe_fit requires family 'poisson_fe'")
     return count_fits(ds, [spec])[0]
 
 
-def _entity_constant(ds, mask, codes, regressors) -> tuple[str, ...]:
-    """The regressors constant within every entity on the rows of ``mask``."""
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # rows are entity-major
-    out = []
-    for name in regressors:
-        x = ds.column(name)[mask]
-        spans = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
-        if np.all(spans <= 1e-12 * (1.0 + np.max(np.abs(x)))):
-            out.append(name)
-    return tuple(out)
-
-
-def _poisson_fe_tail(res, y, X, names, layout, levels, absorbed):
+def _poisson_fe_tail(res, y, X, layout, levels):
     """The FE Poisson's part of count_fits on the Poisson MLE ``res``: its
-    (coefficients, vcov, loglik, notes)."""
+    (parameters at ``dense_pos``, their vcov, loglik, notes)."""
     beta = res.params[layout.dense_pos[:-1]]  # slopes and year effects: all but entity effects and _cons
     totals = np.bincount(layout.codes, weights=y)
     loglik = res.loglik + float(np.sum(gammaln(totals + 1.0) - totals * np.log(totals) + totals))
     denom = np.bincount(layout.codes, weights=np.exp(X[:, :-1] @ beta))
-    notes = {"absorbed_columns": absorbed, "newton_iterations": res.iterations, "grad_norm": res.grad_norm,
+    notes = {"newton_iterations": res.iterations, "grad_norm": res.grad_norm,
              "entity_effects": dict(zip(levels, (np.log(totals) - np.log(denom)).tolist()))}
-    return dict(zip(names[:-1], beta)), res.vcov[:-1, :-1], loglik, notes
+    return res.params[layout.dense_pos], res.vcov, loglik, notes
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +327,10 @@ def _nb2_profile_mle(y, X, layout, beta, alpha0: float, score0: float):
 
 def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = None) -> FitResult:
     """NB2 maximum likelihood over beta and alpha >= 0; a one-family count_fits.
-    With entity FE, ``notes["entity_effects"]`` holds the entity effects, the
-    baseline's 0.0. Year effects enter as indicator columns.
+    Year effects enter as indicator columns. With entity FE the coefficients
+    and their covariance are the FE Poisson's: slopes and year effects, no
+    ``_cons``; ``notes["entity_effects"]`` holds each kept entity's absolute
+    effect on the linear index, the level included.
 
     Alpha is estimated by profile likelihood and written to ``notes["alpha"]``.
     The Poisson fit (alpha = 0) is the optimum when the alpha-score there,
@@ -358,10 +351,10 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     return count_fits(ds, [spec], fix_alpha)[0]
 
 
-def _nb2_tail(res, y, X, names, layout, levels, fix_alpha):
+def _nb2_tail(res, y, X, layout, levels, fix_alpha):
     """NB2's part of count_fits on the Poisson MLE ``res``, the fit at alpha
-    = 0: its (coefficients, vcov, loglik, notes); ``levels`` is None without
-    entity FE."""
+    = 0: its (parameters at ``dense_pos``, their vcov, loglik, notes);
+    ``levels`` is None without entity FE."""
     notes: dict = {"alpha_se": None}
     params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, 0.0, res.iterations
     if fix_alpha is None:
@@ -379,11 +372,10 @@ def _nb2_tail(res, y, X, names, layout, levels, fix_alpha):
         lr = max(2.0 * (res.loglik - poisson_loglik), 0.0)
         notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
     notes.update(alpha=alpha_hat, newton_iterations=iterations, grad_norm=res.grad_norm)
-    if levels is not None:
-        notes["entity_effects"] = dict(zip(levels, [0.0, *params_b[layout.entity_pos]]))
-    # with entity FE, mle_fit's covariance already spans only the reported
-    # parameters (estim.MleResult)
-    return dict(zip(names, params_b[layout.dense_pos])), vcov_b, res.loglik, notes
+    if levels is not None:  # absolute: the baseline's level _cons plus each relative effect
+        effects = params_b[layout.dense_pos[-1]] + np.concatenate(([0.0], params_b[layout.entity_pos]))
+        notes["entity_effects"] = dict(zip(levels, effects.tolist()))
+    return params_b[layout.dense_pos], vcov_b, res.loglik, notes
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ estim.design_hessian's BlockHessian for the weights -q.
 The optimum is not unique (a flat interval) when an observation with zero
 residual has its d at tau or tau - 1. Rank is screened on the other columns
 after projecting the entity indicators out. Standard errors come from the
-entity-cluster bootstrap.
+entity-cluster bootstrap. Entity effects are incidental (Koenker 2004): neither
+they nor the level ``_cons``, one of them, are reported.
 """
 
 from __future__ import annotations
@@ -394,7 +395,9 @@ def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tau: 
 
 
 def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
-    """Check-loss minimizing fit at spec.tau with entity effects as codes."""
+    """Check-loss minimizing fit at spec.tau with entity effects as codes.
+    As in estim.ols_fit, neither they nor ``_cons`` are reported beside them,
+    and a model with nothing else is refused."""
     if not spec.regressors and not spec.intercept:
         raise ValidationError("need at least one regressor or an intercept")
     cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
@@ -405,6 +408,10 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
 
     y = ds.column(spec.dependent)[mask]
     X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, spec.fe_dims, spec.intercept)
+    entity = "entity" in spec.fe_dims
+    reported = len(names) - int(entity and spec.intercept)  # _cons, last, is an entity level
+    if entity and not reported:
+        raise ValidationError("no identifiable regressors beside the entity effects")
     if n <= layout.n_params:
         raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
 
@@ -429,11 +436,11 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     at_bound = np.minimum(np.abs(duals - spec.tau), np.abs(duals - spec.tau + 1.0)) <= DUAL_TOL
     flat = bool(np.any(zero & at_bound))
 
-    # entity effects are nuisance parameters whose labels change under
+    # entity effects (and _cons, the baseline's level) change under
     # resampling; report only the stable coefficients
     fit = FitResult(
-        coefficients=dict(zip(names, beta[layout.dense_pos])),
-        vcov=np.zeros((len(names), len(names))),
+        coefficients=dict(zip(names[:reported], beta[layout.dense_pos])),
+        vcov=np.zeros((reported, reported)),
         n_obs=n,
         se_method="none",
         n_dropped=ds.n_rows - n,

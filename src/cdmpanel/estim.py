@@ -731,10 +731,10 @@ def linear_index(
     entity dummies) are placed through the (dim, level) mapping recorded in
     ``fit.notes['fe_dummies']``; unseen categories count as the dropped
     baseline. Entity effects, kept out of the coefficients in
-    ``fit.notes['entity_effects']`` ({label: effect on the index}, as probit,
-    the FE Poisson and NB2 report them), are added by entity in one gather; an
-    unseen entity counts as the baseline, 0. Rows missing any required input
-    come back NaN.
+    ``fit.notes['entity_effects']`` ({label: absolute effect on the index,
+    the level included}, as the FE Poisson and NB2 report them), are added by
+    entity in one gather; an unseen entity gets effect 0. Rows missing any
+    required input come back NaN.
     """
     dummies: dict[str, tuple[str, object]] = fit.notes.get("fe_dummies", {})
     effects: dict[str, float] = fit.notes.get("entity_effects", {})

@@ -58,12 +58,16 @@ class HeckmanSpec:
             )
         if self.outcome in self.outcome_regressors:
             raise ValidationError(f"dependent {self.outcome!r} appears among the regressors")
-        if "entity" in self.fe_dims:
-            raise ValidationError(
-                "entity fixed effects are not supported: a probit with entity effects is "
-                "inconsistent at a fixed number of periods (the incidental-parameters "
-                "problem), and so is the inverse Mills ratio built from it"
-            )
+        _refuse_entity_effects(self.fe_dims)
+
+
+def _refuse_entity_effects(fe_dims) -> None:
+    if "entity" in fe_dims:
+        raise ValidationError(
+            "entity fixed effects are not supported: a probit with entity effects is "
+            "inconsistent at a fixed number of periods (the incidental-parameters "
+            "problem), and so is the inverse Mills ratio built from it"
+        )
 
 
 @dataclass
@@ -134,16 +138,12 @@ def probit_mle(
 
 
 def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -> FitResult:
-    """Probit with FE dims as indicators (first category dropped).
-
-    Entity effects are estimated without dummy columns (see
-    estim.newton_design) and, as in the count fits, are not coefficients:
-    ``coefficients`` and ``vcov`` cover the other parameters, and the effects
-    sit in ``notes["entity_effects"]`` ({label: effect on the linear index},
-    the baseline entity 0.0), from which estim.linear_index reads them.
+    """Probit with year and category FE dims as indicators (first category
+    dropped). Entity effects are refused, with HeckmanSpec's reason.
     """
+    _refuse_entity_effects(fe_dims)
     regressors = list(regressors)
-    cat_cols = [d for d in fe_dims if d not in ("entity", "year")]
+    cat_cols = [d for d in fe_dims if d != "year"]
     mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_cols])
     n = int(mask.sum())
     if n == 0:
@@ -158,17 +158,13 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     estim.screen_rank(X, names, layout, intercept=True)
 
     res = probit_mle(y, X, layout)
-    notes = {"fe_dummies": mapping, "newton_iterations": res.iterations, "grad_norm": res.grad_norm}
-    if "entity" in fe_dims:
-        levels = estim.fe_codes(ds, "entity", mask)[1]
-        notes["entity_effects"] = dict(zip(levels, [0.0, *res.params[layout.entity_pos]]))
     return FitResult(
         coefficients=dict(zip(names, res.params[layout.dense_pos])),
         vcov=res.vcov,
         n_obs=n,
         loglik=res.loglik,
         n_dropped=ds.n_rows - n,
-        notes=notes,
+        notes={"fe_dummies": mapping, "newton_iterations": res.iterations, "grad_norm": res.grad_norm},
     )
 
 

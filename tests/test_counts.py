@@ -92,23 +92,27 @@ class TestPoissonFe:
         near[1] += 1.0
         ds = from_long(ents, yrs, {"c": c, "x": x, "near": near,
                                    "step": np.repeat(np.arange(n_e, dtype=float), n_t)})
-        fit = poisson_fe_fit(ds, CountSpec("c", ("x", "near", "step"), "poisson_fe", year_fe=False))
+        fit = poisson_fe_fit(ds, CountSpec("c", ("x",), "poisson_fe", year_fe=False))
 
         # reference: the screens written as per-entity loops
         ok = np.isfinite(c) & np.isfinite(x)
         ent = ds.entity_index()
         kept = [e for e in range(n_e) if (ok & (ent == e)).sum() >= 2 and c[ok & (ent == e)].sum() > 0]
         rows = ok & np.isin(ent, kept)
-        absorbed = []
+        constant = []
         for name in ("x", "near", "step"):
             v = ds.column(name)
             tol = 1e-12 * (1 + np.max(np.abs(v[rows])))
             if all(np.ptp(v[rows & (ent == e)]) <= tol for e in kept):
-                absorbed.append(name)
+                constant.append(name)
         assert fit.notes["dropped_entities"] == n_e - len(kept) == 2
-        assert fit.notes["absorbed_columns"] == tuple(absorbed) == ("near", "step")
         assert fit.n_obs == int(rows.sum())
         assert list(fit.notes["entity_effects"]) == [f"E{e}" for e in kept]
+        # the regressors constant within every kept entity are named, not absorbed
+        assert constant == ["near", "step"]
+        for name in constant:
+            with pytest.raises(CollinearityError, match=f"column '{name}'"):
+                poisson_fe_fit(ds, CountSpec("c", ("x", name), "poisson_fe", year_fe=False))
 
     def test_all_entities_zero_errors(self):
         ds = from_long(["A", "A"], [2010, 2011], {"c": [0.0, 0.0], "x": [0.1, 0.5]})
@@ -121,18 +125,12 @@ class TestPoissonFe:
         fit = poisson_fe_fit(ds, spec)
         assert abs(fit.coefficients["RDINT_star"] - 0.5) < 3 * fit.se("RDINT_star")
 
-    def test_entity_constant_column_absorbed(self):
+    def test_entity_constant_column_named(self):
         ds = count_panel(seed=23, n_entities=40, n_periods=5)
-        const = np.repeat(np.arange(40, dtype=float), 5)
-        ds2 = ds.with_column("const_by_entity", const)
-        spec1 = CountSpec("PAT", ("RDINT_star",), "poisson_fe", year_fe=False)
-        spec2 = CountSpec("PAT", ("RDINT_star", "const_by_entity"), "poisson_fe", year_fe=False)
-        f1 = poisson_fe_fit(ds, spec1)
-        f2 = poisson_fe_fit(ds2, spec2)
-        assert "const_by_entity" in f2.notes["absorbed_columns"]
-        assert abs(
-            f1.coefficients["RDINT_star"] - f2.coefficients["RDINT_star"]
-        ) < 1e-8
+        ds = ds.with_column("const_by_entity", np.repeat(np.arange(40, dtype=float), 5))
+        spec = CountSpec("PAT", ("RDINT_star", "const_by_entity"), "poisson_fe", year_fe=False)
+        with pytest.raises(CollinearityError, match="column 'const_by_entity'"):
+            poisson_fe_fit(ds, spec)
 
     def test_non_integer_count_rejected(self):
         ds = from_long(["A", "A", "B", "B"], [2010, 2011, 2010, 2011],
@@ -314,8 +312,8 @@ class TestNb2:
             nb2_fit(ds, spec)
 
     def test_entity_fe_drops_all_zero_entities(self):
-        # entity 0 (the baseline) and entity 7 get no counts; _cons is then
-        # identified and the fit equals one on the panel without them
+        # entity 0 (the baseline) and entity 7 get no counts; the fit then
+        # equals one on the panel without them, entity levels included
         # (tolerance fixed before the first run: 1e-12 relative)
         ds = count_panel(seed=34, n_entities=30, n_periods=6, entity_sd=0.5)
         zero = np.isin(ds.entity_index(), [0, 7])
@@ -325,10 +323,14 @@ class TestNb2:
         kept = nb2_fit(take_entities(ds, [e for e in range(30) if e not in (0, 7)]), spec)
         assert fit.notes["dropped_entities"] == 2
         assert fit.n_obs == 28 * 6 and fit.n_dropped == 2 * 6
-        assert len(fit.notes["entity_effects"]) == 28 and fit.notes["entity_effects"][ds.entities[1]] == 0.0
-        assert np.isfinite(fit.coefficients["_cons"])
-        for name in ("RDINT_star", "_cons"):
-            assert fit.coefficients[name] == pytest.approx(kept.coefficients[name], rel=1e-12)
+        assert list(fit.coefficients) == ["RDINT_star"]
+        assert fit.coefficients["RDINT_star"] == pytest.approx(kept.coefficients["RDINT_star"], rel=1e-12)
+        effects, kept_effects = fit.notes["entity_effects"], kept.notes["entity_effects"]
+        # take_entities relabels the entities it takes, in the same order
+        assert list(effects) == [e for i, e in enumerate(ds.entities) if i not in (0, 7)]
+        assert len(kept_effects) == 28
+        assert np.all(np.isfinite(list(effects.values())))
+        assert np.allclose(list(effects.values()), list(kept_effects.values()), rtol=1e-12, atol=0)
         assert fit.notes["alpha"] == pytest.approx(kept.notes["alpha"], rel=1e-12, abs=1e-300)
 
     def test_poisson_limit_on_equidispersed_data(self):
@@ -351,25 +353,63 @@ class TestNb2:
         assert fit.coefficients["_cons"] == pytest.approx(beta[1], abs=1e-6)
 
     def test_entity_fe_dummies_recover_effects(self):
+        # on this Poisson panel alpha stops at 0, so NB2 is the Poisson fit on
+        # a dummy per entity and no intercept, whose dummy coefficients are
+        # the absolute entity effects (tolerance fixed before the first run:
+        # 1e-8, the oracle's and the fit's gradient tolerances)
         ds = count_panel(seed=34, n_entities=30, n_periods=6, entity_sd=0.5)
-        spec = CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False)
-        fit = nb2_fit(ds, spec)
-        assert len(fit.notes["entity_effects"]) == 30
-        assert fit.notes["entity_effects"][ds.entities[0]] == 0.0
+        fit = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=False))
+        assert fit.notes["alpha"] == 0.0
+        ent = ds.entity_index()
+        X = np.column_stack([ds.column("RDINT_star"), *[(ent == e).astype(float) for e in range(30)]])
+        beta = dummy_poisson_oracle(ds.column("PAT"), X)
+        assert list(fit.coefficients) == ["RDINT_star"]
+        assert fit.coefficients["RDINT_star"] == pytest.approx(beta[0], abs=1e-8)
+        assert list(fit.notes["entity_effects"]) == list(ds.entities)
+        assert np.allclose(list(fit.notes["entity_effects"].values()), beta[1:], rtol=0, atol=1e-8)
+
+    def test_entity_effects_match_dense_dummy_newton(self):
+        # NB2 at alpha = 0 against Newton on the dense design [x, year
+        # dummies, one dummy per entity], which has no intercept, so its
+        # entity coefficients are the absolute effects; tolerance fixed
+        # before the first run: 1e-8 on every parameter
+        rng = np.random.default_rng(8)
+        n_e, n_t = 30, 10
+        ents = np.repeat([f"E{i}" for i in range(n_e)], n_t)
+        yrs = list(range(2010, 2010 + n_t)) * n_e
+        x = rng.normal(size=n_e * n_t)
+        effect = np.repeat(rng.normal(scale=0.5, size=n_e), n_t)
+        yr = np.array([0.2 * (t - 2010) / n_t for t in yrs])
+        c = rng.poisson(np.exp(0.6 * x + effect + yr)).astype(float)
+        c[::n_t] += 1.0  # no entity has an all-zero total
+        fit = nb2_fit(from_long(ents, yrs, {"c": c, "x": x}), CountSpec("c", ("x",), "nb2"), fix_alpha=0)
+
+        cols, names = [x], ["x"]
+        for year in range(2011, 2010 + n_t):
+            cols.append((np.array(yrs) == year).astype(float))
+            names.append(f"year={year}")
+        for label in [f"E{i}" for i in range(n_e)]:
+            cols.append((ents == label).astype(float))
+            names.append(label)
+        beta = dummy_poisson_oracle(c, np.column_stack(cols))
+        assert list(fit.coefficients) == names[:n_t]
+        got = {**fit.coefficients, **fit.notes["entity_effects"]}
+        assert np.max(np.abs(np.array([got[nm] for nm in names]) - beta)) < 1e-8
 
     @pytest.mark.parametrize("seed", [35, 36, 37])
     def test_fixed_alpha_zero_equals_poisson_fe_exactly(self, seed):
         # both families fit one Poisson MLE from one start, so on a balanced
-        # panel (no entity drops out of one sample but not the other) the
-        # slopes, year effects and their covariance block are bit-equal
+        # panel (no entity drops out of one sample but not the other) they
+        # report the same names, and the slopes, year effects and their
+        # covariance are bit-equal
         ds = count_panel(seed=seed, n_entities=40, n_periods=6, entity_sd=0.4)
         nb2 = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2"), fix_alpha=0)
         pois = poisson_fe_fit(ds, CountSpec("PAT", ("RDINT_star",), "poisson_fe"))
         assert nb2.n_obs == pois.n_obs
-        assert list(nb2.coefficients)[:-1] == list(pois.coefficients)
+        assert list(nb2.coefficients) == list(pois.coefficients)
         for name, value in pois.coefficients.items():
             assert nb2.coefficients[name] == value
-        assert np.array_equal(nb2.vcov[:-1, :-1], pois.vcov)
+        assert np.array_equal(nb2.vcov, pois.vcov)
 
     def test_fixed_alpha_zero_entity_fe_matches_conditional_poisson(self):
         # the conditional-vs-dummy identity of acceptance criterion 3, on the

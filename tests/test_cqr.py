@@ -213,11 +213,21 @@ class TestEntityEffectsAsCodes:
 
     @pytest.mark.parametrize("fe_dims", [("entity",), ("entity", "year")])
     def test_intercept_only_with_entity_effects(self, fe_dims):
+        # the LP solves the design exactly; the fit, which reports neither the
+        # entity effects nor _cons, refuses it when nothing else is left
         ds = fe_panel(62)
+        y, mask = ds.column("y"), np.ones(ds.n_rows, dtype=bool)
+        X, _, _ = design_matrix(ds, mask, (), fe_dims, True)
+        oracle = primal_oracle_loss(y, X, 0.4)
+        Xn, _, _, layout = newton_design(ds, mask, (), fe_dims, True)
+        sol = cqr._quantile_lp(y, Xn, layout, 0.4)
+        assert abs(check_loss(y - design_index(Xn, sol.b, layout), 0.4) - oracle) <= 1e-9 * oracle
+        if fe_dims == ("entity",):
+            with pytest.raises(ValidationError, match="^no identifiable regressors beside the entity effects$"):
+                cqr_fit(ds, CqrSpec("y", (), tau=0.4, fe_dims=fe_dims))
+            return
         fit = cqr_fit(ds, CqrSpec("y", (), tau=0.4, fe_dims=fe_dims))
-        X, _, _ = design_matrix(ds, np.ones(ds.n_rows, dtype=bool), (), fe_dims, True)
-        oracle = primal_oracle_loss(ds.column("y"), X, 0.4)
-        assert "_cons" in fit.coefficients
+        assert list(fit.coefficients) == [f"year={t}" for t in ds.periods[1:]]
         assert abs(fit.notes["check_loss"] - oracle) <= 1e-9 * oracle
 
     @pytest.mark.parametrize("fe_dims, intercept", [
@@ -358,7 +368,9 @@ class TestDegenerateInputs:
         ds = fe_panel(71)
         ds = ds.with_replaced({"y": np.full(ds.n_rows, 3.0)})
         fit = self.fit(ds, CqrSpec("y", ("x",), tau=0.3, fe_dims=fe_dims))
-        assert fit.coefficients["_cons"] == pytest.approx(3.0, abs=1e-12)
+        # with entity effects the level 3 is theirs, not a _cons coefficient
+        assert ("_cons" in fit.coefficients) == ("entity" not in fe_dims)
+        assert fit.coefficients.get("_cons", 3.0) == pytest.approx(3.0, abs=1e-12)
         assert all(abs(b) <= 1e-12 for nm, b in fit.coefficients.items() if nm != "_cons")
         assert fit.notes["check_loss"] == pytest.approx(0.0, abs=1e-12)
         assert fit.notes["flat_optimum"] is False

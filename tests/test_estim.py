@@ -17,6 +17,7 @@ from cdmpanel import (
     mle_fit,
     nb2_fit,
     ols_fit,
+    poisson_fe_fit,
     probit_fit,
     vif,
     wald_chi2,
@@ -550,23 +551,20 @@ class TestLinearIndex:
         ents = np.repeat([f"F{i:02d}" for i in range(n_e)], n_t)
         yrs = list(range(2000, 2000 + n_t)) * n_e
         x = rng.normal(size=n_e * n_t)
-        d = (rng.random(n_e * n_t) < 0.5).astype(float)
-        d[0::n_t], d[1::n_t] = 0.0, 1.0  # every entity has both outcomes
+        c = rng.poisson(np.exp(0.5 * x + np.repeat(rng.normal(size=n_e), n_t))).astype(float)
+        c[0::n_t] += 1.0  # no entity has an all-zero total
         x[5] = np.nan
-        ds = from_long(ents, yrs, {"d": d, "x": x})
-        fit = probit_fit(ds, "d", ["x"], fe_dims=("entity",))
+        ds = from_long(ents, yrs, {"c": c, "x": x})
+        fit = nb2_fit(ds, CountSpec("c", ("x",), "nb2", year_fe=False))
         rows = np.isfinite(x)
         labels = np.repeat([f"F{i:02d}" for i in range(n_e)], n_t)[rows]
-        X = np.column_stack(
-            [x[rows]]
-            + [(labels == f"F{i:02d}").astype(float) for i in range(1, n_e)]
-            + [np.ones(int(rows.sum()))]
-        )
+        # a dummy per entity and no intercept: the entity effects are absolute
+        X = np.column_stack([x[rows]] + [(labels == f"F{i:02d}").astype(float) for i in range(n_e)])
         # the entity effects are read from the notes, not the coefficients
         effects = fit.notes["entity_effects"]
-        assert list(effects) == [f"F{i:02d}" for i in range(n_e)] and effects["F00"] == 0.0
-        c = fit.coefficients
-        expected = X @ np.array([c["x"], *[effects[f"F{i:02d}"] for i in range(1, n_e)], c["_cons"]])
+        assert list(effects) == [f"F{i:02d}" for i in range(n_e)]
+        assert list(fit.coefficients) == ["x"]
+        expected = X @ np.array([fit.coefficients["x"], *[effects[f"F{i:02d}"] for i in range(n_e)]])
         got = linear_index(fit, ds)
         assert np.allclose(got[rows], expected, rtol=0, atol=1e-12)
         assert np.isnan(got[5])
@@ -772,8 +770,17 @@ class TestEntityLayout:
         assert len(layout.entity_pos) == 0 and np.array_equal(layout.dense_pos, np.arange(X.shape[1]))
         assert np.array_equal(X, Xd) and names == names_d and mapping == mapping_d
 
+    def one_row_entities(self):
+        return from_long([f"E{i}" for i in range(5)], [2010] * 5,
+                         {"d": [0.0, 1.0, 0.0, 1.0, 1.0], "c": [1.0, 2.0, 3.0, 1.0, 2.0],
+                          "x": [0.3, -1.2, 0.8, 0.1, -0.5]})
+
     @pytest.mark.parametrize("fit, message", [
-        (lambda ds: probit_fit(ds, "d", ["x"], fe_dims=("entity",)), "only 5 complete cases for 6 probit parameters"),
+        # probit refuses entity effects, so its 6 parameters are x, _cons
+        # and the 4 year effects of one entity over five years
+        (lambda ds: probit_fit(from_long(["E0"] * 5, list(range(2010, 2015)),
+                                         {"d": ds.column("d"), "x": ds.column("x")}), "d", ["x"], fe_dims=("year",)),
+         "only 5 complete cases for 6 probit parameters"),
         # a count fit drops one-row entities, so NB2 gets the same 5 rows as
         # two entities over four years: x, three year effects, _cons and one
         # entity effect
@@ -785,11 +792,15 @@ class TestEntityLayout:
     def test_size_checks_count_the_entity_effects(self, fit, message):
         # one row per entity: the 5 rows cover the 2 parameters of X (x and
         # _cons) but not those plus the 4 entity effects
-        ds = from_long([f"E{i}" for i in range(5)], [2010] * 5,
-                       {"d": [0.0, 1.0, 0.0, 1.0, 1.0], "c": [1.0, 2.0, 3.0, 1.0, 2.0],
-                        "x": [0.3, -1.2, 0.8, 0.1, -0.5]})
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            fit(ds)
+            fit(self.one_row_entities())
+
+    @pytest.mark.parametrize("family", ["poisson_fe", "nb2"])
+    def test_count_sample_names_the_single_row_cause(self, family):
+        # every entity has one complete row and a positive count total
+        fit = poisson_fe_fit if family == "poisson_fe" else nb2_fit
+        with pytest.raises(ValidationError, match="^every entity has a single complete row; nothing to estimate$"):
+            fit(self.one_row_entities(), CountSpec("c", ("x",), family))
 
 
 class TestNewtonNotes:
