@@ -31,6 +31,7 @@ so they only set a level that it takes out again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -88,18 +89,18 @@ def _validated_counts(y: np.ndarray, context: str) -> np.ndarray:
     return rounded
 
 
-def _count_sample(ds: panel.PanelDataset, spec: CountSpec):
-    """The rows a count fit uses: complete cases with validated counts and,
-    with entity FE, without the entities whose count total is zero or that
-    have a single complete row, which its own effect fits exactly. Returns
-    (row mask, y on those rows, number of entities dropped)."""
-    mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
-    if not mask.any():
+def _count_sample(ds: panel.PanelDataset, spec: CountSpec, counts: np.ndarray, sample: estim.Sample):
+    """The rows a count fit uses of a sample of its complete cases: with
+    entity FE, less the entities whose count total is zero or that have a
+    single complete row, which its own effect fits exactly. ``counts`` are
+    the validated counts of every dataset row. Returns (the sample of those
+    rows, y on them, number of entities dropped)."""
+    if not len(sample.rows):
         raise ValidationError("no complete cases for the count model")
-    y = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
+    y = counts[sample.rows]
     if not spec.entity_fe:
-        return mask, y, 0
-    codes, _ = estim.fe_codes(ds, "entity", mask)
+        return sample, y, 0
+    codes, _ = estim.sample_codes(ds, sample, "entity")
     single, zero = np.bincount(codes) < 2, np.bincount(codes, weights=y) <= 0
     dropped = single | zero
     if dropped.all():
@@ -107,8 +108,7 @@ def _count_sample(ds: panel.PanelDataset, spec: CountSpec):
                  else "an all-zero count total or a single complete row")
         raise ValidationError(f"every entity has {cause}; nothing to estimate")
     keep = ~dropped[codes]
-    mask[np.flatnonzero(mask)[~keep]] = False
-    return mask, y[keep], int(dropped.sum())
+    return sample.take(keep), y[keep], int(dropped.sum())
 
 
 def _poisson_mle(y, X, names, layout) -> estim.MleResult:
@@ -143,12 +143,29 @@ def _poisson_parts(beta, y, X, lgy1, layout):
 # one fit for every family of a count model
 
 
+class _Optimum(NamedTuple):
+    """One family's optimum, reached from a count model's Poisson MLE: the
+    MleResult there (over (beta, log alpha) for an NB2 with alpha > 0), the
+    parameters beta, their covariance, alpha and the Newton iterations of
+    every fit on the way."""
+
+    res: estim.MleResult
+    params: np.ndarray
+    vcov: np.ndarray
+    alpha: float
+    iterations: int
+
+
 def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) -> list[FitResult]:
     """One FitResult per spec, in order; the specs may differ only in
     ``family``, and ``fix_alpha`` is nb2_fit's. One estim.apply_vcov settles
-    every family's covariance: a bootstrap replicate refits them all, so one
-    that fails in one family is dropped for all. Each fit then gets the Wald
-    test that its regressors are jointly zero."""
+    every family's covariance: a bootstrap replicate solves every family on
+    the drawn entities' rows of ``ds`` (the coefficients count_fits gives on
+    panel.take_entities' dataset of the draw, its sample drops made per
+    draw), so one that fails in one family is dropped for all. The counts are
+    checked once, here, since a draw only repeats cells. The point fit then
+    gets each family's notes and the Wald test that its regressors are
+    jointly zero."""
     specs = tuple(specs)
     if not specs:
         raise ValidationError("count_fits needs at least one CountSpec")
@@ -159,33 +176,53 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
     if fix_alpha not in (None, 0):
         raise ValidationError(f"fix_alpha must be None (alpha estimated) or 0 (Poisson), got {fix_alpha!r}")
     families = [s.family for s in specs]
-    mask, y, n_entities_dropped = _count_sample(ds, spec)
+    mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors])
+    counts = np.full(ds.n_rows, np.nan)
+    counts[mask] = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
-    X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, dims, intercept=True)
-    levels = estim.fe_codes(ds, "entity", mask)[1] if spec.entity_fe else None
-    n = len(y)
-    if spec.entity_fe and layout.dense_pos.size == 1:  # nothing but _cons, one of the entity levels
-        raise ValidationError("no identifiable regressors beside the entity effects")
-    if "nb2" in families and n < layout.n_params + 2:
-        raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
-    res = _poisson_mle(y, X, names, layout)
 
-    fits = []
-    for family in families:
-        params, vcov, loglik, notes = (
-            _poisson_fe_tail(res, y, X, layout, levels) if family == "poisson_fe"
-            else _nb2_tail(res, y, X, layout, levels, fix_alpha))
-        coefficients = dict(zip(names, params))
+    def solve(sample: estim.Sample):
+        """The model on a sample of its complete cases: (names, layout, the
+        _Optimum of each family, the Poisson MLE, its sample, y, entities
+        dropped, X, fe_dummies)."""
+        sample, y, n_dropped = _count_sample(ds, spec, counts, sample)
+        X, names, mapping, layout = estim.newton_design(ds, sample, spec.regressors, dims, intercept=True)
+        n = len(y)
+        if spec.entity_fe and layout.dense_pos.size == 1:  # nothing but _cons, one of the entity levels
+            raise ValidationError("no identifiable regressors beside the entity effects")
+        if "nb2" in families and n < layout.n_params + 2:
+            raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
+        res = _poisson_mle(y, X, names, layout)
+        optima = [_Optimum(res, res.params, res.vcov, 0.0, res.iterations) if family == "poisson_fe"
+                  else _nb2_optimum(res, y, X, layout, fix_alpha) for family in families]
+        return names, layout, optima, res, sample, y, n_dropped, X, mapping
+
+    def coefficients(names, layout, opt: _Optimum) -> dict[str, float]:
+        out = dict(zip(names, opt.params[layout.dense_pos]))
         if spec.entity_fe:  # _cons is in the entity effects (intercept last)
-            del coefficients[estim.INTERCEPT]
-            vcov = vcov[:-1, :-1]
+            del out[estim.INTERCEPT]
+        return out
+
+    names, layout, optima, res, sample, y, n_entities_dropped, X, mapping = solve(estim.Sample.of(ds, mask))
+    levels = estim.fe_codes(ds, "entity", sample)[1] if spec.entity_fe else None
+    n = len(y)
+    fits = []
+    for family, opt in zip(families, optima):
+        loglik, notes = (_poisson_fe_tail(opt, y, X, layout, levels) if family == "poisson_fe"
+                         else _nb2_tail(res, opt, layout, levels, fix_alpha))
         fits.append(FitResult(
-            coefficients=coefficients, vcov=vcov, n_obs=n, loglik=loglik, n_dropped=ds.n_rows - n,
+            coefficients=coefficients(names, layout, opt),
+            vcov=opt.vcov[:-1, :-1] if spec.entity_fe else opt.vcov, n_obs=n, loglik=loglik,
+            n_dropped=ds.n_rows - n,
             notes={"fe_dims": dims, "fe_dummies": mapping, "dropped_entities": n_entities_dropped, **notes},
         ))
-    analytic = [replace(s, vcov=VcovSpec()) for s in specs]
+
+    def refit(picks: np.ndarray) -> list[dict[str, float]]:
+        names, layout, optima, *_ = solve(estim.Sample.draw(ds, picks, mask))
+        return [coefficients(names, layout, opt) for opt in optima]
+
     # each family's fit function is named after it: poisson_fe_fit, nb2_fit
-    estim.apply_vcov(fits, lambda dsb: count_fits(dsb, analytic, fix_alpha), ds, spec.vcov, f"{spec.family}_fit")
+    estim.apply_vcov(fits, refit, ds, spec.vcov, f"{spec.family}_fit")
     if spec.regressors:
         for fit in fits:
             fit.wald_chi2 = estim.wald_chi2(fit, spec.regressors)
@@ -211,16 +248,16 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> FitResult:
     return count_fits(ds, [spec])[0]
 
 
-def _poisson_fe_tail(res, y, X, layout, levels):
-    """The FE Poisson's part of count_fits on the Poisson MLE ``res``: its
-    (parameters at ``dense_pos``, their vcov, loglik, notes)."""
+def _poisson_fe_tail(opt: _Optimum, y, X, layout, levels):
+    """The FE Poisson's loglik and notes in count_fits, at its _Optimum, the Poisson MLE."""
+    res = opt.res
     beta = res.params[layout.dense_pos[:-1]]  # slopes and year effects: all but entity effects and _cons
     totals = np.bincount(layout.codes, weights=y)
     loglik = res.loglik + float(np.sum(gammaln(totals + 1.0) - totals * np.log(totals) + totals))
     denom = np.bincount(layout.codes, weights=np.exp(X[:, :-1] @ beta))
     notes = {"newton_iterations": res.iterations, "grad_norm": res.grad_norm,
              "entity_effects": dict(zip(levels, (np.log(totals) - np.log(denom)).tolist()))}
-    return res.params[layout.dense_pos], res.vcov, loglik, notes
+    return loglik, notes
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +388,34 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     return count_fits(ds, [spec], fix_alpha)[0]
 
 
-def _nb2_tail(res, y, X, layout, levels, fix_alpha):
-    """NB2's part of count_fits on the Poisson MLE ``res``, the fit at alpha
-    = 0: its (parameters at ``dense_pos``, their vcov, loglik, notes);
-    ``levels`` is None without entity FE."""
-    notes: dict = {"alpha_se": None}
-    params_b, vcov_b, alpha_hat, iterations = res.params, res.vcov, 0.0, res.iterations
+def _nb2_optimum(res, y, X, layout, fix_alpha) -> _Optimum:
+    """NB2's optimum from the Poisson MLE ``res``, the fit at alpha = 0."""
     if fix_alpha is None:
         mu = np.exp(estim.design_index(X, res.params, layout))
         score0 = 0.5 * float(np.sum((y - mu) ** 2 - y))
-        poisson_loglik = res.loglik
         if score0 > 0.0:
             ybar = float(np.mean(y))
             alpha0 = min(max((float(np.var(y)) - ybar) / ybar**2 if ybar > 0 else 0.5, 0.01), 10.0)
-            res, more = _nb2_profile_mle(y, X, layout, res.params, alpha0, score0)
-            params_b, vcov_b = res.params[:-1], res.vcov[:-1, :-1]
-            alpha_hat = float(np.exp(res.params[-1]))
-            notes["alpha_se"] = float(alpha_hat * np.sqrt(res.vcov[-1, -1]))
-            iterations += more
-        lr = max(2.0 * (res.loglik - poisson_loglik), 0.0)
+            opt, more = _nb2_profile_mle(y, X, layout, res.params, alpha0, score0)
+            return _Optimum(opt, opt.params[:-1], opt.vcov[:-1, :-1], float(np.exp(opt.params[-1])),
+                            res.iterations + more)
+    return _Optimum(res, res.params, res.vcov, 0.0, res.iterations)
+
+
+def _nb2_tail(res, opt: _Optimum, layout, levels, fix_alpha):
+    """NB2's loglik and notes in count_fits at its _Optimum ``opt``, reached
+    from the Poisson MLE ``res``; ``levels`` is None without entity FE."""
+    notes: dict = {"alpha_se": None}
+    if opt.res is not res:
+        notes["alpha_se"] = float(opt.alpha * np.sqrt(opt.res.vcov[-1, -1]))
+    if fix_alpha is None:
+        lr = max(2.0 * (opt.res.loglik - res.loglik), 0.0)
         notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
-    notes.update(alpha=alpha_hat, newton_iterations=iterations, grad_norm=res.grad_norm)
+    notes.update(alpha=opt.alpha, newton_iterations=opt.iterations, grad_norm=opt.res.grad_norm)
     if levels is not None:  # absolute: the baseline's level _cons plus each relative effect
-        effects = params_b[layout.dense_pos[-1]] + np.concatenate(([0.0], params_b[layout.entity_pos]))
+        effects = opt.params[layout.dense_pos[-1]] + np.concatenate(([0.0], opt.params[layout.entity_pos]))
         notes["entity_effects"] = dict(zip(levels, effects.tolist()))
-    return params_b[layout.dense_pos], vcov_b, res.loglik, notes
+    return opt.res.loglik, notes
 
 
 # ---------------------------------------------------------------------------

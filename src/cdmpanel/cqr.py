@@ -17,7 +17,8 @@ estim.design_hessian's BlockHessian for the weights -q.
   entity, then m rows whose differences to their anchor are independent) give
   the coefficients by one m x m solve and the duals d by its transpose. If a
   basic d leaves [tau - 1, tau], Barrodale-Roberts simplex pivots through the
-  same structured basis move to a better vertex until none does.
+  same structured basis move to a better vertex until none does; Bland's
+  rule and a record of the bases met keep degenerate pivots from cycling.
 
 The optimum is not unique (a flat interval) when an observation with zero
 residual has its d at tau or tau - 1. Rank is screened on the other columns
@@ -28,7 +29,7 @@ they nor the level ``_cons``, one of them, are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -280,16 +281,14 @@ def _initial_basis(X: np.ndarray, layout: estim.EntityLayout, r: np.ndarray) -> 
     raise ConvergenceError("quantile LP: no independent basis among the rows")
 
 
-def _violation(v: _Vertex, tau: float) -> tuple[int, float]:
-    """The basic row whose d is farthest outside [tau - 1, tau] (beyond
-    DUAL_TOL), -1 if none, and the sign its residual should move by."""
+def _violations(v: _Vertex, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The basic rows whose d lies outside [tau - 1, tau] (beyond DUAL_TOL),
+    lowest first, and the sign each one's residual should move by."""
     basic = np.concatenate((v.anchors, v.rows))
     db = v.d[basic]
-    excess = np.maximum(db - tau, tau - 1.0 - db)
-    k = int(np.argmax(excess))
-    if excess[k] <= DUAL_TOL:
-        return -1, 0.0
-    return int(basic[k]), (1.0 if db[k] > tau else -1.0)
+    violated = np.flatnonzero(np.maximum(db - tau, tau - 1.0 - db) > DUAL_TOL)
+    order = violated[np.argsort(basic[violated])]
+    return basic[order], np.where(db[order] > tau, 1.0, -1.0)
 
 
 def _pivot(
@@ -298,7 +297,8 @@ def _pivot(
     """One Barrodale-Roberts step: release basic row j so that its residual
     moves by sigma, walk the check loss along that edge to its minimum (a
     weighted median over the rows' breakpoints) and return the new basis with
-    the row met there in place of j."""
+    the row met there in place of j: of the rows whose breakpoint is there,
+    the lowest (Bland's rule)."""
     rhs = np.zeros(X.shape[1])
     e_alpha = np.zeros(len(v.anchors))
     row_pos = np.flatnonzero(v.rows == j)
@@ -332,7 +332,7 @@ def _pivot(
     k = int(np.argmax(total >= 0.0)) if hit.size else 0
     if not hit.size or total[k] < 0.0:
         raise ConvergenceError("quantile LP is unbounded along a simplex edge")
-    enter = int(hit[k])
+    enter = int(hit[np.argmax(t[hit] == t[hit[k]])])  # sorted stably: the lowest row of the tie
     keep = basic[basic != j]
     new = np.concatenate((keep, [enter]))
     # re-anchor: each entity keeps its anchor if still basic, else takes its
@@ -363,14 +363,41 @@ def _certify(
     X: np.ndarray, layout: estim.EntityLayout, y: np.ndarray, tau: float, v: _Vertex, d_ipm: np.ndarray
 ) -> tuple[_Vertex, int]:
     """Simplex pivots from vertex v until its duals certify it; returns the
-    optimal vertex and the number of pivots."""
+    optimal vertex and the number of pivots.
+
+    A released row left at zero residual (a degenerate pivot) keeps d at the
+    bound it was moved towards, as a textbook simplex keeps it; other rows
+    off the basis at zero residual keep the interior point's d. Each pivot
+    releases the lowest violated row (Bland's rule) whose pivot leads to a
+    basis and set of bounds not met before, so that the pivots end: at a
+    certified vertex, or, when every violated row leads back, in
+    ConvergenceError."""
     pivots = 0
-    while (violated := _violation(v, tau))[0] >= 0:
+    bounds: dict[int, float] = {}  # released row -> the bound its d keeps
+    seen = {_state(v.anchors, v.rows, bounds)}
+    while (violated := _violations(v, tau))[0].size:
         if pivots >= 50 + 10 * len(y):
             raise ConvergenceError(f"quantile LP vertex not certified after {pivots} simplex pivots")
-        v = _vertex(X, layout, y, tau, *_pivot(X, layout, v, tau, *violated), d_ipm)
+        for j, sigma in zip(violated[0].tolist(), violated[1].tolist()):
+            basis = _pivot(X, layout, v, tau, j, sigma)
+            step = {**bounds, j: tau if sigma > 0 else tau - 1.0}
+            if (state := _state(*basis, step)) not in seen:
+                break
+        else:
+            raise ConvergenceError(f"quantile LP simplex pivots cycle after {pivots} pivots")
+        seen.add(state)
+        bounds = step
+        d_off = d_ipm.copy()
+        d_off[list(bounds)] = list(bounds.values())
+        v = _vertex(X, layout, y, tau, *basis, d_off)
         pivots += 1
     return v, pivots
+
+
+def _state(anchors: np.ndarray, rows: np.ndarray, bounds: dict) -> tuple:
+    """What the next vertex of _certify depends on: its basic rows and the
+    bounds of the released rows."""
+    return tuple(np.sort(np.concatenate((anchors, rows))).tolist()), tuple(sorted(bounds.items()))
 
 
 @_QUIET
@@ -397,34 +424,53 @@ def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tau: 
 def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     """Check-loss minimizing fit at spec.tau with entity effects as codes.
     As in estim.ols_fit, neither they nor ``_cons`` are reported beside them,
-    and a model with nothing else is refused."""
+    and a model with nothing else is refused, as is one with them but
+    without the intercept: the first entity's level would be held at 0.
+
+    A bootstrap replicate (estim.apply_vcov) solves the LP on the drawn
+    entities' complete rows of ``ds``, its response scale taken per draw:
+    the coefficients of cqr_fit on panel.take_entities' dataset of the draw.
+    The check loss and the flat-optimum test are the point fit's alone."""
     if not spec.regressors and not spec.intercept:
         raise ValidationError("need at least one regressor or an intercept")
+    entity = "entity" in spec.fe_dims
+    if entity and not spec.intercept:
+        raise ValidationError(
+            "entity effects need the intercept: without it the first entity's level is held "
+            "at 0, so the fit depends on which entity comes first (in a bootstrap replicate, "
+            "the first one drawn)"
+        )
     cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
     mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
-    n = int(mask.sum())
-    if n == 0:
-        raise ValidationError("no complete cases for the quantile regression")
 
-    y = ds.column(spec.dependent)[mask]
-    X, names, mapping, layout = estim.newton_design(ds, mask, spec.regressors, spec.fe_dims, spec.intercept)
-    entity = "entity" in spec.fe_dims
-    reported = len(names) - int(entity and spec.intercept)  # _cons, last, is an entity level
-    if entity and not reported:
-        raise ValidationError("no identifiable regressors beside the entity effects")
-    if n <= layout.n_params:
-        raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
+    def solve(sample: estim.Sample):
+        """The LP on a sample of its complete cases: (names, layout, number
+        of coefficients reported, the parameters, the _LpSolution, y, X,
+        fe_dummies)."""
+        n = len(sample.rows)
+        if n == 0:
+            raise ValidationError("no complete cases for the quantile regression")
+        y = ds.column(spec.dependent)[sample.rows]
+        X, names, mapping, layout = estim.newton_design(ds, sample, spec.regressors, spec.fe_dims, spec.intercept)
+        reported = len(names) - int(entity)  # _cons, last, is an entity level
+        if entity and not reported:
+            raise ValidationError("no identifiable regressors beside the entity effects")
+        if n <= layout.n_params:
+            raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
 
-    # rank screen before solving so deficiency is reported on the design
-    estim.screen_rank(X, names, layout, spec.intercept)
-    # solve on a scale-normalized response so the solver's absolute
-    # tolerances are relative to the data and the fit is equivariant to
-    # scaling y
-    y_scale = float(np.mean(np.abs(y - np.median(y))))
-    if not y_scale > 0:
-        y_scale = max(float(np.max(np.abs(y))), 1.0)
-    sol = _quantile_lp(y / y_scale, X, layout, spec.tau)
-    beta = sol.b * y_scale
+        # rank screen before solving so deficiency is reported on the design
+        estim.screen_rank(X, names, layout, spec.intercept)
+        # solve on a scale-normalized response so the solver's absolute
+        # tolerances are relative to the data and the fit is equivariant to
+        # scaling y
+        y_scale = float(np.mean(np.abs(y - np.median(y))))
+        if not y_scale > 0:
+            y_scale = max(float(np.max(np.abs(y))), 1.0)
+        sol = _quantile_lp(y / y_scale, X, layout, spec.tau)
+        return names, layout, reported, sol.b * y_scale, sol, y, X, mapping
+
+    names, layout, reported, beta, sol, y, X, mapping = solve(estim.Sample.of(ds, mask))
+    n = len(y)
     duals = sol.d
     resid = y - design_index(X, beta, layout)
     loss = check_loss(resid, spec.tau)
@@ -454,5 +500,9 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
             "vertex_pivots": sol.pivots,
         },
     )
-    plain = replace(spec, vcov=None)
-    return estim.apply_vcov(fit, lambda dsb: cqr_fit(dsb, plain), ds, spec.vcov, "cqr_fit")
+
+    def refit(picks: np.ndarray) -> dict[str, float]:
+        names, layout, reported, beta, *_ = solve(estim.Sample.draw(ds, picks, mask))
+        return dict(zip(names[:reported], beta[layout.dense_pos]))
+
+    return estim.apply_vcov(fit, refit, ds, spec.vcov, "cqr_fit")

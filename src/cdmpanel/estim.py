@@ -1,6 +1,8 @@
 """Shared estimation machinery.
 
-Complete-case handling, one integer-coded fixed-effect encoding (fe_codes),
+Complete-case handling, the rows of one fit on one draw of entities (Sample:
+the point fit's rows or a bootstrap replicate's row blocks, with no new
+dataset), one integer-coded fixed-effect encoding (fe_codes, sample_codes),
 the dense design builder of the linear fits (design_matrix) and its variant
 that keeps entity effects as integer codes (newton_design with an
 EntityLayout, used by every likelihood fit and the CQR LP), and one way to
@@ -9,7 +11,8 @@ is eliminated by a Schur complement (BlockHessian). On top of these sit an
 array-level OLS core whose FE are absorbed exactly by that elimination
 (fe_residuals, the weighted least-squares residuals on the FE; one projection
 and one factorisation for several dependent columns) with analytic/HC1
-covariances, the one least-squares solver of the linear fits (ols_fit,
+covariances (ols_core; ols_solve, its coefficients alone, serves the
+bootstrap replicates), the one least-squares solver of the linear fits (ols_fit,
 Heckman step 2, the RIF regressions and the Mundlak test's three fits), a
 line-searched Newton maximizer for likelihoods on newton_design designs, one
 rank screen for those designs (screen_rank), the entity-cluster
@@ -148,21 +151,67 @@ class MleResult(NamedTuple):
     grad_norm: float
 
 
-def fe_codes(ds: panel.PanelDataset, dim: str, mask: np.ndarray) -> tuple[np.ndarray, list]:
-    """Integer codes 0..L-1 of one FE dim on the masked rows, and the level each
-    code stands for: entity labels in dataset order, int years or float
-    categories ascending."""
+class Sample(NamedTuple):
+    """The dataset rows one fit uses on one draw of entities: ``rows``, their
+    indices in the dataset, entity-major in draw order (as
+    panel.take_entities lays the draw out), and ``slot``, each row's position
+    in the draw, which stands for its entity: an entity drawn twice is two
+    entities. The point fit's draw is every entity once, in dataset order
+    (Sample.of); a bootstrap replicate's is its resample (Sample.draw)."""
+
+    rows: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def of(cls, ds: panel.PanelDataset, mask: np.ndarray) -> "Sample":
+        """The rows on which ``mask`` holds, every entity once."""
+        rows = np.flatnonzero(mask)
+        return cls(rows, rows // max(len(ds.periods), 1))
+
+    @classmethod
+    def draw(cls, ds: panel.PanelDataset, picks: np.ndarray, mask: np.ndarray) -> "Sample":
+        """The rows on which ``mask`` holds of the entities at positions ``picks``, in that order."""
+        n_periods = len(ds.periods)
+        rows = (picks[:, None] * n_periods + np.arange(n_periods)).ravel()
+        keep = mask[rows]
+        return cls(rows[keep], np.repeat(np.arange(len(picks)), n_periods)[keep])
+
+    def take(self, keep: np.ndarray) -> "Sample":
+        """The rows at which ``keep`` holds."""
+        return Sample(self.rows[keep], self.slot[keep])
+
+
+def _as_sample(ds: panel.PanelDataset, rows) -> Sample:
+    return rows if isinstance(rows, Sample) else Sample.of(ds, rows)
+
+
+def sample_codes(ds: panel.PanelDataset, sample: Sample, dim: str) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes 0..L-1 of one FE dim on a sample's rows, and what each
+    code stands for: the entity's slot, the year's period index, or the
+    category value, ascending."""
+    if dim in ("entity", "year"):
+        key = sample.slot if dim == "entity" else sample.rows % max(len(ds.periods), 1)
+        present = np.bincount(key) > 0
+        return (np.cumsum(present) - 1)[key], np.flatnonzero(present)
+    present, codes = np.unique(ds.column(dim)[sample.rows], return_inverse=True)
+    return codes, present
+
+
+def fe_codes(ds: panel.PanelDataset, dim: str, rows) -> tuple[np.ndarray, list]:
+    """Integer codes 0..L-1 of one FE dim on the rows (a mask over the
+    dataset's rows, or a Sample), and the level each code stands for: entity
+    labels in draw order (an entity drawn twice keeps its label), int years
+    or float categories ascending."""
+    sample = _as_sample(ds, rows)
+    codes, present = sample_codes(ds, sample, dim)
     if dim == "entity":
-        present, codes = np.unique(ds.entity_index()[mask], return_inverse=True)
-        if len(present) == len(ds.entities):
-            levels = list(ds.entities)
-        else:
-            levels = np.array(ds.entities, dtype=object)[present].tolist()
+        first = np.flatnonzero(np.diff(codes, prepend=-1))
+        labels = sample.rows[first] // max(len(ds.periods), 1)
+        levels = list(ds.entities) if np.array_equal(labels, np.arange(len(ds.entities))) else [
+            ds.entities[i] for i in labels]
     elif dim == "year":
-        present, codes = np.unique(ds.year_index()[mask], return_inverse=True)
         levels = [int(ds.periods[i]) for i in present]
     else:
-        present, codes = np.unique(ds.column(dim)[mask], return_inverse=True)
         levels = [float(v) for v in present]
     return codes, levels
 
@@ -174,19 +223,21 @@ def complete_case_mask(ds: panel.PanelDataset, names) -> np.ndarray:
     return mask
 
 
-def design_matrix(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
-    """C-contiguous float64 design on the masked rows: the regressor columns,
-    then first-level-dropped indicators for each FE dim, then the intercept.
+def design_matrix(ds: panel.PanelDataset, rows, regressors, fe_dims, intercept: bool):
+    """C-contiguous float64 design on the rows (a mask over the dataset's
+    rows, or a Sample): the regressor columns, then first-level-dropped
+    indicators for each FE dim, then the intercept.
 
     Returns (X, names, fe_dummies) where fe_dummies[name] = (dim, level) so that
     predictions can place new rows in the right category.
     """
+    sample = _as_sample(ds, rows)
     names = list(regressors)
-    blocks = [fe_codes(ds, dim, mask) for dim in fe_dims]
-    n = int(mask.sum())
+    blocks = [fe_codes(ds, dim, sample) for dim in fe_dims]
+    n = len(sample.rows)
     X = np.zeros((n, len(names) + sum(len(levels[1:]) for _, levels in blocks) + int(intercept)))
     for j, name in enumerate(names):
-        X[:, j] = ds.column(name)[mask]
+        X[:, j] = ds.column(name)[sample.rows]
     fe_dummies: dict[str, tuple[str, object]] = {}
     for dim, (codes, levels) in zip(fe_dims, blocks):
         _set_indicators(X, codes, len(names))
@@ -213,8 +264,8 @@ class EntityLayout(NamedTuple):
     ``entity_pos`` and the columns of the dense design X at ``dense_pos``.
     ``indicator`` is the E x n 0/1 matrix of the codes (CSC, one entry per
     row), so per-entity sums of several columns are one sparse product, added
-    in row order as np.bincount adds them. Rows need not be grouped by
-    entity."""
+    in row order as np.bincount adds those of one column. Rows need not be
+    grouped by entity."""
 
     codes: np.ndarray
     dense_pos: np.ndarray
@@ -240,9 +291,13 @@ class EntityLayout(NamedTuple):
 
     def entity_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-entity sums of v (a vector or the columns of a matrix), baseline
-        left out; with an empty entity block, an empty array and no product."""
+        left out; with an empty entity block, an empty array and no product.
+        A vector's are np.bincount's, the same sums without the sparse
+        product's overhead."""
         if not len(self.entity_pos):
             return np.zeros((0, *v.shape[1:]))
+        if v.ndim == 1:
+            return np.bincount(self.codes, weights=v, minlength=len(self.entity_pos) + 1)[1:]
         return (self.indicator @ v)[1:]
 
 
@@ -277,7 +332,7 @@ class BlockHessian(NamedTuple):
         return out
 
 
-def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims, intercept: bool):
+def newton_design(ds: panel.PanelDataset, rows, regressors, fe_dims, intercept: bool):
     """design_matrix for a Newton fit or the CQR LP, with the entity dummies left out of X.
 
     Returns (X, names, fe_dummies, layout): names and fe_dummies are
@@ -287,13 +342,14 @@ def newton_design(ds: panel.PanelDataset, mask: np.ndarray, regressors, fe_dims,
     Without "entity" among fe_dims it has one level (an empty entity block),
     and X is design_matrix's X.
     """
-    X, names, fe_dummies = design_matrix(ds, mask, regressors, [d for d in fe_dims if d != "entity"], intercept)
+    sample = _as_sample(ds, rows)
+    X, names, fe_dummies = design_matrix(ds, sample, regressors, [d for d in fe_dims if d != "entity"], intercept)
     if "entity" not in fe_dims:
         return X, names, fe_dummies, EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
-    codes, levels = fe_codes(ds, "entity", mask)
+    codes, present = sample_codes(ds, sample, "entity")
     before = set(fe_dims[: list(fe_dims).index("entity")])
     at = len(regressors) + sum(dim in before for dim, _ in fe_dummies.values())
-    return X, names, fe_dummies, EntityLayout.from_codes(codes, len(levels), X.shape[1], at)
+    return X, names, fe_dummies, EntityLayout.from_codes(codes, len(present), X.shape[1], at)
 
 
 def design_index(X: np.ndarray, params: np.ndarray, layout: EntityLayout) -> np.ndarray:
@@ -335,26 +391,29 @@ def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout, cross=Non
 
 
 def _checked_qr(X: np.ndarray, names, scale: float | None = None):
-    """Pivoted QR that raises CollinearityError naming a dependent column.
-
-    A pivot counts as zero at or below max(n, p) * eps * scale; scale
-    defaults to the largest pivot.
-    """
+    """Pivoted QR that raises CollinearityError naming a dependent column
+    (_check_rank)."""
     n, p = X.shape
     if p == 0:
         raise ValidationError("empty design matrix")
     q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    _check_rank(np.abs(np.diag(r)), piv, names, max(n, p), scale)
+    return q, r, piv
+
+
+def _check_rank(diag: np.ndarray, piv: np.ndarray, names, size: int, scale: float | None) -> None:
+    """Raise CollinearityError naming the column at the first pivot of a
+    pivoted QR (R's absolute diagonal ``diag``, pivot order ``piv``) that
+    counts as zero: at or below size * eps * scale, where size is the larger
+    dimension and scale defaults to the largest pivot."""
     if scale is None:
         scale = diag[0] if diag.size else 0.0
-    tol = max(n, p) * np.finfo(float).eps * scale
-    rank = int(np.sum(diag > tol))
-    if rank < p:
+    rank = int(np.sum(diag > size * np.finfo(float).eps * scale))
+    if rank < len(piv):
         culprit = names[piv[rank]]
         raise CollinearityError(
             f"design matrix is rank deficient: column {culprit!r} is linearly dependent on the others"
         )
-    return q, r, piv
 
 
 def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> None:
@@ -379,7 +438,13 @@ def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> 
         means[0] = 0.0
     norms = np.linalg.norm(Z, axis=0)
     norms[norms == 0] = 1.0
-    _checked_qr((Z - means[layout.codes]) / norms, names[:m], scale=1.0)
+    A = (Z - means[layout.codes]) / norms
+    # the pivots and R's diagonal alone, from the LAPACK calls of
+    # scipy.linalg.qr(pivoting=True) (dgeqp3 after its workspace query),
+    # without the check for non-finite values or forming Q
+    lwork = int(scipy.linalg.lapack.dgeqp3(A, lwork=-1)[3][0])
+    qr, jpvt, *_ = scipy.linalg.lapack.dgeqp3(A, lwork=lwork)
+    _check_rank(np.abs(np.diagonal(qr)), jpvt - 1, names[:m], max(A.shape), 1.0)
 
 
 def fe_residuals(M: np.ndarray, fe, w: np.ndarray | None = None) -> tuple[np.ndarray, int]:
@@ -431,28 +496,14 @@ class OlsCore(NamedTuple):
     absorbed_df: int
 
 
-def ols_core(
-    X: np.ndarray,
-    y: np.ndarray,
-    names,
-    w: np.ndarray | None = None,
-    fe=(),
-    robust: bool = False,
-) -> OlsCore | list[OlsCore]:
-    """Least squares on arrays: sample checks, rank-checked solve, analytic or
-    HC1 covariance, r2 and the Gaussian loglik.
+def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, fe=()):
+    """The least-squares coefficients alone: ols_core's sample checks, FE
+    projection and rank-checked solve, without its covariance and fit
+    statistics (a bootstrap replicate needs only the coefficients).
 
-    ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed
-    exactly by replacing y and X with their residuals on the FE
-    (fe_residuals); r2 is then the within-R2 and ``absorbed_df`` the number of
-    FE parameters identified. r2 is centred only when ``names`` holds the
-    intercept. ``w`` are analytic weights.
-
-    ``y`` of shape (n, m) holds m dependent columns that share the design, FE
-    and weights: [y, X] go through one fe_residuals call, X is factored once,
-    and a list of one OlsCore per column comes back. Each column is projected
-    and solved as a 1-D ``y`` is, so its OlsCore is bit-identical to the one
-    the column gets alone.
+    Returns (betas, X, Y, absorbed_df): one coefficient vector per column of
+    ``y`` (a 1-D ``y`` is one column), the design and the (n, m) dependent
+    columns after the FE projection, and the number of FE parameters absorbed.
     """
     n = X.shape[0]
     k = X.shape[1] - (INTERCEPT in names)
@@ -473,16 +524,48 @@ def ols_core(
     Xw = X * sw[:, None] if w is not None else X
     p = X.shape[1]
     q, r, piv = _checked_qr(Xw, names)
+    betas = []
+    for j in range(m):
+        yw = Y[:, j] * sw if w is not None else Y[:, j]
+        beta = np.empty(p)
+        beta[piv] = scipy.linalg.solve_triangular(r[:p, :], q.T[:p] @ yw)
+        betas.append(beta)
+    return betas, X, Y, absorbed_df
+
+
+def ols_core(
+    X: np.ndarray,
+    y: np.ndarray,
+    names,
+    w: np.ndarray | None = None,
+    fe=(),
+    robust: bool = False,
+) -> OlsCore | list[OlsCore]:
+    """Least squares on arrays: sample checks, rank-checked solve (ols_solve),
+    analytic or HC1 covariance, r2 and the Gaussian loglik.
+
+    ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed
+    exactly by replacing y and X with their residuals on the FE
+    (fe_residuals); r2 is then the within-R2 and ``absorbed_df`` the number of
+    FE parameters identified. r2 is centred only when ``names`` holds the
+    intercept. ``w`` are analytic weights.
+
+    ``y`` of shape (n, m) holds m dependent columns that share the design, FE
+    and weights: [y, X] go through one fe_residuals call, X is factored once,
+    and a list of one OlsCore per column comes back. Each column is projected
+    and solved as a 1-D ``y`` is, so its OlsCore is bit-identical to the one
+    the column gets alone.
+    """
+    betas, X, Y, absorbed_df = ols_solve(X, y, names, w, fe)
+    n, p = X.shape
+    Xw = X * np.sqrt(w)[:, None] if w is not None else X
     XtX_inv = np.linalg.inv(Xw.T @ Xw)
     ww = w if w is not None else np.ones(n)
     dof = max(n - p - absorbed_df, 1)
 
     cores = []
-    for j in range(m):
+    for j, beta in enumerate(betas):
         yj = Y[:, j]
-        yw = yj * sw if w is not None else yj
-        beta = np.empty(p)
-        beta[piv] = scipy.linalg.solve_triangular(r[:p, :], q.T[:p] @ yw)
         resid = yj - X @ beta
 
         rss = float(np.sum(ww * resid**2))
@@ -523,23 +606,30 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = Non
     """OLS on complete cases, absorbing fixed effects exactly (fe_residuals).
 
     The intercept is reported only when no fixed effects are absorbed. r2 is
-    the within-R2 when FE dims are present.
+    the within-R2 when FE dims are present. A bootstrap replicate (apply_vcov)
+    takes the drawn entities' complete rows and solves them by ols_solve: the
+    coefficients of ols_fit on panel.take_entities' dataset of the draw.
     """
     vcov = vcov or VcovSpec()
     cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
     weights = [spec.weights] if spec.weights else []
     mask = complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims, *weights])
-    X, names, _ = design_matrix(ds, mask, spec.regressors, (), spec.intercept and not spec.fe_dims)
-    core = ols_core(
-        X,
-        ds.column(spec.dependent)[mask],
-        names,
-        w=ds.column(spec.weights)[mask] if spec.weights else None,
-        fe=[fe_codes(ds, dim, mask)[0] for dim in spec.fe_dims],
-        robust=vcov.kind == "hc_robust",
-    )
+
+    def arrays(sample: Sample):
+        X, names, _ = design_matrix(ds, sample, spec.regressors, (), spec.intercept and not spec.fe_dims)
+        y = ds.column(spec.dependent)[sample.rows]
+        w = ds.column(spec.weights)[sample.rows] if spec.weights else None
+        return X, y, names, w, [sample_codes(ds, sample, dim)[0] for dim in spec.fe_dims]
+
+    X, y, names, w, fe = arrays(Sample.of(ds, mask))
+    core = ols_core(X, y, names, w=w, fe=fe, robust=vcov.kind == "hc_robust")
     fit = ols_result(core, names, ds.n_rows, vcov, spec.fe_dims)
-    return apply_vcov(fit, lambda dsb: ols_fit(dsb, spec), ds, vcov, "ols_fit")
+
+    def refit(picks: np.ndarray) -> dict[str, float]:
+        X, y, names, w, fe = arrays(Sample.draw(ds, picks, mask))
+        return dict(zip(names, ols_solve(X, y, names, w, fe)[0][0]))
+
+    return apply_vcov(fit, refit, ds, vcov, "ols_fit")
 
 
 def mle_fit(
@@ -634,7 +724,7 @@ def _hessian_vcov(H: BlockHessian) -> np.ndarray:
 
 
 def bootstrap_vcov(
-    refit: Callable[[panel.PanelDataset], np.ndarray],
+    refit: Callable[[np.ndarray], np.ndarray],
     ds: panel.PanelDataset,
     vcov: VcovSpec,
 ) -> BootstrapResult:
@@ -642,9 +732,11 @@ def bootstrap_vcov(
 
     Entities are resampled with replacement; replication r draws from an RNG
     stream keyed by (seed, r), so results do not depend on execution order.
-    Replications whose refit raises one of ESTIMATION_ERRORS are dropped and
-    counted; more than 10% failures is an error. Any other exception
-    propagates.
+    ``refit`` gets each draw as the positions of the drawn entities in
+    ``ds``, in draw order (panel.take_entities(ds, picks) is the dataset of
+    the draw). Replications whose refit raises one of ESTIMATION_ERRORS are
+    dropped and counted; more than 10% failures is an error. Any other
+    exception propagates.
     """
     if vcov.kind != "cluster_bootstrap":
         raise ValidationError("bootstrap_vcov requires a cluster_bootstrap VcovSpec")
@@ -659,8 +751,7 @@ def bootstrap_vcov(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=vcov.seed, spawn_key=(r,)))
         picks = rng.integers(0, n_entities, size=n_entities)
         try:
-            dsb = panel.take_entities(ds, picks)
-            draws.append(np.asarray(refit(dsb), dtype=float))
+            draws.append(np.asarray(refit(picks), dtype=float))
         except ESTIMATION_ERRORS:
             n_failed += 1
     if not draws:
@@ -679,7 +770,7 @@ def _draw_cov(draws: np.ndarray) -> np.ndarray:
 
 def apply_vcov(
     fit: FitResult | list[FitResult],
-    refit: Callable[[panel.PanelDataset], FitResult | list[FitResult]],
+    refit: Callable[[np.ndarray], dict[str, float] | list[dict[str, float]]],
     ds: panel.PanelDataset,
     vcov: VcovSpec | None,
     estimator: str,
@@ -690,25 +781,37 @@ def apply_vcov(
     ``fit`` carries the estimator's own covariance, which an analytic spec
     (or None) keeps. An hc_robust spec is refused unless ``fit`` already
     carries it (se_method "robust"). A cluster_bootstrap spec replaces it, in
-    place, by bootstrap_vcov over ``refit``, the estimator's point fit on one
-    resample, and sets the spec's tag and ``notes["bootstrap_failures"]``.
+    place, by bootstrap_vcov over ``refit``, and sets the spec's tag and
+    ``notes["bootstrap_failures"]``.
 
-    ``fit`` may also be a list of fits that one ``refit`` returns together, in
-    the same order (the families of a count model, counts.count_fits). One
-    bootstrap then draws all their coefficients, and each fit's covariance is
-    that of its own columns of the draws; a replicate whose refit fails is
-    dropped for every fit.
+    ``refit`` takes the drawn entities' positions (see bootstrap_vcov) and
+    returns the coefficients, name -> value, that the estimator's point fit
+    gives on panel.take_entities' dataset of the draw. Each estimator solves
+    the drawn entities' rows of its own dataset for them, without that
+    dataset and without the point fit's diagnostics. A replicate that lacks
+    a coefficient of ``fit`` (a year or category with no row in the draw)
+    fails, as one whose refit raises does.
+
+    ``fit`` may also be a list of fits whose coefficients one ``refit``
+    returns together, as a list in the same order (the families of a count
+    model, counts.count_fits). One bootstrap then draws all their
+    coefficients, and each fit's covariance is that of its own columns of the
+    draws; a replicate that fails is dropped for every fit.
     """
     kind = vcov.kind if vcov is not None else "analytic"
-    fits, refits = (fit, refit) if isinstance(fit, list) else ([fit], lambda dsb: [refit(dsb)])
+    fits, refits = (fit, refit) if isinstance(fit, list) else ([fit], lambda picks: [refit(picks)])
     if kind == "hc_robust" and any(f.se_method != "robust" for f in fits):
         raise ValidationError(f"{estimator} cannot give an {kind!r} covariance")
     if kind != "cluster_bootstrap":
         return fit
     names = [f.names for f in fits]
 
-    def draw(dsb: panel.PanelDataset) -> np.ndarray:
-        return np.array([r.coefficients[nm] for r, nms in zip(refits(dsb), names) for nm in nms])
+    def draw(picks: np.ndarray) -> np.ndarray:
+        coefficients = refits(picks)
+        missing = [nm for c, nms in zip(coefficients, names) for nm in nms if nm not in c]
+        if missing:
+            raise ValidationError(f"the resample gives no coefficient {missing[0]!r}")
+        return np.array([c[nm] for c, nms in zip(coefficients, names) for nm in nms])
 
     boot = bootstrap_vcov(draw, ds, vcov)
     stop = 0

@@ -21,7 +21,7 @@ is the inverse Mills ratio built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -137,6 +137,19 @@ def probit_mle(
     return res
 
 
+def _probit(ds: panel.PanelDataset, sample: estim.Sample, dependent: str, regressors, fe_dims):
+    """The probit on a sample of its complete rows, after the size and rank
+    checks: (MleResult, X, names, fe_dummies, layout)."""
+    n = len(sample.rows)
+    if n == 0:
+        raise ValidationError("no complete cases for the probit")
+    X, names, mapping, layout = estim.newton_design(ds, sample, regressors, fe_dims, intercept=True)
+    if n < layout.n_params + 1:
+        raise ValidationError(f"only {n} complete cases for {layout.n_params} probit parameters")
+    estim.screen_rank(X, names, layout, intercept=True)
+    return probit_mle(ds.column(dependent)[sample.rows], X, layout), X, names, mapping, layout
+
+
 def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -> FitResult:
     """Probit with year and category FE dims as indicators (first category
     dropped). Entity effects are refused, with HeckmanSpec's reason.
@@ -145,19 +158,10 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     regressors = list(regressors)
     cat_cols = [d for d in fe_dims if d != "year"]
     mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_cols])
-    n = int(mask.sum())
-    if n == 0:
-        raise ValidationError("no complete cases for the probit")
-    y = ds.column(dependent)[mask]
-    if not np.all(np.isin(y, (0.0, 1.0))):
+    if not np.all(np.isin(ds.column(dependent)[mask], (0.0, 1.0))):
         raise ValidationError(f"probit dependent {dependent!r} must be binary 0/1")
-
-    X, names, mapping, layout = estim.newton_design(ds, mask, regressors, fe_dims, intercept=True)
-    if n < layout.n_params + 1:
-        raise ValidationError(f"only {n} complete cases for {layout.n_params} probit parameters")
-    estim.screen_rank(X, names, layout, intercept=True)
-
-    res = probit_mle(y, X, layout)
+    res, _, names, mapping, layout = _probit(ds, estim.Sample.of(ds, mask), dependent, regressors, fe_dims)
+    n = int(mask.sum())
     return FitResult(
         coefficients=dict(zip(names, res.params[layout.dense_pos])),
         vcov=res.vcov,
@@ -169,7 +173,16 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
 
 
 def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
-    """Probit on the full sample, then selection-corrected OLS on disclosing rows."""
+    """Probit on the full sample, then selection-corrected OLS on disclosing rows.
+
+    A bootstrap replicate (estim.apply_vcov) solves both steps on the drawn
+    entities' rows of ``ds``: the coefficients of step 2 on
+    panel.take_entities' dataset of the draw. The checks on cell values (a
+    binary selection observed wherever there are model data, an outcome on
+    every selected row) run once, here, since a draw only repeats cells; a
+    draw must still have a selected row. The VIFs and the Wald test are
+    the point fit's alone.
+    """
     # the step-2 design names the correction term IMR; a data column of that
     # name would be ambiguous
     if ds.has_column(IMR_NAME):
@@ -188,7 +201,8 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     observed = np.isfinite(sel)
     if not np.all(np.isin(sel[observed], (0.0, 1.0))):
         raise ValidationError(f"selection column {spec.selection!r} must be binary 0/1")
-    if not np.any(sel[observed] == 1.0):
+    selected = (sel == 1.0).reshape(len(ds.entities), len(ds.periods)).any(axis=1)
+    if not selected.any():
         raise ValidationError("no selected rows: selection column is all zero")
     outcome = ds.column(spec.outcome)
     bad = observed & (sel == 1.0) & ~np.isfinite(outcome)
@@ -199,21 +213,29 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         )
 
     probit = probit_fit(ds, spec.selection, sel_regs, spec.fe_dims)
-    index = estim.linear_index(probit, ds)
-    mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors, *cat_cols])
-    mask &= (sel == 1.0) & np.isfinite(index)
-    index = index[mask]
-    imr = inverse_mills(index)
-    X, names, mapping = estim.design_matrix(ds, mask, spec.outcome_regressors, spec.fe_dims, intercept=False)
-    X = np.column_stack([X, imr, np.ones(X.shape[0])])
-    names += [IMR_NAME, INTERCEPT]
-    try:
-        core = estim.ols_core(X, outcome[mask], names)
-    except CollinearityError as exc:
-        raise CollinearityError(
-            f"{exc}; the selection correction is collinear with the outcome regressors - "
-            "consider adding exclusion restrictions to the selection equation"
-        ) from None
+    probit_mask = estim.complete_case_mask(ds, [spec.selection, *sel_regs, *cat_cols])
+    outcome_mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors, *cat_cols]) & (sel == 1.0)
+
+    def step2(sample: estim.Sample, params=None):
+        """Step 2's (X, y, names, fe_dummies, imr, index) on the probit's rows
+        ``sample``, with the probit at ``params`` (its MLE there when None)."""
+        if params is None:
+            res, X1, *_ = _probit(ds, sample, spec.selection, sel_regs, spec.fe_dims)
+            params = res.params
+        else:
+            X1 = estim.newton_design(ds, sample, sel_regs, spec.fe_dims, intercept=True)[0]
+        index = np.zeros(len(X1))
+        for j in range(X1.shape[1]):  # estim.linear_index's order of additions
+            index = index + params[j] * X1[:, j]
+        keep = outcome_mask[sample.rows] & np.isfinite(index)
+        sample, index = sample.take(keep), index[keep]
+        imr = inverse_mills(index)
+        X, names, mapping = estim.design_matrix(ds, sample, spec.outcome_regressors, spec.fe_dims, intercept=False)
+        X = np.column_stack([X, imr, np.ones(X.shape[0])])
+        return X, outcome[sample.rows], [*names, IMR_NAME, INTERCEPT], mapping, imr, index
+
+    X, y, names, mapping, imr, index = step2(estim.Sample.of(ds, probit_mask), probit.coef_vector())
+    core = _least_squares(estim.ols_core, X, y, names)
     outcome_fit = estim.ols_result(core, names, ds.n_rows, VcovSpec(), ())
     outcome_fit.notes["fe_dummies"] = mapping
 
@@ -231,10 +253,13 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     step2_vif = estim.vif_matrix(X[:, :-1], names[:-1])
     imr_vif = step2_vif[IMR_NAME]
 
-    analytic = replace(spec, vcov=VcovSpec())
-    estim.apply_vcov(
-        outcome_fit, lambda dsb: heckman_two_step(dsb, analytic).outcome, ds, spec.vcov, "heckman_two_step"
-    )
+    def refit(picks: np.ndarray) -> dict[str, float]:
+        if not selected[picks].any():
+            raise ValidationError("no selected rows: selection column is all zero")
+        X, y, names, *_ = step2(estim.Sample.draw(ds, picks, probit_mask))
+        return dict(zip(names, _least_squares(estim.ols_solve, X, y, names)[0][0]))
+
+    estim.apply_vcov(outcome_fit, refit, ds, spec.vcov, "heckman_two_step")
     slopes = [r for r in spec.outcome_regressors]
     if slopes:
         outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, slopes)
@@ -248,6 +273,18 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         imr_vif=float(imr_vif),
         step2_vif=step2_vif,
     )
+
+
+def _least_squares(solve, X, y, names):
+    """Step 2's least squares by ``solve`` (estim.ols_core or estim.ols_solve),
+    a collinear design named with the likely cause."""
+    try:
+        return solve(X, y, names)
+    except CollinearityError as exc:
+        raise CollinearityError(
+            f"{exc}; the selection correction is collinear with the outcome regressors - "
+            "consider adding exclusion restrictions to the selection equation"
+        ) from None
 
 
 def predict_linear_index(fit: HeckmanFit, ds: panel.PanelDataset) -> np.ndarray:

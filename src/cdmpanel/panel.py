@@ -445,7 +445,9 @@ def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
 
 
 def take_entities(ds: PanelDataset, positions) -> PanelDataset:
-    """Dataset made of the given entity blocks, in order (used by cluster bootstrap).
+    """Dataset made of the given entity blocks, in order: the dataset of one
+    cluster-bootstrap draw. The estimators solve a draw's rows of their own
+    dataset instead (estim.Sample); tests compare them with refits of this.
 
     ``positions`` may repeat; repeated draws get distinct labels so downstream
     grouping treats them as separate clusters.

@@ -18,6 +18,7 @@ import numpy as np
 import cdmpanel as cp
 from cdmpanel import cli, synthdgp, tables
 from cdmpanel.cqr import CqrSpec, check_loss
+from cdmpanel.panel import take_entities
 from cdmpanel.rif import QuantileSpec, TreatmentSpec, weighted_quantile
 
 
@@ -376,8 +377,8 @@ def test_criterion_10_diagnostics():
     y = rng.standard_normal(500)
     ds = iid_panel({"y": y})
 
-    def refit(d):
-        return np.array([np.nanmean(d.column("y"))])
+    def refit(picks):
+        return np.array([np.nanmean(take_entities(ds, picks).column("y"))])
 
     spec = cp.VcovSpec("cluster_bootstrap", replications=999, seed=77)
     r1 = cp.bootstrap_vcov(refit, ds, spec)

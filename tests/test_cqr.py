@@ -202,12 +202,13 @@ class TestEntityEffectsAsCodes:
             cqr_fit(ds, CqrSpec("y", regressors, fe_dims=fe_dims))
 
     def test_baseline_entity_indicator_needs_no_intercept(self):
-        # without an intercept the dropped baseline entity's indicator is not
-        # spanned by the other entities' indicators; with one it is
+        # without an intercept the fit is refused, since the first entity's
+        # level would be held at 0; with one, the baseline entity's indicator
+        # is spanned by the entity effects and named
         ds = fe_panel(70)
         ds = ds.with_column("baseline", (ds.entity_index() == 0).astype(float))
-        fit = cqr_fit(ds, CqrSpec("y", ("x", "baseline"), fe_dims=("entity", "year"), intercept=False))
-        assert np.isfinite(fit.coefficients["baseline"])
+        with pytest.raises(ValidationError, match="entity effects need the intercept"):
+            cqr_fit(ds, CqrSpec("y", ("x", "baseline"), fe_dims=("entity", "year"), intercept=False))
         with pytest.raises(CollinearityError, match="column 'baseline'"):
             cqr_fit(ds, CqrSpec("y", ("x", "baseline"), fe_dims=("entity", "year")))
 
@@ -443,3 +444,17 @@ class TestVertexPivots:
         oracle = primal_oracle_loss(y, dense, tau)
         assert abs(check_loss(v.r, tau) - oracle) <= 1e-9 * oracle
         assert np.all(v.d >= tau - 1.0 - cqr.DUAL_TOL) and np.all(v.d <= tau + cqr.DUAL_TOL)
+
+    def test_degenerate_pivots_end_at_the_optimum(self, monkeypatch):
+        # a draw with repeated entities ties many residuals at zero; with the
+        # interior point stopped at once, the pivots from its vertex pass
+        # through degenerate vertices, where releasing the farthest violated
+        # row and taking the first breakpoint past the minimum cycled
+        ds = take_entities(fe_panel(59, n_e=20), np.random.default_rng(59).integers(0, 20, size=20))
+        spec = CqrSpec("y", ("x", "z"), tau=0.5, fe_dims=("entity", "year"))
+        monkeypatch.setattr(cqr, "IPM_GAP", 1.0)
+        fit = cqr_fit(ds, spec)
+        assert fit.notes["vertex_pivots"] > 0
+        dense, _, _ = design_matrix(ds, np.ones(ds.n_rows, dtype=bool), ("x", "z"), spec.fe_dims, True)
+        oracle = primal_oracle_loss(ds.column("y"), dense, spec.tau)
+        assert abs(fit.notes["check_loss"] - oracle) <= 1e-9 * oracle

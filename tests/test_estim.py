@@ -38,6 +38,7 @@ from cdmpanel.estim import (
     ols_core,
 )
 from cdmpanel.heckman import _probit_parts
+from cdmpanel.panel import take_entities
 
 
 def iid_panel(n, columns, seed=0):
@@ -323,8 +324,8 @@ class TestBootstrap:
         rng = np.random.default_rng(2)
         ds = iid_panel(60, {"y": rng.normal(size=60)})
 
-        def refit(d):
-            return np.array([np.nanmean(d.column("y"))])
+        def refit(picks):
+            return np.array([np.nanmean(take_entities(ds, picks).column("y"))])
 
         spec = VcovSpec("cluster_bootstrap", replications=50, seed=123)
         v1 = bootstrap_vcov(refit, ds, spec)
@@ -336,8 +337,8 @@ class TestBootstrap:
         y = rng.standard_normal(500)
         ds = iid_panel(500, {"y": y})
 
-        def refit(d):
-            return np.array([np.nanmean(d.column("y"))])
+        def refit(picks):
+            return np.array([np.nanmean(take_entities(ds, picks).column("y"))])
 
         spec = VcovSpec("cluster_bootstrap", replications=999, seed=5)
         res = bootstrap_vcov(refit, ds, spec)
@@ -350,11 +351,11 @@ class TestBootstrap:
         ds = iid_panel(30, {"y": rng.normal(size=30)})
         calls = {"n": 0}
 
-        def refit(d):
+        def refit(picks):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise ConvergenceError("boom")
-            return np.array([np.nanmean(d.column("y"))])
+            return np.array([np.nanmean(take_entities(ds, picks).column("y"))])
 
         res = bootstrap_vcov(refit, ds, VcovSpec("cluster_bootstrap", replications=30, seed=9))
         assert res.n_failed == 1
@@ -363,7 +364,7 @@ class TestBootstrap:
     def test_all_failures_error(self):
         ds = iid_panel(10, {"y": np.ones(10)})
 
-        def refit(d):
+        def refit(picks):
             raise ConvergenceError("always")
 
         with pytest.raises(ConvergenceError, match="all 5"):
@@ -372,7 +373,7 @@ class TestBootstrap:
     def test_library_bug_is_not_a_failed_replicate(self):
         ds = iid_panel(10, {"y": np.ones(10)})
 
-        def refit(d):
+        def refit(picks):
             raise TypeError("a bug, not an estimation failure")
 
         with pytest.raises(TypeError, match="a bug"):
@@ -396,8 +397,8 @@ class TestBootstrap:
             {"x": rng.normal(size=3 * n), "y": rng.normal(size=3 * n)},
         )
 
-        def refit(d):
-            f = ols_fit(d, ModelSpec("y", ("x",)))
+        def refit(picks):
+            f = ols_fit(take_entities(ds, picks), ModelSpec("y", ("x",)))
             return np.array([f.coefficients["x"], f.coefficients["_cons"]])
 
         res = bootstrap_vcov(refit, ds, VcovSpec("cluster_bootstrap", replications=80, seed=3))
@@ -762,6 +763,18 @@ class TestEntityLayout:
         y = (ds.column("PAT")[mask] > 0).astype(float)
         beta = 0.3 * np.random.default_rng(6).normal(size=Xd.shape[1])
         self.check(_probit_parts(beta, y, X, layout), _probit_parts(beta, y, Xd, one_level(Xd)))
+
+    def test_entity_sums_of_a_vector_are_the_indicator_product(self):
+        # a vector's sums come from np.bincount, a matrix's from the sparse
+        # product; both add in row order, so they agree bit for bit, with
+        # rows not grouped by entity
+        ds, mask = self.panel()
+        _, layout, _ = self.designs(ds, mask, ("entity", "year"))
+        order = np.random.default_rng(8).permutation(len(layout.codes))
+        layout = EntityLayout.from_codes(layout.codes[order], 25, 2, 0)
+        v = np.random.default_rng(9).normal(size=len(order))
+        assert np.array_equal(layout.entity_sums(v), (layout.indicator @ v)[1:])
+        assert np.array_equal(layout.entity_sums(v), layout.entity_sums(v[:, None])[:, 0])
 
     def test_no_entity_fe_is_the_dense_design(self):
         ds, mask = self.panel()

@@ -10,19 +10,26 @@ from cdmpanel import (
     CqrSpec,
     HeckmanSpec,
     ModelSpec,
+    ProdSpec,
     ValidationError,
     VcovSpec,
     bootstrap_vcov,
     cqr_fit,
+    fe_ols,
     heckman_two_step,
     nb2_fit,
     ols_fit,
     poisson_fe_fit,
 )
 from cdmpanel import synthdgp
-from cdmpanel.estim import apply_vcov
+from cdmpanel.counts import count_fits
+from cdmpanel.estim import _draw_cov, apply_vcov, complete_case_mask, design_matrix, linear_index, ols_core
+from cdmpanel.heckman import inverse_mills
+from cdmpanel.panel import take_entities
 
 BOOT = VcovSpec("cluster_bootstrap", replications=5, seed=2024)
+# a seed whose 10 draws of the 40 entities leave out entities 0 and 1 together once
+BOOT_ONE_FAILURE = 2
 
 OLS = ModelSpec("lnVA_pe", ("lnPATINT_true", "lnEMP", "lnCAPINT"), fe_dims=("entity", "year"))
 HECKMAN = dict(outcome="RDINT", selection="D", outcome_regressors=("X1",), exclusion_restrictions=("Z",))
@@ -69,7 +76,7 @@ def test_bootstrap_vcov_matches_hand_refit(ds, estimator):
     fit_with, refit = ESTIMATORS[estimator]
     fit = fit_with(ds, BOOT)
     names = list(fit.coefficients)
-    boot = bootstrap_vcov(lambda d: np.array([refit(d)[nm] for nm in names]), ds, BOOT)
+    boot = bootstrap_vcov(lambda picks: np.array([refit(take_entities(ds, picks))[nm] for nm in names]), ds, BOOT)
     assert np.array_equal(fit.vcov, boot.vcov)
     assert fit.se_method == "cluster_bootstrap(B=5, seed=2024)"
     assert fit.notes["bootstrap_failures"] == boot.n_failed
@@ -78,9 +85,10 @@ def test_bootstrap_vcov_matches_hand_refit(ds, estimator):
 def test_refit_runs_once_per_replicate(ds):
     calls = []
 
-    def refit(d):
+    def refit(picks):
+        d = take_entities(ds, picks)
         calls.append(d.n_rows)
-        return ols_fit(d, OLS)
+        return ols_fit(d, OLS).coefficients
 
     fit = apply_vcov(ols_fit(ds, OLS), refit, ds, BOOT, "ols_fit")
     assert len(calls) == BOOT.replications
@@ -104,3 +112,112 @@ def test_cqr_analytic_keeps_zero_vcov(ds):
     fit = cqr_fit(ds, CqrSpec(**CQR, vcov=VcovSpec()))
     assert fit.se_method == "none"
     assert not fit.vcov.any()
+
+
+# A bootstrap replicate solves the drawn entities' rows of the dataset it was
+# given; it must give, bit for bit, the coefficients of the public fit on
+# take_entities' dataset of the draw, and fail where that fit raises.
+HECKMAN_YEAR = dict(outcome="RDINT", selection="D", outcome_regressors=("X1", "lnEMP", "lnCAPINT"),
+                    exclusion_restrictions=("Z",), fe_dims=("year",))
+COUNTS = ("PAT", ("RDINT_star", "lnEMP"))
+PROD = dict(dependent="lnVA_pe", patent_intensities=("lnPATINT_true",), controls=("lnEMP", "lnCAPINT"))
+
+# model -> (its fits with a VcovSpec, the coefficients of its point fits on one dataset)
+PIPELINE = {
+    "heckman_year_fe": (
+        lambda ds, vcov: [heckman_two_step(ds, HeckmanSpec(**HECKMAN_YEAR, vcov=vcov)).outcome],
+        lambda ds: [heckman_two_step(ds, HeckmanSpec(**HECKMAN_YEAR)).outcome.coefficients],
+    ),
+    "count_fits": (
+        lambda ds, vcov: count_fits(ds, [CountSpec(*COUNTS, family, vcov=vcov) for family in ("poisson_fe", "nb2")]),
+        lambda ds: [f.coefficients for f in count_fits(ds, [CountSpec(*COUNTS, f) for f in ("poisson_fe", "nb2")])],
+    ),
+    "fe_ols": (
+        lambda ds, vcov: [fe_ols(ds, ProdSpec(**PROD, vcov=vcov))],
+        lambda ds: [fe_ols(ds, ProdSpec(**PROD)).coefficients],
+    ),
+}
+
+
+def assert_replicates_are_refits(ds, model, vcov):
+    """The fits' bootstrap equals bootstrap_vcov over the public refits of
+    take_entities datasets, failures included; returns each replicate's draw."""
+    fit_with, refit = PIPELINE[model]
+    fits = fit_with(ds, vcov)
+    picks = []
+
+    def draw(p):
+        picks.append(p)
+        coefficients = refit(take_entities(ds, p))
+        if any(nm not in c for c, f in zip(coefficients, fits) for nm in f.names):
+            raise ValidationError("the resample gives no coefficient of the fit")
+        return np.concatenate([[c[nm] for nm in f.names] for c, f in zip(coefficients, fits)])
+
+    boot = bootstrap_vcov(draw, ds, vcov)
+    stop = 0
+    for f in fits:
+        start, stop = stop, stop + len(f.names)
+        assert np.array_equal(f.vcov, _draw_cov(boot.draws[:, start:stop]))
+        assert f.notes["bootstrap_failures"] == boot.n_failed
+    return picks, boot.n_failed
+
+
+@pytest.mark.parametrize("model", sorted(PIPELINE))
+def test_pipeline_replicates_are_take_entities_refits(ds, model):
+    assert_replicates_are_refits(ds, model, BOOT)
+
+
+def entity_rows(ds, entities):
+    return np.isin(ds.entity_index(), entities)
+
+
+def test_replicate_without_a_year(ds):
+    # 2012 has a complete row in entity 0 alone: a draw without it has no
+    # 2012 row, and the year effects it absorbs are those of the other years
+    lnva = ds.column("lnVA_pe").copy()
+    lnva[(ds.row_years() == 2012) & ~entity_rows(ds, [0])] = np.nan
+    picks, _ = assert_replicates_are_refits(ds.with_replaced({"lnVA_pe": lnva}), "fe_ols", BOOT)
+    assert any(0 not in p for p in picks) and any(0 in p for p in picks)
+
+
+def test_named_year_effect_missing_from_a_draw_fails_it(ds):
+    # 2012 has counts only in entities 0 and 1: a draw of neither has no
+    # 2012 effect, and fails
+    pat = ds.column("PAT").copy()
+    pat[(ds.row_years() == 2012) & ~entity_rows(ds, [0, 1])] = np.nan
+    vcov = VcovSpec("cluster_bootstrap", replications=10, seed=BOOT_ONE_FAILURE)
+    _, n_failed = assert_replicates_are_refits(ds.with_replaced({"PAT": pat}), "count_fits", vcov)
+    assert n_failed == 1
+
+
+@pytest.mark.parametrize("model", ["count_fits", "fe_ols"])
+def test_replicate_with_an_entity_without_complete_rows(ds, model):
+    lnemp = ds.column("lnEMP").copy()
+    lnemp[entity_rows(ds, [0])] = np.nan
+    picks, _ = assert_replicates_are_refits(ds.with_replaced({"lnEMP": lnemp}), model, BOOT)
+    assert any(0 in p for p in picks)
+
+
+def test_failed_replicate_counted_as_its_refit_fails(ds):
+    # lnCAPINT varies within entities 0 and 1 alone: in a draw of neither it
+    # is an entity effect, which the within fit names as collinear
+    lncap = np.where(entity_rows(ds, [0, 1]), ds.column("lnCAPINT"), 1.0)
+    vcov = VcovSpec("cluster_bootstrap", replications=10, seed=BOOT_ONE_FAILURE)
+    picks, n_failed = assert_replicates_are_refits(ds.with_replaced({"lnCAPINT": lncap}), "fe_ols", vcov)
+    assert n_failed == 1
+    assert sum(not np.isin([0, 1], p).any() for p in picks) == 1
+
+
+def test_imr_index_adds_as_linear_index(ds):
+    # step 2 of the point fit and of every replicate sums the probit index
+    # in estim.linear_index's order; X @ b differs from it in the last bits
+    spec = HeckmanSpec(**HECKMAN_YEAR)
+    fit = heckman_two_step(ds, spec)
+    index = linear_index(fit.probit, ds)
+    sel = ds.column(spec.selection)
+    mask = complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors]) & (sel == 1.0) & np.isfinite(index)
+    X, names, _ = design_matrix(ds, mask, spec.outcome_regressors, spec.fe_dims, intercept=False)
+    X = np.column_stack([X, inverse_mills(index[mask]), np.ones(X.shape[0])])
+    core = ols_core(X, ds.column(spec.outcome)[mask], [*names, "IMR", "_cons"])
+    assert list(fit.outcome.coefficients) == [*names, "IMR", "_cons"]
+    assert np.array_equal(fit.outcome.coef_vector(), core.beta)
