@@ -880,22 +880,30 @@ def vif(ds: panel.PanelDataset, regressors) -> dict[str, float]:
 
 
 def vif_matrix(X: np.ndarray, names) -> dict[str, float]:
-    n = X.shape[0]
-    out: dict[str, float] = {}
-    ones = np.ones((n, 1))
-    for j, name in enumerate(names):
-        yj = X[:, j]
-        others = np.hstack([np.delete(X, j, axis=1), ones])
-        coef, *_ = np.linalg.lstsq(others, yj, rcond=None)
-        resid = yj - others @ coef
-        tss = float(np.sum((yj - yj.mean()) ** 2))
-        if tss <= 0:
-            raise CollinearityError(f"regressor {name!r} is constant")
-        r2 = 1.0 - float(np.sum(resid**2)) / tss
-        if r2 >= 1.0 - 1e-12:
-            raise CollinearityError(f"regressor {name!r} is perfectly collinear with the others")
-        out[name] = 1.0 / (1.0 - r2)
-    return out
+    """Variance inflation factors 1/(1-R2_j) of X's columns, from one QR of
+    the centred columns Xc: VIF_j = |Xc_j|^2 |row j of R^-1|^2, which is
+    |Xc_j|^2 times the j-th diagonal entry of (Xc'Xc)^-1. The first column
+    with a VIF of 1e12 or more, or none (R singular), is named as perfectly
+    collinear with the others: that is r2_j >= 1 - 1e-12."""
+    names = list(names)
+    constant = np.all(X == X[:1], axis=0)
+    if constant.any():
+        raise CollinearityError(f"regressor {names[int(np.argmax(constant))]!r} is constant")
+    Xc = X - X.mean(axis=0)
+    k = Xc.shape[1]
+    R = scipy.linalg.qr(Xc, mode="r", check_finite=False)[0][:k]
+    out = np.full(k, np.inf)
+    if len(R) == k:
+        Rinv, info = scipy.linalg.lapack.dtrtri(R)
+        if info == 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.einsum("ij,ij->j", Xc, Xc) * np.einsum("ij,ij->i", Rinv, Rinv)
+    collinear = ~(out < 1e12)
+    if collinear.any():
+        raise CollinearityError(
+            f"regressor {names[int(np.argmax(collinear))]!r} is perfectly collinear with the others"
+        )
+    return dict(zip(names, out.tolist()))
 
 
 def wald_chi2(fit: FitResult, restricted) -> tuple[float, int, float]:

@@ -113,9 +113,7 @@ def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray, layout: estim
     return ll, grad, hess
 
 
-def probit_mle(
-    y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tol: float = 1e-8, max_iter: int = 200
-) -> MleResult:
+def probit_mle(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout) -> MleResult:
     """Probit maximum likelihood on raw arrays (no dataset plumbing); the
     parameters span X and the entity effects of the estim.EntityLayout, and
     the covariance only the parameters at its ``dense_pos``.
@@ -123,9 +121,7 @@ def probit_mle(
     Perfectly separated samples have no finite maximizer; the flat plateau the
     solver lands on is detected and reported as non-convergence.
     """
-    res = estim.mle_fit(
-        lambda t: _probit_parts(t, y, X, layout), np.zeros(layout.n_params), tol=tol, max_iter=max_iter
-    )
+    res = estim.mle_fit(lambda t: _probit_parts(t, y, X, layout), np.zeros(layout.n_params))
     z = estim.design_index(X, res.params, layout)
     p = np.exp(log_ndtr(z))
     separated = np.all(np.where(y > 0.5, p > 1.0 - 1e-6, p < 1e-6))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -429,3 +431,13 @@ class TestMalformedInput:
         assert cli.main([str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {path}: not valid JSON")
+
+
+def test_import_leaves_out_scipy_optimize():
+    # a fresh interpreter, since this one may have imported it for the tests
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, cdmpanel, cdmpanel.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

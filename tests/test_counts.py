@@ -12,7 +12,7 @@ from cdmpanel import (
     patent_intensity,
     poisson_fe_fit,
 )
-from cdmpanel import estim, synthdgp
+from cdmpanel import counts, estim, synthdgp
 from cdmpanel.counts import _nb2_parts
 from cdmpanel.exceptions import CollinearityError, ConvergenceError
 from cdmpanel.panel import take_entities
@@ -225,14 +225,14 @@ class TestNb2:
         lgy1 = gammaln(y + 1.0)
         theta = np.array([0.25, -0.1, np.log(0.7)])
         layout = one_level(X)
-        ll, grad, hess = _nb2_parts(theta, y, X, lgy1, None, layout)
+        ll, grad, hess = _nb2_parts(theta, y, X, lgy1, layout)
         eps = 1e-6
         for j in range(3):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += eps
             tm[j] -= eps
-            lp, gp, _ = _nb2_parts(tp, y, X, lgy1, None, layout)
-            lm, gm, _ = _nb2_parts(tm, y, X, lgy1, None, layout)
+            lp, gp, _ = _nb2_parts(tp, y, X, lgy1, layout)
+            lm, gm, _ = _nb2_parts(tm, y, X, lgy1, layout)
             assert grad[j] == pytest.approx((lp - lm) / (2 * eps), rel=1e-5, abs=1e-5)
             for i in range(3):
                 assert hess.A[i, j] == pytest.approx((gp[i] - gm[i]) / (2 * eps), rel=1e-4, abs=1e-4)
@@ -241,7 +241,7 @@ class TestNb2:
         # a line-search probe at log alpha = -800 underflows exp to 0
         y = np.array([0.0, 1.0, 2.0, 5.0])
         X = np.ones((4, 1))
-        ll, grad, hess = _nb2_parts(np.array([0.0, -800.0]), y, X, gammaln(y + 1.0), None, one_level(X))
+        ll, grad, hess = _nb2_parts(np.array([0.0, -800.0]), y, X, gammaln(y + 1.0), one_level(X))
         assert ll == -np.inf
         assert grad.shape == (2,) and hess.shape == (2, 2)
 
@@ -265,7 +265,7 @@ class TestNb2:
         X = np.column_stack([ds.column("RDINT_star"), np.ones(ds.n_rows)])
         ybar = y.mean()
         alpha0 = min(max((y.var() - ybar) / ybar**2, 0.01), 10.0)
-        joint = estim.mle_fit(lambda p: _nb2_parts(p, y, X, gammaln(y + 1.0), None, one_level(X)),
+        joint = estim.mle_fit(lambda p: _nb2_parts(p, y, X, gammaln(y + 1.0), one_level(X)),
                               [0.0, np.log(ybar), np.log(alpha0)])
         alpha = np.exp(joint.params[-1])
         assert fit.notes["alpha"] == pytest.approx(alpha, rel=1e-8)
@@ -275,6 +275,30 @@ class TestNb2:
             assert fit.se(name) == pytest.approx(np.sqrt(joint.vcov[j, j]), rel=1e-8)
         lr, p = fit.notes["lr_alpha0"]
         assert lr > 0 and p < 1e-10
+
+    def test_interior_alpha_takes_two_mle_fits(self, monkeypatch):
+        # the Poisson MLE, then one joint (beta, log alpha) Newton from it
+        starts = []
+        mle_fit = estim.mle_fit
+
+        def counted(objective, start, **kw):
+            starts.append(len(start))
+            return mle_fit(objective, start, **kw)
+
+        monkeypatch.setattr(estim, "mle_fit", counted)
+        ds = count_panel(seed=31, n_entities=300, n_periods=6, slope=0.3,
+                         entity_sd=0.0, alpha=0.8, family="nb2")
+        fit = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False))
+        assert fit.notes["alpha"] > 0
+        assert starts == [2, 3]
+
+    def test_alpha_past_the_bound_names_it(self, monkeypatch):
+        # the estimate on this panel is about 27.8
+        ds = count_panel(seed=31, n_entities=300, n_periods=6, slope=0.3,
+                         entity_sd=0.0, alpha=25.0, family="nb2")
+        monkeypatch.setattr(counts, "ALPHA_BOUND", 12.0)
+        with pytest.raises(ConvergenceError, match="bound 12"):
+            nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=False, year_fe=False))
 
     def test_poisson_panel_with_entity_fe_stops_at_boundary(self, monkeypatch):
         failed = []

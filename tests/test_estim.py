@@ -440,6 +440,12 @@ class TestVif:
         with pytest.raises(CollinearityError, match="x1|x2"):
             vif(ds, ["x1", "x2"])
 
+    def test_constant_column_named(self):
+        # the mean of twenty 0.1s is not 0.1, so centring leaves rounding noise
+        ds = iid_panel(20, {"x1": np.arange(20.0), "x2": np.full(20, 0.1)})
+        with pytest.raises(CollinearityError, match="'x2' is constant"):
+            vif(ds, ["x1", "x2"])
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         x1 = rng.normal(size=30)
@@ -749,10 +755,8 @@ class TestEntityLayout:
         lgy1 = np.array([math.lgamma(v + 1.0) for v in y])
         rng = np.random.default_rng(5)
         beta = 0.3 * rng.normal(size=Xd.shape[1])
-        self.check(_nb2_parts(np.append(beta, np.log(0.6)), y, X, lgy1, None, layout=layout),
-                   _nb2_parts(np.append(beta, np.log(0.6)), y, Xd, lgy1, None, one_level(Xd)))
-        self.check(_nb2_parts(beta, y, X, lgy1, np.log(0.6), layout=layout),
-                   _nb2_parts(beta, y, Xd, lgy1, np.log(0.6), one_level(Xd)))
+        self.check(_nb2_parts(np.append(beta, np.log(0.6)), y, X, lgy1, layout=layout),
+                   _nb2_parts(np.append(beta, np.log(0.6)), y, Xd, lgy1, one_level(Xd)))
         self.check(_poisson_parts(beta, y, X, lgy1, layout), _poisson_parts(beta, y, Xd, lgy1, one_level(Xd)))
 
     def test_probit_parts_match_dummy_design(self):
