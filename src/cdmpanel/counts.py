@@ -22,7 +22,7 @@ CollinearityError, and a model of entity effects alone is refused.
 * ``nb2`` (nb2_fit) - negative binomial with Var(y|x) = mu + alpha*mu^2,
   alpha >= 0, which nests that Poisson fit at alpha = 0: the optimum stays
   there unless the alpha-score is positive, and is otherwise reached by one
-  joint Newton in (beta, log alpha) started from it.
+  joint Newton in (beta, log alpha) started from it and its moment alpha.
 
 Calibration rescales raw exponential-index predictions so each entity's mean
 prediction matches its realized mean, then adds a small epsilon so logs of
@@ -280,12 +280,12 @@ def _nb2_parts(params, y, X, lgy1, layout):
     Uses exact finite-sum identities for the Gamma-function differences so the
     alpha -> 0 (Poisson) limit stays numerically stable. Probes beyond the
     alpha bound, or where exp(log alpha) underflows, report -inf so the line
-    search retreats.
+    search retreats; the bound is checked first, since exp overflows far past it.
     """
     k = layout.n_params
     beta, s = params[:k], params[k]
-    a = float(np.exp(s))
-    if a == 0.0 or s > np.log(ALPHA_BOUND):
+    a = float(np.exp(s)) if s <= np.log(ALPHA_BOUND) else np.inf
+    if a in (0.0, np.inf):
         return -np.inf, np.zeros(k + 1), np.eye(k + 1)
     theta = 1.0 / a
     yi = y.astype(int)
@@ -326,9 +326,10 @@ def nb2_fit(ds: panel.PanelDataset, spec: CountSpec, fix_alpha: float | None = N
     the optimum when the alpha-score there, (1/2) sum((y - mu)^2 - y), is not
     positive: alpha is then 0 and ``notes["alpha_se"]`` is None. Otherwise
     one joint Newton in (beta, log alpha), started at the Poisson MLE and the
-    moment estimate of alpha, finds the optimum in (0, ALPHA_BOUND], and the
-    covariance comes from the joint Hessian there; ConvergenceError names
-    the bound when that Newton fails.
+    moment estimate of alpha there, sum((y - mu)^2 - y) / sum(mu^2) (Cameron
+    & Trivedi 1990) capped at ALPHA_BOUND, finds the optimum in (0,
+    ALPHA_BOUND], and the covariance comes from the joint Hessian there;
+    ConvergenceError names the bound when that Newton fails.
     Either way ``notes["lr_alpha0"]`` holds the one-sided LR test of alpha =
     0, (statistic, p) with p from the chi-bar-squared mixture 1/2 chi2(0) +
     1/2 chi2(1) (Gutierrez, Carter & Drukker 2001).
@@ -355,8 +356,7 @@ def _nb2_optimum(res, y, X, layout, fix_alpha) -> _Optimum:
         mu = np.exp(estim.design_index(X, res.params, layout))
         score0 = 0.5 * float(np.sum((y - mu) ** 2 - y))
         if score0 > 0.0:
-            ybar = float(np.mean(y))
-            alpha0 = min(max((float(np.var(y)) - ybar) / ybar**2 if ybar > 0 else 0.5, 0.01), 10.0)
+            alpha0 = min(2.0 * score0 / float(np.sum(mu**2)), ALPHA_BOUND)  # the moment estimate
             lgy1 = gammaln(y + 1.0)
             try:
                 opt = estim.mle_fit(lambda p: _nb2_parts(p, y, X, lgy1, layout),

@@ -35,6 +35,8 @@ from . import panel
 from .exceptions import CollinearityError, ConvergenceError, ValidationError
 
 INTERCEPT = "_cons"
+MAX_HALVINGS = 50  # line-search step halvings per Newton iteration
+LM_SHIFTS = 20  # Levenberg-Marquardt shifts tried where a Newton step does not ascend
 
 # what a refit may raise on a degenerate resample; anything else is a bug and
 # propagates out of bootstrap_vcov and monte_carlo
@@ -637,43 +639,37 @@ def mle_fit(
     start,
     tol: float = 1e-8,
     max_iter: int = 200,
-    max_halvings: int = 50,
 ) -> MleResult:
     """Maximize a likelihood by Newton steps with step-halving line search.
 
     ``objective(theta)`` returns (loglik, gradient, Hessian); the Hessian is a
     BlockHessian, whose entity block (empty without entity effects) is
-    eliminated by a Schur complement. Converged when the gradient max-norm
-    drops below ``tol``; the covariance is the dense block of the inverse of
-    the negative Hessian at the optimum (see _hessian_vcov).
+    eliminated by a Schur complement, shifted where the Newton step does not
+    ascend (_newton_direction). Converged when the gradient max-norm drops
+    below ``tol``; the covariance is the dense block of the inverse of the
+    negative Hessian at the optimum (see _hessian_vcov).
     """
     theta = np.array(start, dtype=float)
     f, g, H = objective(theta)
     if not np.isfinite(f):
         raise ValidationError("objective is not finite at the starting point")
 
-    iterations = 0
-    for _ in range(max_iter):
+    for iterations in range(max_iter):
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         if gnorm < tol:
             return MleResult(theta, _hessian_vcov(H), f, iterations, gnorm)
         step = _newton_direction(g, H)
-        scale = 1.0
-        accepted = False
-        for _h in range(max_halvings + 1):
-            cand = theta + scale * step
+        for h in range(MAX_HALVINGS + 1):
+            cand = theta + 0.5**h * step
             fc, gc, Hc = objective(cand)
             if np.isfinite(fc) and fc >= f - 1e-12 * (1.0 + abs(f)):
                 theta, f, g, H = cand, fc, gc, Hc
-                accepted = True
                 break
-            scale *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
                 "line search failed: objective stayed non-finite or decreasing "
-                f"after {max_halvings} halvings (gradient max-norm {float(np.max(np.abs(g))):.3e})"
+                f"after {MAX_HALVINGS} halvings (gradient max-norm {float(np.max(np.abs(g))):.3e})"
             )
-        iterations += 1
     gnorm = float(np.max(np.abs(g)))
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations; final gradient max-norm {gnorm:.3e}"
@@ -681,20 +677,24 @@ def mle_fit(
 
 
 def _newton_direction(g: np.ndarray, H: BlockHessian) -> np.ndarray:
-    try:
-        # eliminate the diagonal entity block: solve the Schur complement for
-        # the dense step, back-substitute the rest
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Cd, S = H.schur()
-            step = H.solve(g, Cd, lambda r: np.linalg.solve(S, r))
-        if np.all(np.isfinite(step)) and float(step @ g) > 0:
-            return step
-    except np.linalg.LinAlgError:
-        pass
-    # fall back to (scaled) steepest ascent when the Hessian is unusable
-    diag = np.concatenate((np.diag(H.A), H.d))
-    denom = float(np.max(np.abs(diag))) if diag.size else 1.0
-    return g / max(denom, 1.0)
+    """(-H)^-1 g, the Newton step, or where that is not a finite ascent
+    direction the first that is of the Levenberg-Marquardt steps (Marquardt
+    1963), with the Schur complement S shifted by lam = 1e-8 max(max|diag S|,
+    1) 10^k, k < LM_SHIFTS; their large-lam limit is steepest ascent in the
+    dense parameters. ConvergenceError if S is not finite or none ascends."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Cd, S = H.schur()  # the entity block eliminated; its step is back-substituted
+        for k in range(-1, LM_SHIFTS):  # k = -1: the unshifted Newton step
+            if k == 0 and not np.all(np.isfinite(S)):
+                raise ConvergenceError("Hessian is not finite: its Schur complement has a non-finite entry")
+            lam = 1e-8 * float(np.max(np.abs(np.diag(S)), initial=1.0)) * 10.0**k
+            try:
+                step = H.solve(g, Cd, lambda r: np.linalg.solve(S + lam * np.eye(len(S)) if k >= 0 else S, r))
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(step)) and float(step @ g) > 0:
+                return step
+    raise ConvergenceError(f"no ascent direction: no Levenberg-Marquardt shift up to {lam:.3e} gives one")
 
 
 def _hessian_vcov(H: BlockHessian) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -244,6 +246,33 @@ class TestNb2:
         ll, grad, hess = _nb2_parts(np.array([0.0, -800.0]), y, X, gammaln(y + 1.0), one_level(X))
         assert ll == -np.inf
         assert grad.shape == (2,) and hess.shape == (2, 2)
+
+    def test_alpha_probe_far_past_the_bound_reports_minus_inf(self):
+        # exp(800) overflows: the bound is checked before it is taken
+        y = np.array([0.0, 1.0, 2.0, 5.0])
+        X = np.ones((4, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll, grad, hess = _nb2_parts(np.array([0.0, 800.0]), y, X, gammaln(y + 1.0), one_level(X))
+        assert ll == -np.inf
+        assert grad.shape == (2,) and hess.shape == (2, 2)
+
+    # short panels of DGP alpha 2 on which the joint Newton, started at the
+    # marginal moment alpha clamped to [0.01, 10], raised ConvergenceError; the
+    # alphas are those a Brent search on the profile score found. Tolerance,
+    # fixed before the first run: 1e-6 relative
+    @pytest.mark.parametrize("n_periods, seed, year_fe, alpha", [
+        (2, 1000, False, 0.21068210741111748),
+        (2, 1025, False, 0.027625587180178456),
+        (2, 1016, True, 0.1449382375654716),
+        (2, 1025, True, 0.020491975172397814),
+        (3, 1017, False, 0.5731951130547432),
+    ])
+    def test_short_panel_interior_alpha(self, n_periods, seed, year_fe, alpha):
+        ds = synthdgp.generate_panel(synthdgp.DgpConfig(
+            150, n_periods, seed=seed, counts=synthdgp.CountConfig(family="nb2", alpha=2.0)))
+        fit = nb2_fit(ds, CountSpec("PAT", ("RDINT_star",), "nb2", entity_fe=True, year_fe=year_fe))
+        assert fit.notes["alpha"] == pytest.approx(alpha, rel=1e-6)
 
     def test_alpha_and_slope_recovery(self):
         ds = count_panel(seed=31, n_entities=300, n_periods=6, slope=0.3,

@@ -25,6 +25,7 @@ from cdmpanel import (
 from cdmpanel import synthdgp
 from cdmpanel.counts import _nb2_parts, _poisson_parts
 from cdmpanel.estim import (
+    LM_SHIFTS,
     BlockHessian,
     EntityLayout,
     FitResult,
@@ -710,11 +711,43 @@ class TestBlockHessian:
         with pytest.raises(ConvergenceError, match="indefinite"):
             _hessian_vcov(flipped)
 
-    def test_fallback_scales_by_largest_diagonal_of_both_blocks(self):
+    def test_non_finite_hessian_is_named(self):
         H, g = self.blocks(4)
         flat = H._replace(d=np.zeros_like(H.d))  # the step through 1/d is not finite
-        step = _newton_direction(g, flat)
-        assert np.array_equal(step, g / max(float(np.max(np.abs(np.diag(H.A)))), 1.0))
+        with pytest.raises(ConvergenceError, match="Hessian is not finite"):
+            _newton_direction(g, flat)
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_indefinite_schur_complement_takes_first_ascent_shift(self, seed):
+        H, g = self.blocks(seed)
+        # re-solve A so that the Schur complement S has the eigenvalue -5 along
+        # Q's first column, and send the reduced gradient g_dense - Cd' g_entity
+        # along it: the Newton step then descends, and a shift of S ascends only
+        # once lam is near 5
+        rng = np.random.default_rng(seed)
+        m = len(H.dense_pos)
+        Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        S = Q @ np.diag([-5.0, *np.linspace(1.0, 4.0, m - 1)]) @ Q.T
+        Cd = H.C / H.d[:, None]
+        A = Cd.T @ H.C - S
+        shifted = H._replace(A=(A + A.T) / 2.0)
+        g = g.copy()
+        g[H.dense_pos] = 100.0 * Q[:, 0] + Cd.T @ g[H.entity_pos]
+        dense = dense_hessian(shifted)
+        assert np.linalg.solve(-dense, g) @ g < 0
+        # (-H_lam)^-1 g for H_lam, H with lam subtracted from its dense diagonal,
+        # at the first rung lam = lam0 * 10^k where that is an ascent direction
+        lam0 = 1e-8 * max(float(np.max(np.abs(np.diag(S)))), 1.0)
+        on_dense = np.zeros(len(g))
+        on_dense[H.dense_pos] = 1.0
+        for k in range(LM_SHIFTS):
+            expected = np.linalg.solve(-dense + lam0 * 10.0**k * np.diag(on_dense), g)
+            if expected @ g > 0:
+                break
+        assert 0 < k < LM_SHIFTS - 1
+        step = _newton_direction(g, shifted)
+        assert np.all(np.isfinite(step)) and step @ g > 0
+        assert max_rel_gap(step, expected) < self.TOL
 
 
 class TestEntityLayout:
