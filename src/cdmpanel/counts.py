@@ -112,17 +112,15 @@ def _count_sample(ds: panel.PanelDataset, spec: CountSpec, counts: np.ndarray, s
 
 
 def _poisson_mle(y, X, names, layout) -> estim.MleResult:
-    """The Poisson MLE on a newton_design design (intercept last), after
-    screen_rank. It starts at the exact profile for zero slopes: each
-    entity's log mean count, the baseline's at ``_cons`` and the others'
-    relative to it; without entity effects ``_cons`` at the log mean count,
-    or at 0 when every count is 0."""
+    """The Poisson MLE on a newton_design design (intercept last among X's
+    columns), after screen_rank. It starts at the exact profile for zero
+    slopes: each entity's log mean count, the baseline's at ``_cons`` and the
+    others' relative to it; without entity effects ``_cons`` at the log mean
+    count, or at 0 when every count is 0."""
     estim.screen_rank(X, names, layout, intercept=True)
     means = np.bincount(layout.codes, weights=y) / np.bincount(layout.codes)
     log_means = np.log(means, out=np.zeros_like(means), where=means > 0)
-    start = np.zeros(layout.n_params)
-    start[layout.dense_pos[-1]] = log_means[0]
-    start[layout.entity_pos] = log_means[1:] - log_means[0]
+    start = np.concatenate((np.zeros(layout.n_dense - 1), log_means[:1], log_means[1:] - log_means[0]))
     lgy1 = gammaln(y + 1.0)
     return estim.mle_fit(lambda b: _poisson_parts(b, y, X, lgy1, layout), start)
 
@@ -145,9 +143,10 @@ def _poisson_parts(beta, y, X, lgy1, layout):
 
 class _Optimum(NamedTuple):
     """One family's optimum, reached from a count model's Poisson MLE: the
-    MleResult there (over (beta, log alpha) for an NB2 with alpha > 0), the
-    parameters beta, their covariance, alpha and the Newton iterations of
-    every fit on the way."""
+    MleResult there (over [beta_X, log alpha, entity effects] for an NB2
+    with alpha > 0), the parameters beta (X's columns, then the entity
+    effects), their covariance, alpha and the Newton iterations of every fit
+    on the way."""
 
     res: estim.MleResult
     params: np.ndarray
@@ -188,17 +187,18 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
         sample, y, n_dropped = _count_sample(ds, spec, counts, sample)
         X, names, mapping, layout = estim.newton_design(ds, sample, spec.regressors, dims, intercept=True)
         n = len(y)
-        if spec.entity_fe and layout.dense_pos.size == 1:  # nothing but _cons, one of the entity levels
+        if spec.entity_fe and layout.n_dense == 1:  # nothing but _cons, one of the entity levels
             raise ValidationError("no identifiable regressors beside the entity effects")
-        if "nb2" in families and n < layout.n_params + 2:
-            raise ValidationError(f"only {n} complete cases for {layout.n_params} parameters")
+        k = layout.n_dense + layout.n_entity
+        if "nb2" in families and n < k + 2:
+            raise ValidationError(f"only {n} complete cases for {k} parameters")
         res = _poisson_mle(y, X, names, layout)
         optima = [_Optimum(res, res.params, res.vcov, 0.0, res.iterations) if family == "poisson_fe"
                   else _nb2_optimum(res, y, X, layout, fix_alpha) for family in families]
         return names, layout, optima, res, sample, y, n_dropped, X, mapping
 
     def coefficients(names, layout, opt: _Optimum) -> dict[str, float]:
-        out = dict(zip(names, opt.params[layout.dense_pos]))
+        out = dict(zip(names, opt.params[: layout.n_dense]))
         if spec.entity_fe:  # _cons is in the entity effects (intercept last)
             del out[estim.INTERCEPT]
         return out
@@ -251,7 +251,7 @@ def poisson_fe_fit(ds: panel.PanelDataset, spec: CountSpec) -> FitResult:
 def _poisson_fe_tail(opt: _Optimum, y, X, layout, levels):
     """The FE Poisson's loglik and notes in count_fits, at its _Optimum, the Poisson MLE."""
     res = opt.res
-    beta = res.params[layout.dense_pos[:-1]]  # slopes and year effects: all but entity effects and _cons
+    beta = res.params[: layout.n_dense - 1]  # slopes and year effects: all but _cons and entity effects
     totals = np.bincount(layout.codes, weights=y)
     loglik = res.loglik + float(np.sum(gammaln(totals + 1.0) - totals * np.log(totals) + totals))
     denom = np.bincount(layout.codes, weights=np.exp(X[:, :-1] @ beta))
@@ -274,40 +274,40 @@ def _nb2_tables(theta: float, ymax: int):
 
 
 def _nb2_parts(params, y, X, lgy1, layout):
-    """Loglik, gradient, Hessian for NB2 over (beta, log alpha); beta spans X
-    and the entity effects of the estim.EntityLayout.
+    """Loglik, gradient, Hessian for NB2 over X's columns, log alpha, then
+    the entity effects of the estim.EntityLayout: log alpha is the last dense
+    parameter.
 
     Uses exact finite-sum identities for the Gamma-function differences so the
     alpha -> 0 (Poisson) limit stays numerically stable. Probes beyond the
     alpha bound, or where exp(log alpha) underflows, report -inf so the line
     search retreats; the bound is checked first, since exp overflows far past it.
     """
-    k = layout.n_params
-    beta, s = params[:k], params[k]
+    m = layout.n_dense
+    s = params[m]
     a = float(np.exp(s)) if s <= np.log(ALPHA_BOUND) else np.inf
     if a in (0.0, np.inf):
-        return -np.inf, np.zeros(k + 1), np.eye(k + 1)
+        return -np.inf, np.zeros(len(params)), np.eye(len(params))
     theta = 1.0 / a
     yi = y.astype(int)
     pref_ln, pref_g, pref_h = _nb2_tables(theta, int(y.max()) if len(y) else 0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = estim.design_index(X, beta, layout)
+        eta = estim.design_index(X, params, layout)
         mu = np.exp(eta)
         u = a * mu
         one_pu = 1.0 + u
         ll_terms = pref_ln[yi] - lgy1 + y * (s + eta) - (y + theta) * np.log1p(u)
         ll = float(np.sum(ll_terms))
         if not np.isfinite(ll):
-            return -np.inf, np.zeros(k + 1), np.eye(k + 1)
+            return -np.inf, np.zeros(len(params)), np.eye(len(params))
 
         d_eta = (y - mu) / one_pu
-        grad_b = estim.design_gradient(X, d_eta, layout)
         h_eta = -mu * (1.0 + a * y) / one_pu**2
 
         hu = np.log1p(u) - u / one_pu
         d_s = pref_g[yi] + hu / a - y * u / one_pu
-        grad = np.concatenate((grad_b, [float(np.sum(d_s))]))
+        grad = np.insert(estim.design_gradient(X, d_eta, layout), m, float(np.sum(d_s)))
 
         cross = -u * (y - mu) / one_pu**2
         d_ss = pref_h[yi] - hu / a + (mu - y) * u / one_pu**2
@@ -360,14 +360,14 @@ def _nb2_optimum(res, y, X, layout, fix_alpha) -> _Optimum:
             lgy1 = gammaln(y + 1.0)
             try:
                 opt = estim.mle_fit(lambda p: _nb2_parts(p, y, X, lgy1, layout),
-                                    np.append(res.params, np.log(alpha0)))
+                                    np.insert(res.params, layout.n_dense, np.log(alpha0)))
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"no NB2 optimum with overdispersion alpha within the bound {ALPHA_BOUND:g} "
                     f"(severe overdispersion or misfit): {exc}"
                 ) from exc
-            return _Optimum(opt, opt.params[:-1], opt.vcov[:-1, :-1], float(np.exp(opt.params[-1])),
-                            res.iterations + opt.iterations)
+            return _Optimum(opt, np.delete(opt.params, layout.n_dense), opt.vcov[:-1, :-1],
+                            float(np.exp(opt.params[layout.n_dense])), res.iterations + opt.iterations)
     return _Optimum(res, res.params, res.vcov, 0.0, res.iterations)
 
 
@@ -382,7 +382,7 @@ def _nb2_tail(res, opt: _Optimum, layout, levels, fix_alpha):
         notes["lr_alpha0"] = (lr, 0.5 * float(chdtrc(1, lr)) if lr > 0 else 1.0)
     notes.update(alpha=opt.alpha, newton_iterations=opt.iterations, grad_norm=opt.res.grad_norm)
     if levels is not None:  # absolute: the baseline's level _cons plus each relative effect
-        effects = opt.params[layout.dense_pos[-1]] + np.concatenate(([0.0], opt.params[layout.entity_pos]))
+        effects = opt.params[layout.n_dense - 1] + np.concatenate(([0.0], opt.params[layout.n_dense:]))
         notes["entity_effects"] = dict(zip(levels, effects.tolist()))
     return opt.res.loglik, notes
 

@@ -142,9 +142,10 @@ class BootstrapResult(NamedTuple):
 
 
 class MleResult(NamedTuple):
-    """One mle_fit optimum. ``vcov`` is the inverse of the negative Hessian
-    there over the parameters at the BlockHessian's ``dense_pos``, in that
-    order (the entity effects get no covariance)."""
+    """One mle_fit optimum. ``params`` are X's columns, then the entity
+    effects (see EntityLayout); ``vcov`` is the block of the inverse of the
+    negative Hessian there over the dense parameters, those before the entity
+    effects (which get no covariance)."""
 
     params: np.ndarray
     vcov: np.ndarray
@@ -261,58 +262,52 @@ def _set_indicators(X: np.ndarray, codes: np.ndarray, at: int) -> None:
 class EntityLayout(NamedTuple):
     """Entity fixed effects of a Newton fit or the CQR LP kept as integer
     codes, not as dummy columns: ``codes`` (from fe_codes; code 0 is the
-    dropped baseline) place each row in its entity, and the parameter vector
-    is ordered as design_matrix orders it, with the E-1 entity effects at
-    ``entity_pos`` and the columns of the dense design X at ``dense_pos``.
-    ``indicator`` is the E x n 0/1 matrix of the codes (CSC, one entry per
-    row), so per-entity sums of several columns are one sparse product, added
-    in row order as np.bincount adds those of one column. Rows need not be
-    grouped by entity."""
+    dropped baseline) place each row in its entity. The parameter vector is
+    X's ``n_dense`` columns, then the E-1 entity effects; a fit with one more
+    dense parameter (NB2's log alpha) puts it between them. ``indicator`` is
+    the E x n 0/1 matrix of the codes (CSC, one entry per row), so per-entity
+    sums of several columns are one sparse product, added in row order as
+    np.bincount adds those of one column. Rows need not be grouped by
+    entity."""
 
     codes: np.ndarray
-    dense_pos: np.ndarray
-    entity_pos: np.ndarray
+    n_dense: int
     indicator: scipy.sparse.csc_matrix
 
     @classmethod
-    def from_codes(cls, codes: np.ndarray, n_levels: int, n_dense: int, at: int) -> "EntityLayout":
-        """Layout of entity codes 0..n_levels-1 whose n_levels - 1 effects sit
-        at position ``at`` among the n_dense columns of X. One level gives an
-        empty entity block: X alone, as a design without entity effects is
-        laid out."""
-        n_entity = n_levels - 1
-        entity_pos = np.arange(at, at + n_entity)
-        dense_pos = np.concatenate((np.arange(at), np.arange(at + n_entity, n_dense + n_entity)))
+    def from_codes(cls, codes: np.ndarray, n_levels: int, n_dense: int) -> "EntityLayout":
+        """Layout of entity codes 0..n_levels-1 beside the n_dense columns of
+        X. One level gives an empty entity block: X alone, as a design without
+        entity effects is laid out."""
         n = len(codes)
         indicator = scipy.sparse.csc_matrix((np.ones(n), codes, np.arange(n + 1)), shape=(n_levels, n))
-        return cls(codes, dense_pos, entity_pos, indicator)
+        return cls(codes, n_dense, indicator)
 
     @property
-    def n_params(self) -> int:
-        return len(self.dense_pos) + len(self.entity_pos)
+    def n_entity(self) -> int:
+        """The number of entity effects, E - 1."""
+        return self.indicator.shape[0] - 1
 
     def entity_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-entity sums of v (a vector or the columns of a matrix), baseline
         left out; with an empty entity block, an empty array and no product.
         A vector's are np.bincount's, the same sums without the sparse
         product's overhead."""
-        if not len(self.entity_pos):
+        if not self.n_entity:
             return np.zeros((0, *v.shape[1:]))
         if v.ndim == 1:
-            return np.bincount(self.codes, weights=v, minlength=len(self.entity_pos) + 1)[1:]
+            return np.bincount(self.codes, weights=v, minlength=self.n_entity + 1)[1:]
         return (self.indicator @ v)[1:]
 
 
 class BlockHessian(NamedTuple):
-    """Hessian whose entity block is diagonal: ``A`` over the parameters at
-    ``dense_pos``, ``C`` the (E-1) x len(dense_pos) cross block and ``d`` the
-    entity diagonal over the parameters at ``entity_pos``."""
+    """Hessian over the dense parameters, then the entity effects, whose
+    entity block is diagonal: ``A`` over the dense parameters, ``C`` the
+    (E-1) x len(A) cross block and ``d`` the entity diagonal."""
 
     A: np.ndarray
     C: np.ndarray
     d: np.ndarray
-    dense_pos: np.ndarray
-    entity_pos: np.ndarray
 
     def schur(self) -> tuple[np.ndarray, np.ndarray]:
         """The entity block of -H eliminated: Cd = diag(1/d) C and the Schur
@@ -326,12 +321,9 @@ class BlockHessian(NamedTuple):
         """(-H)^-1 g, given schur()'s Cd and a solver of S x = r: the dense
         part x solves S x = g_dense - Cd' g_entity, and the entity part is
         -(g_entity + C x) / d."""
-        ge = g[self.entity_pos]
-        x = solve_schur(g[self.dense_pos] - Cd.T @ ge)
-        out = np.empty(len(self.dense_pos) + len(self.entity_pos))
-        out[self.dense_pos] = x
-        out[self.entity_pos] = -(ge + self.C @ x) / self.d
-        return out
+        ge = g[len(self.A):]
+        x = solve_schur(g[: len(self.A)] - Cd.T @ ge)
+        return np.concatenate((x, -(ge + self.C @ x) / self.d))
 
 
 def newton_design(ds: panel.PanelDataset, rows, regressors, fe_dims, intercept: bool):
@@ -340,32 +332,29 @@ def newton_design(ds: panel.PanelDataset, rows, regressors, fe_dims, intercept: 
     Returns (X, names, fe_dummies, layout): names and fe_dummies are
     design_matrix's for the FE dims other than "entity", so they describe X's
     columns only, and layout is the EntityLayout of the entity effects, which
-    sit in the parameter vector where design_matrix puts the entity dummies.
-    Without "entity" among fe_dims it has one level (an empty entity block),
-    and X is design_matrix's X.
+    follow X's columns in the parameter vector. Without "entity" among
+    fe_dims it has one level (an empty entity block), and X is
+    design_matrix's X.
     """
     sample = _as_sample(ds, rows)
     X, names, fe_dummies = design_matrix(ds, sample, regressors, [d for d in fe_dims if d != "entity"], intercept)
     if "entity" not in fe_dims:
-        return X, names, fe_dummies, EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
+        return X, names, fe_dummies, EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1])
     codes, present = sample_codes(ds, sample, "entity")
-    before = set(fe_dims[: list(fe_dims).index("entity")])
-    at = len(regressors) + sum(dim in before for dim, _ in fe_dummies.values())
-    return X, names, fe_dummies, EntityLayout.from_codes(codes, len(present), X.shape[1], at)
+    return X, names, fe_dummies, EntityLayout.from_codes(codes, len(present), X.shape[1])
 
 
 def design_index(X: np.ndarray, params: np.ndarray, layout: EntityLayout) -> np.ndarray:
-    """Linear index of a Newton design: X @ params, plus the entity effects."""
-    effects = np.concatenate(([0.0], params[layout.entity_pos]))
-    return X @ params[layout.dense_pos] + effects[layout.codes]
+    """Linear index of a Newton design: X @ params[:X's columns], plus the
+    entity effects, the last E-1 parameters (so that a dense parameter after
+    X's columns, NB2's log alpha, is passed over)."""
+    effects = np.concatenate(([0.0], params[len(params) - layout.n_entity:]))
+    return X @ params[: X.shape[1]] + effects[layout.codes]
 
 
 def design_gradient(X: np.ndarray, r: np.ndarray, layout: EntityLayout) -> np.ndarray:
     """Gradient sum_i r_i z_i over a Newton design's parameters, r_i = dl_i/d index_i."""
-    g = np.empty(layout.n_params)
-    g[layout.dense_pos] = X.T @ r
-    g[layout.entity_pos] = layout.entity_sums(r)
-    return g
+    return np.concatenate((X.T @ r, layout.entity_sums(r)))
 
 
 def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout, cross=None, own=None) -> BlockHessian:
@@ -373,10 +362,12 @@ def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout, cross=Non
     d2l_i/d index_i^2, as a BlockHessian.
 
     With ``cross`` (per-row d2l_i/d index_i ds) and ``own`` (d2l/ds2) it spans
-    one more parameter s, placed last in the parameter vector.
+    one more parameter s, the last dense one, between X's columns and the
+    entity effects.
     """
     Xh = X * h[:, None]
     A = Xh.T @ X
+    C = layout.entity_sums(Xh)
     if cross is not None:
         m = X.shape[1]
         Ae = np.empty((m + 1, m + 1))
@@ -384,26 +375,22 @@ def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout, cross=Non
         Ae[:m, m] = Ae[m, :m] = X.T @ cross
         Ae[m, m] = own
         A = Ae
-    C = layout.entity_sums(Xh)
-    dense_pos = layout.dense_pos
-    if cross is not None:
         C = np.column_stack((C, layout.entity_sums(cross)))
-        dense_pos = np.append(dense_pos, layout.n_params)
-    return BlockHessian(A, C, layout.entity_sums(h), dense_pos, layout.entity_pos)
+    return BlockHessian(A, C, layout.entity_sums(h))
 
 
-def _checked_qr(X: np.ndarray, names, scale: float | None = None):
+def _checked_qr(X: np.ndarray, names):
     """Pivoted QR that raises CollinearityError naming a dependent column
     (_check_rank)."""
     n, p = X.shape
     if p == 0:
         raise ValidationError("empty design matrix")
     q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    _check_rank(np.abs(np.diag(r)), piv, names, max(n, p), scale)
+    _check_rank(np.abs(np.diag(r)), piv, names, max(n, p))
     return q, r, piv
 
 
-def _check_rank(diag: np.ndarray, piv: np.ndarray, names, size: int, scale: float | None) -> None:
+def _check_rank(diag: np.ndarray, piv: np.ndarray, names, size: int, scale: float | None = None) -> None:
     """Raise CollinearityError naming the column at the first pivot of a
     pivoted QR (R's absolute diagonal ``diag``, pivot order ``piv``) that
     counts as zero: at or below size * eps * scale, where size is the larger
@@ -472,7 +459,7 @@ def fe_residuals(M: np.ndarray, fe, w: np.ndarray | None = None) -> tuple[np.nda
     for codes, start in zip(others, at):
         _set_indicators(D, codes, start)
     D[:, -1] = 1.0
-    layout = EntityLayout.from_codes(fe[big], int(fe[big].max()) + 1, D.shape[1], 0)
+    layout = EntityLayout.from_codes(fe[big], int(fe[big].max()) + 1, D.shape[1])
     H = design_hessian(D, -w, layout)
     H = H._replace(d=np.where(H.d < 0, H.d, -1.0))  # an entity of zero weight: C row 0, effect 0
     Cd, S = H.schur()
@@ -485,7 +472,7 @@ def fe_residuals(M: np.ndarray, fe, w: np.ndarray | None = None) -> tuple[np.nda
     for j in range(M.shape[1]):
         params = H.solve(design_gradient(D, w * M[:, j], layout), Cd, lambda r: pinv @ r)
         out[:, j] = M[:, j] - design_index(D, params, layout)
-    return out, len(layout.entity_pos) + int(keep.sum())
+    return out, layout.n_entity + int(keep.sum())
 
 
 class OlsCore(NamedTuple):
@@ -511,8 +498,6 @@ def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, 
     k = X.shape[1] - (INTERCEPT in names)
     if n == 0:
         raise ValidationError("no complete cases for the requested model")
-    if n < k + 1:
-        raise ValidationError(f"only {n} complete cases for {k} regressors")
     if w is not None and (np.any(w < 0) or not np.sum(w) > 0):
         raise ValidationError("weights must be non-negative with a positive sum")
     Y = y[:, None] if y.ndim == 1 else y
@@ -521,6 +506,12 @@ def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, 
     if fe:
         within, absorbed_df = fe_residuals(np.column_stack([Y, X]), fe, w)
         Y, X = within[:, :m], np.ascontiguousarray(within[:, m:])
+    # a case for each regressor and each absorbed FE parameter, and one more:
+    # with FE absorbed, at least one residual degree of freedom (none would
+    # leave SEs of round-off)
+    if n < k + 1 + absorbed_df:
+        absorbed = f" and {absorbed_df} absorbed fixed effects" if absorbed_df else ""
+        raise ValidationError(f"only {n} complete cases for {k} regressors{absorbed}")
 
     sw = np.sqrt(w) if w is not None else None
     Xw = X * sw[:, None] if w is not None else X
@@ -563,7 +554,7 @@ def ols_core(
     Xw = X * np.sqrt(w)[:, None] if w is not None else X
     XtX_inv = np.linalg.inv(Xw.T @ Xw)
     ww = w if w is not None else np.ones(n)
-    dof = max(n - p - absorbed_df, 1)
+    dof = max(n - p - absorbed_df, 1)  # 0 only for an exactly determined fit with an intercept
 
     cores = []
     for j, beta in enumerate(betas):
@@ -698,8 +689,8 @@ def _newton_direction(g: np.ndarray, H: BlockHessian) -> np.ndarray:
 
 
 def _hessian_vcov(H: BlockHessian) -> np.ndarray:
-    """The block of (-H)^-1 at the optimum over the parameters at
-    ``dense_pos``, in that order, symmetrised: V_dd = S^-1 for the Schur
+    """The block of (-H)^-1 at the optimum over the dense parameters, X's
+    columns (and NB2's log alpha), symmetrised: V_dd = S^-1 for the Schur
     complement S of -H (BlockHessian.schur). ConvergenceError unless it is
     finite with a positive diagonal. The entity rows of the inverse are not
     built, but their diagonal, diag(V_ee) = -1/d + rowsum((C/d) V_dd * (C/d)),

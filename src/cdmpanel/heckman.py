@@ -115,13 +115,13 @@ def _probit_parts(theta: np.ndarray, y: np.ndarray, X: np.ndarray, layout: estim
 
 def probit_mle(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout) -> MleResult:
     """Probit maximum likelihood on raw arrays (no dataset plumbing); the
-    parameters span X and the entity effects of the estim.EntityLayout, and
-    the covariance only the parameters at its ``dense_pos``.
+    parameters are X's columns, then the entity effects of the
+    estim.EntityLayout, and the covariance spans X's columns only.
 
     Perfectly separated samples have no finite maximizer; the flat plateau the
     solver lands on is detected and reported as non-convergence.
     """
-    res = estim.mle_fit(lambda t: _probit_parts(t, y, X, layout), np.zeros(layout.n_params))
+    res = estim.mle_fit(lambda t: _probit_parts(t, y, X, layout), np.zeros(layout.n_dense + layout.n_entity))
     z = estim.design_index(X, res.params, layout)
     p = np.exp(log_ndtr(z))
     separated = np.all(np.where(y > 0.5, p > 1.0 - 1e-6, p < 1e-6))
@@ -140,8 +140,9 @@ def _probit(ds: panel.PanelDataset, sample: estim.Sample, dependent: str, regres
     if n == 0:
         raise ValidationError("no complete cases for the probit")
     X, names, mapping, layout = estim.newton_design(ds, sample, regressors, fe_dims, intercept=True)
-    if n < layout.n_params + 1:
-        raise ValidationError(f"only {n} complete cases for {layout.n_params} probit parameters")
+    k = layout.n_dense + layout.n_entity
+    if n < k + 1:
+        raise ValidationError(f"only {n} complete cases for {k} probit parameters")
     estim.screen_rank(X, names, layout, intercept=True)
     return probit_mle(ds.column(dependent)[sample.rows], X, layout), X, names, mapping, layout
 
@@ -159,7 +160,7 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     res, _, names, mapping, layout = _probit(ds, estim.Sample.of(ds, mask), dependent, regressors, fe_dims)
     n = int(mask.sum())
     return FitResult(
-        coefficients=dict(zip(names, res.params[layout.dense_pos])),
+        coefficients=dict(zip(names, res.params[: layout.n_dense])),
         vcov=res.vcov,
         n_obs=n,
         loglik=res.loglik,

@@ -108,7 +108,7 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     # variance components from the within / between decomposition
     fe = [ent, *(estim.fe_codes(ds, dim, mask)[0] for dim in year_dims)]
     within = estim.ols_core(X[:, time_varying], data[:, 0], [regressors[j] for j in time_varying], fe=fe)
-    sigma2_e = float(within.resid @ within.resid) / max(n - len(time_varying) - within.absorbed_df, 1)
+    sigma2_e = float(within.resid @ within.resid) / (n - len(time_varying) - within.absorbed_df)
     n_ent = len(starts)
     between_X = np.column_stack([Xbar, np.ones(n_ent)])
     between = estim.ols_core(between_X, ybar, [*(f"mean_{r}" for r in regressors), INTERCEPT])

@@ -35,7 +35,7 @@ def dummy_poisson_oracle(y, X, tol=1e-10, max_iter=200):
 
 def one_level(X):
     """The EntityLayout of a design without entity effects (an empty entity block)."""
-    return estim.EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
+    return estim.EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1])
 
 
 def count_panel(seed, n_entities, n_periods, slope=0.5, entity_sd=0.4, alpha=0.0, family="poisson"):

@@ -27,6 +27,14 @@ def iid_panel(columns):
     return from_long([f"E{i}" for i in range(n)], [2010] * n, columns)
 
 
+def entity_last(ds, mask, regressors, fe_dims, intercept):
+    """design_matrix's design and names with the entity dummies moved after
+    the other columns: the order of newton_design's parameters."""
+    Z, names, mapping = design_matrix(ds, mask, regressors, fe_dims, intercept)
+    order = np.argsort([mapping.get(nm, ("",))[0] == "entity" for nm in names], kind="stable")
+    return Z[:, order], [names[j] for j in order]
+
+
 class TestMedians:
     def test_odd_sample_median_exact(self):
         ds = iid_panel({"y": [1.0, 2.0, 3.0]})
@@ -241,7 +249,8 @@ class TestEntityEffectsAsCodes:
     ])
     def test_estim_primitives_equal_dense_design(self, fe_dims, intercept):
         # the LP's A = Z' for the full design Z, kept as X and the entity
-        # codes in newton_design's parameter order: A v, A'w and
+        # codes in newton_design's parameter order (X's columns, then the
+        # entity effects): A v, A'w and
         # (A Q A')^-1 g through the estim primitives against Z's. Without
         # entity effects the entity block is empty. fe_panel's region is
         # entity-constant; a region that varies within entities keeps Z'QZ
@@ -251,9 +260,9 @@ class TestEntityEffectsAsCodes:
         ds = ds.with_replaced({"region": rng.integers(0, 3, size=ds.n_rows).astype(float)})
         mask = np.ones(ds.n_rows, dtype=bool)
         X, names, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, intercept)
-        Z, dense_names, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, intercept)
-        assert names == [dense_names[pos] for pos in layout.dense_pos]
-        assert layout.n_params == len(dense_names)
+        Z, dense_names = entity_last(ds, mask, ("x", "z"), fe_dims, intercept)
+        assert names == dense_names[: len(names)]
+        assert layout.n_dense + layout.n_entity == len(dense_names)
         v = rng.normal(size=Z.shape[0])
         w = rng.normal(size=Z.shape[1])
         q = rng.uniform(0.1, 2.0, size=Z.shape[0])
@@ -335,7 +344,7 @@ class TestAgainstHighs:
             mask = np.ones(ds.n_rows, dtype=bool)
             y = ds.column("y")
             X, _, _, layout = newton_design(ds, mask, regressors, fe_dims, intercept)
-            dense, _, _ = design_matrix(ds, mask, regressors, fe_dims, intercept)
+            dense, _ = entity_last(ds, mask, regressors, fe_dims, intercept)
             oracle = linprog(-y, A_eq=dense.T, b_eq=np.zeros(dense.shape[1]), bounds=(tau - 1.0, tau),
                              method="highs")
             assert oracle.status == 0

@@ -37,6 +37,7 @@ from cdmpanel.estim import (
     linear_index,
     newton_design,
     ols_core,
+    ols_solve,
 )
 from cdmpanel.heckman import _probit_parts
 from cdmpanel.panel import take_entities
@@ -48,13 +49,13 @@ def iid_panel(n, columns, seed=0):
 
 def one_level(X):
     """The EntityLayout of a design without entity effects (an empty entity block)."""
-    return EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1], 0)
+    return EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1])
 
 
 def no_entity_block(H):
     """A dense Hessian as a BlockHessian with no entity block."""
     k = len(H)
-    return BlockHessian(H, np.zeros((0, k)), np.zeros(0), np.arange(k), np.arange(0))
+    return BlockHessian(H, np.zeros((0, k)), np.zeros(0))
 
 
 class TestOls:
@@ -64,6 +65,24 @@ class TestOls:
         assert fit.coefficients["x"] == pytest.approx(2.0, abs=1e-12)
         assert fit.coefficients["_cons"] == pytest.approx(0.0, abs=1e-12)
         assert fit.fit["r2"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_residual_degrees_of_freedom_refused(self):
+        # 2 entities x 2 years with entity and year FE: 4 cases for 1 slope
+        # and 3 absorbed FE parameters leave no residual degree of freedom,
+        # and the SE would be round-off (about 1e-15, p = 0); a bootstrap
+        # replicate's solve refuses it as the fit does
+        ents, years = ["A", "A", "B", "B", "C", "C"], [2010, 2011] * 3
+        x, y = [0.3, 1.1, -0.4, 0.9, 0.5, -0.2], [1.0, 2.5, 0.2, 1.7, 0.4, 0.8]
+        ds = from_long(ents[:4], years[:4], {"x": x[:4], "y": y[:4]})
+        message = "^only 4 complete cases for 1 regressors and 3 absorbed fixed effects$"
+        with pytest.raises(ValidationError, match=message):
+            ols_fit(ds, ModelSpec("y", ("x",), fe_dims=("entity", "year")))
+        fe = [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
+        with pytest.raises(ValidationError, match=message):
+            ols_solve(np.array(x[:4])[:, None], np.array(y[:4]), ["x"], fe=fe)
+        # a third entity leaves one
+        fit = ols_fit(from_long(ents, years, {"x": x, "y": y}), ModelSpec("y", ("x",), fe_dims=("entity", "year")))
+        assert fit.notes["absorbed_df"] == 4 and fit.se("x") > 1e-3
 
     def test_duplicated_regressor_names_culprit(self):
         rng = np.random.default_rng(0)
@@ -635,14 +654,8 @@ class TestDesignMatrix:
 
 
 def dense_hessian(H: BlockHessian) -> np.ndarray:
-    """The full matrix a BlockHessian stands for."""
-    n = len(H.dense_pos) + len(H.entity_pos)
-    out = np.zeros((n, n))
-    out[np.ix_(H.dense_pos, H.dense_pos)] = H.A
-    out[np.ix_(H.entity_pos, H.dense_pos)] = H.C
-    out[np.ix_(H.dense_pos, H.entity_pos)] = H.C.T
-    out[H.entity_pos, H.entity_pos] = H.d
-    return out
+    """The full matrix a BlockHessian stands for: the dense block, then the entity effects."""
+    return np.block([[H.A, H.C.T], [H.C, np.diag(H.d)]])
 
 
 def max_rel_gap(a, b) -> float:
@@ -671,19 +684,17 @@ class TestBlockHessian:
     TOL = 1e-10
 
     def blocks(self, seed):
-        """A negative definite Hessian over [2 slopes, 6 entity effects, 2 year
-        effects, _cons, log alpha] whose entity block is diagonal."""
+        """A negative definite Hessian over [2 slopes, 2 year effects, _cons,
+        log alpha, 6 entity effects] whose entity block is diagonal."""
         rng = np.random.default_rng(seed)
         m, E1 = 5, 6
-        dense_pos = np.array([0, 1, 8, 9, 10, 11])
-        entity_pos = np.arange(2, 8)
         d = -rng.uniform(0.5, 20.0, size=E1)
         C = rng.normal(size=(E1, m + 1))
         M = rng.normal(size=(m + 1, m + 1))
         # A chosen so the Schur complement A - C' diag(1/d) C is -(M M' + I)
         A = -(M @ M.T + np.eye(m + 1)) + C.T @ (C / d[:, None])
         A = (A + A.T) / 2.0
-        return BlockHessian(A, C, d, dense_pos, entity_pos), rng.normal(size=m + 1 + E1)
+        return BlockHessian(A, C, d), rng.normal(size=m + 1 + E1)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_solve_and_inverse_match_dense(self, seed):
@@ -692,7 +703,8 @@ class TestBlockHessian:
         assert np.all(np.linalg.eigvalsh(dense) < 0)
         assert max_rel_gap(_newton_direction(g, H), np.linalg.solve(-dense, g)) < self.TOL
         # only the dense block of the inverse is built
-        assert max_rel_gap(_hessian_vcov(H), np.linalg.inv(-dense)[np.ix_(H.dense_pos, H.dense_pos)]) < self.TOL
+        k = len(H.A)
+        assert max_rel_gap(_hessian_vcov(H), np.linalg.inv(-dense)[:k, :k]) < self.TOL
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_indefinite_entity_block_is_refused(self, seed):
@@ -706,7 +718,7 @@ class TestBlockHessian:
         A = S + H.C.T @ (H.C / d[:, None])
         flipped = H._replace(A=(A + A.T) / 2.0, d=d)
         assert np.all(np.linalg.eigvalsh(flipped.A - flipped.C.T @ (flipped.C / d[:, None])) < 0)
-        pos = flipped.entity_pos[j]
+        pos = len(flipped.A) + j
         assert np.linalg.inv(-dense_hessian(flipped))[pos, pos] <= 0
         with pytest.raises(ConvergenceError, match="indefinite"):
             _hessian_vcov(flipped)
@@ -725,21 +737,21 @@ class TestBlockHessian:
         # along it: the Newton step then descends, and a shift of S ascends only
         # once lam is near 5
         rng = np.random.default_rng(seed)
-        m = len(H.dense_pos)
+        m = len(H.A)
         Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         S = Q @ np.diag([-5.0, *np.linspace(1.0, 4.0, m - 1)]) @ Q.T
         Cd = H.C / H.d[:, None]
         A = Cd.T @ H.C - S
         shifted = H._replace(A=(A + A.T) / 2.0)
         g = g.copy()
-        g[H.dense_pos] = 100.0 * Q[:, 0] + Cd.T @ g[H.entity_pos]
+        g[:m] = 100.0 * Q[:, 0] + Cd.T @ g[m:]
         dense = dense_hessian(shifted)
         assert np.linalg.solve(-dense, g) @ g < 0
         # (-H_lam)^-1 g for H_lam, H with lam subtracted from its dense diagonal,
         # at the first rung lam = lam0 * 10^k where that is an ascent direction
         lam0 = 1e-8 * max(float(np.max(np.abs(np.diag(S)))), 1.0)
         on_dense = np.zeros(len(g))
-        on_dense[H.dense_pos] = 1.0
+        on_dense[:m] = 1.0
         for k in range(LM_SHIFTS):
             expected = np.linalg.solve(-dense + lam0 * 10.0**k * np.diag(on_dense), g)
             if expected @ g > 0:
@@ -767,19 +779,24 @@ class TestEntityLayout:
         X, names, mapping, layout = newton_design(ds, mask, ["RDINT_star", "X1"], fe_dims, True)
         Xd, names_d, mapping_d = design_matrix(ds, mask, ["RDINT_star", "X1"], fe_dims, True)
         # names and fe_dummies describe X's columns only: design_matrix's less
-        # the entity dummies, whose positions the layout keeps
-        assert names == [names_d[pos] for pos in layout.dense_pos]
+        # the entity dummies, whose effects follow X's columns
+        entity = [mapping_d.get(nm, ("",))[0] == "entity" for nm in names_d]
+        order = np.argsort(entity, kind="stable")
+        assert names == [names_d[j] for j in order[: len(names)]]
         assert list(mapping.items()) == [(nm, v) for nm, v in mapping_d.items() if v[0] != "entity"]
-        assert X.shape[1] == len(names) == layout.n_params - 24 == len(names_d) - 24
-        return X, layout, Xd
+        assert X.shape[1] == len(names) == layout.n_dense == len(names_d) - 24 and layout.n_entity == 24
+        return X, layout, Xd[:, order]
 
-    def check(self, layout_parts, dense_parts):
+    def check(self, layout_parts, dense_parts, order=None):
+        """The parts on the layout against those on the dense design, whose
+        parameters taken in ``order`` (all of them by default) are the layout's."""
         ll, g, H = layout_parts
         ll_d, g_d, H_d = dense_parts
+        order = np.arange(len(g)) if order is None else order
         assert isinstance(H, BlockHessian)
         assert abs(ll - ll_d) <= self.TOL * abs(ll_d)
-        assert max_rel_gap(g, g_d) < self.TOL
-        assert max_rel_gap(dense_hessian(H), H_d.A) < self.TOL
+        assert max_rel_gap(g, g_d[order]) < self.TOL
+        assert max_rel_gap(dense_hessian(H), H_d.A[np.ix_(order, order)]) < self.TOL
 
     def test_count_parts_match_dummy_design(self):
         ds, mask = self.panel()
@@ -788,15 +805,20 @@ class TestEntityLayout:
         lgy1 = np.array([math.lgamma(v + 1.0) for v in y])
         rng = np.random.default_rng(5)
         beta = 0.3 * rng.normal(size=Xd.shape[1])
-        self.check(_nb2_parts(np.append(beta, np.log(0.6)), y, X, lgy1, layout=layout),
-                   _nb2_parts(np.append(beta, np.log(0.6)), y, Xd, lgy1, one_level(Xd)))
+        # log alpha is the last dense parameter: after X's columns on the
+        # layout, after every column on the dense design
+        m = layout.n_dense
+        self.check(_nb2_parts(np.insert(beta, m, np.log(0.6)), y, X, lgy1, layout=layout),
+                   _nb2_parts(np.append(beta, np.log(0.6)), y, Xd, lgy1, one_level(Xd)),
+                   np.r_[:m, len(beta), m:len(beta)])
         self.check(_poisson_parts(beta, y, X, lgy1, layout), _poisson_parts(beta, y, Xd, lgy1, one_level(Xd)))
 
     def test_probit_parts_match_dummy_design(self):
         ds, mask = self.panel()
-        # entity after year: the entity effects sit between the year dummies and _cons
+        # entity after year: design_matrix puts the entity dummies between the
+        # year dummies and _cons, the layout its effects after _cons
         X, layout, Xd = self.designs(ds, mask, ("year", "entity"))
-        assert layout.entity_pos.tolist() == list(range(6, 30))
+        assert layout.n_dense == 7
         y = (ds.column("PAT")[mask] > 0).astype(float)
         beta = 0.3 * np.random.default_rng(6).normal(size=Xd.shape[1])
         self.check(_probit_parts(beta, y, X, layout), _probit_parts(beta, y, Xd, one_level(Xd)))
@@ -808,7 +830,7 @@ class TestEntityLayout:
         ds, mask = self.panel()
         _, layout, _ = self.designs(ds, mask, ("entity", "year"))
         order = np.random.default_rng(8).permutation(len(layout.codes))
-        layout = EntityLayout.from_codes(layout.codes[order], 25, 2, 0)
+        layout = EntityLayout.from_codes(layout.codes[order], 25, 2)
         v = np.random.default_rng(9).normal(size=len(order))
         assert np.array_equal(layout.entity_sums(v), (layout.indicator @ v)[1:])
         assert np.array_equal(layout.entity_sums(v), layout.entity_sums(v[:, None])[:, 0])
@@ -817,7 +839,7 @@ class TestEntityLayout:
         ds, mask = self.panel()
         X, names, mapping, layout = newton_design(ds, mask, ["X1"], ("year",), True)
         Xd, names_d, mapping_d = design_matrix(ds, mask, ["X1"], ("year",), True)
-        assert len(layout.entity_pos) == 0 and np.array_equal(layout.dense_pos, np.arange(X.shape[1]))
+        assert layout.n_entity == 0 and layout.n_dense == X.shape[1]
         assert np.array_equal(X, Xd) and names == names_d and mapping == mapping_d
 
     def one_row_entities(self):

@@ -105,7 +105,7 @@ class TestProbit:
         X = np.column_stack([rng.normal(size=n), np.ones(n)])
         y = ((0.4 * X[:, 0] + rng.normal(size=n)) > 0).astype(float)
         theta = np.array([0.2, -0.1])
-        layout = EntityLayout.from_codes(np.zeros(n, dtype=np.intp), 1, X.shape[1], 0)  # no entity effects
+        layout = EntityLayout.from_codes(np.zeros(n, dtype=np.intp), 1, X.shape[1])  # no entity effects
         ll, grad, hess = _probit_parts(theta, y, X, layout)
         eps = 1e-6
         for j in range(2):
