@@ -256,7 +256,7 @@ def _parse_cqr(sc: _Keys, cols: _Columns):
     tau = sc.number("tau", float, 0.5)
     dependent, models = _dependent_and_models(sc, cols)
     return tau, tuple((label, sc.build(cqr.CqrSpec, dependent=dependent, regressors=regressors, tau=tau,
-                                       fe_dims=("entity", "year"), vcov=VcovSpec("analytic")))
+                                       fe_dims=("entity", "year")))
                       for label, regressors in models.items())
 
 

@@ -221,8 +221,7 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
         names, layout, optima, *_ = solve(estim.Sample.draw(ds, picks, mask))
         return [coefficients(names, layout, opt) for opt in optima]
 
-    # each family's fit function is named after it: poisson_fe_fit, nb2_fit
-    estim.apply_vcov(fits, refit, ds, spec.vcov, f"{spec.family}_fit")
+    estim.apply_vcov(fits, refit, ds, spec.vcov)
     if spec.regressors:
         for fit in fits:
             fit.wald_chi2 = estim.wald_chi2(fit, spec.regressors)

@@ -38,7 +38,7 @@ solver's path; the slopes' do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,7 +67,7 @@ class CqrSpec:
     tau: float = 0.5
     intercept: bool = True
     fe_dims: tuple[str, ...] = ()
-    vcov: VcovSpec | None = None
+    vcov: VcovSpec = field(default_factory=VcovSpec)
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
@@ -508,4 +508,4 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         names, layout, reported, beta, *_ = solve(estim.Sample.draw(ds, picks, mask))
         return dict(zip(names[:reported], beta[:reported]))
 
-    return estim.apply_vcov(fit, refit, ds, spec.vcov, "cqr_fit")
+    return estim.apply_vcov(fit, refit, ds, spec.vcov)

@@ -10,15 +10,16 @@ absorb fixed effects: the diagonal entity block of a Hessian or normal matrix
 is eliminated by a Schur complement (BlockHessian). On top of these sit an
 array-level OLS core whose FE are absorbed exactly by that elimination
 (fe_residuals, the weighted least-squares residuals on the FE; one projection
-and one factorisation for several dependent columns) with analytic/HC1
-covariances (ols_core; ols_solve, its coefficients alone, serves the
-bootstrap replicates), the one least-squares solver of the linear fits (ols_fit,
-Heckman step 2, the RIF regressions and the Mundlak test's three fits), a
-line-searched Newton maximizer for likelihoods on newton_design designs, one
-rank screen for those designs (screen_rank), the entity-cluster
+and one factorisation for several dependent columns) with the analytic
+covariance, or HC1 for the RIF regressions (ols_core; ols_solve, its
+coefficients alone, serves the bootstrap replicates), the one least-squares
+solver of the linear fits (ols_fit, Heckman step 2, the RIF regressions and
+the Mundlak test's three fits), which refuses a fit without a residual degree
+of freedom, a line-searched Newton maximizer for likelihoods on newton_design
+designs, one rank screen for those designs (screen_rank), the entity-cluster
 bootstrap and apply_vcov, through which every estimator gets its covariance
-(refusing a kind it cannot give), variance inflation factors, and Wald tests.
-Every downstream estimator builds on these.
+(its own, or the bootstrap's: VcovSpec), variance inflation factors, and Wald
+tests. Every downstream estimator builds on these.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from . import panel
 from .exceptions import CollinearityError, ConvergenceError, ValidationError
 
 INTERCEPT = "_cons"
+MAX_ITER = 200  # Newton iterations of one mle_fit
+TOL = 1e-8  # mle_fit converges when the gradient max-norm drops below this
 MAX_HALVINGS = 50  # line-search step halvings per Newton iteration
 LM_SHIFTS = 20  # Levenberg-Marquardt shifts tried where a Newton step does not ascend
 
@@ -45,14 +48,14 @@ ESTIMATION_ERRORS = (ValidationError, ConvergenceError, CollinearityError, np.li
 
 @dataclass(frozen=True)
 class VcovSpec:
-    """How standard errors are computed: analytic, HC1 robust, or cluster bootstrap."""
+    """How standard errors are computed: the estimator's own (analytic) or cluster bootstrap."""
 
     kind: str = "analytic"
     replications: int = 0
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("analytic", "hc_robust", "cluster_bootstrap"):
+        if self.kind not in ("analytic", "cluster_bootstrap"):
             raise ValidationError(f"unknown vcov kind {self.kind!r}")
         if self.kind == "cluster_bootstrap":
             if self.replications < 2:
@@ -63,7 +66,7 @@ class VcovSpec:
     def tag(self) -> str:
         if self.kind == "cluster_bootstrap":
             return f"cluster_bootstrap(B={self.replications}, seed={self.seed})"
-        return {"analytic": "analytic", "hc_robust": "robust"}[self.kind]
+        return "analytic"
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ class ModelSpec:
     regressors: tuple[str, ...]
     intercept: bool = True
     fe_dims: tuple[str, ...] = ()
-    weights: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
@@ -494,8 +496,7 @@ def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, 
     ``y`` (a 1-D ``y`` is one column), the design and the (n, m) dependent
     columns after the FE projection, and the number of FE parameters absorbed.
     """
-    n = X.shape[0]
-    k = X.shape[1] - (INTERCEPT in names)
+    n, p = X.shape
     if n == 0:
         raise ValidationError("no complete cases for the requested model")
     if w is not None and (np.any(w < 0) or not np.sum(w) > 0):
@@ -506,16 +507,15 @@ def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, 
     if fe:
         within, absorbed_df = fe_residuals(np.column_stack([Y, X]), fe, w)
         Y, X = within[:, :m], np.ascontiguousarray(within[:, m:])
-    # a case for each regressor and each absorbed FE parameter, and one more:
-    # with FE absorbed, at least one residual degree of freedom (none would
-    # leave SEs of round-off)
-    if n < k + 1 + absorbed_df:
+    # a case for each column of X (the intercept too) and each absorbed FE
+    # parameter, and one more: at least one residual degree of freedom (none
+    # would leave SEs of round-off)
+    if n <= p + absorbed_df:
         absorbed = f" and {absorbed_df} absorbed fixed effects" if absorbed_df else ""
-        raise ValidationError(f"only {n} complete cases for {k} regressors{absorbed}")
+        raise ValidationError(f"only {n} complete cases for {p} regressors{absorbed}")
 
     sw = np.sqrt(w) if w is not None else None
     Xw = X * sw[:, None] if w is not None else X
-    p = X.shape[1]
     q, r, piv = _checked_qr(Xw, names)
     betas = []
     for j in range(m):
@@ -554,7 +554,7 @@ def ols_core(
     Xw = X * np.sqrt(w)[:, None] if w is not None else X
     XtX_inv = np.linalg.inv(Xw.T @ Xw)
     ww = w if w is not None else np.ones(n)
-    dof = max(n - p - absorbed_df, 1)  # 0 only for an exactly determined fit with an intercept
+    dof = n - p - absorbed_df  # at least 1 (ols_solve)
 
     cores = []
     for j, beta in enumerate(betas):
@@ -580,8 +580,10 @@ def ols_core(
     return cores[0] if y.ndim == 1 else cores
 
 
-def ols_result(core: OlsCore, names, n_rows: int, vcov: VcovSpec, fe_dims) -> FitResult:
-    """FitResult of one ols_core fit on ``n_rows`` dataset rows, before apply_vcov."""
+def ols_result(core: OlsCore, names, n_rows: int, se_method: str, fe_dims) -> FitResult:
+    """FitResult of one ols_core fit on ``n_rows`` dataset rows, before
+    apply_vcov; ``se_method`` names core's covariance ("analytic", or
+    "robust" for HC1)."""
     n_obs = core.resid.shape[0]
     return FitResult(
         coefficients=dict(zip(names, core.beta)),
@@ -589,13 +591,13 @@ def ols_result(core: OlsCore, names, n_rows: int, vcov: VcovSpec, fe_dims) -> Fi
         n_obs=n_obs,
         loglik=core.loglik,
         fit={"r2": core.r2, "adj_r2": core.adj_r2},
-        se_method=vcov.tag(),
+        se_method=se_method,
         n_dropped=n_rows - n_obs,
         notes={"absorbed_df": core.absorbed_df, "fe_dims": tuple(fe_dims)},
     )
 
 
-def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = None) -> FitResult:
+def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec = VcovSpec()) -> FitResult:
     """OLS on complete cases, absorbing fixed effects exactly (fe_residuals).
 
     The intercept is reported only when no fixed effects are absorbed. r2 is
@@ -603,51 +605,43 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec | None = Non
     takes the drawn entities' complete rows and solves them by ols_solve: the
     coefficients of ols_fit on panel.take_entities' dataset of the draw.
     """
-    vcov = vcov or VcovSpec()
     cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
-    weights = [spec.weights] if spec.weights else []
-    mask = complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims, *weights])
+    mask = complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
 
     def arrays(sample: Sample):
         X, names, _ = design_matrix(ds, sample, spec.regressors, (), spec.intercept and not spec.fe_dims)
         y = ds.column(spec.dependent)[sample.rows]
-        w = ds.column(spec.weights)[sample.rows] if spec.weights else None
-        return X, y, names, w, [sample_codes(ds, sample, dim)[0] for dim in spec.fe_dims]
+        return X, y, names, [sample_codes(ds, sample, dim)[0] for dim in spec.fe_dims]
 
-    X, y, names, w, fe = arrays(Sample.of(ds, mask))
-    core = ols_core(X, y, names, w=w, fe=fe, robust=vcov.kind == "hc_robust")
-    fit = ols_result(core, names, ds.n_rows, vcov, spec.fe_dims)
+    X, y, names, fe = arrays(Sample.of(ds, mask))
+    fit = ols_result(ols_core(X, y, names, fe=fe), names, ds.n_rows, "analytic", spec.fe_dims)
 
     def refit(picks: np.ndarray) -> dict[str, float]:
-        X, y, names, w, fe = arrays(Sample.draw(ds, picks, mask))
-        return dict(zip(names, ols_solve(X, y, names, w, fe)[0][0]))
+        X, y, names, fe = arrays(Sample.draw(ds, picks, mask))
+        return dict(zip(names, ols_solve(X, y, names, fe=fe)[0][0]))
 
-    return apply_vcov(fit, refit, ds, vcov, "ols_fit")
+    return apply_vcov(fit, refit, ds, vcov)
 
 
-def mle_fit(
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
-    start,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> MleResult:
+def mle_fit(objective: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]], start) -> MleResult:
     """Maximize a likelihood by Newton steps with step-halving line search.
 
     ``objective(theta)`` returns (loglik, gradient, Hessian); the Hessian is a
     BlockHessian, whose entity block (empty without entity effects) is
     eliminated by a Schur complement, shifted where the Newton step does not
     ascend (_newton_direction). Converged when the gradient max-norm drops
-    below ``tol``; the covariance is the dense block of the inverse of the
-    negative Hessian at the optimum (see _hessian_vcov).
+    below TOL within MAX_ITER iterations; the covariance is the dense block
+    of the inverse of the negative Hessian at the optimum (see
+    _hessian_vcov).
     """
     theta = np.array(start, dtype=float)
     f, g, H = objective(theta)
     if not np.isfinite(f):
         raise ValidationError("objective is not finite at the starting point")
 
-    for iterations in range(max_iter):
+    for iterations in range(MAX_ITER):
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm < tol:
+        if gnorm < TOL:
             return MleResult(theta, _hessian_vcov(H), f, iterations, gnorm)
         step = _newton_direction(g, H)
         for h in range(MAX_HALVINGS + 1):
@@ -663,7 +657,7 @@ def mle_fit(
             )
     gnorm = float(np.max(np.abs(g)))
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations; final gradient max-norm {gnorm:.3e}"
+        f"no convergence in {MAX_ITER} iterations; final gradient max-norm {gnorm:.3e}"
     )
 
 
@@ -763,17 +757,14 @@ def apply_vcov(
     fit: FitResult | list[FitResult],
     refit: Callable[[np.ndarray], dict[str, float] | list[dict[str, float]]],
     ds: panel.PanelDataset,
-    vcov: VcovSpec | None,
-    estimator: str,
+    vcov: VcovSpec,
 ) -> FitResult | list[FitResult]:
     """Give a point fit the covariance ``vcov`` asks for; every estimator's
     covariance is settled here.
 
     ``fit`` carries the estimator's own covariance, which an analytic spec
-    (or None) keeps. An hc_robust spec is refused unless ``fit`` already
-    carries it (se_method "robust"). A cluster_bootstrap spec replaces it, in
-    place, by bootstrap_vcov over ``refit``, and sets the spec's tag and
-    ``notes["bootstrap_failures"]``.
+    keeps. A cluster_bootstrap spec replaces it, in place, by bootstrap_vcov
+    over ``refit``, and sets the spec's tag and ``notes["bootstrap_failures"]``.
 
     ``refit`` takes the drawn entities' positions (see bootstrap_vcov) and
     returns the coefficients, name -> value, that the estimator's point fit
@@ -789,12 +780,9 @@ def apply_vcov(
     coefficients, and each fit's covariance is that of its own columns of the
     draws; a replicate that fails is dropped for every fit.
     """
-    kind = vcov.kind if vcov is not None else "analytic"
-    fits, refits = (fit, refit) if isinstance(fit, list) else ([fit], lambda picks: [refit(picks)])
-    if kind == "hc_robust" and any(f.se_method != "robust" for f in fits):
-        raise ValidationError(f"{estimator} cannot give an {kind!r} covariance")
-    if kind != "cluster_bootstrap":
+    if vcov.kind != "cluster_bootstrap":
         return fit
+    fits, refits = (fit, refit) if isinstance(fit, list) else ([fit], lambda picks: [refit(picks)])
     names = [f.names for f in fits]
 
     def draw(picks: np.ndarray) -> np.ndarray:

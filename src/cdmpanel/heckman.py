@@ -79,7 +79,6 @@ class HeckmanFit:
     lambda_: float
     rho: float
     sigma: float
-    imr_vif: float
     step2_vif: dict[str, float]
 
     def __post_init__(self):
@@ -233,7 +232,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
 
     X, y, names, mapping, imr, index = step2(estim.Sample.of(ds, probit_mask), probit.coef_vector())
     core = _least_squares(estim.ols_core, X, y, names)
-    outcome_fit = estim.ols_result(core, names, ds.n_rows, VcovSpec(), ())
+    outcome_fit = estim.ols_result(core, names, ds.n_rows, "analytic", ())
     outcome_fit.notes["fe_dummies"] = mapping
 
     lam = outcome_fit.coefficients[IMR_NAME]
@@ -248,7 +247,6 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         rho = float(rho_raw)
 
     step2_vif = estim.vif_matrix(X[:, :-1], names[:-1])
-    imr_vif = step2_vif[IMR_NAME]
 
     def refit(picks: np.ndarray) -> dict[str, float]:
         if not selected[picks].any():
@@ -256,7 +254,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         X, y, names, *_ = step2(estim.Sample.draw(ds, picks, probit_mask))
         return dict(zip(names, _least_squares(estim.ols_solve, X, y, names)[0][0]))
 
-    estim.apply_vcov(outcome_fit, refit, ds, spec.vcov, "heckman_two_step")
+    estim.apply_vcov(outcome_fit, refit, ds, spec.vcov)
     slopes = [r for r in spec.outcome_regressors]
     if slopes:
         outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, slopes)
@@ -267,7 +265,6 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         lambda_=float(lam),
         rho=rho,
         sigma=sigma,
-        imr_vif=float(imr_vif),
         step2_vif=step2_vif,
     )
 

@@ -83,6 +83,10 @@ class PanelDataset:
         return self._replace_columns({name: np.asarray(values, dtype=float)}, note_for=name, note=note)
 
     def with_replaced(self, updates: dict[str, np.ndarray], note: str | None = None) -> "PanelDataset":
+        """The dataset with existing columns replaced by ``updates``. No code
+        in the package calls it; the cqr, counts, productivity and vcov tests
+        build their edge cases with it (a constant or tied outcome, holes in
+        a regressor, a year without one) from a generated panel."""
         for name in updates:
             if name not in self.columns:
                 raise ValidationError(f"unknown column {name!r}")

@@ -28,8 +28,6 @@ class ProdSpec:
     dependent: str
     patent_intensities: tuple[str, ...]
     controls: tuple[str, ...]
-    entity_fe: bool = True
-    year_fe: bool = True
     vcov: VcovSpec = field(default_factory=VcovSpec)
 
     def __post_init__(self):
@@ -46,14 +44,9 @@ class ProdSpec:
 
 
 def fe_ols(ds: panel.PanelDataset, spec: ProdSpec) -> FitResult:
-    """Two-way within estimator with the all-slopes Wald test attached."""
-    dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
-    model = ModelSpec(
-        dependent=spec.dependent,
-        regressors=spec.regressors,
-        intercept=not dims,
-        fe_dims=dims,
-    )
+    """Two-way within estimator, entity and year effects absorbed, with the
+    all-slopes Wald test attached."""
+    model = ModelSpec(dependent=spec.dependent, regressors=spec.regressors, fe_dims=("entity", "year"))
     fit = estim.ols_fit(ds, model, spec.vcov)
     fit.wald_chi2 = estim.wald_chi2(fit, list(spec.regressors))
     return fit
@@ -62,10 +55,12 @@ def fe_ols(ds: panel.PanelDataset, spec: ProdSpec) -> FitResult:
 def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     """Random-effects GLS augmented with entity means of time-varying regressors.
 
-    Three least-squares fits (estim.ols_core): the within fit (entity effects,
-    and year effects under ``year_fe``, absorbed through ``fe``) and the
-    between fit on entity means give the variance components; the fit on the
-    quasi-demeaned data is the GLS fit whose mean block is tested jointly.
+    Three least-squares fits (estim.ols_core): the within fit (entity and
+    year effects absorbed through ``fe``) and the between fit on entity
+    means give the variance components; the fit on the quasi-demeaned data
+    is the GLS fit whose mean block is tested jointly. Each needs a residual
+    degree of freedom (estim.ols_solve): the between fit one more entity
+    than it has columns.
 
     Returns (chi2, df, p, mean_coefficients). Time-invariant regressors are
     excluded from the mean set with a warning; a negative estimated variance
@@ -79,8 +74,7 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     if n == 0:
         raise ValidationError("no complete cases for the Mundlak test")
     ent = estim.fe_codes(ds, "entity", mask)[0]
-    year_dims = ("year",) if spec.year_fe else ()
-    design, names, _ = estim.design_matrix(ds, mask, regressors, year_dims, intercept=False)
+    design, names, _ = estim.design_matrix(ds, mask, regressors, ("year",), intercept=False)
     X = design[:, : len(regressors)]
 
     # rows are entity-major, so each entity's rows are one run of its code
@@ -106,7 +100,7 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     mean_names = [f"mean_{regressors[j]}" for j in time_varying]
 
     # variance components from the within / between decomposition
-    fe = [ent, *(estim.fe_codes(ds, dim, mask)[0] for dim in year_dims)]
+    fe = [ent, estim.fe_codes(ds, "year", mask)[0]]
     within = estim.ols_core(X[:, time_varying], data[:, 0], [regressors[j] for j in time_varying], fe=fe)
     sigma2_e = float(within.resid @ within.resid) / (n - len(time_varying) - within.absorbed_df)
     n_ent = len(starts)
@@ -114,7 +108,7 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     between = estim.ols_core(between_X, ybar, [*(f"mean_{r}" for r in regressors), INTERCEPT])
     rss_b = float(between.resid @ between.resid)
     t_harm = n_ent / float(np.sum(1.0 / counts))
-    sigma2_u = rss_b / max(n_ent - between_X.shape[1], 1) - sigma2_e / t_harm
+    sigma2_u = rss_b / (n_ent - between_X.shape[1]) - sigma2_e / t_harm
     if sigma2_u < 0:
         warnings.warn(
             f"estimated entity variance component was negative ({sigma2_u:.3e}); clamped to 0",
@@ -129,7 +123,7 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     G = np.column_stack([quasi[:, 1:], (1.0 - theta)[:, None] * between_X[:, [*time_varying, -1]][ent]])
     all_names = [*names, *mean_names, INTERCEPT]
     gls = estim.ols_core(G, quasi[:, 0], all_names)
-    fit = estim.ols_result(gls, all_names, ds.n_rows, VcovSpec(), ())
+    fit = estim.ols_result(gls, all_names, ds.n_rows, "analytic", ())
     chi2, df, p = estim.wald_chi2(fit, mean_names)
     mean_coefficients = {nm: fit.coefficients[nm] for nm in mean_names}
     return chi2, df, p, mean_coefficients

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import estim, heckman, panel
-from .estim import FitResult, VcovSpec
+from .estim import FitResult
 from .exceptions import ValidationError
 
 DEFAULT_TAUS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -40,10 +40,9 @@ DEFAULT_TAUS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 @dataclass(frozen=True)
 class QuantileSpec:
-    """Quantile grid and the density estimator's bandwidth rule."""
+    """Quantile grid; the density at each quantile takes Silverman's bandwidth (rif_quantiles)."""
 
     taus: tuple[float, ...] = DEFAULT_TAUS
-    bandwidth: str | float = "silverman"
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(self.taus))
@@ -56,11 +55,6 @@ class QuantileSpec:
             if t <= prev:
                 raise ValidationError("quantiles must be strictly increasing")
             prev = t
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "silverman":
-                raise ValidationError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise ValidationError("fixed bandwidth must be > 0")
 
 
 @dataclass
@@ -116,16 +110,11 @@ def _quantile(cdf: tuple[np.ndarray, np.ndarray], tau: float) -> float:
     return float(xs[min(idx, xs.size - 1)])
 
 
-def _bandwidth(bandwidth, x: np.ndarray, w: np.ndarray, cdf=None) -> float:
-    """Kernel bandwidth: a fixed value, or Silverman's rule
-    h = 0.9 * min(sd, IQR/1.34) * n^(-1/5) with the weighted sd and IQR, the
-    IQR read from ``cdf`` (x's _cdf, sorted here when not given). A zero IQR
-    leaves sd in its place, as R's bw.nrd0 does."""
-    if not isinstance(bandwidth, str):
-        h = float(bandwidth)
-        if not h > 0:
-            raise ValidationError("bandwidth must be > 0")
-        return h
+def _bandwidth(x: np.ndarray, w: np.ndarray, cdf=None) -> float:
+    """Kernel bandwidth by Silverman's rule h = 0.9 * min(sd, IQR/1.34) *
+    n^(-1/5), with the weighted sd and IQR, the IQR read from ``cdf`` (x's
+    _cdf, sorted here when not given). A zero IQR leaves sd in its place, as
+    R's bw.nrd0 does."""
     if x.size < 2:
         raise ValidationError("silverman bandwidth needs a sample of at least 2")
     cdf = cdf if cdf is not None else _cdf(x, w)
@@ -156,14 +145,17 @@ def weighted_quantile(y: np.ndarray, tau: float, weights=None) -> float:
     """Left-continuous sample quantile: smallest y with cumulative weight >= tau.
 
     Unweighted this is the order statistic at index ceil(tau*n), with tau*n
-    taken exactly; ties resolve toward the lower value.
+    taken exactly; ties resolve toward the lower value. No code in the
+    package calls it (rif_quantiles reads every tau from one sort); the rif
+    tests and acceptance criterion 7 use it as the oracle of the reweighted
+    quantiles.
     """
     y = np.asarray(y, dtype=float)
     w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
     return _quantile(_cdf(y, w), tau)
 
 
-def rif_quantiles(y, spec: QuantileSpec, taus, weights=None) -> list[RifResult]:
+def rif_quantiles(y, taus, weights=None) -> list[RifResult]:
     """RIF columns for several quantiles of one sample, one RifResult per tau;
     missing y rows come back missing.
 
@@ -183,7 +175,7 @@ def rif_quantiles(y, spec: QuantileSpec, taus, weights=None) -> list[RifResult]:
     w = np.ones(yv.shape) if weights is None else _checked_weights(np.asarray(weights, dtype=float)[obs])
 
     cdf = _cdf(yv, w)
-    h = _bandwidth(spec.bandwidth, yv, w, cdf)
+    h = _bandwidth(yv, w, cdf)
     wsum = np.sum(w)
     out = []
     for tau in taus:
@@ -200,8 +192,14 @@ def rif_quantiles(y, spec: QuantileSpec, taus, weights=None) -> list[RifResult]:
 
 
 def rif_quantile(y, spec: QuantileSpec, tau: float, weights=None) -> RifResult:
-    """RIF column for one quantile; missing y rows come back missing."""
-    return rif_quantiles(y, spec, (tau,), weights)[0]
+    """RIF column for one quantile; missing y rows come back missing. ``spec``
+    is not read: Silverman's rule is the only bandwidth.
+
+    No code in the package calls it (the fits take all taus from one
+    rif_quantiles call); the rif tests use it as the one-tau oracle of
+    rif_quantiles, uqr_fit and rif_treatment_fit, and acceptance criterion 5
+    checks the RIF identities on it."""
+    return rif_quantiles(y, (tau,), weights)[0]
 
 
 def uqr_fit(
@@ -224,7 +222,7 @@ def uqr_fit(
     mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_dims])
     if not mask.any():
         raise ValidationError("no complete cases for the quantile regression")
-    rifs = rif_quantiles(ds.column(dependent)[mask], spec, spec.taus)
+    rifs = rif_quantiles(ds.column(dependent)[mask], spec.taus)
     fits = _fit_rifs(ds, mask, np.column_stack([rr.rif for rr in rifs]), regressors, fe_dims)
     for rr, fit in zip(rifs, fits):
         fit.notes["tau"] = rr.tau
@@ -235,12 +233,12 @@ def uqr_fit(
 
 def _fit_rifs(ds, mask, rifs: np.ndarray, regressors, fe_dims, w=None) -> list[FitResult]:
     """HC1 OLS of each column of ``rifs`` (masked rows x taus) on the
-    regressors with fe_dims absorbed, in one ols_core call; the intercept is
-    reported only without FE. ``w`` are analytic weights on the masked rows."""
+    regressors with fe_dims absorbed, in one ols_core call, each fit's
+    se_method "robust"; the intercept is reported only without FE. ``w`` are
+    analytic weights on the masked rows (the IPW treatment fits)."""
     X, names, _ = estim.design_matrix(ds, mask, regressors, (), not fe_dims)
     if not names:
         raise ValidationError("need at least one regressor or an intercept")
-    vcov = VcovSpec("hc_robust")
     cores = estim.ols_core(
         X,
         rifs,
@@ -249,7 +247,7 @@ def _fit_rifs(ds, mask, rifs: np.ndarray, regressors, fe_dims, w=None) -> list[F
         fe=[estim.fe_codes(ds, dim, mask)[0] for dim in fe_dims],
         robust=True,
     )
-    return [estim.ols_result(core, names, ds.n_rows, vcov, fe_dims) for core in cores]
+    return [estim.ols_result(core, names, ds.n_rows, "robust", fe_dims) for core in cores]
 
 
 def propensity_ipw(ds: panel.PanelDataset, spec: TreatmentSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +331,7 @@ def rif_treatment_fit(
     fe_dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
     combined = np.full((ds.n_rows, len(qspec.taus)), np.nan)
     for rows in (treated_rows, control_rows):
-        rifs = rif_quantiles(y[rows], qspec, qspec.taus, weights=w_all[rows])
+        rifs = rif_quantiles(y[rows], qspec.taus, weights=w_all[rows])
         combined[rows] = np.column_stack([rr.rif for rr in rifs])
     w = w_all[mask] if spec.weighting == "ipw" else None
     fits = _fit_rifs(ds, mask, combined[mask], (spec.treatment, *spec.controls), fe_dims, w)

@@ -22,8 +22,7 @@ def count_panel(seed, alpha, family):
     return synthdgp.generate_panel(cfg)
 
 
-def specs(vcov=None):
-    vcov = vcov or VcovSpec()
+def specs(vcov=VcovSpec()):
     return [CountSpec("PAT", ("RDINT_star",), family, vcov=vcov) for family in ("poisson_fe", "nb2")]
 
 

@@ -9,6 +9,7 @@ from cdmpanel import (
     CountSpec,
     CqrSpec,
     ModelSpec,
+    QuantileSpec,
     ValidationError,
     VcovSpec,
     bootstrap_vcov,
@@ -19,10 +20,11 @@ from cdmpanel import (
     ols_fit,
     poisson_fe_fit,
     probit_fit,
+    uqr_fit,
     vif,
     wald_chi2,
 )
-from cdmpanel import synthdgp
+from cdmpanel import estim, synthdgp
 from cdmpanel.counts import _nb2_parts, _poisson_parts
 from cdmpanel.estim import (
     LM_SHIFTS,
@@ -60,7 +62,13 @@ def no_entity_block(H):
 
 class TestOls:
     def test_exact_fit_line(self):
-        ds = from_long(["A", "B"], [2010, 2010], {"x": [0.0, 1.0], "y": [0.0, 2.0]})
+        # two points for a slope and an intercept leave no residual degree
+        # of freedom, and the fit is refused as one with absorbed FE is;
+        # three collinear points fit the line exactly
+        two = from_long(["A", "B"], [2010, 2010], {"x": [0.0, 1.0], "y": [0.0, 2.0]})
+        with pytest.raises(ValidationError, match="^only 2 complete cases for 2 regressors$"):
+            ols_fit(two, ModelSpec("y", ("x",)))
+        ds = from_long(["A", "B", "C"], [2010] * 3, {"x": [0.0, 1.0, 2.0], "y": [0.0, 2.0, 4.0]})
         fit = ols_fit(ds, ModelSpec("y", ("x",)))
         assert fit.coefficients["x"] == pytest.approx(2.0, abs=1e-12)
         assert fit.coefficients["_cons"] == pytest.approx(0.0, abs=1e-12)
@@ -141,27 +149,28 @@ class TestOls:
         n = 25
         x = rng.normal(size=n)
         y = 1.0 + 0.5 * x + rng.normal(size=n) * (1 + np.abs(x))
-        ds = iid_panel(n, {"x": x, "y": y})
-        fit = ols_fit(ds, ModelSpec("y", ("x",)), VcovSpec("hc_robust"))
         X = np.column_stack([x, np.ones(n)])
+        core = ols_core(X, y, ["x", "_cons"], robust=True)
         beta = np.linalg.solve(X.T @ X, X.T @ y)
         e = y - X @ beta
         bread = np.linalg.inv(X.T @ X)
         meat = (X * e[:, None]).T @ (X * e[:, None])
         V = n / (n - 2) * bread @ meat @ bread
-        assert np.allclose(fit.vcov, V, rtol=1e-10)
+        assert np.allclose(core.vcov, V, rtol=1e-10)
+        # the RIF regressions take this covariance and say so
+        fit = uqr_fit(iid_panel(n, {"x": x, "y": y}), "y", ("x",), QuantileSpec(taus=(0.5,)), fe_dims=())[0.5]
+        assert fit.se_method == "robust"
 
     def test_weighted_fit_matches_replication(self):
         # weights of 2 behave like duplicated observations
         x = np.array([0.0, 1.0, 2.0, 3.0])
         y = np.array([0.1, 1.2, 1.8, 3.3])
         w = np.array([2.0, 1.0, 1.0, 2.0])
-        ds = iid_panel(4, {"x": x, "y": y, "w": w})
-        fw = ols_fit(ds, ModelSpec("y", ("x",), weights="w"))
+        fw = ols_core(np.column_stack([x, np.ones(4)]), y, ["x", "_cons"], w=w)
         xr = np.concatenate([x, x[[0, 3]]])
         yr = np.concatenate([y, y[[0, 3]]])
         coef, *_ = np.linalg.lstsq(np.column_stack([xr, np.ones(6)]), yr, rcond=None)
-        assert fw.coefficients["x"] == pytest.approx(coef[0], rel=1e-12)
+        assert fw.beta[0] == pytest.approx(coef[0], rel=1e-12)
 
 
 class TestOlsCoreColumns:
@@ -330,13 +339,14 @@ class TestMle:
         with pytest.raises(ValidationError, match="starting point"):
             mle_fit(objective, np.zeros(1))
 
-    def test_max_iter_reports_gradient_norm(self):
+    def test_max_iter_reports_gradient_norm(self, monkeypatch):
         # gradient never vanishes: linear objective with fake curvature
         def objective(t):
             return float(t[0]), np.array([1.0]), no_entity_block(np.array([[-1e-8]]))
 
-        with pytest.raises(ConvergenceError, match="gradient max-norm"):
-            mle_fit(objective, np.zeros(1), max_iter=5)
+        monkeypatch.setattr(estim, "MAX_ITER", 5)
+        with pytest.raises(ConvergenceError, match="no convergence in 5 iterations; final gradient max-norm"):
+            mle_fit(objective, np.zeros(1))
 
 
 class TestBootstrap:

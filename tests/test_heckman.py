@@ -210,7 +210,7 @@ class TestTwoStep:
         # lambda targets rho * sigma_u = -0.5
         assert fit.lambda_ == pytest.approx(-0.5, abs=0.12)
         assert fit.lambda_ == pytest.approx(fit.rho * fit.sigma, abs=1e-8)
-        assert 0 < fit.imr_vif < 10
+        assert 0 < fit.step2_vif["IMR"] < 10
         assert np.mean(list(fit.step2_vif.values())) < 10
 
     def test_rho_clamped_when_sigma_small(self):

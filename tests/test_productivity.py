@@ -182,6 +182,14 @@ class TestMundlak:
         with pytest.raises(CollinearityError, match="mean_dEMP"):
             mundlak_test(ds, spec)
 
+    def test_between_fit_without_residual_degree_of_freedom_refused(self):
+        # 4 entities for 3 entity means and the intercept: the between fit
+        # is exact, and its residual variance, the entity variance
+        # component's first term, is not estimable
+        ds = prod_panel(seed=59, n_entities=4, n_periods=6)
+        with pytest.raises(ValidationError, match="^only 4 complete cases for 4 regressors$"):
+            mundlak_test(ds, base_spec())
+
 
 def reference_mundlak(ds, spec):
     """Within / between / GLS by per-entity bincount means and lstsq solves,
@@ -193,8 +201,7 @@ def reference_mundlak(ds, spec):
     n_ent = len(entities)
 
     y = ds.column(spec.dependent)[mask]
-    year_dims = ("year",) if spec.year_fe else ()
-    design, names, _ = estim.design_matrix(ds, mask, regressors, year_dims, intercept=False)
+    design, names, _ = estim.design_matrix(ds, mask, regressors, ("year",), intercept=False)
     X = design[:, : len(regressors)]
 
     counts = np.bincount(ent, minlength=n_ent).astype(float)
@@ -253,7 +260,6 @@ def _time_invariant_control(ds):
 MUNDLAK_CASES = {
     "balanced": (lambda ds: ds, {}),
     "holes_in_control": (_holes_in_capint, {}),
-    "no_year_fe": (lambda ds: ds, {"year_fe": False}),
     "time_invariant_control": (_time_invariant_control, {"controls": ("lnEMP", "lnCAPINT", "tic")}),
 }
 

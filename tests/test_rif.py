@@ -21,23 +21,23 @@ def iid_panel(columns, seed_names="E"):
     return from_long([f"{seed_names}{i}" for i in range(n)], [2010] * n, columns)
 
 
-def kde(sample, point, bandwidth="silverman", weights=None):
-    """Gaussian-kernel density at one point by rif's own kernel and bandwidth."""
+def kde(sample, point, weights=None):
+    """Gaussian-kernel density at one point by rif's own kernel and Silverman bandwidth."""
     x = np.asarray(sample, dtype=float)
     w = np.ones(x.shape) if weights is None else np.asarray(weights, dtype=float)
-    return _kde(x, w, point, _bandwidth(bandwidth, x, w))
+    return _kde(x, w, point, _bandwidth(x, w))
 
 
 class TestKde:
     def test_kernel_at_its_center(self):
-        assert kde([0.0], 0.0, bandwidth=1.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-12)
+        assert _kde(np.zeros(1), np.ones(1), 0.0, 1.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_symmetric_sample_average_of_kernels(self):
-        got = kde([-1.0, 1.0], 0.0, bandwidth=0.7)
+        got = _kde(np.array([-1.0, 1.0]), np.ones(2), 0.0, 0.7)
         z = 1.0 / 0.7
         expected = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi) / 0.7
         assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(kde([1.0, -1.0], 0.0, bandwidth=0.7), rel=1e-15)
+        assert got == pytest.approx(_kde(np.array([1.0, -1.0]), np.ones(2), 0.0, 0.7), rel=1e-15)
 
     def test_standard_normal_density_at_zero(self):
         rng = np.random.default_rng(2024)
@@ -53,8 +53,8 @@ class TestKde:
         # IQR 0 with sd 1.50: Silverman's rule uses sd, as R's bw.nrd0 does
         x = np.array([0.0] * 8 + [1.0, 5.0])
         h = 0.9 * x.std() * x.size ** (-0.2)
-        assert _bandwidth("silverman", x, np.ones(x.size)) == pytest.approx(h, rel=1e-12)
-        assert kde(x, 0.5) == pytest.approx(kde(x, 0.5, bandwidth=h), rel=1e-12)
+        assert _bandwidth(x, np.ones(x.size)) == pytest.approx(h, rel=1e-12)
+        assert kde(x, 0.5) == pytest.approx(_kde(x, np.ones(x.size), 0.5, h), rel=1e-12)
 
     def test_weighted_density_integrates_reweighting(self):
         rng = np.random.default_rng(5)
@@ -148,7 +148,7 @@ class TestRifQuantiles:
         w = rng.uniform(0.2, 3.0, size=300)
         taus = (0.1, 0.25, 0.5, 0.9)
         for weights in (None, w):
-            for rr, tau in zip(rif_quantiles(y, QuantileSpec(), taus, weights), taus):
+            for rr, tau in zip(rif_quantiles(y, taus, weights), taus):
                 one = rif_quantile(y, QuantileSpec(), tau, weights)
                 assert (rr.tau, rr.q_hat, rr.f_hat, rr.sigma2_if, rr.tau_attained) == (
                     one.tau, one.q_hat, one.f_hat, one.sigma2_if, one.tau_attained)
@@ -156,7 +156,7 @@ class TestRifQuantiles:
 
     def test_bad_tau_named(self):
         with pytest.raises(ValidationError, match="quantile 1.0 outside"):
-            rif_quantiles(np.arange(20.0), QuantileSpec(), (0.5, 1.0))
+            rif_quantiles(np.arange(20.0), (0.5, 1.0))
 
 
 class TestUqr:
