@@ -386,7 +386,7 @@ class _StageRunner:
         table += "\n" + "\n".join(mills) + "\n"
 
         pred = heckman.predict_linear_index(fit, self.ds)
-        self.ds = self.ds.with_column(predict_as, pred, note="heckman-predicted")
+        self.ds = self.ds.with_column(predict_as, pred)
         self._write_stage("heckman", [table])
 
     def stage_counts(self, stage):
@@ -406,9 +406,9 @@ class _StageRunner:
                 cols.append(tables.TableColumn(f"{label} {spec.family}", fit, extra))
 
             pred = counts.calibrate_predictions(fits[predict_family], self.ds, rule)
-            self.ds = self.ds.with_column(predict_as, pred, note=f"calibrated {predict_family} prediction")
+            self.ds = self.ds.with_column(predict_as, pred)
             intensity = counts.patent_intensity(pred, self.ds.column(employees), rule.epsilon)
-            self.ds = self.ds.with_column(intensity_as, intensity, note="log predicted patent intensity")
+            self.ds = self.ds.with_column(intensity_as, intensity)
         self._write_stage("counts", [self._table(f"Patent equation (count models), subsample {self.subsample}", cols)])
 
     def stage_productivity(self, stage):
@@ -565,9 +565,8 @@ def _run_simulate(cfg: synthdgp.DgpConfig, csv_path, outdir: str) -> dict:
     ds = synthdgp.generate_panel(cfg)
     path = os.path.join(outdir, "panel.csv") if csv_path is None else csv_path
     ds.to_csv(path)
-    truths = {k: v for k, v in ds.metadata.items() if k.startswith("true:")}
     tpath = os.path.join(outdir, "true_parameters.json")
-    tables.atomic_write(tpath, json.dumps(truths, indent=2, sort_keys=True) + "\n")
+    tables.atomic_write(tpath, json.dumps(synthdgp.true_parameters(cfg), indent=2, sort_keys=True) + "\n")
     return {"mode": "simulate", "csv": path, "true_parameters": tpath, "rows": ds.n_rows}
 
 

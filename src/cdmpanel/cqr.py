@@ -27,13 +27,15 @@ entity-cluster bootstrap. Entity effects are incidental (Koenker 2004): neither
 they nor the level ``_cons``, one of them, are reported.
 
 Bootstrap replicates often sit on such flat optima, in the year-effect
-directions, and only the point fit notes ``flat_optimum``. Of the 32 LPs of
-one round of the acceptance configuration (120 x 6 panel, 15 replicates), 8
-are flat by that test; with the interior point stopped at a gap of 1e-4 in
-place of IPM_GAP, 2 of them end on another certified vertex with the same
-check loss (within 2e-16 relative) and slopes (within 3e-15), but one year
-effect 1.3% or 0.6% apart. So the year effects' bootstrap SEs depend on the
-solver's path; the slopes' do not.
+directions: the point fit notes ``flat_optimum`` and counts its flat
+replicates in ``flat_replicates``. In one round of the acceptance
+configuration (120 x 6 panel, 15 replicates per model) the count is 5 for the
+classical model and 3 for the extended one, and neither point fit is flat;
+with the interior point stopped at a gap of 1e-4 in place of IPM_GAP, 2 of
+the flat replicates end on another certified vertex with the same check loss
+(within 2e-16 relative) and slopes (within 3e-15), but one year effect 1.3%
+or 0.6% apart. So the year effects' bootstrap SEs depend on the solver's
+path; the slopes' do not.
 """
 
 from __future__ import annotations
@@ -423,6 +425,14 @@ def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tau: 
     return _LpSolution(b, v.d, iterations, pivots)
 
 
+def _flat(y: np.ndarray, resid: np.ndarray, duals: np.ndarray, tau: float) -> bool:
+    """Whether the optimum is a flat interval: a zero-residual observation
+    whose dual sits at a bound can leave the basis at no cost."""
+    zero = np.abs(resid) <= 1e-9 * (1.0 + float(np.max(np.abs(y))))
+    at_bound = np.minimum(np.abs(duals - tau), np.abs(duals - tau + 1.0)) <= DUAL_TOL
+    return bool(np.any(zero & at_bound))
+
+
 def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     """Check-loss minimizing fit at spec.tau with entity effects as codes.
     As in estim.ols_fit, neither they nor ``_cons`` are reported beside them,
@@ -432,7 +442,9 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     A bootstrap replicate (estim.apply_vcov) solves the LP on the drawn
     entities' complete rows of ``ds``, its response scale taken per draw:
     the coefficients of cqr_fit on panel.take_entities' dataset of the draw.
-    The check loss and the flat-optimum test are the point fit's alone."""
+    The check loss is the point fit's alone. ``notes["flat_optimum"]`` says
+    whether the point fit's optimum is flat, and ``notes["flat_replicates"]``
+    counts the replicates whose solve returned a flat optimum."""
     if not spec.regressors and not spec.intercept:
         raise ValidationError("need at least one regressor or an intercept")
     entity = "entity" in spec.fe_dims
@@ -446,9 +458,9 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
 
     def solve(sample: estim.Sample):
-        """The LP on a sample of its complete cases: (names, layout, number
-        of coefficients reported, the parameters, the _LpSolution, y, X,
-        fe_dummies)."""
+        """The LP on a sample of its complete cases: (names, number of
+        coefficients reported, the parameters, the _LpSolution, the
+        residuals, whether the optimum is flat, fe_dummies)."""
         n = len(sample.rows)
         if n == 0:
             raise ValidationError("no complete cases for the quantile regression")
@@ -470,20 +482,13 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         if not y_scale > 0:
             y_scale = max(float(np.max(np.abs(y))), 1.0)
         sol = _quantile_lp(y / y_scale, X, layout, spec.tau)
-        return names, layout, reported, sol.b * y_scale, sol, y, X, mapping
+        beta = sol.b * y_scale
+        resid = y - design_index(X, beta, layout)
+        return names, reported, beta, sol, resid, _flat(y, resid, sol.d, spec.tau), mapping
 
-    names, layout, reported, beta, sol, y, X, mapping = solve(estim.Sample.of(ds, mask))
-    n = len(y)
-    duals = sol.d
-    resid = y - design_index(X, beta, layout)
+    names, reported, beta, sol, resid, flat, mapping = solve(estim.Sample.of(ds, mask))
+    n = len(resid)
     loss = check_loss(resid, spec.tau)
-
-    # a zero-residual observation whose dual sits at a bound can leave the
-    # basis at no cost, so the optimum is a flat interval
-    scale = float(np.max(np.abs(y)))
-    zero = np.abs(resid) <= 1e-9 * (1.0 + scale)
-    at_bound = np.minimum(np.abs(duals - spec.tau), np.abs(duals - spec.tau + 1.0)) <= DUAL_TOL
-    flat = bool(np.any(zero & at_bound))
 
     # entity effects (and _cons, the baseline's level) change under
     # resampling; report only the stable coefficients
@@ -497,6 +502,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
             "tau": spec.tau,
             "check_loss": loss,
             "flat_optimum": flat,
+            "flat_replicates": 0,
             "fe_dims": spec.fe_dims,
             "fe_dummies": mapping,
             "lp_iterations": sol.iterations,
@@ -505,7 +511,8 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     )
 
     def refit(picks: np.ndarray) -> dict[str, float]:
-        names, layout, reported, beta, *_ = solve(estim.Sample.draw(ds, picks, mask))
+        names, reported, beta, _, _, flat, _ = solve(estim.Sample.draw(ds, picks, mask))
+        fit.notes["flat_replicates"] += flat
         return dict(zip(names[:reported], beta[:reported]))
 
     return estim.apply_vcov(fit, refit, ds, spec.vcov)

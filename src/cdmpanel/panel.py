@@ -13,7 +13,7 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,14 @@ class PanelDataset:
     Rows are ordered entity-major with years ascending, so row ``i`` belongs to
     entity ``entities[i // len(periods)]`` and year ``periods[i % len(periods)]``.
     Column arrays are float64 with NaN for missing and are marked read-only.
-    ``metadata`` maps column names to provenance notes; dataset-level notes use
-    double-underscore keys (``__source__``, ``__filter__``, ...).
+    A dataset is its grid and its columns, with no provenance recorded: a
+    synthetic panel's true parameters come from its config
+    (synthdgp.true_parameters).
     """
 
     entities: tuple[str, ...]
     periods: tuple[int, ...]
     columns: dict[str, np.ndarray]
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.n_rows
@@ -76,13 +76,13 @@ class PanelDataset:
     def has_column(self, name: str) -> bool:
         return name in self.columns
 
-    def with_column(self, name: str, values, note: str | None = None) -> "PanelDataset":
+    def with_column(self, name: str, values) -> "PanelDataset":
         """Return a new dataset with one added column; collisions are errors."""
         if name in self.columns:
             raise ValidationError(f"column {name!r} already exists")
-        return self._replace_columns({name: np.asarray(values, dtype=float)}, note_for=name, note=note)
+        return self._replace_columns({name: np.asarray(values, dtype=float)})
 
-    def with_replaced(self, updates: dict[str, np.ndarray], note: str | None = None) -> "PanelDataset":
+    def with_replaced(self, updates: dict[str, np.ndarray]) -> "PanelDataset":
         """The dataset with existing columns replaced by ``updates``. No code
         in the package calls it; the cqr, counts, productivity and vcov tests
         build their edge cases with it (a constant or tied outcome, holes in
@@ -90,26 +90,15 @@ class PanelDataset:
         for name in updates:
             if name not in self.columns:
                 raise ValidationError(f"unknown column {name!r}")
-        return self._replace_columns(
-            {k: np.asarray(v, dtype=float) for k, v in updates.items()},
-            note_for=None,
-            note=note,
-        )
+        return self._replace_columns({k: np.asarray(v, dtype=float) for k, v in updates.items()})
 
-    def _replace_columns(self, updates, note_for, note) -> "PanelDataset":
+    def _replace_columns(self, updates) -> "PanelDataset":
         cols = dict(self.columns)
         for name, arr in updates.items():
             if arr.shape != (self.n_rows,):
                 raise ValidationError(f"column {name!r} has wrong length")
             cols[name] = arr.copy()
-        meta = dict(self.metadata)
-        if note is not None:
-            if note_for is not None:
-                meta[note_for] = note
-            else:
-                for name in updates:
-                    meta[name] = note
-        return PanelDataset(self.entities, self.periods, cols, meta)
+        return PanelDataset(self.entities, self.periods, cols)
 
     def to_csv(self, path, entity_col: str = "entity", year_col: str = "year") -> None:
         """Write the dataset back out in the load dialect (empty cell = missing)."""
@@ -189,21 +178,8 @@ class DeriveRule:
     def round_to_int(cls, source: str, target: str) -> "DeriveRule":
         return cls(kind="round", target=target, source=(source,))
 
-    def describe(self) -> str:
-        if self.kind in ("lag", "lead"):
-            return f"{self.kind}({self.k}) of {self.source[0]}"
-        if self.kind == "rolling_mean":
-            return f"rolling_mean({self.window}) of {self.source[0]}"
-        if self.kind == "ratio":
-            return f"ratio {self.source[0]} / {self.source[1]}"
-        if self.kind == "indicator":
-            return f"indicator({self.predicate})"
-        if self.kind == "log_shift":
-            return f"log({self.source[0]} + {self.shift})"
-        return f"{self.kind} of {self.source[0]}"
 
-
-def from_long(entity_values, year_values, columns: dict[str, list], metadata=None) -> PanelDataset:
+def from_long(entity_values, year_values, columns: dict[str, list]) -> PanelDataset:
     """Build a dataset from long-format rows, densifying to the full grid.
 
     Duplicate (entity, year) keys are rejected. The period range is the
@@ -219,7 +195,7 @@ def from_long(entity_values, year_values, columns: dict[str, list], metadata=Non
         if len(vals) != n_in:
             raise ValidationError(f"column {name!r} has {len(vals)} values, expected {n_in}")
     if n_in == 0:
-        return PanelDataset((), (), {name: np.empty(0) for name in columns}, dict(metadata or {}))
+        return PanelDataset((), (), {name: np.empty(0) for name in columns})
 
     labels, first, ent_code = np.unique(entity_values, return_index=True, return_inverse=True)
     order = np.argsort(first)  # entities in order of first appearance
@@ -243,7 +219,7 @@ def from_long(entity_values, year_values, columns: dict[str, list], metadata=Non
         arr = np.full(n_rows, np.nan)
         arr[rows] = np.asarray(vals, dtype=float)
         cols[name] = arr
-    return PanelDataset(tuple(entities), periods, cols, dict(metadata or {}))
+    return PanelDataset(tuple(entities), periods, cols)
 
 
 def read_header(reader, path, entity_col: str, year_col: str) -> list[str]:
@@ -289,12 +265,11 @@ def load_csv(path, entity_col: str, year_col: str) -> PanelDataset:
             years += block_years
             blocks.append(arrays)
 
-    meta = {"__source__": str(path), "__source_rows__": str(len(ents))}
     columns = {
         header[i]: np.concatenate([np.empty(0), *(arrays[j] for arrays in blocks)])
         for j, i in enumerate(var_ix)
     }
-    return from_long(ents, years, columns, metadata=meta)
+    return from_long(ents, years, columns)
 
 
 def _parse_block(block, path, header, y_ix, var_ix) -> tuple[list[int], list[np.ndarray]]:
@@ -410,8 +385,7 @@ def derive(ds: PanelDataset, rule: DeriveRule) -> PanelDataset:
             any_missing |= ~np.isfinite(ds.column(name))
         result = np.where(any_missing, np.nan, mask.astype(float))
 
-    out_ds = ds.with_column(rule.target, result, note=rule.describe())
-    return out_ds
+    return ds.with_column(rule.target, result)
 
 
 def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
@@ -422,12 +396,9 @@ def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
         raise ValidationError(f"filter predicate references unknown column {sorted(missing)[0]!r}")
     keep = evaluate_predicate(predicate, ds.columns, ds.n_rows)
 
-    meta = dict(ds.metadata)
-    meta["__filter__"] = predicate
     if not keep.any():
         warnings.warn(f"filter {predicate!r} matched no rows", stacklevel=2)
-        meta["__filter_empty__"] = "true"
-        return PanelDataset((), (), {name: np.empty(0) for name in ds.columns}, meta)
+        return PanelDataset((), (), {name: np.empty(0) for name in ds.columns})
 
     E, P = len(ds.entities), len(ds.periods)
     ent_idx = ds.entity_index()[keep]
@@ -445,7 +416,7 @@ def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
         out[new_rows] = arr[keep]
         cols[name] = out
     entities = tuple(ds.entities[int(i)] for i in kept_entities)
-    return PanelDataset(entities, new_periods, cols, meta)
+    return PanelDataset(entities, new_periods, cols)
 
 
 def take_entities(ds: PanelDataset, positions) -> PanelDataset:
@@ -461,4 +432,4 @@ def take_entities(ds: PanelDataset, positions) -> PanelDataset:
     labels = [f"{ds.entities[p]}#{r}" for r, p in enumerate(positions)]
     row_blocks = (positions[:, None] * P + np.arange(P)).ravel()
     cols = {name: arr[row_blocks] for name, arr in ds.columns.items()}
-    return PanelDataset(tuple(labels), ds.periods, cols, dict(ds.metadata))
+    return PanelDataset(tuple(labels), ds.periods, cols)

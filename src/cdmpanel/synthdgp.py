@@ -16,8 +16,9 @@ The generated panel mirrors the estimation pipeline's structure:
 * treatment - a separate probit assignment with location/scale effects on the
   productivity outcome, so distributional estimators have known targets.
 
-True parameters are recorded in dataset metadata under ``true:`` keys whose
-names match the coefficient names the estimators report.
+The true parameters depend on the config alone: true_parameters gives them
+under ``true:<estimator>:<name>`` keys whose names match the coefficient names
+the estimators report.
 """
 
 from __future__ import annotations
@@ -238,7 +239,17 @@ def generate_panel(cfg: DgpConfig) -> panel.PanelDataset:
         "_eps_select": eps_sel,
         "_eps_outcome": eps_rd,
     }
-    meta = {
+    ent_long = np.repeat(np.array(entities, dtype=object), P)
+    year_long = np.tile(np.array(years), E)
+    return panel.from_long(ent_long, year_long, columns)
+
+
+def true_parameters(cfg: DgpConfig) -> dict[str, str]:
+    """The parameters generate_panel(cfg) draws from, as ``repr`` strings
+    under ``true:<estimator>:<name>`` keys, one per Monte Carlo estimator and
+    coefficient it reports."""
+    p = cfg.productivity
+    return {
         "true:heckman:X1": repr(cfg.rd.slope_x),
         "true:heckman:_cons": repr(cfg.rd.intercept),
         "true:heckman:IMR": repr(cfg.selection.rho_sel * cfg.rd.noise_sd),
@@ -249,12 +260,7 @@ def generate_panel(cfg: DgpConfig) -> panel.PanelDataset:
         "true:fe_ols:lnPATINT_true": repr(p.beta_patent),
         "true:fe_ols:lnCAPINT": repr(p.beta_capint),
         "true:fe_ols:lnEMP": repr(p.beta_emp),
-        "__dgp_seed__": repr(cfg.seed),
     }
-
-    ent_long = np.repeat(np.array(entities, dtype=object), P)
-    year_long = np.tile(np.array(years), E)
-    return panel.from_long(ent_long, year_long, columns, metadata=meta)
 
 
 @dataclass
@@ -338,11 +344,11 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
             f"unknown estimator {estimator!r}; known: {sorted(_ESTIMATORS)}"
         )
     fit_fn = _ESTIMATORS[estimator]
+    truths = true_parameters(cfg)
 
     estimates: list[np.ndarray] = []
     ses: list[np.ndarray] = []
     tracked: tuple[str, ...] | None = None
-    true_vals: np.ndarray | None = None
     n_failed = 0
     for r in range(reps):
         rep_seed = int(np.random.default_rng(
@@ -356,9 +362,6 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
             continue
         if tracked is None:
             tracked = names
-            true_vals = np.array(
-                [float(ds.metadata[f"true:{estimator}:{nm}"]) for nm in names]
-            )
         estimates.append(np.array([fit.coefficients[nm] for nm in tracked]))
         ses.append(np.array([fit.se(nm) for nm in tracked]))
     if not estimates:
@@ -370,7 +373,7 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
     se = np.vstack(ses)
     params: dict[str, dict[str, float | None]] = {}
     for j, nm in enumerate(tracked):
-        truth = float(true_vals[j])
+        truth = float(truths[f"true:{estimator}:{nm}"])
         bias = float(np.mean(est[:, j]) - truth)
         rmse = float(np.sqrt(np.mean((est[:, j] - truth) ** 2)))
         if est.shape[0] > 1 and not np.isnan(se[:, j]).any():

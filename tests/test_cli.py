@@ -162,7 +162,7 @@ class TestPipelineRun:
         ds = generate_panel(DgpConfig(n_entities=50, n_periods=5, seed=17))
         zero = np.isin(ds.entity_index(), [0, 1])
         columns = {**ds.columns, "PAT": np.where(zero, 0.0, ds.column("PAT"))}
-        PanelDataset(ds.entities, ds.periods, columns, ds.metadata).to_csv(tmp_path / "panel.csv")
+        PanelDataset(ds.entities, ds.periods, columns).to_csv(tmp_path / "panel.csv")
         path, cfg = write_config(tmp_path)
         cfg["stages"]["counts"]["models"][0]["families"] = ["poisson_fe", "nb2"]
         path.write_text(json.dumps(cfg))

@@ -12,6 +12,7 @@ from cdmpanel import (
     ModelSpec,
     ValidationError,
     VcovSpec,
+    bootstrap_vcov,
     cqr_fit,
     from_long,
     ols_fit,
@@ -432,6 +433,30 @@ class TestLpNotes:
         assert isinstance(fit.notes["vertex_pivots"], int) and fit.notes["vertex_pivots"] >= 0
         lines = tables.result_lines("cqr", "full", "m", fit, tables.STAR_STYLES["uqr"], tau=0.5)
         assert not any("lp_iterations" in line or "vertex_pivots" in line for line in lines)
+
+
+class TestFlatReplicates:
+    def test_bootstrap_counts_the_flat_replicates(self):
+        # the median of a draw of 10 distinct values is flat, any value
+        # between its 5th and 6th order statistics, unless the two are copies
+        from cdmpanel import tables
+
+        ds = iid_panel({"y": np.arange(10.0)})
+        boot = VcovSpec("cluster_bootstrap", replications=12, seed=5)
+        flags = []
+
+        def oracle(picks):
+            order = np.sort(ds.column("y")[picks])
+            flags.append(order[4] != order[5])
+            return np.zeros(1)
+
+        bootstrap_vcov(oracle, ds, boot)
+        fit = cqr_fit(ds, CqrSpec("y", vcov=boot))
+        assert 0 < sum(flags) < len(flags)
+        assert fit.notes["flat_replicates"] == sum(flags)
+        assert cqr_fit(ds, CqrSpec("y")).notes["flat_replicates"] == 0
+        lines = tables.result_lines("cqr", "full", "m", fit, tables.STAR_STYLES["uqr"], tau=0.5)
+        assert not any("flat" in line for line in lines)
 
 
 class TestVertexPivots:

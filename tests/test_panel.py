@@ -268,17 +268,11 @@ class TestFilterRows:
         with pytest.warns(UserWarning, match="matched no rows"):
             out = filter_rows(ds, "x > 100")
         assert out.n_rows == 0
-        assert out.metadata["__filter_empty__"] == "true"
 
     def test_missing_column_errors(self):
         ds = make_panel()
         with pytest.raises(ValidationError, match="ZZZ"):
             filter_rows(ds, "ZZZ == 1")
-
-    def test_predicate_recorded(self):
-        ds = make_panel()
-        out = filter_rows(ds, "SOE == 1")
-        assert out.metadata["__filter__"] == "SOE == 1"
 
 
 def within_demeaned(ds, column, dims):
