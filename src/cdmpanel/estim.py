@@ -1,25 +1,24 @@
-"""Shared estimation machinery.
+"""Shared estimation machinery, which does each numerical job one way.
 
 Complete-case handling, the rows of one fit on one draw of entities (Sample:
 the point fit's rows or a bootstrap replicate's row blocks, with no new
 dataset), one integer-coded fixed-effect encoding (fe_codes, sample_codes),
 the dense design builder of the linear fits (design_matrix) and its variant
 that keeps entity effects as integer codes (newton_design with an
-EntityLayout, used by every likelihood fit and the CQR LP), and one way to
-absorb fixed effects: the diagonal entity block of a Hessian or normal matrix
-is eliminated by a Schur complement (BlockHessian). On top of these sit an
-array-level OLS core whose FE are absorbed exactly by that elimination
-(fe_residuals, the weighted least-squares residuals on the FE; one projection
-and one factorisation for several dependent columns) with the analytic
-covariance, or HC1 for the RIF regressions (ols_core; ols_solve, its
-coefficients alone, serves the bootstrap replicates), the one least-squares
-solver of the linear fits (ols_fit, Heckman step 2, the RIF regressions and
-the Mundlak test's three fits), which refuses a fit without a residual degree
-of freedom, a line-searched Newton maximizer for likelihoods on newton_design
-designs, one rank screen for those designs (screen_rank), the entity-cluster
-bootstrap and apply_vcov, through which every estimator gets its covariance
-(its own, or the bootstrap's: VcovSpec), variance inflation factors, and Wald
-tests. Every downstream estimator builds on these.
+EntityLayout, whose per-entity sums are each one np.bincount; used by every
+likelihood fit and the CQR LP), and one way to absorb fixed effects: the
+diagonal entity block of a Hessian or normal matrix is eliminated by a Schur
+complement (BlockHessian). One pivoted QR (_pivoted_qr) gives a
+least-squares fit its coefficients, rank check and covariance bread, and the
+rank screen of newton_design designs (screen_rank) and the variance
+inflation factors their rank checks. On top of these sit the one
+least-squares solver of the linear fits (ols_core, with the analytic
+covariance or HC1, and ols_solve, its coefficients alone, for the bootstrap
+replicates; FE absorbed exactly by the Schur elimination, fe_residuals; a
+fit without a residual degree of freedom refused), a line-searched Newton
+maximizer for likelihoods, the entity-cluster bootstrap on one replicate
+stream rule (replicate_rng) and apply_vcov, through which every estimator
+gets its covariance (VcovSpec), and Wald tests.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 import scipy.special
+from scipy.linalg import lapack
 
 from . import panel
 from .exceptions import CollinearityError, ConvergenceError, ValidationError
@@ -75,7 +73,6 @@ class ModelSpec:
 
     dependent: str
     regressors: tuple[str, ...]
-    intercept: bool = True
     fe_dims: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -83,8 +80,6 @@ class ModelSpec:
         object.__setattr__(self, "fe_dims", tuple(self.fe_dims))
         if self.dependent in self.regressors:
             raise ValidationError(f"dependent {self.dependent!r} appears among the regressors")
-        if not self.regressors and not self.intercept:
-            raise ValidationError("need at least one regressor or an intercept")
 
 
 @dataclass
@@ -266,40 +261,42 @@ class EntityLayout(NamedTuple):
     codes, not as dummy columns: ``codes`` (from fe_codes; code 0 is the
     dropped baseline) place each row in its entity. The parameter vector is
     X's ``n_dense`` columns, then the E-1 entity effects; a fit with one more
-    dense parameter (NB2's log alpha) puts it between them. ``indicator`` is
-    the E x n 0/1 matrix of the codes (CSC, one entry per row), so per-entity
-    sums of several columns are one sparse product, added in row order as
-    np.bincount adds those of one column. Rows need not be grouped by
-    entity."""
+    dense parameter (NB2's log alpha) puts it between them. ``n_levels`` is
+    E, and ``cells`` numbers each cell of an n x n_dense matrix by (entity,
+    column), so the per-entity sums of X's columns are one np.bincount, as
+    those of a vector are. Rows need not be grouped by entity."""
 
     codes: np.ndarray
     n_dense: int
-    indicator: scipy.sparse.csc_matrix
+    n_levels: int
+    cells: np.ndarray
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, n_levels: int, n_dense: int) -> "EntityLayout":
         """Layout of entity codes 0..n_levels-1 beside the n_dense columns of
         X. One level gives an empty entity block: X alone, as a design without
         entity effects is laid out."""
-        n = len(codes)
-        indicator = scipy.sparse.csc_matrix((np.ones(n), codes, np.arange(n + 1)), shape=(n_levels, n))
-        return cls(codes, n_dense, indicator)
+        return cls(codes, n_dense, n_levels, (codes[:, None] * n_dense + np.arange(n_dense)).ravel())
 
     @property
     def n_entity(self) -> int:
         """The number of entity effects, E - 1."""
-        return self.indicator.shape[0] - 1
+        return self.n_levels - 1
+
+    def level_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-level sums of v, a vector or an n x n_dense matrix, the
+        baseline's first: one np.bincount, which adds each sum in row order."""
+        if v.ndim == 1:
+            return np.bincount(self.codes, weights=v, minlength=self.n_levels)
+        sums = np.bincount(self.cells, weights=v.ravel(), minlength=self.n_levels * self.n_dense)
+        return sums.reshape(self.n_levels, self.n_dense)
 
     def entity_sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-entity sums of v (a vector or the columns of a matrix), baseline
-        left out; with an empty entity block, an empty array and no product.
-        A vector's are np.bincount's, the same sums without the sparse
-        product's overhead."""
+        """level_sums without the baseline; with an empty entity block, an
+        empty array and no sum."""
         if not self.n_entity:
             return np.zeros((0, *v.shape[1:]))
-        if v.ndim == 1:
-            return np.bincount(self.codes, weights=v, minlength=self.n_entity + 1)[1:]
-        return (self.indicator @ v)[1:]
+        return self.level_sums(v)[1:]
 
 
 class BlockHessian(NamedTuple):
@@ -381,30 +378,28 @@ def design_hessian(X: np.ndarray, h: np.ndarray, layout: EntityLayout, cross=Non
     return BlockHessian(A, C, layout.entity_sums(h))
 
 
-def _checked_qr(X: np.ndarray, names):
-    """Pivoted QR that raises CollinearityError naming a dependent column
-    (_check_rank)."""
-    n, p = X.shape
-    if p == 0:
-        raise ValidationError("empty design matrix")
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    _check_rank(np.abs(np.diag(r)), piv, names, max(n, p))
-    return q, r, piv
-
-
-def _check_rank(diag: np.ndarray, piv: np.ndarray, names, size: int, scale: float | None = None) -> None:
-    """Raise CollinearityError naming the column at the first pivot of a
-    pivoted QR (R's absolute diagonal ``diag``, pivot order ``piv``) that
-    counts as zero: at or below size * eps * scale, where size is the larger
-    dimension and scale defaults to the largest pivot."""
+def _pivoted_qr(A: np.ndarray, names, scale: float | None = None):
+    """The pivoted QR A[:, piv] = QR of an n x p matrix, by LAPACK's dgeqp3
+    after its workspace query (as scipy.linalg's pivoted QR calls it), and
+    (A'A)^-1 = P R^-1 R^-T P' from R's inverse (dtrtri). Returns (qr, tau,
+    piv, inv): dgeqp3's Householder form (R is its upper triangle) and
+    reflector scales, the pivots and that inverse. Raises CollinearityError
+    naming the column at the first pivot that counts as zero, at or below
+    max(n, p) * eps * scale, where scale defaults to the largest pivot."""
+    lwork = int(lapack.dgeqp3(A, lwork=-1)[3][0])
+    qr, jpvt, tau, *_ = lapack.dgeqp3(A, lwork=lwork)
+    piv, diag = jpvt - 1, np.abs(np.diagonal(qr))
     if scale is None:
         scale = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > size * np.finfo(float).eps * scale))
+    rank = int(np.sum(diag > max(A.shape) * np.finfo(float).eps * scale))
     if rank < len(piv):
-        culprit = names[piv[rank]]
         raise CollinearityError(
-            f"design matrix is rank deficient: column {culprit!r} is linearly dependent on the others"
+            f"design matrix is rank deficient: column {names[piv[rank]]!r} is linearly dependent on the others"
         )
+    Rinv = np.triu(lapack.dtrtri(qr[: len(piv)])[0])
+    inv = np.empty(Rinv.shape)
+    inv[np.ix_(piv, piv)] = Rinv @ Rinv.T
+    return qr, tau, piv, inv
 
 
 def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> None:
@@ -415,8 +410,9 @@ def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> 
     The entity indicators (with the intercept, all E of them; without, the
     E - 1 non-baseline ones; E = 1 without entity effects) have full column
     rank, so the design has full rank iff the other non-intercept columns do
-    after the entity means are removed from their rows. Each projected column is divided by its
-    norm before projection and its pivots are judged against 1, so a column
+    after the entity means (EntityLayout.level_sums) are removed from their
+    rows. Each projected column is divided by its norm before projection and
+    its pivots are judged against 1 (_pivoted_qr at scale 1), so a column
     that is entity-constant up to round-off is named whatever its scale or
     that of the other columns.
     """
@@ -424,18 +420,12 @@ def screen_rank(X: np.ndarray, names, layout: EntityLayout, intercept: bool) -> 
     if m == 0:
         return
     Z = X[:, :m]
-    means = (layout.indicator @ Z) / np.bincount(layout.codes)[:, None]
+    means = layout.level_sums(X)[:, :m] / np.bincount(layout.codes)[:, None]
     if not intercept:
         means[0] = 0.0
     norms = np.linalg.norm(Z, axis=0)
     norms[norms == 0] = 1.0
-    A = (Z - means[layout.codes]) / norms
-    # the pivots and R's diagonal alone, from the LAPACK calls of
-    # scipy.linalg.qr(pivoting=True) (dgeqp3 after its workspace query),
-    # without the check for non-finite values or forming Q
-    lwork = int(scipy.linalg.lapack.dgeqp3(A, lwork=-1)[3][0])
-    qr, jpvt, *_ = scipy.linalg.lapack.dgeqp3(A, lwork=lwork)
-    _check_rank(np.abs(np.diagonal(qr)), jpvt - 1, names[:m], max(A.shape), 1.0)
+    _pivoted_qr((Z - means[layout.codes]) / norms, names[:m], 1.0)
 
 
 def fe_residuals(M: np.ndarray, fe, w: np.ndarray | None = None) -> tuple[np.ndarray, int]:
@@ -488,17 +478,23 @@ class OlsCore(NamedTuple):
 
 
 def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, fe=()):
-    """The least-squares coefficients alone: ols_core's sample checks, FE
-    projection and rank-checked solve, without its covariance and fit
-    statistics (a bootstrap replicate needs only the coefficients).
+    """ols_core's sample checks, FE projection and one pivoted QR of the
+    weighted design X~ (_pivoted_qr, its rank rule relative to the largest
+    pivot), without the covariance and fit statistics (a bootstrap replicate
+    needs only the coefficients). Each coefficient vector is solved from R
+    as scipy.linalg's triangular solver solves it (dtrtrs on R'), and the
+    bread (X~'X~)^-1 = P R^-1 R^-T P' comes from the same R.
 
-    Returns (betas, X, Y, absorbed_df): one coefficient vector per column of
-    ``y`` (a 1-D ``y`` is one column), the design and the (n, m) dependent
-    columns after the FE projection, and the number of FE parameters absorbed.
+    Returns (betas, X, Y, absorbed_df, bread): one coefficient vector per
+    column of ``y`` (a 1-D ``y`` is one column), the design and the (n, m)
+    dependent columns after the FE projection, the number of FE parameters
+    absorbed, and (X~'X~)^-1.
     """
     n, p = X.shape
     if n == 0:
         raise ValidationError("no complete cases for the requested model")
+    if p == 0:
+        raise ValidationError("empty design matrix")
     if w is not None and (np.any(w < 0) or not np.sum(w) > 0):
         raise ValidationError("weights must be non-negative with a positive sum")
     Y = y[:, None] if y.ndim == 1 else y
@@ -515,15 +511,15 @@ def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, 
         raise ValidationError(f"only {n} complete cases for {p} regressors{absorbed}")
 
     sw = np.sqrt(w) if w is not None else None
-    Xw = X * sw[:, None] if w is not None else X
-    q, r, piv = _checked_qr(Xw, names)
+    qr, tau, piv, bread = _pivoted_qr(X * sw[:, None] if w is not None else X, names)
+    q = lapack.dorgqr(qr, tau, lwork=int(lapack.dorgqr(qr, tau, lwork=-1)[1][0]))[0]
     betas = []
     for j in range(m):
         yw = Y[:, j] * sw if w is not None else Y[:, j]
         beta = np.empty(p)
-        beta[piv] = scipy.linalg.solve_triangular(r[:p, :], q.T[:p] @ yw)
+        beta[piv] = lapack.dtrtrs(qr[:p].T, q.T @ yw, lower=1, trans=1)[0]
         betas.append(beta)
-    return betas, X, Y, absorbed_df
+    return betas, X, Y, absorbed_df, bread
 
 
 def ols_core(
@@ -541,7 +537,9 @@ def ols_core(
     exactly by replacing y and X with their residuals on the FE
     (fe_residuals); r2 is then the within-R2 and ``absorbed_df`` the number of
     FE parameters identified. r2 is centred only when ``names`` holds the
-    intercept. ``w`` are analytic weights.
+    intercept. ``w`` are analytic weights. Both covariances take their bread
+    (X~'X~)^-1 from ols_solve's QR: s^2 times it, or HC1's sandwich around
+    the scores.
 
     ``y`` of shape (n, m) holds m dependent columns that share the design, FE
     and weights: [y, X] go through one fe_residuals call, X is factored once,
@@ -549,10 +547,8 @@ def ols_core(
     and solved as a 1-D ``y`` is, so its OlsCore is bit-identical to the one
     the column gets alone.
     """
-    betas, X, Y, absorbed_df = ols_solve(X, y, names, w, fe)
+    betas, X, Y, absorbed_df, bread = ols_solve(X, y, names, w, fe)
     n, p = X.shape
-    Xw = X * np.sqrt(w)[:, None] if w is not None else X
-    XtX_inv = np.linalg.inv(Xw.T @ Xw)
     ww = w if w is not None else np.ones(n)
     dof = n - p - absorbed_df  # at least 1 (ols_solve)
 
@@ -569,10 +565,10 @@ def ols_core(
 
         if robust:
             score = X * (ww * resid)[:, None]
-            V = XtX_inv @ (score.T @ score) @ XtX_inv
+            V = bread @ (score.T @ score) @ bread
             V *= n / dof
         else:
-            V = rss / dof * XtX_inv
+            V = rss / dof * bread
 
         sigma2_mle = rss / n
         loglik = float(-0.5 * n * (np.log(2.0 * np.pi * sigma2_mle) + 1.0)) if sigma2_mle > 0 else None
@@ -609,7 +605,7 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec = VcovSpec()
     mask = complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
 
     def arrays(sample: Sample):
-        X, names, _ = design_matrix(ds, sample, spec.regressors, (), spec.intercept and not spec.fe_dims)
+        X, names, _ = design_matrix(ds, sample, spec.regressors, (), not spec.fe_dims)
         y = ds.column(spec.dependent)[sample.rows]
         return X, y, names, [sample_codes(ds, sample, dim)[0] for dim in spec.fe_dims]
 
@@ -708,6 +704,14 @@ def _hessian_vcov(H: BlockHessian) -> np.ndarray:
     return (V + V.T) / 2.0
 
 
+def replicate_rng(seed: int, r: int) -> np.random.Generator:
+    """The random stream of replicate r, keyed by (seed, r), so that a
+    replicate's draws do not depend on execution order: a bootstrap
+    replicate's resample (bootstrap_vcov) or a Monte Carlo replication's
+    panel seed (synthdgp.monte_carlo)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+
+
 def bootstrap_vcov(
     refit: Callable[[np.ndarray], np.ndarray],
     ds: panel.PanelDataset,
@@ -733,8 +737,7 @@ def bootstrap_vcov(
     draws = []
     n_failed = 0
     for r in range(B):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=vcov.seed, spawn_key=(r,)))
-        picks = rng.integers(0, n_entities, size=n_entities)
+        picks = replicate_rng(vcov.seed, r).integers(0, n_entities, size=n_entities)
         try:
             draws.append(np.asarray(refit(picks), dtype=float))
         except ESTIMATION_ERRORS:
@@ -859,24 +862,18 @@ def vif(ds: panel.PanelDataset, regressors) -> dict[str, float]:
 
 
 def vif_matrix(X: np.ndarray, names) -> dict[str, float]:
-    """Variance inflation factors 1/(1-R2_j) of X's columns, from one QR of
-    the centred columns Xc: VIF_j = |Xc_j|^2 |row j of R^-1|^2, which is
-    |Xc_j|^2 times the j-th diagonal entry of (Xc'Xc)^-1. The first column
-    with a VIF of 1e12 or more, or none (R singular), is named as perfectly
-    collinear with the others: that is r2_j >= 1 - 1e-12."""
+    """Variance inflation factors 1/(1-R2_j) of X's columns, from one pivoted
+    QR (_pivoted_qr) of the centred columns divided by their norms, A:
+    VIF_j = [(A'A)^-1]_jj. A column that the QR's rank rule at scale 1 finds
+    dependent is refused as screen_rank's are; the first column with a VIF
+    of 1e12 or more is named as perfectly collinear with the others: that is
+    r2_j >= 1 - 1e-12."""
     names = list(names)
     constant = np.all(X == X[:1], axis=0)
     if constant.any():
         raise CollinearityError(f"regressor {names[int(np.argmax(constant))]!r} is constant")
     Xc = X - X.mean(axis=0)
-    k = Xc.shape[1]
-    R = scipy.linalg.qr(Xc, mode="r", check_finite=False)[0][:k]
-    out = np.full(k, np.inf)
-    if len(R) == k:
-        Rinv, info = scipy.linalg.lapack.dtrtri(R)
-        if info == 0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.einsum("ij,ij->j", Xc, Xc) * np.einsum("ij,ij->i", Rinv, Rinv)
+    out = np.diagonal(_pivoted_qr(Xc / np.linalg.norm(Xc, axis=0), names, 1.0)[3])
     collinear = ~(out < 1e12)
     if collinear.any():
         raise CollinearityError(

@@ -100,14 +100,15 @@ class PanelDataset:
             cols[name] = arr.copy()
         return PanelDataset(self.entities, self.periods, cols)
 
-    def to_csv(self, path, entity_col: str = "entity", year_col: str = "year") -> None:
-        """Write the dataset back out in the load dialect (empty cell = missing)."""
+    def to_csv(self, path) -> None:
+        """Write the dataset back out in the load dialect, its keys in columns
+        "entity" and "year" (empty cell = missing)."""
         names = list(self.columns)
         ent_idx = self.entity_index()
         years = self.row_years()
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow([entity_col, year_col, *names])
+            writer.writerow(["entity", "year", *names])
             for i in range(self.n_rows):
                 row = [self.entities[ent_idx[i]], str(years[i])]
                 for name in names:

@@ -331,10 +331,10 @@ _ESTIMATORS = {
 def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCarloReport:
     """Repeated generate-and-fit cycles; reports bias, RMSE, and 95% CI coverage.
 
-    Replication r draws its panel from a seed stream keyed by (seed, r), so
-    results do not depend on scheduling. Fits that raise one of
-    estim.ESTIMATION_ERRORS are dropped and counted; more than 10% failing is an
-    error. Any other exception propagates. A parameter whose SE is missing (a
+    Replication r draws its panel from a seed stream keyed by (seed, r)
+    (estim.replicate_rng), so results do not depend on scheduling. Fits that
+    raise one of estim.ESTIMATION_ERRORS are dropped and counted; more than
+    10% failing is an error. Any other exception propagates. A parameter whose SE is missing (a
     NaN variance) in any replication gets coverage None.
     """
     if reps < 1:
@@ -351,9 +351,7 @@ def monte_carlo(cfg: DgpConfig, estimator: str, reps: int, seed: int) -> MonteCa
     tracked: tuple[str, ...] | None = None
     n_failed = 0
     for r in range(reps):
-        rep_seed = int(np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,))
-        ).integers(0, 2**63 - 1))
+        rep_seed = int(estim.replicate_rng(seed, r).integers(0, 2**63 - 1))
         ds = generate_panel(replace(cfg, seed=rep_seed))
         try:
             fit, names = fit_fn(ds)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -171,6 +172,31 @@ class TestOls:
         yr = np.concatenate([y, y[[0, 3]]])
         coef, *_ = np.linalg.lstsq(np.column_stack([xr, np.ones(6)]), yr, rcond=None)
         assert fw.beta[0] == pytest.approx(coef[0], rel=1e-12)
+
+    @pytest.mark.parametrize("big, small, gap, cond", [
+        (1e3, 1e-2, 1e-4, 1e9), (1e3, 1e-3, 1e-5, 1e11), (1e4, 1e-3, 1e-6, 1e13)])
+    def test_variances_of_ill_conditioned_designs_are_exact(self, big, small, gap, cond):
+        # mixed-scale columns, two of them nearly collinear, that the rank
+        # rule accepts: the variances must come from the QR's R, not from
+        # an inverse of X'X, whose condition number is squared. The oracle
+        # is (X'X)^-1 in exact rational arithmetic on X's float values.
+        rng = np.random.default_rng(5)
+        n = 300
+        x1 = rng.normal(size=n)
+        X = np.column_stack([big * x1, small * (x1 + gap * rng.normal(size=n)), 0.1 * rng.normal(size=n), np.ones(n)])
+        assert cond / 3 < np.linalg.cond(X) < 3 * cond
+        y = X @ np.array([1 / big, 1 / small, 1.0, 0.5]) + rng.normal(size=n)
+        core = ols_core(X, y, ["x1", "x2", "x3", "_cons"])
+        p = X.shape[1]
+        F = [[Fraction(v) for v in row] for row in X.tolist()]
+        G = [[sum(r[i] * r[j] for r in F) for j in range(p)] + [Fraction(int(i == j)) for j in range(p)]
+             for i in range(p)]
+        for c in range(p):  # Gauss-Jordan; X'X is positive definite, so no pivot is 0
+            G[c] = [v / G[c][c] for v in G[c]]
+            G = [row if r == c else [a - row[c] * b for a, b in zip(row, G[c])] for r, row in enumerate(G)]
+        exact = np.array([float(G[i][p + i]) for i in range(p)])
+        s2 = float(np.sum(core.resid**2)) / (n - p)
+        assert np.max(np.abs(np.diag(core.vcov) / s2 - exact) / exact) < 1e-8
 
 
 class TestOlsCoreColumns:
@@ -833,17 +859,20 @@ class TestEntityLayout:
         beta = 0.3 * np.random.default_rng(6).normal(size=Xd.shape[1])
         self.check(_probit_parts(beta, y, X, layout), _probit_parts(beta, y, Xd, one_level(Xd)))
 
-    def test_entity_sums_of_a_vector_are_the_indicator_product(self):
-        # a vector's sums come from np.bincount, a matrix's from the sparse
-        # product; both add in row order, so they agree bit for bit, with
-        # rows not grouped by entity
+    def test_entity_sums_add_in_row_order(self):
+        # a vector's and an n x n_dense matrix's sums add each entity's rows
+        # in row order, as a sequential np.add.at does, so they agree with it
+        # bit for bit, with rows not grouped by entity
         ds, mask = self.panel()
         _, layout, _ = self.designs(ds, mask, ("entity", "year"))
         order = np.random.default_rng(8).permutation(len(layout.codes))
-        layout = EntityLayout.from_codes(layout.codes[order], 25, 2)
-        v = np.random.default_rng(9).normal(size=len(order))
-        assert np.array_equal(layout.entity_sums(v), (layout.indicator @ v)[1:])
-        assert np.array_equal(layout.entity_sums(v), layout.entity_sums(v[:, None])[:, 0])
+        layout = EntityLayout.from_codes(layout.codes[order], 25, 3)
+        V = np.random.default_rng(9).normal(size=(len(order), 3))
+        for v in (V[:, 0], V):
+            oracle = np.zeros((25, *v.shape[1:]))
+            np.add.at(oracle, layout.codes, v)
+            assert np.array_equal(layout.entity_sums(v), oracle[1:])
+        assert np.array_equal(layout.entity_sums(V[:, 0]), layout.entity_sums(V)[:, 0])
 
     def test_no_entity_fe_is_the_dense_design(self):
         ds, mask = self.panel()
