@@ -1,20 +1,22 @@
-"""Pipeline orchestrator.
+"""Pipeline orchestrator: parse -> stage functions -> render.
 
-Reads a JSON configuration, runs the requested stages per subsample in
+Reads a JSON configuration and runs the requested stages per subsample in
 dependency order (ingest -> derive -> heckman -> counts -> productivity ->
-uqr -> treatment -> cqr), and writes results documents, rendered tables,
-plot-data files, and a run manifest. Also exposes `simulate` and
-`monte_carlo` modes backed by the synthetic DGP.
+uqr -> treatment -> cqr). Also exposes `simulate` and `monte_carlo` modes
+backed by the synthetic DGP.
 
 The config is read once, before any data are loaded. That one parse takes
 each key either as required or with its single default, builds every stage's
 specs, and checks each column a stage reads against the input header, the
 derive targets and the outputs of the stages before it. A key that nothing
-takes is an error that names the key and where it sits. The stage runners
-only consume what the parse built.
+takes is an error that names the key and where it sits.
 
-Every artifact is written atomically and contains no timestamps, so a rerun
-with the same config and seed is bit-identical.
+The stage functions (`stages`) only consume what the parse built: each fits
+its models and returns them with the dataset its generated columns extend.
+As each returns, the runner renders its fits into a results document,
+tables, plot-data files and manifest rows, and writes them. Every artifact
+is written atomically and contains no timestamps, so a rerun with the same
+config and seed is bit-identical.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, counts, cqr, heckman, panel, productivity, rif, synthdgp, tables
+from . import __version__, counts, cqr, heckman, panel, productivity, rif, stages, synthdgp, tables
 from .estim import VcovSpec
 from .exceptions import ConvergenceError, ValidationError
 from .predicates import predicate_columns
+from .stages import STAGE_ORDER
 
-STAGE_ORDER = ("heckman", "counts", "productivity", "uqr", "treatment", "cqr")
 _REQUIRED = object()
 
 
@@ -158,7 +160,7 @@ def _derive_rule(entry, cols: _Columns) -> panel.DeriveRule:
     return rule
 
 
-# --- stage parsers: each takes its stage's keys once and returns what stage_<name> runs
+# --- stage parsers: each takes its stage's keys once and returns what stages.<name> takes
 
 
 def _parse_heckman(sc: _Keys, cols: _Columns):
@@ -271,7 +273,7 @@ class _Pipeline:
     source: tuple[str, str, str]  # input path, entity column, year column
     derives: tuple[panel.DeriveRule, ...]
     subsamples: dict[str, str | None]  # name -> row predicate; "full" first
-    stages: dict[str, tuple]  # each stage that runs, in STAGE_ORDER -> what stage_<name> takes
+    stages: dict[str, tuple]  # each stage that runs, in STAGE_ORDER -> what stages.<name> takes
     thresholds: tuple
     replications: int
     seed: int | None  # bootstrap seed; replicate seeds add a per-subsample, per-stage salt
@@ -299,7 +301,7 @@ def _parse_pipeline(top: _Keys, stage_subset, seed) -> _Pipeline:
     boot.close()
 
     stage_keys = _Keys(top.get("stages", {}), "stages")
-    stages = {}
+    to_run = {}
     for name in STAGE_ORDER:
         if name not in stage_keys.obj:
             continue
@@ -308,14 +310,15 @@ def _parse_pipeline(top: _Keys, stage_subset, seed) -> _Pipeline:
         parsed = _STAGE_PARSERS[name](sc, cols if runs else _Columns(None))
         sc.close()
         if runs:
-            stages[name] = parsed
+            to_run[name] = parsed
     stage_keys.close()
-    return _Pipeline(source, derives, {"full": None, **subsamples}, stages, tables.STAR_STYLES[style],
+    return _Pipeline(source, derives, {"full": None, **subsamples}, to_run, tables.STAR_STYLES[style],
                     replications, boot_seed if seed is None else int(seed))
 
 
 class _StageRunner:
-    """Runs the parsed stages for one subsample and collects artifacts."""
+    """Runs the parsed stages for one subsample, writing each stage's outputs
+    as soon as it returns."""
 
     def __init__(self, plan: _Pipeline, ds: panel.PanelDataset, subsample: str, outdir: str, seed_salt: int):
         self.plan = plan
@@ -323,7 +326,6 @@ class _StageRunner:
         self.subsample = subsample
         self.outdir = outdir
         self.seed_salt = seed_salt
-        self.doc_lines: dict[str, list[str]] = {}
         self.manifest: list[dict] = []
         self.artifacts: list[str] = []
 
@@ -333,139 +335,42 @@ class _StageRunner:
         seed = (self.plan.seed or 0) + self.seed_salt + stage_salt
         return VcovSpec("cluster_bootstrap", replications=self.plan.replications, seed=seed)
 
-    def _emit(self, stage: str, model: str, fit, tau=None):
-        self.doc_lines.setdefault(stage, []).extend(
-            tables.result_lines(stage, self.subsample, model, fit, self.plan.thresholds, tau=tau)
-        )
-        self.manifest.append(
-            {"stage": stage, "subsample": self.subsample, "model": model,
-             **({"tau": tau} if tau is not None else {}), "n": fit.n_obs}
-        )
-
-    def _table(self, title: str, cols: list, paren: str = "se") -> str:
-        return tables.render_table(title, cols, self.plan.thresholds, paren=paren) if cols else ""
-
-    def _write_stage(self, stage: str, texts: list[str]):
-        """Write the stage's results document and its rendered tables."""
-        lines = self.doc_lines.get(stage)
-        docs = {"results": "\n".join(lines) + "\n" if lines else "", "tables": "\n\n".join(t for t in texts if t)}
-        for sub, text in docs.items():
-            if text:
-                path = os.path.join(self.outdir, sub, f"{stage}__{self.subsample}.txt")
-                tables.atomic_write(path, text)
-                self.artifacts.append(path)
-
-    def _write_plotdata(self, stage: str, model: str, tau_fits, regressors):
-        for reg in regressors:
-            safe = reg.replace("/", "_")
-            path = os.path.join(
-                self.outdir, "plotdata", f"{stage}__{self.subsample}__{model}__{safe}.csv"
-            )
-            tables.atomic_write(path, "\n".join(tables.plot_data_lines(tau_fits, reg)) + "\n")
+    def _stage(self, stage: str, parsed) -> None:
+        """Fit one stage on the dataset so far, then render and write its fits:
+        result lines, manifest rows, one table per title and plot data."""
+        self.ds, fits = getattr(stages, stage)(self.ds, parsed, self._vcov)
+        name = f"{stage}__{self.subsample}"
+        lines, groups, plots = [], {}, {}
+        for f in fits:
+            lines += tables.result_lines(stage, self.subsample, f.model, f.fit, self.plan.thresholds, tau=f.tau)
+            self.manifest.append({"stage": stage, "subsample": self.subsample, "model": f.model,
+                                  **({"tau": f.tau} if f.tau is not None else {}), "n": f.fit.n_obs})
+            # quantile fits' tables show t statistics
+            title = f.title.replace("{subsample}", self.subsample)
+            groups.setdefault((title, "se" if f.tau is None else "t"), []).append(tables.TableColumn(f.column, f.fit))
+            for reg in f.plot:
+                plots.setdefault(f"{name}__{f.model}__{reg.replace('/', '_')}.csv", (reg, {}))[1][f.tau] = f.fit
+        texts = [tables.render_table(title, cols, self.plan.thresholds, paren=paren)
+                 for (title, paren), cols in groups.items()]
+        # a Heckman stage's tables sit one blank line apart, its selection lines under them
+        footer = [line for f in fits for line in tables.selection_lines(f.fit)]
+        docs = {"results": "\n".join(lines) + "\n" if lines else "",
+                "tables": "\n".join(texts + footer) + "\n" if footer else "\n\n".join(texts)}
+        files = {os.path.join(self.outdir, sub, f"{name}.txt"): text for sub, text in docs.items() if text}
+        for path, (reg, tau_fits) in plots.items():
+            files[os.path.join(self.outdir, "plotdata", path)] = "\n".join(tables.plot_data_lines(tau_fits, reg)) + "\n"
+        for path, text in files.items():
+            tables.atomic_write(path, text)
             self.artifacts.append(path)
 
-    # --- stages: each takes what its parser returned ------------------------
-
-    def stage_heckman(self, stage):
-        spec, predict_as = stage
-        fit = heckman.heckman_two_step(self.ds, dataclasses.replace(spec, vcov=self._vcov(1)))
-        fit.outcome.notes["lambda"] = fit.lambda_
-        fit.outcome.notes["rho"] = fit.rho
-        fit.outcome.notes["sigma"] = fit.sigma
-        self._emit("heckman", "step2", fit.outcome)
-        self._emit("heckman", "step1_probit", fit.probit)
-        mills = [
-            f"/mills lambda = {fit.lambda_:.4g} (se {fit.outcome.se(heckman.IMR_NAME):.3g})",
-            f"rho = {fit.rho:.4g}",
-            f"sigma = {fit.sigma:.4g}",
-            f"mean step-2 VIF = {float(np.mean(list(fit.step2_vif.values()))):.3g}",
-        ]
-        title = f"R&D equation (Heckman two-step), subsample {self.subsample}"
-        table = self._table(f"{title}: step 2", [tables.TableColumn("R&D investment", fit.outcome)])
-        table += "\n" + self._table(f"{title}: step 1", [tables.TableColumn("R&D dummy (probit)", fit.probit)])
-        table += "\n" + "\n".join(mills) + "\n"
-
-        pred = heckman.predict_linear_index(fit, self.ds)
-        self.ds = self.ds.with_column(predict_as, pred)
-        self._write_stage("heckman", [table])
-
-    def stage_counts(self, stage):
-        employees, models = stage
-        cols = []
-        for label, specs, predict_family, rule, predict_as, intensity_as in models:
-            fits = {}
-            specs = [dataclasses.replace(spec, vcov=self._vcov(2)) for spec in specs]
-            for spec, fit in zip(specs, counts.count_fits(self.ds, specs)):
-                fits[spec.family] = fit
-                self._emit("counts", f"{label}_{spec.family}", fit)
-                extra = {}
-                if "alpha" in fit.notes:
-                    extra["alpha"] = f"{fit.notes['alpha']:.4g}"
-                if fit.notes["dropped_entities"]:
-                    extra["entities dropped"] = str(fit.notes["dropped_entities"])
-                cols.append(tables.TableColumn(f"{label} {spec.family}", fit, extra))
-
-            pred = counts.calibrate_predictions(fits[predict_family], self.ds, rule)
-            self.ds = self.ds.with_column(predict_as, pred)
-            intensity = counts.patent_intensity(pred, self.ds.column(employees), rule.epsilon)
-            self.ds = self.ds.with_column(intensity_as, intensity)
-        self._write_stage("counts", [self._table(f"Patent equation (count models), subsample {self.subsample}", cols)])
-
-    def stage_productivity(self, stage):
-        specs, mundlak = stage
-        cols = []
-        for label, spec in specs:
-            spec = dataclasses.replace(spec, vcov=self._vcov(3))
-            fit = productivity.fe_ols(self.ds, spec)
-            self._emit("productivity", label, fit)
-            cols.append(tables.TableColumn(label, fit))
-            if mundlak:
-                chi2, df, p, means = productivity.mundlak_test(self.ds, spec)
-                self.doc_lines.setdefault("productivity", []).append(
-                    f"stage=productivity subsample={self.subsample} model={label} record=mundlak "
-                    f"chi2={chi2!r} df={df} p={p!r} "
-                    + " ".join(f"mean:{k}={v!r}" for k, v in means.items())
-                )
-        title = f"Productivity equation (two-way FE), subsample {self.subsample}"
-        self._write_stage("productivity", [self._table(title, cols)])
-
-    def stage_uqr(self, stage):
-        dependent, models, qspec = stage
-        texts = []
-        for label, regressors in models.items():
-            fits = rif.uqr_fit(self.ds, dependent, regressors, qspec)
-            cols = []
-            for tau in qspec.taus:
-                self._emit("uqr", label, fits[tau], tau=tau)
-                cols.append(tables.TableColumn(f"Q{int(round(tau * 100))}", fits[tau]))
-            texts.append(self._table(f"UQR ({label}), subsample {self.subsample}", cols, paren="t"))
-            self._write_plotdata("uqr", label, fits, regressors)
-        self._write_stage("uqr", texts)
-
-    def stage_treatment(self, stage):
-        dependent, qspec, specs = stage
-        texts = []
-        for spec in specs:
-            model = f"rif_treat_{spec.weighting}"
-            fits = rif.rif_treatment_fit(self.ds, dependent, spec, qspec)
-            cols = []
-            for tau in qspec.taus:
-                self._emit("treatment", model, fits[tau], tau=tau)
-                cols.append(tables.TableColumn(f"Q{int(round(tau * 100))}", fits[tau]))
-            title = "RIF treatment effects with IPW" if spec.weighting == "ipw" else "RIF treatment effects without weights"
-            texts.append(self._table(f"{title}, subsample {self.subsample}", cols, paren="t"))
-            self._write_plotdata("treatment", model, fits, [spec.treatment])
-        self._write_stage("treatment", texts)
-
-    def stage_cqr(self, stage):
-        tau, specs = stage
-        cols = []
-        for label, spec in specs:
-            fit = cqr.cqr_fit(self.ds, dataclasses.replace(spec, vcov=self._vcov(4)))
-            self._emit("cqr", label, fit, tau=tau)
-            cols.append(tables.TableColumn(label, fit))
-        title = f"Bootstrap robust CQR (tau={tau:g}), subsample {self.subsample}"
-        self._write_stage("cqr", [self._table(title, cols, paren="t")])
+    # one attribute per stage, spanning its fit and its writes, so that each
+    # stage can be wrapped and timed on its own
+    stage_heckman = functools.partialmethod(_stage, "heckman")
+    stage_counts = functools.partialmethod(_stage, "counts")
+    stage_productivity = functools.partialmethod(_stage, "productivity")
+    stage_uqr = functools.partialmethod(_stage, "uqr")
+    stage_treatment = functools.partialmethod(_stage, "treatment")
+    stage_cqr = functools.partialmethod(_stage, "cqr")
 
     def run(self) -> tuple[list[dict], list[str]]:
         for stage, parsed in self.plan.stages.items():

@@ -11,7 +11,9 @@ outcome error scale sigma follow the classical two-step decomposition
     rho     = clamp(lambda / sigma, -1, 1),
 
 with sigma redefined as |lambda| whenever rho is clamped so that
-lambda = rho * sigma always holds.
+lambda = rho * sigma always holds. The outcome fit's notes hold lambda, rho,
+sigma, the step-2 VIFs and, after a clamp, lambda / sigma before it
+(`rho_clamped`).
 
 Year and category effects enter both steps as indicator columns. Entity
 effects are refused: a probit with entity effects is inconsistent at a fixed
@@ -241,6 +243,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     sigma = float(np.sqrt(sigma2))
     rho_raw = lam / sigma if sigma > 0 else np.inf
     if abs(rho_raw) > 1.0:
+        outcome_fit.notes["rho_clamped"] = float(rho_raw)
         rho = float(np.sign(rho_raw))
         sigma = abs(lam)
     else:
@@ -255,9 +258,9 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         return dict(zip(names, _least_squares(estim.ols_solve, X, y, names)[0][0]))
 
     estim.apply_vcov(outcome_fit, refit, ds, spec.vcov)
-    slopes = [r for r in spec.outcome_regressors]
-    if slopes:
-        outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, slopes)
+    if spec.outcome_regressors:
+        outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, spec.outcome_regressors)
+    outcome_fit.notes.update({"lambda": float(lam), "rho": rho, "sigma": sigma, "step2_vif": step2_vif})
 
     return HeckmanFit(
         probit=probit,

@@ -4,12 +4,13 @@ results documents, and plot-data files."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estim import INTERCEPT, FitResult
 from .exceptions import ValidationError
+from .heckman import IMR_NAME
 
 STAR_STYLES = {
     "uqr": ((0.001, "***"), (0.01, "**"), (0.05, "*"), (0.1, "+")),
@@ -33,7 +34,6 @@ def star_legend(thresholds) -> str:
 class TableColumn:
     label: str
     fit: FitResult
-    extra: dict[str, str] = field(default_factory=dict)
 
 
 def _fmt(x: float, digits: int = 4) -> str:
@@ -45,30 +45,20 @@ def _is_dummy(name: str, fit: FitResult) -> bool:
 
 
 def _coef_rows(columns: list[TableColumn]) -> list[str]:
-    rows: list[str] = []
-    for col in columns:
-        for name in col.fit.coefficients:
-            if _is_dummy(name, col.fit) or name in rows:
-                continue
-            rows.append(name)
-    if INTERCEPT in rows:
-        rows.remove(INTERCEPT)
-        rows.append(INTERCEPT)
-    return rows
+    """Every column's coefficient names, first seen first, the intercept last."""
+    rows = dict.fromkeys(name for col in columns for name in col.fit.coefficients if not _is_dummy(name, col.fit))
+    return sorted(rows, key=lambda name: name == INTERCEPT)
 
 
 def _fe_flags(fit: FitResult) -> dict[str, str]:
-    dims = set(fit.notes.get("fe_dims", ()))
-    for dim, _level in fit.notes.get("fe_dummies", {}).values():
-        dims.add(dim)
+    dims = {*fit.notes.get("fe_dims", ()), *(dim for dim, _level in fit.notes.get("fe_dummies", {}).values())}
     return {
         "Individual FE": "Y" if "entity" in dims else "N",
         "Time FE": "Y" if "year" in dims else "N",
     }
 
 
-def _diag_rows(col: TableColumn) -> dict[str, str]:
-    fit = col.fit
+def _diag_rows(fit: FitResult) -> dict[str, str]:
     out: dict[str, str] = {}
     out.update(_fe_flags(fit))
     if fit.wald_chi2 is not None:
@@ -78,7 +68,10 @@ def _diag_rows(col: TableColumn) -> dict[str, str]:
         out["adj. R-sq"] = _fmt(fit.fit["adj_r2"], 3)
     if fit.loglik is not None:
         out["Log likelihood"] = f"{fit.loglik:.1f}"
-    out.update(col.extra)
+    if "alpha" in fit.notes:
+        out["alpha"] = _fmt(fit.notes["alpha"])
+    if fit.notes.get("dropped_entities"):
+        out["entities dropped"] = str(fit.notes["dropped_entities"])
     out["N"] = f"{fit.n_obs:,}"
     return out
 
@@ -94,12 +87,8 @@ def render_table(
     if paren not in ("se", "t"):
         raise ValidationError(f"unknown paren style {paren!r}")
     coef_names = _coef_rows(columns)
-    diag_maps = [_diag_rows(c) for c in columns]
-    diag_keys: list[str] = []
-    for dm in diag_maps:
-        for key in dm:
-            if key not in diag_keys:
-                diag_keys.append(key)
+    diag_maps = [_diag_rows(c.fit) for c in columns]
+    diag_keys = list(dict.fromkeys(key for dm in diag_maps for key in dm))
 
     header = ["", *[c.label for c in columns]]
     body: list[list[str]] = []
@@ -134,6 +123,16 @@ def render_table(
     lines.append("Standard errors in parenthesis" if paren == "se" else "t statistics in parenthesis")
     lines.append(star_legend(thresholds))
     return "\n".join(lines) + "\n"
+
+
+def selection_lines(fit: FitResult) -> list[str]:
+    """A Heckman step-2 fit's selection-correction lines, from its notes; none for any other fit."""
+    if "lambda" not in fit.notes:
+        return []
+    notes = fit.notes
+    vif = float(np.mean(list(notes["step2_vif"].values())))
+    return [f"/mills lambda = {notes['lambda']:.4g} (se {fit.se(IMR_NAME):.3g})", f"rho = {notes['rho']:.4g}",
+            f"sigma = {notes['sigma']:.4g}", f"mean step-2 VIF = {vif:.3g}"]
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +170,21 @@ def result_lines(stage: str, subsample: str, model: str, fit: FitResult, thresho
         "time_fe": flags["Time FE"],
     }
     if fit.fit is not None:
-        diags["r2"] = float(fit.fit["r2"])
-        diags["adj_r2"] = float(fit.fit["adj_r2"])
+        diags.update(r2=float(fit.fit["r2"]), adj_r2=float(fit.fit["adj_r2"]))
     if fit.loglik is not None:
         diags["loglik"] = float(fit.loglik)
     if fit.wald_chi2 is not None:
         stat, df, p = fit.wald_chi2
-        diags["wald_chi2"] = float(stat)
-        diags["wald_df"] = df
-        diags["wald_p"] = float(p)
-    for key in ("tau", "q_hat", "f_hat", "alpha", "lambda", "rho", "sigma", "check_loss", "weighting"):
+        diags.update(wald_chi2=float(stat), wald_df=df, wald_p=float(p))
+    for key in ("tau", "q_hat", "f_hat", "alpha", "lambda", "rho", "rho_clamped", "sigma", "check_loss", "weighting"):
         if key in fit.notes and fit.notes[key] is not None:
             diags[key] = fit.notes[key]
     for key, val in diags.items():
         lines.append(f"{prefix} record=diag name={_token(key)} value={_token(val)}")
+    if "mundlak" in fit.notes:
+        chi2, df, p, means = fit.notes["mundlak"]
+        lines.append(f"{prefix} record=mundlak chi2={chi2!r} df={df} p={p!r} "
+                     + " ".join(f"mean:{k}={v!r}" for k, v in means.items()))
     return lines
 
 

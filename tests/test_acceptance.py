@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 import cdmpanel as cp
-from cdmpanel import cli, synthdgp, tables
+from cdmpanel import cli, stages, synthdgp, tables
 from cdmpanel.cqr import CqrSpec, check_loss
 from cdmpanel.panel import take_entities
 from cdmpanel.rif import QuantileSpec, TreatmentSpec, weighted_quantile
@@ -555,3 +555,41 @@ def test_criterion_11_end_to_end(tmp_path):
     report(11, ok, f"all six table families emitted {not missing}, layout/legend/FE rows {layout_ok} "
                    f"{details if details else ''}, step-2 N == complete-case count ({n_selected}) "
                    f"{n_ok and table_n_ok}; {elapsed:.1f}s (<900s)")
+
+
+def test_chain_runs_in_memory(tmp_path, monkeypatch):
+    # the stage functions run the whole chain without writing a file, and each
+    # fit's estimates and SEs are those run_pipeline writes for the same config
+    synthdgp.generate_panel(synthdgp.DgpConfig(
+        n_entities=120, n_periods=6, seed=11011, counts=synthdgp.CountConfig(entity_sd=0.3),
+    )).to_csv(tmp_path / "panel.csv")
+    config = _pipeline_config(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    cli.run_pipeline(str(cfg_path))
+    written = []
+    for path in (tmp_path / "out" / "results").glob("*__full.txt"):
+        for line in path.read_text().splitlines():
+            if " record=coef " in line:
+                f = dict(field.split("=", 1) for field in line.split())
+                written.append((f["stage"], f["model"], f.get("tau"), f["name"], f["est"], f["se"]))
+
+    plan = cli._parse_pipeline(cli._Keys(config, "config"), None, None)
+    ds = cp.load_csv(*plan.source)
+    for rule in plan.derives:
+        ds = cp.derive(ds, rule)
+    vcov_for = cli._StageRunner(plan, ds, "full", str(tmp_path / "unused"), seed_salt=0)._vcov
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage function wrote a file")
+
+    monkeypatch.setattr(tables, "atomic_write", refuse)
+    monkeypatch.setattr(os, "makedirs", refuse)
+    fitted = []
+    for name in stages.STAGE_ORDER:
+        ds, fits = getattr(stages, name)(ds, plan.stages[name], vcov_for)
+        for sf in fits:
+            tau = None if sf.tau is None else repr(float(sf.tau))
+            fitted += [(name, sf.model, tau, coef, repr(float(est)), repr(float(sf.fit.se(coef))))
+                       for coef, est in sf.fit.coefficients.items() if coef not in sf.fit.notes.get("fe_dummies", {})]
+    assert len(fitted) > 100 and sorted(fitted) == sorted(written)

@@ -279,6 +279,13 @@ class TestTables:
         text = tables.render_table("demo", [tables.TableColumn("m", fit)])
         assert "Individual FE" in text and "Time FE" in text
 
+    def test_count_footer_rows_come_from_notes(self):
+        counted = self.fit(0.5, 0.1, extra_notes={"alpha": 0.25, "dropped_entities": 3})
+        rows = [line.split() for line in tables.render_table("demo", [tables.TableColumn("m", counted)]).splitlines()]
+        assert ["alpha", "0.25"] in rows and ["entities", "dropped", "3"] in rows
+        text = tables.render_table("demo", [tables.TableColumn("m", self.fit(0.5, 0.1))])
+        assert "alpha" not in text and "entities dropped" not in text
+
 
 class TestMissingKeys:
     def test_heckman_without_outcome(self, small_run, capsys):

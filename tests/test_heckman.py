@@ -16,7 +16,7 @@ from cdmpanel import (
     predict_linear_index,
     probit_fit,
 )
-from cdmpanel import synthdgp
+from cdmpanel import synthdgp, tables
 
 
 def imr_oracle(z: float) -> float:
@@ -235,6 +235,11 @@ class TestTwoStep:
         assert abs(fit.rho) == 1.0
         assert fit.sigma == pytest.approx(abs(fit.lambda_), abs=1e-10)
         assert fit.lambda_ == pytest.approx(fit.rho * fit.sigma, abs=1e-8)
+        # the clamp is noted, with lambda / sigma before it, and reported
+        lines = tables.result_lines("heckman", "full", "step2", fit.outcome, tables.STAR_STYLES["uqr"])
+        assert abs(fit.outcome.notes["rho_clamped"]) > 1.0 and [line for line in lines if "rho_clamped" in line] == [
+            f"stage=heckman subsample=full model=step2 record=diag name=rho_clamped "
+            f"value={fit.outcome.notes['rho_clamped']!r}"]
 
     def test_collinear_imr_advises_exclusion_restrictions(self):
         # constant-only selection equation makes the IMR constant
