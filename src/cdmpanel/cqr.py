@@ -15,16 +15,19 @@ estim.design_hessian's BlockHessian for the weights -q.
   entity block (BlockHessian.schur) over the non-entity parameters;
 - an exact vertex: p rows of small residual (one anchor per non-baseline
   entity, then m rows whose differences to their anchor are independent) give
-  the coefficients by one m x m solve and the duals d by its transpose. If a
-  basic d leaves [tau - 1, tau], Barrodale-Roberts simplex pivots through the
-  same structured basis move to a better vertex until none does; Bland's
-  rule and a record of the bases met keep degenerate pivots from cycling.
+  the coefficients by one m x m solve and the duals d by its transpose. The
+  vertex is optimal when its basic d lie in [tau - 1, tau]. If they do not,
+  the LP is handed whole to HiGHS (Huangfu & Hall 2018) through
+  scipy.optimize.linprog, with the entity indicators as a sparse block: the
+  coefficients are minus its equality marginals, and d, which then sits at
+  HiGHS's vertex, is its solution.
 
 The optimum is not unique (a flat interval) when an observation with zero
-residual has its d at tau or tau - 1. Rank is screened on the other columns
-after projecting the entity indicators out. Standard errors come from the
-entity-cluster bootstrap. Entity effects are incidental (Koenker 2004): neither
-they nor the level ``_cons``, one of them, are reported.
+residual has its d (the vertex's, or HiGHS's after the fallback) at tau or
+tau - 1. Rank is screened on the other columns after projecting the entity
+indicators out. Standard errors come from the entity-cluster bootstrap.
+Entity effects are incidental (Koenker 2004): neither they nor the level
+``_cons``, one of them, are reported.
 
 Bootstrap replicates often sit on such flat optima, in the year-effect
 directions: the point fit notes ``flat_optimum`` and counts its flat
@@ -50,13 +53,14 @@ from . import estim, panel
 from .estim import FitResult, VcovSpec, design_gradient, design_hessian, design_index
 from .exceptions import ConvergenceError, ValidationError
 
-# a basic d within this distance of [tau - 1, tau] certifies the vertex, and a
-# d within it of tau or tau - 1 counts as at its bound
+# a basic d within this distance of [tau - 1, tau] certifies the vertex (else
+# HiGHS solves the LP), and a d within it of tau or tau - 1 counts as at its
+# bound
 DUAL_TOL = 1e-7
 # interior point: fraction of the way to the boundary a step may go, the
 # duality gap, relative to 1 + |objective|, at which the vertex step takes
-# over, and an iteration cap (the vertex step and its pivots finish the solve
-# from wherever the interior point stops)
+# over, and an iteration cap (the vertex step, or HiGHS when its vertex is not
+# certified, finishes the solve from wherever the interior point stops)
 IPM_STEP = 0.99995
 IPM_GAP = 1e-8
 IPM_MAX_ITER = 60
@@ -173,21 +177,6 @@ def _interior_point(
     return lam, x - (1.0 - tau), it
 
 
-class _Vertex(NamedTuple):
-    """A basic solution: ``anchors`` (one basic row per non-baseline entity,
-    by code) and ``rows`` (the m other basic rows, each differenced to its
-    entity's anchor unless in the baseline entity) give the m x m matrix M
-    (LU factored); ``b`` the parameters, ``r`` the residuals and ``d`` the
-    duals of every row."""
-
-    anchors: np.ndarray
-    rows: np.ndarray
-    lu: tuple
-    b: np.ndarray
-    r: np.ndarray
-    d: np.ndarray
-
-
 def _differenced(layout: estim.EntityLayout, v: np.ndarray, anchors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """v at ``rows`` minus v at their entity's anchor (baseline rows as they are)."""
     anchor = np.concatenate(([-1], anchors))[layout.codes[rows]]
@@ -215,8 +204,13 @@ def _basic_duals(X: np.ndarray, layout: estim.EntityLayout, lu, anchors, rows, d
     return d
 
 
-def _vertex(X: np.ndarray, layout: estim.EntityLayout, y, tau, anchors, rows, d_ipm) -> _Vertex:
-    """Solve the basis (anchors, rows) for b exactly, then for the duals.
+def _vertex(
+    X: np.ndarray, layout: estim.EntityLayout, y, tau, anchors, rows, d_ipm
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the basis (anchors, rows) (one basic row per non-baseline entity,
+    by code, and the m other basic rows, each differenced to its entity's
+    anchor unless in the baseline entity) for the parameters b exactly, then
+    for the duals d of every row; returns b and d.
 
     Off the basis, d is at the bound the sign of its residual gives; a row
     with zero residual off the basis takes the interior point's d, clipped,
@@ -253,7 +247,7 @@ def _vertex(X: np.ndarray, layout: estim.EntityLayout, y, tau, anchors, rows, d_
         if not _excess(p[basic], tau) < _excess(d[basic], tau):
             break
         d = p
-    return _Vertex(anchors, rows, lu, b, r, d)
+    return b, d
 
 
 def _initial_basis(X: np.ndarray, layout: estim.EntityLayout, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,75 +279,27 @@ def _initial_basis(X: np.ndarray, layout: estim.EntityLayout, r: np.ndarray) -> 
     raise ConvergenceError("quantile LP: no independent basis among the rows")
 
 
-def _violations(v: _Vertex, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """The basic rows whose d lies outside [tau - 1, tau] (beyond DUAL_TOL),
-    lowest first, and the sign each one's residual should move by."""
-    basic = np.concatenate((v.anchors, v.rows))
-    db = v.d[basic]
-    violated = np.flatnonzero(np.maximum(db - tau, tau - 1.0 - db) > DUAL_TOL)
-    order = violated[np.argsort(basic[violated])]
-    return basic[order], np.where(db[order] > tau, 1.0, -1.0)
+def _highs(X: np.ndarray, layout: estim.EntityLayout, y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The LP max y'd s.t. Z'd = 0, d in [tau - 1, tau] by HiGHS, Z being X
+    and the entity indicators as a sparse block; returns the parameters (minus
+    the equality marginals) and d."""
+    # imported here: scipy.optimize adds a tenth of a second to the package import
+    from scipy import optimize, sparse
 
-
-def _pivot(
-    X: np.ndarray, layout: estim.EntityLayout, v: _Vertex, tau: float, j: int, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Barrodale-Roberts step: release basic row j so that its residual
-    moves by sigma, walk the check loss along that edge to its minimum (a
-    weighted median over the rows' breakpoints) and return the new basis with
-    the row met there in place of j: of the rows whose breakpoint is there,
-    the lowest (Bland's rule)."""
-    rhs = np.zeros(X.shape[1])
-    e_alpha = np.zeros(len(v.anchors))
-    row_pos = np.flatnonzero(v.rows == j)
-    code_j = layout.codes[j]
-    if row_pos.size:
-        rhs[row_pos[0]] = -sigma
-    else:  # j anchors entity code_j: its other basic rows move with it
-        rhs[layout.codes[v.rows] == code_j] = sigma
-        e_alpha[code_j - 1] = -sigma
-    dbeta = lapack.dgetrs(*v.lu, rhs)[0]
-    dr = -design_index(X, np.concatenate((dbeta, e_alpha - X[v.anchors] @ dbeta)), layout)
-    basic = np.concatenate((v.anchors, v.rows))
-    dr[basic] = 0.0
-    dr[np.abs(dr) <= 1e-12 * np.max(np.abs(dr))] = 0.0
-    # the loss along the edge starts at slope rho'(sigma) - sigma d_j (rows
-    # off the basis with zero residual counted at their d); each row whose
-    # residual crosses zero adds |dr|, a zero row that starts to move adds
-    # what its d leaves of the bound it moves towards
-    slope = (tau if sigma > 0 else 1.0 - tau) - sigma * v.d[j]
-    zero = (v.r == 0.0) & (dr != 0.0)
-    zero[basic] = False
-    cross = (v.r * dr < 0.0)
-    t = np.full(len(dr), np.inf)
-    t[cross] = -v.r[cross] / dr[cross]
-    weight = np.abs(dr)
-    t[zero] = 0.0
-    weight[zero] = np.where(dr[zero] > 0, dr[zero] * (tau - v.d[zero]), -dr[zero] * (v.d[zero] - tau + 1.0))
-    hit = np.flatnonzero(np.isfinite(t))
-    hit = hit[np.argsort(t[hit], kind="stable")]
-    total = slope + np.cumsum(weight[hit])
-    k = int(np.argmax(total >= 0.0)) if hit.size else 0
-    if not hit.size or total[k] < 0.0:
-        raise ConvergenceError("quantile LP is unbounded along a simplex edge")
-    enter = int(hit[np.argmax(t[hit] == t[hit[k]])])  # sorted stably: the lowest row of the tie
-    keep = basic[basic != j]
-    new = np.concatenate((keep, [enter]))
-    # re-anchor: each entity keeps its anchor if still basic, else takes its
-    # first basic row
-    anchors = v.anchors.copy()
-    if not row_pos.size:
-        same = new[layout.codes[new] == code_j]
-        anchors[code_j - 1] = same[0]
-    rows = np.setdiff1d(new, anchors, assume_unique=True)
-    return anchors, rows
+    ent = np.flatnonzero(layout.codes)
+    E = sparse.csr_matrix((np.ones(len(ent)), (layout.codes[ent] - 1, ent)), shape=(layout.n_entity, len(y)))
+    A = sparse.vstack((sparse.csr_matrix(X.T), E), format="csr")
+    res = optimize.linprog(-y, A_eq=A, b_eq=np.zeros(A.shape[0]), bounds=(tau - 1.0, tau), method="highs")
+    if res.status != 0:
+        raise ConvergenceError(f"quantile LP: HiGHS stopped without an optimum: {res.message}")
+    return -res.eqlin.marginals, res.x
 
 
 class _LpSolution(NamedTuple):
     b: np.ndarray  # parameters: X's columns, then the entity effects
     d: np.ndarray  # duals of the rows, in [tau - 1, tau]
     iterations: int
-    pivots: int
+    fallback: bool  # the vertex was not certified, and HiGHS solved the LP
 
 
 # the solve divides by weights and slacks that reach zero at the optimum;
@@ -363,52 +309,10 @@ _QUIET = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 @_QUIET
-def _certify(
-    X: np.ndarray, layout: estim.EntityLayout, y: np.ndarray, tau: float, v: _Vertex, d_ipm: np.ndarray
-) -> tuple[_Vertex, int]:
-    """Simplex pivots from vertex v until its duals certify it; returns the
-    optimal vertex and the number of pivots.
-
-    A released row left at zero residual (a degenerate pivot) keeps d at the
-    bound it was moved towards, as a textbook simplex keeps it; other rows
-    off the basis at zero residual keep the interior point's d. Each pivot
-    releases the lowest violated row (Bland's rule) whose pivot leads to a
-    basis and set of bounds not met before, so that the pivots end: at a
-    certified vertex, or, when every violated row leads back, in
-    ConvergenceError."""
-    pivots = 0
-    bounds: dict[int, float] = {}  # released row -> the bound its d keeps
-    seen = {_state(v.anchors, v.rows, bounds)}
-    while (violated := _violations(v, tau))[0].size:
-        if pivots >= 50 + 10 * len(y):
-            raise ConvergenceError(f"quantile LP vertex not certified after {pivots} simplex pivots")
-        for j, sigma in zip(violated[0].tolist(), violated[1].tolist()):
-            basis = _pivot(X, layout, v, tau, j, sigma)
-            step = {**bounds, j: tau if sigma > 0 else tau - 1.0}
-            if (state := _state(*basis, step)) not in seen:
-                break
-        else:
-            raise ConvergenceError(f"quantile LP simplex pivots cycle after {pivots} pivots")
-        seen.add(state)
-        bounds = step
-        d_off = d_ipm.copy()
-        d_off[list(bounds)] = list(bounds.values())
-        v = _vertex(X, layout, y, tau, *basis, d_off)
-        pivots += 1
-    return v, pivots
-
-
-def _state(anchors: np.ndarray, rows: np.ndarray, bounds: dict) -> tuple:
-    """What the next vertex of _certify depends on: its basic rows and the
-    bounds of the released rows."""
-    return tuple(np.sort(np.concatenate((anchors, rows))).tolist()), tuple(sorted(bounds.items()))
-
-
-@_QUIET
 def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tau: float) -> _LpSolution:
     """Exact check-loss minimizer on a newton_design design: the interior
-    point, then the vertex its residuals point to, then simplex pivots until
-    the vertex's duals certify it.
+    point, then the vertex its residuals point to, which its duals certify;
+    if they do not, HiGHS solves the LP.
 
     The columns of X are solved at unit largest magnitude, so that the
     independence test of the basis rows and the factorisations do not depend
@@ -418,11 +322,13 @@ def _quantile_lp(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout, tau: 
     scale[scale == 0.0] = 1.0
     X = X / scale
     lam, d_ipm, iterations = _interior_point(X, layout, y, tau)
-    start = _vertex(X, layout, y, tau, *_initial_basis(X, layout, y + design_index(X, lam, layout)), d_ipm)
-    v, pivots = _certify(X, layout, y, tau, start, d_ipm)
-    b = v.b.copy()
+    anchors, rows = _initial_basis(X, layout, y + design_index(X, lam, layout))
+    b, d = _vertex(X, layout, y, tau, anchors, rows, d_ipm)
+    fallback = _excess(d[np.concatenate((anchors, rows))], tau) > DUAL_TOL
+    if fallback:
+        b, d = _highs(X, layout, y, tau)
     b[: X.shape[1]] /= scale
-    return _LpSolution(b, v.d, iterations, pivots)
+    return _LpSolution(b, d, iterations, fallback)
 
 
 def _flat(y: np.ndarray, resid: np.ndarray, duals: np.ndarray, tau: float) -> bool:
@@ -444,7 +350,10 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     the coefficients of cqr_fit on panel.take_entities' dataset of the draw.
     The check loss is the point fit's alone. ``notes["flat_optimum"]`` says
     whether the point fit's optimum is flat, and ``notes["flat_replicates"]``
-    counts the replicates whose solve returned a flat optimum."""
+    counts the replicates whose solve returned a flat optimum.
+    ``notes["lp_iterations"]`` counts the point fit's interior-point
+    iterations, and ``notes["lp_fallback"]`` says whether its vertex was left
+    uncertified, so that HiGHS solved its LP."""
     if not spec.regressors and not spec.intercept:
         raise ValidationError("need at least one regressor or an intercept")
     entity = "entity" in spec.fe_dims
@@ -506,7 +415,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
             "fe_dims": spec.fe_dims,
             "fe_dummies": mapping,
             "lp_iterations": sol.iterations,
-            "vertex_pivots": sol.pivots,
+            "lp_fallback": sol.fallback,
         },
     )
 

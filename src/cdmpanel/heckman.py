@@ -72,16 +72,22 @@ def _refuse_entity_effects(fe_dims) -> None:
         )
 
 
+def _outcome_note(key: str) -> property:
+    """A read-only attribute over the outcome fit's note ``key``."""
+    return property(lambda fit: fit.outcome.notes[key])
+
+
 @dataclass
 class HeckmanFit:
-    """Both steps plus the selection-correction diagnostics."""
+    """Both steps; the selection-correction diagnostics are read from the
+    outcome fit's notes, where they are stored once."""
 
     probit: FitResult
     outcome: FitResult
-    lambda_: float
-    rho: float
-    sigma: float
-    step2_vif: dict[str, float]
+    lambda_ = _outcome_note("lambda")
+    rho = _outcome_note("rho")
+    sigma = _outcome_note("sigma")
+    step2_vif = _outcome_note("step2_vif")
 
     def __post_init__(self):
         if not -1.0 <= self.rho <= 1.0:
@@ -262,14 +268,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, spec.outcome_regressors)
     outcome_fit.notes.update({"lambda": float(lam), "rho": rho, "sigma": sigma, "step2_vif": step2_vif})
 
-    return HeckmanFit(
-        probit=probit,
-        outcome=outcome_fit,
-        lambda_=float(lam),
-        rho=rho,
-        sigma=sigma,
-        step2_vif=step2_vif,
-    )
+    return HeckmanFit(probit=probit, outcome=outcome_fit)
 
 
 def _least_squares(solve, X, y, names):

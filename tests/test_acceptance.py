@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 import cdmpanel as cp
-from cdmpanel import cli, stages, synthdgp, tables
+from cdmpanel import cli, cqr, stages, synthdgp, tables
 from cdmpanel.cqr import CqrSpec, check_loss
 from cdmpanel.panel import take_entities
 from cdmpanel.rif import QuantileSpec, TreatmentSpec, weighted_quantile
@@ -593,3 +593,30 @@ def test_chain_runs_in_memory(tmp_path, monkeypatch):
             fitted += [(name, sf.model, tau, coef, repr(float(est)), repr(float(sf.fit.se(coef))))
                        for coef, est in sf.fit.coefficients.items() if coef not in sf.fit.notes.get("fe_dummies", {})]
     assert len(fitted) > 100 and sorted(fitted) == sorted(written)
+
+
+def test_benchmark_cqr_lps_certify_their_vertex(tmp_path, monkeypatch):
+    # the acceptance chain's CQR solves 2 point fits and 2 x 15 bootstrap
+    # replicates; every one of these LPs must end at a certified vertex, none
+    # on the HiGHS fallback
+    synthdgp.generate_panel(synthdgp.DgpConfig(
+        n_entities=120, n_periods=6, seed=11011, counts=synthdgp.CountConfig(entity_sd=0.3),
+    )).to_csv(tmp_path / "panel.csv")
+    plan = cli._parse_pipeline(cli._Keys(_pipeline_config(tmp_path), "config"), None, None)
+    ds = cp.load_csv(*plan.source)
+    for rule in plan.derives:
+        ds = cp.derive(ds, rule)
+    vcov_for = cli._StageRunner(plan, ds, "full", str(tmp_path / "unused"), seed_salt=0)._vcov
+    calls = {"lp": 0, "highs": 0}
+
+    def counted(name, solve):
+        def call(*args):
+            calls[name] += 1
+            return solve(*args)
+        return call
+
+    monkeypatch.setattr(cqr, "_quantile_lp", counted("lp", cqr._quantile_lp))
+    monkeypatch.setattr(cqr, "_highs", counted("highs", cqr._highs))
+    for name in stages.STAGE_ORDER:
+        ds, _ = getattr(stages, name)(ds, plan.stages[name], vcov_for)
+    assert calls == {"lp": 32, "highs": 0}

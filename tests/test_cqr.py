@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import optimize, sparse
 from scipy.optimize import linprog
 
 from cdmpanel import (
@@ -430,9 +430,9 @@ class TestLpNotes:
 
         fit = cqr_fit(fe_panel(74), CqrSpec("y", ("x", "z"), tau=0.5, fe_dims=("entity", "year")))
         assert isinstance(fit.notes["lp_iterations"], int) and fit.notes["lp_iterations"] >= 1
-        assert isinstance(fit.notes["vertex_pivots"], int) and fit.notes["vertex_pivots"] >= 0
+        assert fit.notes["lp_fallback"] is False
         lines = tables.result_lines("cqr", "full", "m", fit, tables.STAR_STYLES["uqr"], tau=0.5)
-        assert not any("lp_iterations" in line or "vertex_pivots" in line for line in lines)
+        assert not any("lp_iterations" in line or "lp_fallback" in line for line in lines)
 
 
 class TestFlatReplicates:
@@ -459,36 +459,31 @@ class TestFlatReplicates:
         assert not any("flat" in line for line in lines)
 
 
-class TestVertexPivots:
-    @pytest.mark.parametrize("seed, fe_dims", [(75, ("entity", "year")), (76, ("year",)), (77, ("entity",))])
-    def test_pivots_reach_the_optimum_from_a_poor_vertex(self, seed, fe_dims):
-        # start from the vertex of random residuals, far from the optimum:
-        # the simplex pivots alone must reach HiGHS's check loss
-        ds = take_entities(fe_panel(seed, n_e=30), np.random.default_rng(seed).integers(0, 30, size=30))
-        mask = np.ones(ds.n_rows, dtype=bool)
-        y = ds.column("y")
-        X, _, _, layout = newton_design(ds, mask, ("x", "z"), fe_dims, True)
-        dense, _, _ = design_matrix(ds, mask, ("x", "z"), fe_dims, True)
-        tau = 0.3
-        start = cqr._vertex(X, layout, y, tau,
-                            *cqr._initial_basis(X, layout, np.random.default_rng(seed).normal(size=len(y))),
-                            np.full(len(y), tau - 0.5))
-        v, pivots = cqr._certify(X, layout, y, tau, start, np.full(len(y), tau - 0.5))
-        assert pivots > 0
-        oracle = primal_oracle_loss(y, dense, tau)
-        assert abs(check_loss(v.r, tau) - oracle) <= 1e-9 * oracle
-        assert np.all(v.d >= tau - 1.0 - cqr.DUAL_TOL) and np.all(v.d <= tau + cqr.DUAL_TOL)
-
-    def test_degenerate_pivots_end_at_the_optimum(self, monkeypatch):
-        # a draw with repeated entities ties many residuals at zero; with the
-        # interior point stopped at once, the pivots from its vertex pass
-        # through degenerate vertices, where releasing the farthest violated
-        # row and taking the first breakpoint past the minimum cycled
-        ds = take_entities(fe_panel(59, n_e=20), np.random.default_rng(59).integers(0, 20, size=20))
-        spec = CqrSpec("y", ("x", "z"), tau=0.5, fe_dims=("entity", "year"))
-        monkeypatch.setattr(cqr, "IPM_GAP", 1.0)
-        fit = cqr_fit(ds, spec)
-        assert fit.notes["vertex_pivots"] > 0
-        dense, _, _ = design_matrix(ds, np.ones(ds.n_rows, dtype=bool), ("x", "z"), spec.fe_dims, True)
-        oracle = primal_oracle_loss(ds.column("y"), dense, spec.tau)
+class TestHighsFallback:
+    @pytest.mark.parametrize("seed, n_e, fe_dims, tau, stop", [
+        (75, 30, ("entity", "year"), 0.3, ("IPM_MAX_ITER", 0)),
+        (76, 30, ("year",), 0.3, ("IPM_MAX_ITER", 0)),
+        (77, 30, ("entity",), 0.3, ("IPM_MAX_ITER", 0)),
+        # many residuals tie at zero in this draw of repeated entities
+        (59, 20, ("entity", "year"), 0.5, ("IPM_GAP", 1.0)),
+    ], ids=["seed75", "seed76", "seed77", "seed59-degenerate"])
+    def test_uncertified_vertex_reaches_the_optimum(self, monkeypatch, seed, n_e, fe_dims, tau, stop):
+        # with the interior point stopped at once, the vertex of its start is
+        # not certified; HiGHS must then reach the primal oracle's check loss
+        ds = take_entities(fe_panel(seed, n_e=n_e), np.random.default_rng(seed).integers(0, n_e, size=n_e))
+        monkeypatch.setattr(cqr, *stop)
+        fit = cqr_fit(ds, CqrSpec("y", ("x", "z"), tau=tau, fe_dims=fe_dims))
+        assert fit.notes["lp_fallback"] is True
+        dense, _, _ = design_matrix(ds, np.ones(ds.n_rows, dtype=bool), ("x", "z"), fe_dims, True)
+        oracle = primal_oracle_loss(ds.column("y"), dense, tau)
         assert abs(fit.notes["check_loss"] - oracle) <= 1e-9 * oracle
+
+    def test_highs_without_an_optimum_raises(self, monkeypatch):
+        # the LP is bounded and d = 0 is feasible, so only a numerical failure
+        # stops HiGHS short of an optimum; it must not pass for a fit
+        monkeypatch.setattr(cqr, "IPM_MAX_ITER", 0)
+        monkeypatch.setattr(optimize, "linprog", lambda *args, **kwargs: optimize.OptimizeResult(
+            status=4, message="Numerical difficulties encountered."))
+        ds = take_entities(fe_panel(75, n_e=30), np.random.default_rng(75).integers(0, 30, size=30))
+        with pytest.raises(ConvergenceError, match="HiGHS stopped without an optimum: Numerical difficulties"):
+            cqr_fit(ds, CqrSpec("y", ("x", "z"), tau=0.3, fe_dims=("entity", "year")))

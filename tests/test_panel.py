@@ -6,6 +6,7 @@ import pytest
 
 from cdmpanel import DeriveRule, ValidationError, derive, filter_rows, from_long, load_csv
 from cdmpanel.estim import fe_codes, fe_residuals
+from cdmpanel.predicates import evaluate_predicate
 
 
 def make_panel():
@@ -273,6 +274,44 @@ class TestFilterRows:
         ds = make_panel()
         with pytest.raises(ValidationError, match="ZZZ"):
             filter_rows(ds, "ZZZ == 1")
+
+
+class TestPredicates:
+    # v has a missing cell, w a zero divisor
+    COLUMNS = {"v": np.array([-2.0, -0.5, 0.0, 1.5, 3.0, np.nan]), "w": np.array([1.0, 0.0, 1.0, 0.0, 2.0, 1.0])}
+
+    @pytest.mark.parametrize("text, expected", [
+        ("v > 0 and w == 1", lambda v, w: (v > 0) & (w == 1)),
+        ("v < 0 or w == 2 or w == 0", lambda v, w: (v < 0) | (w == 2) | (w == 0)),
+        ("not v > 0", lambda v, w: ~(v > 0)),
+        ("-v >= 0.5", lambda v, w: -v >= 0.5),
+        ("v + w > 1", lambda v, w: v + w > 1),
+        ("v - w < -1", lambda v, w: v - w < -1),
+        ("v * w != 0", lambda v, w: v * w != 0),
+        ("v / w > 1", lambda v, w: v / w > 1),
+        ("(v > 0) & (w == 0)", lambda v, w: (v > 0) & (w == 0)),
+        ("(v > 0) | (w == 0)", lambda v, w: (v > 0) | (w == 0)),
+        ("-1 < v <= 1.5", lambda v, w: (-1 < v) & (v <= 1.5)),
+    ])
+    def test_indicator_matches_numpy(self, text, expected):
+        ds = from_long(["A"] * 6, list(range(2010, 2016)), self.COLUMNS)
+        got = derive(ds, DeriveRule.indicator(text, "flag")).column("flag")
+        with np.errstate(divide="ignore"):
+            want = expected(*self.COLUMNS.values()).astype(float)
+        want[-1] = np.nan  # v is missing there, whatever the predicate says
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("text, refused", [
+        ("v ** 2 > 1", "operator Pow not allowed"),
+        ("abs(v) > 1", "construct Call not allowed"),
+        ("~v > 1", "operator Invert not allowed"),
+        ("v in w", "operator In not allowed"),
+        ("v == 'a'", "literal 'a' not allowed"),
+        ("u > 1", "references unknown column 'u'"),
+    ])
+    def test_refused_constructs(self, text, refused):
+        with pytest.raises(ValidationError, match=refused):
+            evaluate_predicate(text, self.COLUMNS, 6)
 
 
 def within_demeaned(ds, column, dims):
