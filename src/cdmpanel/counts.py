@@ -3,7 +3,7 @@
 One fit per count model (count_fits): its families share one sample
 (complete cases with validated counts, less, with entity FE, the entities
 whose count total is zero, since their effects have no finite MLE, or that
-have a single complete row), one design of all its regressors and one
+have a single distinct complete row), one design of all its regressors and one
 dummy-variable Poisson MLE, started at its exact profile for zero slopes:
 each entity's log mean count. Each family runs its own tail on that MLE, and
 one bootstrap settles every family's covariance. Entity effects (always in
@@ -89,26 +89,28 @@ def _validated_counts(y: np.ndarray, context: str) -> np.ndarray:
     return rounded
 
 
-def _count_sample(ds: panel.PanelDataset, spec: CountSpec, counts: np.ndarray, sample: estim.Sample):
-    """The rows a count fit uses of a sample of its complete cases: with
-    entity FE, less the entities whose count total is zero or that have a
-    single complete row, which its own effect fits exactly. ``counts`` are
-    the validated counts of every dataset row. Returns (the sample of those
-    rows, y on them, number of entities dropped)."""
-    if not len(sample.rows):
+def _count_sample(ds: panel.PanelDataset, spec: CountSpec, counts: np.ndarray, rows: np.ndarray):
+    """The rows a count fit uses of ``rows``, row indices of its complete
+    cases: with entity FE, less the entities whose count total is zero or
+    that have a single distinct complete row, which its own effect fits
+    exactly (an entity drawn twice has its rows twice). ``counts`` are the
+    validated counts of every dataset row. Returns (those rows, y on them,
+    number of entities dropped)."""
+    if not len(rows):
         raise ValidationError("no complete cases for the count model")
-    y = counts[sample.rows]
+    y = counts[rows]
     if not spec.entity_fe:
-        return sample, y, 0
-    codes, _ = estim.sample_codes(ds, sample, "entity")
-    single, zero = np.bincount(codes) < 2, np.bincount(codes, weights=y) <= 0
+        return rows, y, 0
+    codes, _ = estim.sample_codes(ds, rows, "entity")
+    single = np.bincount(codes[np.unique(rows, return_index=True)[1]]) < 2
+    zero = np.bincount(codes, weights=y) <= 0
     dropped = single | zero
     if dropped.all():
         cause = ("an all-zero count total" if zero.all() else "a single complete row" if single.all()
                  else "an all-zero count total or a single complete row")
         raise ValidationError(f"every entity has {cause}; nothing to estimate")
     keep = ~dropped[codes]
-    return sample.take(keep), y[keep], int(dropped.sum())
+    return rows[keep], y[keep], int(dropped.sum())
 
 
 def _poisson_mle(y, X, names, layout) -> estim.MleResult:
@@ -159,12 +161,11 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
     """One FitResult per spec, in order; the specs may differ only in
     ``family``, and ``fix_alpha`` is nb2_fit's. One estim.apply_vcov settles
     every family's covariance: a bootstrap replicate solves every family on
-    the drawn entities' rows of ``ds`` (the coefficients count_fits gives on
-    panel.take_entities' dataset of the draw, its sample drops made per
-    draw), so one that fails in one family is dropped for all. The counts are
-    checked once, here, since a draw only repeats cells. The point fit then
-    gets each family's notes and the Wald test that its regressors are
-    jointly zero."""
+    the drawn entities' rows of ``ds`` (estim.draw_rows, its sample drops
+    made per draw), so one that fails in one family is dropped for all. The
+    counts are checked once, here, since a draw only repeats cells. The
+    point fit then gets each family's notes and the Wald test that its
+    regressors are jointly zero."""
     specs = tuple(specs)
     if not specs:
         raise ValidationError("count_fits needs at least one CountSpec")
@@ -180,12 +181,12 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
     counts[mask] = _validated_counts(ds.column(spec.dependent)[mask], spec.dependent)
     dims = (("entity",) if spec.entity_fe else ()) + (("year",) if spec.year_fe else ())
 
-    def solve(sample: estim.Sample):
-        """The model on a sample of its complete cases: (names, layout, the
-        _Optimum of each family, the Poisson MLE, its sample, y, entities
-        dropped, X, fe_dummies)."""
-        sample, y, n_dropped = _count_sample(ds, spec, counts, sample)
-        X, names, mapping, layout = estim.newton_design(ds, sample, spec.regressors, dims, intercept=True)
+    def solve(rows: np.ndarray):
+        """The model on row indices of its complete cases: (names, layout, the
+        _Optimum of each family, the Poisson MLE, the rows it uses, y,
+        entities dropped, X, fe_dummies)."""
+        rows, y, n_dropped = _count_sample(ds, spec, counts, rows)
+        X, names, mapping, layout = estim.newton_design(ds, rows, spec.regressors, dims, intercept=True)
         n = len(y)
         if spec.entity_fe and layout.n_dense == 1:  # nothing but _cons, one of the entity levels
             raise ValidationError("no identifiable regressors beside the entity effects")
@@ -195,7 +196,7 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
         res = _poisson_mle(y, X, names, layout)
         optima = [_Optimum(res, res.params, res.vcov, 0.0, res.iterations) if family == "poisson_fe"
                   else _nb2_optimum(res, y, X, layout, fix_alpha) for family in families]
-        return names, layout, optima, res, sample, y, n_dropped, X, mapping
+        return names, layout, optima, res, rows, y, n_dropped, X, mapping
 
     def coefficients(names, layout, opt: _Optimum) -> dict[str, float]:
         out = dict(zip(names, opt.params[: layout.n_dense]))
@@ -203,8 +204,8 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
             del out[estim.INTERCEPT]
         return out
 
-    names, layout, optima, res, sample, y, n_entities_dropped, X, mapping = solve(estim.Sample.of(ds, mask))
-    levels = estim.fe_codes(ds, "entity", sample)[1] if spec.entity_fe else None
+    names, layout, optima, res, rows, y, n_entities_dropped, X, mapping = solve(np.flatnonzero(mask))
+    levels = estim.fe_codes(ds, "entity", rows)[1] if spec.entity_fe else None
     n = len(y)
     fits = []
     for family, opt in zip(families, optima):
@@ -218,7 +219,7 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
         ))
 
     def refit(picks: np.ndarray) -> list[dict[str, float]]:
-        names, layout, optima, *_ = solve(estim.Sample.draw(ds, picks, mask))
+        names, layout, optima, *_ = solve(estim.draw_rows(ds, picks, mask))
         return [coefficients(names, layout, opt) for opt in optima]
 
     estim.apply_vcov(fits, refit, ds, spec.vcov)

@@ -253,7 +253,9 @@ def _vertex(
 def _initial_basis(X: np.ndarray, layout: estim.EntityLayout, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Anchors by smallest |r| per entity, then m rows by smallest |r| whose
     differenced rows are independent, chosen greedily by Gram-Schmidt (over
-    the first 4m + 16 candidates, and over all of them if those fall short)."""
+    the first 4m + 16 candidates, and over all of them if those fall short).
+    A row equal to its anchor (the copy of an entity drawn twice) can never
+    be chosen, so it is left out of the candidates, which it would crowd."""
     absr = np.abs(r)
     order = np.lexsort((absr, layout.codes))
     # the first row of each non-baseline entity in that order
@@ -262,6 +264,8 @@ def _initial_basis(X: np.ndarray, layout: estim.EntityLayout, r: np.ndarray) -> 
     rest[anchors] = False
     cand = np.flatnonzero(rest)
     cand = cand[np.argsort(absr[cand], kind="stable")]
+    differenced = _differenced(layout, X, anchors, cand)
+    cand = cand[np.any(differenced != 0.0, axis=1)]
     m = X.shape[1]
     for size in (4 * m + 16, len(cand)):
         V = _differenced(layout, X, anchors, cand[:size])
@@ -346,14 +350,13 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     without the intercept: the first entity's level would be held at 0.
 
     A bootstrap replicate (estim.apply_vcov) solves the LP on the drawn
-    entities' complete rows of ``ds``, its response scale taken per draw:
-    the coefficients of cqr_fit on panel.take_entities' dataset of the draw.
-    The check loss is the point fit's alone. ``notes["flat_optimum"]`` says
-    whether the point fit's optimum is flat, and ``notes["flat_replicates"]``
-    counts the replicates whose solve returned a flat optimum.
-    ``notes["lp_iterations"]`` counts the point fit's interior-point
-    iterations, and ``notes["lp_fallback"]`` says whether its vertex was left
-    uncertified, so that HiGHS solved its LP."""
+    entities' complete rows of ``ds`` (estim.draw_rows), its response scale
+    taken per draw. The check loss is the point fit's alone.
+    ``notes["flat_optimum"]`` says whether the point fit's optimum is flat,
+    and ``notes["flat_replicates"]`` counts the replicates whose solve
+    returned a flat optimum. ``notes["lp_iterations"]`` counts the point
+    fit's interior-point iterations, and ``notes["lp_fallback"]`` says
+    whether its vertex was left uncertified, so that HiGHS solved its LP."""
     if not spec.regressors and not spec.intercept:
         raise ValidationError("need at least one regressor or an intercept")
     entity = "entity" in spec.fe_dims
@@ -361,20 +364,20 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         raise ValidationError(
             "entity effects need the intercept: without it the first entity's level is held "
             "at 0, so the fit depends on which entity comes first (in a bootstrap replicate, "
-            "the first one drawn)"
+            "the first of those drawn)"
         )
     cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
     mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
 
-    def solve(sample: estim.Sample):
-        """The LP on a sample of its complete cases: (names, number of
+    def solve(rows: np.ndarray):
+        """The LP on row indices of its complete cases: (names, number of
         coefficients reported, the parameters, the _LpSolution, the
         residuals, whether the optimum is flat, fe_dummies)."""
-        n = len(sample.rows)
+        n = len(rows)
         if n == 0:
             raise ValidationError("no complete cases for the quantile regression")
-        y = ds.column(spec.dependent)[sample.rows]
-        X, names, mapping, layout = estim.newton_design(ds, sample, spec.regressors, spec.fe_dims, spec.intercept)
+        y = ds.column(spec.dependent)[rows]
+        X, names, mapping, layout = estim.newton_design(ds, rows, spec.regressors, spec.fe_dims, spec.intercept)
         reported = len(names) - int(entity)  # _cons, last, is an entity level
         if entity and not reported:
             raise ValidationError("no identifiable regressors beside the entity effects")
@@ -395,7 +398,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         resid = y - design_index(X, beta, layout)
         return names, reported, beta, sol, resid, _flat(y, resid, sol.d, spec.tau), mapping
 
-    names, reported, beta, sol, resid, flat, mapping = solve(estim.Sample.of(ds, mask))
+    names, reported, beta, sol, resid, flat, mapping = solve(np.flatnonzero(mask))
     n = len(resid)
     loss = check_loss(resid, spec.tau)
 
@@ -420,7 +423,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     )
 
     def refit(picks: np.ndarray) -> dict[str, float]:
-        names, reported, beta, _, _, flat, _ = solve(estim.Sample.draw(ds, picks, mask))
+        names, reported, beta, _, _, flat, _ = solve(estim.draw_rows(ds, picks, mask))
         fit.notes["flat_replicates"] += flat
         return dict(zip(names[:reported], beta[:reported]))
 

@@ -1,14 +1,16 @@
 """Shared estimation machinery, which does each numerical job one way.
 
-Complete-case handling, the rows of one fit on one draw of entities (Sample:
-the point fit's rows or a bootstrap replicate's row blocks, with no new
-dataset), one integer-coded fixed-effect encoding (fe_codes, sample_codes),
-the dense design builder of the linear fits (design_matrix) and its variant
-that keeps entity effects as integer codes (newton_design with an
-EntityLayout, whose per-entity sums are each one np.bincount; used by every
-likelihood fit and the CQR LP), and one way to absorb fixed effects: the
-diagonal entity block of a Hessian or normal matrix is eliminated by a Schur
-complement (BlockHessian). One pivoted QR (_pivoted_qr) gives a
+Complete-case handling, the rows of one fit as dataset row indices (the
+point fit's complete cases, or a bootstrap replicate's: draw_rows, the drawn
+entities' row blocks, with no new dataset; an entity drawn twice is one
+entity whose rows come twice, which gives the estimating equations of an
+entity frequency weight), one integer-coded fixed-effect encoding (fe_codes,
+sample_codes), the dense design builder of the linear fits (design_matrix)
+and its variant that keeps entity effects as integer codes (newton_design
+with an EntityLayout, whose per-entity sums are each one np.bincount; used by
+every likelihood fit and the CQR LP), and one way to absorb fixed effects:
+the diagonal entity block of a Hessian or normal matrix is eliminated by a
+Schur complement (BlockHessian). One pivoted QR (_pivoted_qr) gives a
 least-squares fit its coefficients, rank check and covariance bread, and the
 rank screen of newton_design designs (screen_rank) and the variance
 inflation factors their rank checks. On top of these sit the one
@@ -151,64 +153,43 @@ class MleResult(NamedTuple):
     grad_norm: float
 
 
-class Sample(NamedTuple):
-    """The dataset rows one fit uses on one draw of entities: ``rows``, their
-    indices in the dataset, entity-major in draw order (as
-    panel.take_entities lays the draw out), and ``slot``, each row's position
-    in the draw, which stands for its entity: an entity drawn twice is two
-    entities. The point fit's draw is every entity once, in dataset order
-    (Sample.of); a bootstrap replicate's is its resample (Sample.draw)."""
-
-    rows: np.ndarray
-    slot: np.ndarray
-
-    @classmethod
-    def of(cls, ds: panel.PanelDataset, mask: np.ndarray) -> "Sample":
-        """The rows on which ``mask`` holds, every entity once."""
-        rows = np.flatnonzero(mask)
-        return cls(rows, rows // max(len(ds.periods), 1))
-
-    @classmethod
-    def draw(cls, ds: panel.PanelDataset, picks: np.ndarray, mask: np.ndarray) -> "Sample":
-        """The rows on which ``mask`` holds of the entities at positions ``picks``, in that order."""
-        n_periods = len(ds.periods)
-        rows = (picks[:, None] * n_periods + np.arange(n_periods)).ravel()
-        keep = mask[rows]
-        return cls(rows[keep], np.repeat(np.arange(len(picks)), n_periods)[keep])
-
-    def take(self, keep: np.ndarray) -> "Sample":
-        """The rows at which ``keep`` holds."""
-        return Sample(self.rows[keep], self.slot[keep])
+def draw_rows(ds: panel.PanelDataset, picks: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The rows on which ``mask`` holds of the entities at positions
+    ``picks``, entity-major in draw order (as panel.take_entities lays the
+    draw out): an entity drawn twice has its rows twice."""
+    n_periods = len(ds.periods)
+    rows = (picks[:, None] * n_periods + np.arange(n_periods)).ravel()
+    return rows[mask[rows]]
 
 
-def _as_sample(ds: panel.PanelDataset, rows) -> Sample:
-    return rows if isinstance(rows, Sample) else Sample.of(ds, rows)
+def _row_indices(rows) -> np.ndarray:
+    """The dataset rows of a fit: a mask over the dataset's rows, or their indices."""
+    rows = np.asarray(rows)
+    return np.flatnonzero(rows) if rows.dtype == bool else rows
 
 
-def sample_codes(ds: panel.PanelDataset, sample: Sample, dim: str) -> tuple[np.ndarray, np.ndarray]:
-    """Integer codes 0..L-1 of one FE dim on a sample's rows, and what each
-    code stands for: the entity's slot, the year's period index, or the
-    category value, ascending."""
+def sample_codes(ds: panel.PanelDataset, rows: np.ndarray, dim: str) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes 0..L-1 of one FE dim on the row indices ``rows``, and
+    what each code stands for: the entity's or the year's position in the
+    dataset, or the category value, ascending. Rows that come twice (an
+    entity drawn twice) share their codes."""
     if dim in ("entity", "year"):
-        key = sample.slot if dim == "entity" else sample.rows % max(len(ds.periods), 1)
+        n_periods = max(len(ds.periods), 1)
+        key = rows // n_periods if dim == "entity" else rows % n_periods
         present = np.bincount(key) > 0
         return (np.cumsum(present) - 1)[key], np.flatnonzero(present)
-    present, codes = np.unique(ds.column(dim)[sample.rows], return_inverse=True)
+    present, codes = np.unique(ds.column(dim)[rows], return_inverse=True)
     return codes, present
 
 
 def fe_codes(ds: panel.PanelDataset, dim: str, rows) -> tuple[np.ndarray, list]:
     """Integer codes 0..L-1 of one FE dim on the rows (a mask over the
-    dataset's rows, or a Sample), and the level each code stands for: entity
-    labels in draw order (an entity drawn twice keeps its label), int years
-    or float categories ascending."""
-    sample = _as_sample(ds, rows)
-    codes, present = sample_codes(ds, sample, dim)
+    dataset's rows, or their indices), and the level each code stands for:
+    entity labels in dataset order, int years or float categories
+    ascending."""
+    codes, present = sample_codes(ds, _row_indices(rows), dim)
     if dim == "entity":
-        first = np.flatnonzero(np.diff(codes, prepend=-1))
-        labels = sample.rows[first] // max(len(ds.periods), 1)
-        levels = list(ds.entities) if np.array_equal(labels, np.arange(len(ds.entities))) else [
-            ds.entities[i] for i in labels]
+        levels = [ds.entities[i] for i in present]
     elif dim == "year":
         levels = [int(ds.periods[i]) for i in present]
     else:
@@ -225,19 +206,18 @@ def complete_case_mask(ds: panel.PanelDataset, names) -> np.ndarray:
 
 def design_matrix(ds: panel.PanelDataset, rows, regressors, fe_dims, intercept: bool):
     """C-contiguous float64 design on the rows (a mask over the dataset's
-    rows, or a Sample): the regressor columns, then first-level-dropped
+    rows, or their indices): the regressor columns, then first-level-dropped
     indicators for each FE dim, then the intercept.
 
     Returns (X, names, fe_dummies) where fe_dummies[name] = (dim, level) so that
     predictions can place new rows in the right category.
     """
-    sample = _as_sample(ds, rows)
+    rows = _row_indices(rows)
     names = list(regressors)
-    blocks = [fe_codes(ds, dim, sample) for dim in fe_dims]
-    n = len(sample.rows)
-    X = np.zeros((n, len(names) + sum(len(levels[1:]) for _, levels in blocks) + int(intercept)))
+    blocks = [fe_codes(ds, dim, rows) for dim in fe_dims]
+    X = np.zeros((len(rows), len(names) + sum(len(levels[1:]) for _, levels in blocks) + int(intercept)))
     for j, name in enumerate(names):
-        X[:, j] = ds.column(name)[sample.rows]
+        X[:, j] = ds.column(name)[rows]
     fe_dummies: dict[str, tuple[str, object]] = {}
     for dim, (codes, levels) in zip(fe_dims, blocks):
         _set_indicators(X, codes, len(names))
@@ -330,16 +310,16 @@ def newton_design(ds: panel.PanelDataset, rows, regressors, fe_dims, intercept: 
 
     Returns (X, names, fe_dummies, layout): names and fe_dummies are
     design_matrix's for the FE dims other than "entity", so they describe X's
-    columns only, and layout is the EntityLayout of the entity effects, which
-    follow X's columns in the parameter vector. Without "entity" among
-    fe_dims it has one level (an empty entity block), and X is
-    design_matrix's X.
+    columns only, and layout is the EntityLayout of the entity effects (one
+    per entity of the rows, sample_codes), which follow X's columns in the
+    parameter vector. Without "entity" among fe_dims it has one level (an
+    empty entity block), and X is design_matrix's X.
     """
-    sample = _as_sample(ds, rows)
-    X, names, fe_dummies = design_matrix(ds, sample, regressors, [d for d in fe_dims if d != "entity"], intercept)
+    rows = _row_indices(rows)
+    X, names, fe_dummies = design_matrix(ds, rows, regressors, [d for d in fe_dims if d != "entity"], intercept)
     if "entity" not in fe_dims:
         return X, names, fe_dummies, EntityLayout.from_codes(np.zeros(len(X), dtype=np.intp), 1, X.shape[1])
-    codes, present = sample_codes(ds, sample, "entity")
+    codes, present = sample_codes(ds, rows, "entity")
     return X, names, fe_dummies, EntityLayout.from_codes(codes, len(present), X.shape[1])
 
 
@@ -598,22 +578,22 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec = VcovSpec()
 
     The intercept is reported only when no fixed effects are absorbed. r2 is
     the within-R2 when FE dims are present. A bootstrap replicate (apply_vcov)
-    takes the drawn entities' complete rows and solves them by ols_solve: the
-    coefficients of ols_fit on panel.take_entities' dataset of the draw.
+    takes the drawn entities' complete rows (draw_rows) and solves them by
+    ols_solve.
     """
     cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
     mask = complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
 
-    def arrays(sample: Sample):
-        X, names, _ = design_matrix(ds, sample, spec.regressors, (), not spec.fe_dims)
-        y = ds.column(spec.dependent)[sample.rows]
-        return X, y, names, [sample_codes(ds, sample, dim)[0] for dim in spec.fe_dims]
+    def arrays(rows: np.ndarray):
+        X, names, _ = design_matrix(ds, rows, spec.regressors, (), not spec.fe_dims)
+        y = ds.column(spec.dependent)[rows]
+        return X, y, names, [sample_codes(ds, rows, dim)[0] for dim in spec.fe_dims]
 
-    X, y, names, fe = arrays(Sample.of(ds, mask))
+    X, y, names, fe = arrays(np.flatnonzero(mask))
     fit = ols_result(ols_core(X, y, names, fe=fe), names, ds.n_rows, "analytic", spec.fe_dims)
 
     def refit(picks: np.ndarray) -> dict[str, float]:
-        X, y, names, fe = arrays(Sample.draw(ds, picks, mask))
+        X, y, names, fe = arrays(draw_rows(ds, picks, mask))
         return dict(zip(names, ols_solve(X, y, names, fe=fe)[0][0]))
 
     return apply_vcov(fit, refit, ds, vcov)
@@ -722,10 +702,9 @@ def bootstrap_vcov(
     Entities are resampled with replacement; replication r draws from an RNG
     stream keyed by (seed, r), so results do not depend on execution order.
     ``refit`` gets each draw as the positions of the drawn entities in
-    ``ds``, in draw order (panel.take_entities(ds, picks) is the dataset of
-    the draw). Replications whose refit raises one of ESTIMATION_ERRORS are
-    dropped and counted; more than 10% failures is an error. Any other
-    exception propagates.
+    ``ds``, in draw order (draw_rows gives their rows). Replications whose
+    refit raises one of ESTIMATION_ERRORS are dropped and counted; more than
+    10% failures is an error. Any other exception propagates.
     """
     if vcov.kind != "cluster_bootstrap":
         raise ValidationError("bootstrap_vcov requires a cluster_bootstrap VcovSpec")
@@ -770,12 +749,15 @@ def apply_vcov(
     over ``refit``, and sets the spec's tag and ``notes["bootstrap_failures"]``.
 
     ``refit`` takes the drawn entities' positions (see bootstrap_vcov) and
-    returns the coefficients, name -> value, that the estimator's point fit
-    gives on panel.take_entities' dataset of the draw. Each estimator solves
-    the drawn entities' rows of its own dataset for them, without that
-    dataset and without the point fit's diagnostics. A replicate that lacks
-    a coefficient of ``fit`` (a year or category with no row in the draw)
-    fails, as one whose refit raises does.
+    returns the estimator's coefficients, name -> value, on the draw. Each
+    estimator solves the drawn entities' rows of its own dataset (draw_rows),
+    without the point fit's diagnostics. An entity drawn twice is one entity
+    whose rows come twice: its copies share one effect, which gives the
+    estimating equations of an entity frequency weight. So the coefficients
+    equal, to round-off, those of the point fit on panel.take_entities'
+    dataset of the draw, where each copy is an entity of its own. A
+    replicate that lacks a coefficient of ``fit`` (a year or category with no
+    row in the draw) fails, as one whose refit raises does.
 
     ``fit`` may also be a list of fits whose coefficients one ``refit``
     returns together, as a list in the same order (the families of a count

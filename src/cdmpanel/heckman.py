@@ -140,18 +140,18 @@ def probit_mle(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout) -> MleR
     return res
 
 
-def _probit(ds: panel.PanelDataset, sample: estim.Sample, dependent: str, regressors, fe_dims):
-    """The probit on a sample of its complete rows, after the size and rank
-    checks: (MleResult, X, names, fe_dummies, layout)."""
-    n = len(sample.rows)
+def _probit(ds: panel.PanelDataset, rows: np.ndarray, dependent: str, regressors, fe_dims):
+    """The probit on row indices of its complete rows, after the size and
+    rank checks: (MleResult, X, names, fe_dummies, layout)."""
+    n = len(rows)
     if n == 0:
         raise ValidationError("no complete cases for the probit")
-    X, names, mapping, layout = estim.newton_design(ds, sample, regressors, fe_dims, intercept=True)
+    X, names, mapping, layout = estim.newton_design(ds, rows, regressors, fe_dims, intercept=True)
     k = layout.n_dense + layout.n_entity
     if n < k + 1:
         raise ValidationError(f"only {n} complete cases for {k} probit parameters")
     estim.screen_rank(X, names, layout, intercept=True)
-    return probit_mle(ds.column(dependent)[sample.rows], X, layout), X, names, mapping, layout
+    return probit_mle(ds.column(dependent)[rows], X, layout), X, names, mapping, layout
 
 
 def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -> FitResult:
@@ -164,7 +164,7 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_cols])
     if not np.all(np.isin(ds.column(dependent)[mask], (0.0, 1.0))):
         raise ValidationError(f"probit dependent {dependent!r} must be binary 0/1")
-    res, _, names, mapping, layout = _probit(ds, estim.Sample.of(ds, mask), dependent, regressors, fe_dims)
+    res, _, names, mapping, layout = _probit(ds, np.flatnonzero(mask), dependent, regressors, fe_dims)
     n = int(mask.sum())
     return FitResult(
         coefficients=dict(zip(names, res.params[: layout.n_dense])),
@@ -180,7 +180,8 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     """Probit on the full sample, then selection-corrected OLS on disclosing rows.
 
     A bootstrap replicate (estim.apply_vcov) solves both steps on the drawn
-    entities' rows of ``ds``: the coefficients of step 2 on
+    entities' rows of ``ds`` (estim.draw_rows). With no entity codes in
+    either step, it gives bit for bit the coefficients of step 2 on
     panel.take_entities' dataset of the draw. The checks on cell values (a
     binary selection observed wherever there are model data, an outcome on
     every selected row) run once, here, since a draw only repeats cells; a
@@ -220,25 +221,26 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     probit_mask = estim.complete_case_mask(ds, [spec.selection, *sel_regs, *cat_cols])
     outcome_mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors, *cat_cols]) & (sel == 1.0)
 
-    def step2(sample: estim.Sample, params=None):
-        """Step 2's (X, y, names, fe_dummies, imr, index) on the probit's rows
-        ``sample``, with the probit at ``params`` (its MLE there when None)."""
+    def step2(rows: np.ndarray, params=None):
+        """Step 2's (X, y, names, fe_dummies, imr, index) on the probit's row
+        indices ``rows``, with the probit at ``params`` (its MLE there when
+        None)."""
         if params is None:
-            res, X1, *_ = _probit(ds, sample, spec.selection, sel_regs, spec.fe_dims)
+            res, X1, *_ = _probit(ds, rows, spec.selection, sel_regs, spec.fe_dims)
             params = res.params
         else:
-            X1 = estim.newton_design(ds, sample, sel_regs, spec.fe_dims, intercept=True)[0]
+            X1 = estim.newton_design(ds, rows, sel_regs, spec.fe_dims, intercept=True)[0]
         index = np.zeros(len(X1))
         for j in range(X1.shape[1]):  # estim.linear_index's order of additions
             index = index + params[j] * X1[:, j]
-        keep = outcome_mask[sample.rows] & np.isfinite(index)
-        sample, index = sample.take(keep), index[keep]
+        keep = outcome_mask[rows] & np.isfinite(index)
+        rows, index = rows[keep], index[keep]
         imr = inverse_mills(index)
-        X, names, mapping = estim.design_matrix(ds, sample, spec.outcome_regressors, spec.fe_dims, intercept=False)
+        X, names, mapping = estim.design_matrix(ds, rows, spec.outcome_regressors, spec.fe_dims, intercept=False)
         X = np.column_stack([X, imr, np.ones(X.shape[0])])
-        return X, outcome[sample.rows], [*names, IMR_NAME, INTERCEPT], mapping, imr, index
+        return X, outcome[rows], [*names, IMR_NAME, INTERCEPT], mapping, imr, index
 
-    X, y, names, mapping, imr, index = step2(estim.Sample.of(ds, probit_mask), probit.coef_vector())
+    X, y, names, mapping, imr, index = step2(np.flatnonzero(probit_mask), probit.coef_vector())
     core = _least_squares(estim.ols_core, X, y, names)
     outcome_fit = estim.ols_result(core, names, ds.n_rows, "analytic", ())
     outcome_fit.notes["fe_dummies"] = mapping
@@ -260,7 +262,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     def refit(picks: np.ndarray) -> dict[str, float]:
         if not selected[picks].any():
             raise ValidationError("no selected rows: selection column is all zero")
-        X, y, names, *_ = step2(estim.Sample.draw(ds, picks, probit_mask))
+        X, y, names, *_ = step2(estim.draw_rows(ds, picks, probit_mask))
         return dict(zip(names, _least_squares(estim.ols_solve, X, y, names)[0][0]))
 
     estim.apply_vcov(outcome_fit, refit, ds, spec.vcov)

@@ -376,13 +376,9 @@ def derive(ds: PanelDataset, rule: DeriveRule) -> PanelDataset:
         vals = ds.column(rule.source[0])
         result = np.where(np.isfinite(vals), np.round(vals), np.nan)
     else:  # indicator
-        refs = predicate_columns(rule.predicate)
-        missing_refs = refs - set(ds.columns)
-        if missing_refs:
-            raise ValidationError(f"indicator predicate references unknown column {sorted(missing_refs)[0]!r}")
         mask = evaluate_predicate(rule.predicate, ds.columns, ds.n_rows)
         any_missing = np.zeros(ds.n_rows, dtype=bool)
-        for name in refs:
+        for name in predicate_columns(rule.predicate):
             any_missing |= ~np.isfinite(ds.column(name))
         result = np.where(any_missing, np.nan, mask.astype(float))
 
@@ -391,10 +387,6 @@ def derive(ds: PanelDataset, rule: DeriveRule) -> PanelDataset:
 
 def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
     """Keep rows matching the predicate; entity/period sets shrink to those present."""
-    refs = predicate_columns(predicate)
-    missing = refs - set(ds.columns)
-    if missing:
-        raise ValidationError(f"filter predicate references unknown column {sorted(missing)[0]!r}")
     keep = evaluate_predicate(predicate, ds.columns, ds.n_rows)
 
     if not keep.any():
@@ -423,7 +415,8 @@ def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
 def take_entities(ds: PanelDataset, positions) -> PanelDataset:
     """Dataset made of the given entity blocks, in order: the dataset of one
     cluster-bootstrap draw. The estimators solve a draw's rows of their own
-    dataset instead (estim.Sample); tests compare them with refits of this.
+    dataset instead (estim.draw_rows), where an entity drawn twice is one
+    entity whose rows come twice; tests compare them with refits of this.
 
     ``positions`` may repeat; repeated draws get distinct labels so downstream
     grouping treats them as separate clusters.

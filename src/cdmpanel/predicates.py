@@ -15,30 +15,46 @@ import numpy as np
 
 from .exceptions import ValidationError
 
-_ALLOWED_CMP = {
+# every operator a predicate may use, and the numpy function it evaluates by
+_OPS = {
     ast.Eq: np.equal,
     ast.NotEq: np.not_equal,
     ast.Lt: np.less,
     ast.LtE: np.less_equal,
     ast.Gt: np.greater,
     ast.GtE: np.greater_equal,
-}
-
-_ALLOWED_BIN = {
     ast.Add: np.add,
     ast.Sub: np.subtract,
     ast.Mult: np.multiply,
     ast.Div: np.divide,
+    ast.And: np.logical_and,
+    ast.Or: np.logical_or,
+    ast.BitAnd: np.logical_and,
+    ast.BitOr: np.logical_or,
+    ast.Not: np.logical_not,
+    ast.USub: np.negative,
 }
+
+_NODES = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Compare, ast.BoolOp, ast.UnaryOp, ast.BinOp)
 
 
 def _parse(text: str) -> ast.Expression:
+    """The parsed predicate, refused here if it uses a disallowed construct."""
     if not isinstance(text, str):
         raise ValidationError(f"predicate must be a string, got {text!r}")
     try:
-        return ast.parse(text, mode="eval")
+        tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"cannot parse predicate {text!r}: {exc.msg}") from None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+            raise ValidationError(f"literal {node.value!r} not allowed in predicate {text!r}")
+        if isinstance(node, (ast.cmpop, ast.operator, ast.unaryop, ast.boolop)):
+            if type(node) not in _OPS:
+                raise ValidationError(f"operator {type(node).__name__} not allowed in predicate {text!r}")
+        elif not isinstance(node, _NODES):
+            raise ValidationError(f"construct {type(node).__name__} not allowed in predicate {text!r}")
+    return tree
 
 
 def predicate_columns(text: str) -> set[str]:
@@ -62,10 +78,9 @@ def evaluate_predicate(text: str, columns: Mapping[str, np.ndarray], n_rows: int
 
 
 def _eval(node: ast.AST, columns: Mapping[str, np.ndarray], text: str):
+    """The value of a node of a predicate that _parse accepted."""
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, bool) or isinstance(node.value, (int, float)):
-            return node.value
-        raise ValidationError(f"literal {node.value!r} not allowed in predicate {text!r}")
+        return node.value
     if isinstance(node, ast.Name):
         if node.id not in columns:
             raise ValidationError(f"predicate {text!r} references unknown column {node.id!r}")
@@ -74,36 +89,19 @@ def _eval(node: ast.AST, columns: Mapping[str, np.ndarray], text: str):
         left = _eval(node.left, columns, text)
         result = None
         for op, comparator in zip(node.ops, node.comparators):
-            if type(op) not in _ALLOWED_CMP:
-                raise ValidationError(f"operator {type(op).__name__} not allowed in predicate {text!r}")
             right = _eval(comparator, columns, text)
             with np.errstate(invalid="ignore"):
-                piece = _ALLOWED_CMP[type(op)](left, right)
+                piece = _OPS[type(op)](left, right)
             result = piece if result is None else np.logical_and(result, piece)
             left = right
         return result
     if isinstance(node, ast.BoolOp):
-        op = np.logical_and if isinstance(node.op, ast.And) else np.logical_or
         out = None
         for sub in node.values:
             val = _eval(sub, columns, text)
-            out = val if out is None else op(out, val)
+            out = val if out is None else _OPS[type(node.op)](out, val)
         return out
     if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.Not):
-            return np.logical_not(_eval(node.operand, columns, text))
-        if isinstance(node.op, ast.USub):
-            return np.negative(_eval(node.operand, columns, text))
-        raise ValidationError(f"operator {type(node.op).__name__} not allowed in predicate {text!r}")
-    if isinstance(node, ast.BinOp):
-        if type(node.op) in _ALLOWED_BIN:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return _ALLOWED_BIN[type(node.op)](
-                    _eval(node.left, columns, text), _eval(node.right, columns, text)
-                )
-        if isinstance(node.op, ast.BitAnd):
-            return np.logical_and(_eval(node.left, columns, text), _eval(node.right, columns, text))
-        if isinstance(node.op, ast.BitOr):
-            return np.logical_or(_eval(node.left, columns, text), _eval(node.right, columns, text))
-        raise ValidationError(f"operator {type(node.op).__name__} not allowed in predicate {text!r}")
-    raise ValidationError(f"construct {type(node).__name__} not allowed in predicate {text!r}")
+        return _OPS[type(node.op)](_eval(node.operand, columns, text))
+    with np.errstate(invalid="ignore", divide="ignore"):  # a BinOp
+        return _OPS[type(node.op)](_eval(node.left, columns, text), _eval(node.right, columns, text))

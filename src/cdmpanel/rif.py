@@ -84,7 +84,6 @@ class TreatmentSpec:
     year_fe: bool = True
     clip: tuple[float, float] = (0.01, 0.99)
     weighting: str = "ipw"
-    propensity_year_dummies: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "propensity_regressors", tuple(self.propensity_regressors))
@@ -267,7 +266,7 @@ def propensity_ipw(ds: panel.PanelDataset, spec: TreatmentSpec) -> tuple[np.ndar
     if not (T == 0.0).any():
         raise ValidationError("control group is empty")
 
-    fe = ("year",) if spec.propensity_year_dummies and len(ds.periods) > 1 else ()
+    fe = ("year",) if len(ds.periods) > 1 else ()
     fit = heckman.probit_fit(ds, spec.treatment, list(spec.propensity_regressors), fe)
     index = estim.linear_index(fit, ds)
     p = np.where(np.isfinite(index), ndtr(index), np.nan)

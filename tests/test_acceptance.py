@@ -260,7 +260,7 @@ def test_criterion_07_ipw_treatment_oracles():
     t_assign = (rng.random(n) < 0.45).astype(float)
     y0 = rng.normal(size=n)
     ds = iid_panel({"T": t_assign, "y": y0})
-    _, w = cp.propensity_ipw(ds, TreatmentSpec(treatment="T", propensity_year_dummies=False))
+    _, w = cp.propensity_ipw(ds, TreatmentSpec(treatment="T"))
     treated = t_assign == 1.0
     requant = max(
         abs(weighted_quantile(y0[treated], tau, w[treated]) - weighted_quantile(y0[treated], tau))
@@ -269,8 +269,7 @@ def test_criterion_07_ipw_treatment_oracles():
 
     reps, n = 200, 1000
     qspec = QuantileSpec(taus=taus)
-    spec = TreatmentSpec(treatment="T", weighting="ipw", entity_fe=False, year_fe=False,
-                         propensity_year_dummies=False)
+    spec = TreatmentSpec(treatment="T", weighting="ipw", entity_fe=False, year_fe=False)
 
     null = {t: [] for t in taus}
     for _ in range(reps):

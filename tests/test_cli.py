@@ -99,6 +99,18 @@ class TestPreflight:
             cli.run_pipeline(str(path))
         assert not os.path.exists(small_run / "out" / "results" / "heckman__full.txt")
 
+    @pytest.mark.parametrize("entry", [
+        {"subsamples": {"large": "abs(X1) > 1"}},
+        {"derives": [{"kind": "indicator", "predicate": "abs(X1) > 1", "target": "large"}]},
+    ], ids=["subsample", "derive"])
+    def test_predicate_construct_refused_at_parse(self, small_run, entry):
+        # a call's function name is not an unresolved variable: the call
+        # itself is refused
+        path, _ = write_config(small_run, **entry)
+        with pytest.raises(ValidationError, match="construct Call not allowed"):
+            cli.run_pipeline(str(path))
+        assert not os.path.exists(small_run / "out" / "results" / "heckman__full.txt")
+
     def test_derive_collision_caught(self, small_run):
         path, cfg = write_config(small_run)
         cfg["derives"].append({"kind": "round", "source": "PAT", "target": "PAT_dep"})

@@ -35,12 +35,14 @@ from cdmpanel.estim import (
     _hessian_vcov,
     _newton_direction,
     design_matrix,
+    draw_rows,
     fe_codes,
     fe_residuals,
     linear_index,
     newton_design,
     ols_core,
     ols_solve,
+    sample_codes,
 )
 from cdmpanel.heckman import _probit_parts
 from cdmpanel.panel import take_entities
@@ -713,6 +715,19 @@ class TestFeCodes:
         assert type(levels) is list and levels == expected
         assert all(a is b for a, b in zip(levels, expected))
         assert np.array_equal(codes, expected_codes)
+
+    def test_an_entity_drawn_twice_is_one_entity(self):
+        # a replicate's rows are the drawn entities' row blocks in draw order,
+        # less the rows outside the mask; an entity drawn twice has its rows
+        # twice and keeps one code and one level
+        ds = synthdgp.generate_panel(synthdgp.DgpConfig(n_entities=5, n_periods=3, seed=80))
+        mask = np.arange(ds.n_rows) != 7
+        rows = draw_rows(ds, np.array([2, 0, 2]), mask)
+        assert rows.tolist() == [6, 8, 0, 1, 2, 6, 8]
+        codes, present = sample_codes(ds, rows, "entity")
+        assert codes.tolist() == [1, 1, 0, 0, 0, 1, 1] and present.tolist() == [0, 2]
+        codes, levels = fe_codes(ds, "entity", rows)
+        assert codes.tolist() == [1, 1, 0, 0, 0, 1, 1] and levels == [ds.entities[0], ds.entities[2]]
 
 
 class TestBlockHessian:

@@ -313,6 +313,16 @@ class TestPredicates:
         with pytest.raises(ValidationError, match=refused):
             evaluate_predicate(text, self.COLUMNS, 6)
 
+    @pytest.mark.parametrize("apply", [
+        lambda ds, text: derive(ds, DeriveRule.indicator(text, "flag")),
+        lambda ds, text: filter_rows(ds, text),
+    ], ids=["derive", "filter_rows"])
+    def test_construct_refused_before_its_names_are_looked_up(self, apply):
+        # a call's function name is not a column: the call itself is refused
+        ds = from_long(["A"] * 6, list(range(2010, 2016)), self.COLUMNS)
+        with pytest.raises(ValidationError, match="construct Call not allowed"):
+            apply(ds, "abs(v) > 1")
+
 
 def within_demeaned(ds, column, dims):
     """The column demeaned within the dims' groups by estim.fe_residuals on

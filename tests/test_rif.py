@@ -214,7 +214,7 @@ class TestPropensityIpw:
         n = 500
         t = (rng.random(n) < 0.4).astype(float)
         ds = iid_panel({"T": t, "y": rng.normal(size=n)})
-        spec = TreatmentSpec(treatment="T", propensity_year_dummies=False)
+        spec = TreatmentSpec(treatment="T")
         p, w = propensity_ipw(ds, spec)
         n1, n0 = int(t.sum()), int((1 - t).sum())
         assert np.allclose(w[t == 1.0], 1.0 / n1)
@@ -229,7 +229,7 @@ class TestPropensityIpw:
         t = ((2.5 * x + 0.1 * rng.normal(size=n)) > 1.5).astype(float)
         ds = iid_panel({"T": t, "x": x})
         spec = TreatmentSpec(treatment="T", propensity_regressors=("x",),
-                             clip=(0.05, 0.95), propensity_year_dummies=False)
+                             clip=(0.05, 0.95))
         p, w = propensity_ipw(ds, spec)
         ok = np.isfinite(p)
         assert p[ok].min() == pytest.approx(0.05)
@@ -241,8 +241,7 @@ class TestPropensityIpw:
         x = rng.normal(size=n)
         t = ((0.4 * x + rng.normal(size=n)) > 0).astype(float)
         ds = iid_panel({"T": t, "x": x})
-        spec = TreatmentSpec(treatment="T", propensity_regressors=("x",),
-                             propensity_year_dummies=False)
+        spec = TreatmentSpec(treatment="T", propensity_regressors=("x",))
         _, w = propensity_ipw(ds, spec)
         assert abs(np.nansum(w[t == 1.0]) - 1.0) < 1e-12
         assert abs(np.nansum(w[t == 0.0]) - 1.0) < 1e-12
@@ -253,7 +252,7 @@ class TestPropensityIpw:
         t = (rng.random(n) < 0.5).astype(float)
         y = rng.normal(size=n)
         ds = iid_panel({"T": t, "y": y})
-        spec = TreatmentSpec(treatment="T", propensity_year_dummies=False)
+        spec = TreatmentSpec(treatment="T")
         _, w = propensity_ipw(ds, spec)
         treated = t == 1.0
         for tau in (0.1, 0.5, 0.9):
@@ -264,7 +263,7 @@ class TestPropensityIpw:
     def test_empty_group_errors(self):
         ds = iid_panel({"T": np.ones(50), "y": np.zeros(50)})
         with pytest.raises(ValidationError, match="control group"):
-            propensity_ipw(ds, TreatmentSpec(treatment="T", propensity_year_dummies=False))
+            propensity_ipw(ds, TreatmentSpec(treatment="T"))
 
 
 class TestRifTreatment:
@@ -288,7 +287,7 @@ class TestRifTreatment:
             y = rng.normal(size=n) + 0.5 * t
             ds = iid_panel({"T": t, "y": y})
             spec = TreatmentSpec(treatment="T", weighting="ipw", entity_fe=False,
-                                 year_fe=False, propensity_year_dummies=False)
+                                 year_fe=False)
             fits = rif_treatment_fit(ds, "y", spec, QuantileSpec(taus=taus))
             for tau in taus:
                 effects[tau].append(fits[tau].coefficients["T"])
@@ -303,8 +302,7 @@ class TestRifTreatment:
         ds = iid_panel({"T": t, "y": y})
         qspec = QuantileSpec(taus=(0.5,))
         f_ipw = rif_treatment_fit(ds, "y", TreatmentSpec(
-            treatment="T", weighting="ipw", entity_fe=False, year_fe=False,
-            propensity_year_dummies=False), qspec)[0.5]
+            treatment="T", weighting="ipw", entity_fe=False, year_fe=False), qspec)[0.5]
         f_raw = rif_treatment_fit(ds, "y", TreatmentSpec(
             treatment="T", weighting="none", entity_fe=False, year_fe=False), qspec)[0.5]
         assert f_ipw.coefficients["T"] == pytest.approx(f_raw.coefficients["T"], abs=1e-10)

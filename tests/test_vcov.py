@@ -1,6 +1,14 @@
 """Covariance handling shared by every estimator: each bootstrapping estimator's
-cluster-bootstrap covariance is exactly estim.bootstrap_vcov driven by a refit
-written here, and the covariance kinds are analytic and cluster_bootstrap alone."""
+cluster-bootstrap covariance is estim.bootstrap_vcov driven by a refit written
+here, on panel.take_entities' dataset of each draw, and the covariance kinds
+are analytic and cluster_bootstrap alone.
+
+An estimator's replicate solves the drawn entities' rows of its own dataset,
+where an entity drawn twice is one entity whose rows come twice; in
+take_entities' dataset each copy is an entity of its own. Both give the same
+estimating equations, added in another order, so where a fit has entity codes
+the covariances agree to round-off (RTOL); Heckman's two steps have none, and
+agree bit for bit."""
 
 import numpy as np
 import pytest
@@ -21,13 +29,26 @@ from cdmpanel import (
     ols_fit,
     poisson_fe_fit,
 )
-from cdmpanel import synthdgp
+from cdmpanel import estim, synthdgp
 from cdmpanel.counts import count_fits
-from cdmpanel.estim import _draw_cov, apply_vcov, complete_case_mask, design_matrix, linear_index, ols_core
+from cdmpanel.estim import (
+    _draw_cov,
+    apply_vcov,
+    complete_case_mask,
+    design_matrix,
+    fe_codes,
+    linear_index,
+    ols_core,
+    ols_solve,
+    replicate_rng,
+)
 from cdmpanel.heckman import inverse_mills
 from cdmpanel.panel import take_entities
 
 BOOT = VcovSpec("cluster_bootstrap", replications=5, seed=2024)
+# largest gap of a replicate covariance to take_entities' refits, relative to
+# the refits' largest entry, where the fit has entity codes
+RTOL = 1e-12
 # a seed whose 10 draws of the 40 entities leave out entities 0 and 1 together once
 BOOT_ONE_FAILURE = 2
 
@@ -60,6 +81,13 @@ ESTIMATORS = {
 }
 
 
+def assert_same_vcov(got, want, exact):
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
 @pytest.fixture(scope="module")
 def ds():
     cfg = synthdgp.DgpConfig(
@@ -77,7 +105,7 @@ def test_bootstrap_vcov_matches_hand_refit(ds, estimator):
     fit = fit_with(ds, BOOT)
     names = list(fit.coefficients)
     boot = bootstrap_vcov(lambda picks: np.array([refit(take_entities(ds, picks))[nm] for nm in names]), ds, BOOT)
-    assert np.array_equal(fit.vcov, boot.vcov)
+    assert_same_vcov(fit.vcov, boot.vcov, exact=estimator == "heckman_two_step")
     assert fit.se_method == "cluster_bootstrap(B=5, seed=2024)"
     assert fit.notes["bootstrap_failures"] == boot.n_failed
 
@@ -120,8 +148,9 @@ def test_cqr_analytic_keeps_zero_vcov(ds):
 
 
 # A bootstrap replicate solves the drawn entities' rows of the dataset it was
-# given; it must give, bit for bit, the coefficients of the public fit on
-# take_entities' dataset of the draw, and fail where that fit raises.
+# given; it must give the coefficients of the public fit on take_entities'
+# dataset of the draw (see the module docstring), and fail where that fit
+# raises.
 HECKMAN_YEAR = dict(outcome="RDINT", selection="D", outcome_regressors=("X1", "lnEMP", "lnCAPINT"),
                     exclusion_restrictions=("Z",), fe_dims=("year",))
 COUNTS = ("PAT", ("RDINT_star", "lnEMP"))
@@ -162,7 +191,7 @@ def assert_replicates_are_refits(ds, model, vcov):
     stop = 0
     for f in fits:
         start, stop = stop, stop + len(f.names)
-        assert np.array_equal(f.vcov, _draw_cov(boot.draws[:, start:stop]))
+        assert_same_vcov(f.vcov, _draw_cov(boot.draws[:, start:stop]), exact=model == "heckman_year_fe")
         assert f.notes["bootstrap_failures"] == boot.n_failed
     return picks, boot.n_failed
 
@@ -203,6 +232,20 @@ def test_replicate_with_an_entity_without_complete_rows(ds, model):
     assert any(0 in p for p in picks)
 
 
+def test_entity_with_one_complete_row_drawn_twice_is_dropped(ds):
+    # entities 0-9 have one complete row each, with a positive count, which
+    # their own effect fits exactly; a count fit drops them, and in a draw one
+    # drawn twice still has one distinct row, as each of take_entities'
+    # copies has
+    pat = ds.column("PAT").copy()
+    first = np.flatnonzero(pat > 0)
+    single = first[np.unique(ds.entity_index()[first], return_index=True)[1]][:10]
+    assert np.array_equal(ds.entity_index()[single], np.arange(10))
+    pat[entity_rows(ds, range(10)) & ~np.isin(np.arange(ds.n_rows), single)] = np.nan
+    picks, _ = assert_replicates_are_refits(ds.with_replaced({"PAT": pat}), "count_fits", BOOT)
+    assert any(np.bincount(p, minlength=10)[:10].max() > 1 for p in picks)
+
+
 def test_failed_replicate_counted_as_its_refit_fails(ds):
     # lnCAPINT varies within entities 0 and 1 alone: in a draw of neither it
     # is an entity effect, which the within fit names as collinear
@@ -226,3 +269,31 @@ def test_imr_index_adds_as_linear_index(ds):
     core = ols_core(X, ds.column(spec.outcome)[mask], [*names, "IMR", "_cons"])
     assert list(fit.outcome.coefficients) == [*names, "IMR", "_cons"]
     assert np.array_equal(fit.outcome.coef_vector(), core.beta)
+
+
+def test_fe_ols_replicate_is_a_frequency_weighted_fit(ds, monkeypatch):
+    # an entity drawn k times enters a replicate as one entity whose rows come
+    # k times: the fit on the distinct drawn rows with weight k (Cameron,
+    # Gelbach & Miller 2008), within 1e-10 relative to its largest coefficient
+    recorded = []
+
+    def recording_bootstrap(draw, ds, vcov):
+        boot = bootstrap_vcov(draw, ds, vcov)
+        recorded.append(boot.draws)
+        return boot
+
+    monkeypatch.setattr(estim, "bootstrap_vcov", recording_bootstrap)
+    vcov = VcovSpec("cluster_bootstrap", replications=20, seed=7)
+    fit = ols_fit(ds, OLS, vcov)
+    assert fit.notes["bootstrap_failures"] == 0
+    mask = complete_case_mask(ds, [OLS.dependent, *OLS.regressors])
+    n_entities = len(ds.entities)
+    for r, got in enumerate(recorded[0]):
+        counts = np.bincount(replicate_rng(vcov.seed, r).integers(0, n_entities, size=n_entities), minlength=n_entities)
+        w = counts[ds.entity_index()]
+        rows = np.flatnonzero(mask & (w > 0))
+        X, names, _ = design_matrix(ds, rows, OLS.regressors, (), intercept=False)
+        fe = [fe_codes(ds, dim, rows)[0] for dim in OLS.fe_dims]
+        want = ols_solve(X, ds.column(OLS.dependent)[rows], names, w=w[rows].astype(float), fe=fe)[0][0]
+        assert names == list(fit.coefficients)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
