@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__, counts, cqr, heckman, panel, productivity, rif, stages, synthdgp, tables
-from .estim import VcovSpec
+from .estim import VcovSpec, fe_columns
 from .exceptions import ConvergenceError, ValidationError
 from .predicates import predicate_columns
 from .stages import STAGE_ORDER
@@ -174,7 +174,7 @@ def _parse_heckman(sc: _Keys, cols: _Columns):
         fe_dims=sc.list_of("fe", str),
     )
     cols.need(sc.where, spec.outcome, spec.selection, *spec.outcome_regressors, *spec.exclusion_restrictions,
-              *[d for d in spec.fe_dims if d != "year"])
+              *fe_columns(spec.fe_dims))
     predict_as = sc.get("predict_as", "RDINT_hat")
     cols.add(predict_as)
     return spec, predict_as
@@ -397,7 +397,7 @@ def run_pipeline(config_path: str, stages=None, seed=None, jobs: int = 1, output
     if mode == "pipeline":
         run = functools.partial(_run_plan, _parse_pipeline(top, set(stages) if stages else None, seed), raw, jobs)
     elif mode == "simulate":
-        run = functools.partial(_run_simulate, _dgp(top, seed), top.get("write_csv", None))
+        run = functools.partial(_run_simulate, _dgp(top, seed))
     else:
         run = functools.partial(_run_monte_carlo, _dgp(top, seed), top.get("estimator"), top.number("reps", int))
     top.close()
@@ -466,9 +466,9 @@ def _dgp(top: _Keys, seed) -> synthdgp.DgpConfig:
     return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
-def _run_simulate(cfg: synthdgp.DgpConfig, csv_path, outdir: str) -> dict:
+def _run_simulate(cfg: synthdgp.DgpConfig, outdir: str) -> dict:
     ds = synthdgp.generate_panel(cfg)
-    path = os.path.join(outdir, "panel.csv") if csv_path is None else csv_path
+    path = os.path.join(outdir, "panel.csv")
     ds.to_csv(path)
     tpath = os.path.join(outdir, "true_parameters.json")
     tables.atomic_write(tpath, json.dumps(synthdgp.true_parameters(cfg), indent=2, sort_keys=True) + "\n")

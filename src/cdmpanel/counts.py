@@ -160,12 +160,12 @@ class _Optimum(NamedTuple):
 def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) -> list[FitResult]:
     """One FitResult per spec, in order; the specs may differ only in
     ``family``, and ``fix_alpha`` is nb2_fit's. One estim.apply_vcov settles
-    every family's covariance: a bootstrap replicate solves every family on
-    the drawn entities' rows of ``ds`` (estim.draw_rows, its sample drops
-    made per draw), so one that fails in one family is dropped for all. The
-    counts are checked once, here, since a draw only repeats cells. The
-    point fit then gets each family's notes and the Wald test that its
-    regressors are jointly zero."""
+    every family's covariance: a bootstrap replicate is the point solve of
+    every family on the draw's rows (its sample drops made per draw), so one
+    that fails in one family is dropped for all. The counts are checked
+    once, here, since a draw only repeats cells. The point fit then gets
+    each family's notes and the Wald test that its regressors are jointly
+    zero."""
     specs = tuple(specs)
     if not specs:
         raise ValidationError("count_fits needs at least one CountSpec")
@@ -218,11 +218,11 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
             notes={"fe_dims": dims, "fe_dummies": mapping, "dropped_entities": n_entities_dropped, **notes},
         ))
 
-    def refit(picks: np.ndarray) -> list[dict[str, float]]:
-        names, layout, optima, *_ = solve(estim.draw_rows(ds, picks, mask))
+    def refit(rows: np.ndarray) -> list[dict[str, float]]:
+        names, layout, optima, *_ = solve(rows)
         return [coefficients(names, layout, opt) for opt in optima]
 
-    estim.apply_vcov(fits, refit, ds, spec.vcov)
+    estim.apply_vcov(fits, refit, ds, mask, spec.vcov)
     if spec.regressors:
         for fit in fits:
             fit.wald_chi2 = estim.wald_chi2(fit, spec.regressors)

@@ -349,9 +349,9 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
     and a model with nothing else is refused, as is one with them but
     without the intercept: the first entity's level would be held at 0.
 
-    A bootstrap replicate (estim.apply_vcov) solves the LP on the drawn
-    entities' complete rows of ``ds`` (estim.draw_rows), its response scale
-    taken per draw. The check loss is the point fit's alone.
+    A bootstrap replicate (estim.apply_vcov) is the point solve on the
+    draw's rows, its response scale taken per draw. The check loss is the
+    point fit's alone.
     ``notes["flat_optimum"]`` says whether the point fit's optimum is flat,
     and ``notes["flat_replicates"]`` counts the replicates whose solve
     returned a flat optimum. ``notes["lp_iterations"]`` counts the point
@@ -366,8 +366,7 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
             "at 0, so the fit depends on which entity comes first (in a bootstrap replicate, "
             "the first of those drawn)"
         )
-    cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
-    mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
+    mask = estim.complete_case_mask(ds, [spec.dependent, *spec.regressors], spec.fe_dims)
 
     def solve(rows: np.ndarray):
         """The LP on row indices of its complete cases: (names, number of
@@ -422,9 +421,9 @@ def cqr_fit(ds: panel.PanelDataset, spec: CqrSpec) -> FitResult:
         },
     )
 
-    def refit(picks: np.ndarray) -> dict[str, float]:
-        names, reported, beta, _, _, flat, _ = solve(estim.draw_rows(ds, picks, mask))
+    def refit(rows: np.ndarray) -> dict[str, float]:
+        names, reported, beta, _, _, flat, _ = solve(rows)
         fit.notes["flat_replicates"] += flat
         return dict(zip(names[:reported], beta[:reported]))
 
-    return estim.apply_vcov(fit, refit, ds, spec.vcov)
+    return estim.apply_vcov(fit, refit, ds, mask, spec.vcov)

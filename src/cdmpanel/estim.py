@@ -1,8 +1,9 @@
 """Shared estimation machinery, which does each numerical job one way.
 
-Complete-case handling, the rows of one fit as dataset row indices (the
-point fit's complete cases, or a bootstrap replicate's: draw_rows, the drawn
-entities' row blocks, with no new dataset; an entity drawn twice is one
+Complete-case handling (complete_case_mask, which alone knows which FE dims
+are data columns: fe_columns), the rows of one fit as dataset row indices
+(the point fit's complete cases, or a bootstrap replicate's: draw_rows, the
+drawn entities' row blocks, with no new dataset; an entity drawn twice is one
 entity whose rows come twice, which gives the estimating equations of an
 entity frequency weight), one integer-coded fixed-effect encoding (fe_codes,
 sample_codes), the dense design builder of the linear fits (design_matrix)
@@ -14,13 +15,13 @@ Schur complement (BlockHessian). One pivoted QR (_pivoted_qr) gives a
 least-squares fit its coefficients, rank check and covariance bread, and the
 rank screen of newton_design designs (screen_rank) and the variance
 inflation factors their rank checks. On top of these sit the one
-least-squares solver of the linear fits (ols_core, with the analytic
-covariance or HC1, and ols_solve, its coefficients alone, for the bootstrap
-replicates; FE absorbed exactly by the Schur elimination, fe_residuals; a
-fit without a residual degree of freedom refused), a line-searched Newton
-maximizer for likelihoods, the entity-cluster bootstrap on one replicate
-stream rule (replicate_rng) and apply_vcov, through which every estimator
-gets its covariance (VcovSpec), and Wald tests.
+least-squares call of every linear fit and of its bootstrap replicates
+(ols_core, with the analytic covariance or HC1; FE absorbed exactly by the
+Schur elimination, fe_residuals; a fit without a residual degree of freedom
+refused), a line-searched Newton maximizer for likelihoods, the
+entity-cluster bootstrap on one replicate stream rule (replicate_rng) and
+apply_vcov, through which every estimator gets its covariance (VcovSpec):
+it alone turns a draw into the rows its refit solves on, and Wald tests.
 """
 
 from __future__ import annotations
@@ -197,9 +198,16 @@ def fe_codes(ds: panel.PanelDataset, dim: str, rows) -> tuple[np.ndarray, list]:
     return codes, levels
 
 
-def complete_case_mask(ds: panel.PanelDataset, names) -> np.ndarray:
+def fe_columns(fe_dims) -> list[str]:
+    """The FE dims that are data columns: the category dims, all but "entity" and "year"."""
+    return [dim for dim in fe_dims if dim not in ("entity", "year")]
+
+
+def complete_case_mask(ds: panel.PanelDataset, names, fe_dims=()) -> np.ndarray:
+    """The rows on which the columns ``names`` and those of the category FE
+    dims among ``fe_dims`` (fe_columns) are all finite."""
     mask = np.ones(ds.n_rows, dtype=bool)
-    for name in names:
+    for name in [*names, *fe_columns(fe_dims)]:
         mask &= np.isfinite(ds.column(name))
     return mask
 
@@ -457,18 +465,34 @@ class OlsCore(NamedTuple):
     absorbed_df: int
 
 
-def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, fe=()):
-    """ols_core's sample checks, FE projection and one pivoted QR of the
-    weighted design X~ (_pivoted_qr, its rank rule relative to the largest
-    pivot), without the covariance and fit statistics (a bootstrap replicate
-    needs only the coefficients). Each coefficient vector is solved from R
-    as scipy.linalg's triangular solver solves it (dtrtrs on R'), and the
-    bread (X~'X~)^-1 = P R^-1 R^-T P' comes from the same R.
+def ols_core(
+    X: np.ndarray,
+    y: np.ndarray,
+    names,
+    w: np.ndarray | None = None,
+    fe=(),
+    robust: bool = False,
+) -> OlsCore | list[OlsCore]:
+    """Least squares on arrays, the one least-squares call of the point fits
+    and of their bootstrap replicates: sample checks, rank-checked solve,
+    analytic or HC1 covariance, r2 and the Gaussian loglik.
 
-    Returns (betas, X, Y, absorbed_df, bread): one coefficient vector per
-    column of ``y`` (a 1-D ``y`` is one column), the design and the (n, m)
-    dependent columns after the FE projection, the number of FE parameters
-    absorbed, and (X~'X~)^-1.
+    ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed
+    exactly by replacing y and X with their residuals on the FE
+    (fe_residuals); r2 is then the within-R2 and ``absorbed_df`` the number of
+    FE parameters identified. r2 is centred only when ``names`` holds the
+    intercept. ``w`` are analytic weights. One pivoted QR of the weighted
+    design X~ (_pivoted_qr, its rank rule relative to the largest pivot)
+    gives each coefficient vector, solved from R as scipy.linalg's
+    triangular solver solves it (dtrtrs on R'), and the bread (X~'X~)^-1 =
+    P R^-1 R^-T P' of both covariances: s^2 times it, or HC1's sandwich
+    around the scores.
+
+    ``y`` of shape (n, m) holds m dependent columns that share the design, FE
+    and weights: [y, X] go through one fe_residuals call, X is factored once,
+    and a list of one OlsCore per column comes back. Each column is projected
+    and solved as a 1-D ``y`` is, so its OlsCore is bit-identical to the one
+    the column gets alone.
     """
     n, p = X.shape
     if n == 0:
@@ -486,55 +510,21 @@ def ols_solve(X: np.ndarray, y: np.ndarray, names, w: np.ndarray | None = None, 
     # a case for each column of X (the intercept too) and each absorbed FE
     # parameter, and one more: at least one residual degree of freedom (none
     # would leave SEs of round-off)
-    if n <= p + absorbed_df:
+    dof = n - p - absorbed_df
+    if dof < 1:
         absorbed = f" and {absorbed_df} absorbed fixed effects" if absorbed_df else ""
         raise ValidationError(f"only {n} complete cases for {p} regressors{absorbed}")
 
     sw = np.sqrt(w) if w is not None else None
     qr, tau, piv, bread = _pivoted_qr(X * sw[:, None] if w is not None else X, names)
     q = lapack.dorgqr(qr, tau, lwork=int(lapack.dorgqr(qr, tau, lwork=-1)[1][0]))[0]
-    betas = []
-    for j in range(m):
-        yw = Y[:, j] * sw if w is not None else Y[:, j]
-        beta = np.empty(p)
-        beta[piv] = lapack.dtrtrs(qr[:p].T, q.T @ yw, lower=1, trans=1)[0]
-        betas.append(beta)
-    return betas, X, Y, absorbed_df, bread
-
-
-def ols_core(
-    X: np.ndarray,
-    y: np.ndarray,
-    names,
-    w: np.ndarray | None = None,
-    fe=(),
-    robust: bool = False,
-) -> OlsCore | list[OlsCore]:
-    """Least squares on arrays: sample checks, rank-checked solve (ols_solve),
-    analytic or HC1 covariance, r2 and the Gaussian loglik.
-
-    ``fe`` holds one integer code array per FE dim (see fe_codes), absorbed
-    exactly by replacing y and X with their residuals on the FE
-    (fe_residuals); r2 is then the within-R2 and ``absorbed_df`` the number of
-    FE parameters identified. r2 is centred only when ``names`` holds the
-    intercept. ``w`` are analytic weights. Both covariances take their bread
-    (X~'X~)^-1 from ols_solve's QR: s^2 times it, or HC1's sandwich around
-    the scores.
-
-    ``y`` of shape (n, m) holds m dependent columns that share the design, FE
-    and weights: [y, X] go through one fe_residuals call, X is factored once,
-    and a list of one OlsCore per column comes back. Each column is projected
-    and solved as a 1-D ``y`` is, so its OlsCore is bit-identical to the one
-    the column gets alone.
-    """
-    betas, X, Y, absorbed_df, bread = ols_solve(X, y, names, w, fe)
-    n, p = X.shape
     ww = w if w is not None else np.ones(n)
-    dof = n - p - absorbed_df  # at least 1 (ols_solve)
 
     cores = []
-    for j, beta in enumerate(betas):
+    for j in range(m):
         yj = Y[:, j]
+        beta = np.empty(p)
+        beta[piv] = lapack.dtrtrs(qr[:p].T, q.T @ (yj * sw if w is not None else yj), lower=1, trans=1)[0]
         resid = yj - X @ beta
 
         rss = float(np.sum(ww * resid**2))
@@ -577,26 +567,25 @@ def ols_fit(ds: panel.PanelDataset, spec: ModelSpec, vcov: VcovSpec = VcovSpec()
     """OLS on complete cases, absorbing fixed effects exactly (fe_residuals).
 
     The intercept is reported only when no fixed effects are absorbed. r2 is
-    the within-R2 when FE dims are present. A bootstrap replicate (apply_vcov)
-    takes the drawn entities' complete rows (draw_rows) and solves them by
-    ols_solve.
+    the within-R2 when FE dims are present. The point fit and a bootstrap
+    replicate (apply_vcov, which hands it the draw's rows) are one ols_core
+    call each.
     """
-    cat_dims = [d for d in spec.fe_dims if d not in ("entity", "year")]
-    mask = complete_case_mask(ds, [spec.dependent, *spec.regressors, *cat_dims])
+    mask = complete_case_mask(ds, [spec.dependent, *spec.regressors], spec.fe_dims)
 
-    def arrays(rows: np.ndarray):
+    def solve(rows: np.ndarray):
         X, names, _ = design_matrix(ds, rows, spec.regressors, (), not spec.fe_dims)
-        y = ds.column(spec.dependent)[rows]
-        return X, y, names, [sample_codes(ds, rows, dim)[0] for dim in spec.fe_dims]
+        fe = [sample_codes(ds, rows, dim)[0] for dim in spec.fe_dims]
+        return names, ols_core(X, ds.column(spec.dependent)[rows], names, fe=fe)
 
-    X, y, names, fe = arrays(np.flatnonzero(mask))
-    fit = ols_result(ols_core(X, y, names, fe=fe), names, ds.n_rows, "analytic", spec.fe_dims)
+    names, core = solve(np.flatnonzero(mask))
+    fit = ols_result(core, names, ds.n_rows, "analytic", spec.fe_dims)
 
-    def refit(picks: np.ndarray) -> dict[str, float]:
-        X, y, names, fe = arrays(draw_rows(ds, picks, mask))
-        return dict(zip(names, ols_solve(X, y, names, fe=fe)[0][0]))
+    def refit(rows: np.ndarray) -> dict[str, float]:
+        names, core = solve(rows)
+        return dict(zip(names, core.beta))
 
-    return apply_vcov(fit, refit, ds, vcov)
+    return apply_vcov(fit, refit, ds, mask, vcov)
 
 
 def mle_fit(objective: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]], start) -> MleResult:
@@ -702,7 +691,7 @@ def bootstrap_vcov(
     Entities are resampled with replacement; replication r draws from an RNG
     stream keyed by (seed, r), so results do not depend on execution order.
     ``refit`` gets each draw as the positions of the drawn entities in
-    ``ds``, in draw order (draw_rows gives their rows). Replications whose
+    ``ds``, in draw order (apply_vcov turns them into rows). Replications whose
     refit raises one of ESTIMATION_ERRORS are dropped and counted; more than
     10% failures is an error. Any other exception propagates.
     """
@@ -739,6 +728,7 @@ def apply_vcov(
     fit: FitResult | list[FitResult],
     refit: Callable[[np.ndarray], dict[str, float] | list[dict[str, float]]],
     ds: panel.PanelDataset,
+    mask: np.ndarray,
     vcov: VcovSpec,
 ) -> FitResult | list[FitResult]:
     """Give a point fit the covariance ``vcov`` asks for; every estimator's
@@ -748,16 +738,16 @@ def apply_vcov(
     keeps. A cluster_bootstrap spec replaces it, in place, by bootstrap_vcov
     over ``refit``, and sets the spec's tag and ``notes["bootstrap_failures"]``.
 
-    ``refit`` takes the drawn entities' positions (see bootstrap_vcov) and
-    returns the estimator's coefficients, name -> value, on the draw. Each
-    estimator solves the drawn entities' rows of its own dataset (draw_rows),
-    without the point fit's diagnostics. An entity drawn twice is one entity
-    whose rows come twice: its copies share one effect, which gives the
-    estimating equations of an entity frequency weight. So the coefficients
-    equal, to round-off, those of the point fit on panel.take_entities'
-    dataset of the draw, where each copy is an entity of its own. A
-    replicate that lacks a coefficient of ``fit`` (a year or category with no
-    row in the draw) fails, as one whose refit raises does.
+    ``refit`` is the estimator's point solve on dataset row indices, without
+    the point fit's diagnostics: it gets each draw's rows, those of ``mask``
+    (the point sample) in the drawn entities (draw_rows), and returns the
+    estimator's coefficients, name -> value. An entity drawn twice is one
+    entity whose rows come twice: its copies share one effect, which gives
+    the estimating equations of an entity frequency weight. So the
+    coefficients equal, to round-off, those of the point fit on
+    panel.take_entities' dataset of the draw, where each copy is an entity
+    of its own. A replicate that lacks a coefficient of ``fit`` (a year or
+    category with no row in the draw) fails, as one whose refit raises does.
 
     ``fit`` may also be a list of fits whose coefficients one ``refit``
     returns together, as a list in the same order (the families of a count
@@ -767,11 +757,11 @@ def apply_vcov(
     """
     if vcov.kind != "cluster_bootstrap":
         return fit
-    fits, refits = (fit, refit) if isinstance(fit, list) else ([fit], lambda picks: [refit(picks)])
+    fits, refits = (fit, refit) if isinstance(fit, list) else ([fit], lambda rows: [refit(rows)])
     names = [f.names for f in fits]
 
     def draw(picks: np.ndarray) -> np.ndarray:
-        coefficients = refits(picks)
+        coefficients = refits(draw_rows(ds, picks, mask))
         missing = [nm for c, nms in zip(coefficients, names) for nm in nms if nm not in c]
         if missing:
             raise ValidationError(f"the resample gives no coefficient {missing[0]!r}")

@@ -160,8 +160,7 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     """
     _refuse_entity_effects(fe_dims)
     regressors = list(regressors)
-    cat_cols = [d for d in fe_dims if d != "year"]
-    mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_cols])
+    mask = estim.complete_case_mask(ds, [dependent, *regressors], fe_dims)
     if not np.all(np.isin(ds.column(dependent)[mask], (0.0, 1.0))):
         raise ValidationError(f"probit dependent {dependent!r} must be binary 0/1")
     res, _, names, mapping, layout = _probit(ds, np.flatnonzero(mask), dependent, regressors, fe_dims)
@@ -179,14 +178,14 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
 def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     """Probit on the full sample, then selection-corrected OLS on disclosing rows.
 
-    A bootstrap replicate (estim.apply_vcov) solves both steps on the drawn
-    entities' rows of ``ds`` (estim.draw_rows). With no entity codes in
-    either step, it gives bit for bit the coefficients of step 2 on
+    A bootstrap replicate (estim.apply_vcov) solves both steps on the draw's
+    rows, step 2 by the point fit's one ols_core call. With no entity codes
+    in either step, it gives bit for bit the coefficients of step 2 on
     panel.take_entities' dataset of the draw. The checks on cell values (a
     binary selection observed wherever there are model data, an outcome on
-    every selected row) run once, here, since a draw only repeats cells; a
-    draw must still have a selected row. The VIFs and the Wald test are
-    the point fit's alone.
+    every selected row) run once, here, since a draw only repeats cells; the
+    point fit needs a selected row in the dataset and a replicate one in its
+    rows. The VIFs and the Wald test are the point fit's alone.
     """
     # the step-2 design names the correction term IMR; a data column of that
     # name would be ambiguous
@@ -194,8 +193,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         raise ValidationError(f"column {IMR_NAME!r} already exists")
     sel = ds.column(spec.selection)
     sel_regs = [*spec.exclusion_restrictions, *spec.outcome_regressors]
-    cat_cols = [d for d in spec.fe_dims if d != "year"]
-    model_cols = [spec.outcome, *sel_regs, *cat_cols]
+    model_cols = [spec.outcome, *sel_regs, *estim.fe_columns(spec.fe_dims)]
     has_data = np.zeros(ds.n_rows, dtype=bool)
     for name in model_cols:
         has_data |= np.isfinite(ds.column(name))
@@ -206,9 +204,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     observed = np.isfinite(sel)
     if not np.all(np.isin(sel[observed], (0.0, 1.0))):
         raise ValidationError(f"selection column {spec.selection!r} must be binary 0/1")
-    selected = (sel == 1.0).reshape(len(ds.entities), len(ds.periods)).any(axis=1)
-    if not selected.any():
-        raise ValidationError("no selected rows: selection column is all zero")
+    _require_selected(sel)
     outcome = ds.column(spec.outcome)
     bad = observed & (sel == 1.0) & ~np.isfinite(outcome)
 
@@ -218,8 +214,8 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         )
 
     probit = probit_fit(ds, spec.selection, sel_regs, spec.fe_dims)
-    probit_mask = estim.complete_case_mask(ds, [spec.selection, *sel_regs, *cat_cols])
-    outcome_mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors, *cat_cols]) & (sel == 1.0)
+    probit_mask = estim.complete_case_mask(ds, [spec.selection, *sel_regs], spec.fe_dims)
+    outcome_mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors], spec.fe_dims) & (sel == 1.0)
 
     def step2(rows: np.ndarray, params=None):
         """Step 2's (X, y, names, fe_dummies, imr, index) on the probit's row
@@ -241,7 +237,7 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
         return X, outcome[rows], [*names, IMR_NAME, INTERCEPT], mapping, imr, index
 
     X, y, names, mapping, imr, index = step2(np.flatnonzero(probit_mask), probit.coef_vector())
-    core = _least_squares(estim.ols_core, X, y, names)
+    core = _least_squares(X, y, names)
     outcome_fit = estim.ols_result(core, names, ds.n_rows, "analytic", ())
     outcome_fit.notes["fe_dummies"] = mapping
 
@@ -259,13 +255,12 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
 
     step2_vif = estim.vif_matrix(X[:, :-1], names[:-1])
 
-    def refit(picks: np.ndarray) -> dict[str, float]:
-        if not selected[picks].any():
-            raise ValidationError("no selected rows: selection column is all zero")
-        X, y, names, *_ = step2(estim.draw_rows(ds, picks, probit_mask))
-        return dict(zip(names, _least_squares(estim.ols_solve, X, y, names)[0][0]))
+    def refit(rows: np.ndarray) -> dict[str, float]:
+        _require_selected(sel[rows])
+        X, y, names, *_ = step2(rows)
+        return dict(zip(names, _least_squares(X, y, names).beta))
 
-    estim.apply_vcov(outcome_fit, refit, ds, spec.vcov)
+    estim.apply_vcov(outcome_fit, refit, ds, probit_mask, spec.vcov)
     if spec.outcome_regressors:
         outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, spec.outcome_regressors)
     outcome_fit.notes.update({"lambda": float(lam), "rho": rho, "sigma": sigma, "step2_vif": step2_vif})
@@ -273,11 +268,16 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     return HeckmanFit(probit=probit, outcome=outcome_fit)
 
 
-def _least_squares(solve, X, y, names):
-    """Step 2's least squares by ``solve`` (estim.ols_core or estim.ols_solve),
-    a collinear design named with the likely cause."""
+def _require_selected(sel: np.ndarray) -> None:
+    if not np.any(sel == 1.0):
+        raise ValidationError("no selected rows: selection column is all zero")
+
+
+def _least_squares(X, y, names) -> estim.OlsCore:
+    """Step 2's least squares (estim.ols_core), a collinear design named with
+    the likely cause."""
     try:
-        return solve(X, y, names)
+        return estim.ols_core(X, y, names)
     except CollinearityError as exc:
         raise CollinearityError(
             f"{exc}; the selection correction is collinear with the outcome regressors - "

@@ -415,7 +415,7 @@ def filter_rows(ds: PanelDataset, predicate: str) -> PanelDataset:
 def take_entities(ds: PanelDataset, positions) -> PanelDataset:
     """Dataset made of the given entity blocks, in order: the dataset of one
     cluster-bootstrap draw. The estimators solve a draw's rows of their own
-    dataset instead (estim.draw_rows), where an entity drawn twice is one
+    dataset instead (estim.apply_vcov), where an entity drawn twice is one
     entity whose rows come twice; tests compare them with refits of this.
 
     ``positions`` may repeat; repeated draws get distinct labels so downstream

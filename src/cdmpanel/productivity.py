@@ -59,8 +59,8 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     year effects absorbed through ``fe``) and the between fit on entity
     means give the variance components; the fit on the quasi-demeaned data
     is the GLS fit whose mean block is tested jointly. Each needs a residual
-    degree of freedom (estim.ols_solve): the between fit one more entity
-    than it has columns.
+    degree of freedom: the between fit one more entity than it has columns.
+    The entity means are per-entity sums (estim.EntityLayout.level_sums).
 
     Returns (chi2, df, p, mean_coefficients). Time-invariant regressors are
     excluded from the mean set with a warning; a negative estimated variance
@@ -77,11 +77,9 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     design, names, _ = estim.design_matrix(ds, mask, regressors, ("year",), intercept=False)
     X = design[:, : len(regressors)]
 
-    # rows are entity-major, so each entity's rows are one run of its code
-    starts = np.flatnonzero(np.diff(ent, prepend=-1))
-    counts = np.diff(np.append(starts, n))
+    counts = np.bincount(ent)
     data = np.column_stack([ds.column(spec.dependent)[mask], design])
-    means = np.add.reduceat(data, starts) / counts[:, None]
+    means = estim.EntityLayout.from_codes(ent, len(counts), data.shape[1]).level_sums(data) / counts[:, None]
     ybar, Xbar = means[:, 0], means[:, 1 : 1 + len(regressors)]
 
     time_varying: list[int] = []
@@ -103,7 +101,7 @@ def mundlak_test(ds: panel.PanelDataset, spec: ProdSpec):
     fe = [ent, estim.fe_codes(ds, "year", mask)[0]]
     within = estim.ols_core(X[:, time_varying], data[:, 0], [regressors[j] for j in time_varying], fe=fe)
     sigma2_e = float(within.resid @ within.resid) / (n - len(time_varying) - within.absorbed_df)
-    n_ent = len(starts)
+    n_ent = len(counts)
     between_X = np.column_stack([Xbar, np.ones(n_ent)])
     between = estim.ols_core(between_X, ybar, [*(f"mean_{r}" for r in regressors), INTERCEPT])
     rss_b = float(between.resid @ between.resid)

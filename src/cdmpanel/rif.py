@@ -217,8 +217,7 @@ def uqr_fit(
     """
     regressors = tuple(regressors)
     fe_dims = tuple(fe_dims)
-    cat_dims = [d for d in fe_dims if d not in ("entity", "year")]
-    mask = estim.complete_case_mask(ds, [dependent, *regressors, *cat_dims])
+    mask = estim.complete_case_mask(ds, [dependent, *regressors], fe_dims)
     if not mask.any():
         raise ValidationError("no complete cases for the quantile regression")
     rifs = rif_quantiles(ds.column(dependent)[mask], spec.taus)

@@ -25,8 +25,12 @@ class StageFit:
     fit: FitResult
     column: str  # its table column label
     title: str  # its table's title; "{subsample}" stands for the subsample's name
-    tau: float | None = None
     plot: tuple[str, ...] = ()  # regressors whose estimates across tau get plot data
+
+    @property
+    def tau(self) -> float | None:
+        """The quantile a uqr, treatment or cqr fit notes; None for the other fits."""
+        return self.fit.notes.get("tau")
 
 
 def heckman(ds, parsed, vcov_for):
@@ -69,7 +73,7 @@ def uqr(ds, parsed, vcov_for):
     out = []
     for label, regressors in models.items():
         fits = rif.uqr_fit(ds, dependent, regressors, qspec)
-        out += [StageFit(label, fits[tau], f"Q{int(round(tau * 100))}", f"UQR ({label}), subsample {{subsample}}", tau,
+        out += [StageFit(label, fits[tau], f"Q{int(round(tau * 100))}", f"UQR ({label}), subsample {{subsample}}",
                          tuple(regressors)) for tau in qspec.taus]
     return ds, out
 
@@ -81,12 +85,12 @@ def treatment(ds, parsed, vcov_for):
         fits = rif.rif_treatment_fit(ds, dependent, spec, qspec)
         title = "RIF treatment effects with IPW" if spec.weighting == "ipw" else "RIF treatment effects without weights"
         out += [StageFit(f"rif_treat_{spec.weighting}", fits[tau], f"Q{int(round(tau * 100))}",
-                         title + ", subsample {subsample}", tau, (spec.treatment,)) for tau in qspec.taus]
+                         title + ", subsample {subsample}", (spec.treatment,)) for tau in qspec.taus]
     return ds, out
 
 
 def cqr(ds, parsed, vcov_for):
     tau, specs = parsed
     title = f"Bootstrap robust CQR (tau={tau:g}), subsample {{subsample}}"
-    return ds, [StageFit(label, _cqr.cqr_fit(ds, dataclasses.replace(spec, vcov=vcov_for(4))), label, title, tau)
+    return ds, [StageFit(label, _cqr.cqr_fit(ds, dataclasses.replace(spec, vcov=vcov_for(4))), label, title)
                 for label, spec in specs]

@@ -223,6 +223,20 @@ class TestSimulateAndMonteCarlo:
         assert os.path.exists(result["true_parameters"])
         assert result["rows"] == 120
 
+    def test_simulate_mode_refuses_a_csv_path(self, tmp_path, capsys):
+        # the panel always goes to <output_dir>/panel.csv
+        cfg = {
+            "mode": "simulate",
+            "dgp": {"n_entities": 30, "n_periods": 4, "seed": 5},
+            "output_dir": str(tmp_path / "sim"),
+            "write_csv": str(tmp_path / "elsewhere.csv"),
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([str(path)]) == 1
+        assert "config: unknown key 'write_csv'" in capsys.readouterr().err
+        assert not (tmp_path / "elsewhere.csv").exists() and not (tmp_path / "sim").exists()
+
     def test_monte_carlo_mode_writes_report(self, tmp_path):
         cfg = {
             "mode": "monte_carlo",

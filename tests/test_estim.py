@@ -41,7 +41,6 @@ from cdmpanel.estim import (
     linear_index,
     newton_design,
     ols_core,
-    ols_solve,
     sample_codes,
 )
 from cdmpanel.heckman import _probit_parts
@@ -90,7 +89,7 @@ class TestOls:
             ols_fit(ds, ModelSpec("y", ("x",), fe_dims=("entity", "year")))
         fe = [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
         with pytest.raises(ValidationError, match=message):
-            ols_solve(np.array(x[:4])[:, None], np.array(y[:4]), ["x"], fe=fe)
+            ols_core(np.array(x[:4])[:, None], np.array(y[:4]), ["x"], fe=fe)
         # a third entity leaves one
         fit = ols_fit(from_long(ents, years, {"x": x, "y": y}), ModelSpec("y", ("x",), fe_dims=("entity", "year")))
         assert fit.notes["absorbed_df"] == 4 and fit.se("x") > 1e-3

@@ -262,6 +262,12 @@ class TestTwoStep:
         with pytest.raises(ValidationError, match="missing on 1 selected"):
             heckman_two_step(ds, base_spec())
 
+    def test_all_zero_selection_refused(self):
+        ds = two_step_panel(seed=5, n_entities=60, n_periods=4)
+        ds = ds.with_replaced({"D": np.zeros(ds.n_rows), "RDINT": np.full(ds.n_rows, np.nan)})
+        with pytest.raises(ValidationError, match="^no selected rows: selection column is all zero$"):
+            heckman_two_step(ds, base_spec())
+
     def test_selection_name_that_is_not_an_identifier(self):
         # step 2 picks its rows by the selection column's values, so a name
         # such as "R&D" is not parsed as an expression

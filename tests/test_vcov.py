@@ -39,7 +39,6 @@ from cdmpanel.estim import (
     fe_codes,
     linear_index,
     ols_core,
-    ols_solve,
     replicate_rng,
 )
 from cdmpanel.heckman import inverse_mills
@@ -111,15 +110,22 @@ def test_bootstrap_vcov_matches_hand_refit(ds, estimator):
 
 
 def test_refit_runs_once_per_replicate(ds):
+    # each replicate's refit gets the draw's rows of the point sample: the
+    # drawn entities' rows on which the mask holds, in draw order
     calls = []
+    mask = np.arange(ds.n_rows) % 3 > 0
+    point = ols_fit(ds, OLS)
 
-    def refit(picks):
-        d = take_entities(ds, picks)
-        calls.append(d.n_rows)
-        return ols_fit(d, OLS).coefficients
+    def refit(rows):
+        calls.append(rows)
+        return point.coefficients
 
-    fit = apply_vcov(ols_fit(ds, OLS), refit, ds, BOOT)
+    fit = apply_vcov(point, refit, ds, mask, BOOT)
     assert len(calls) == BOOT.replications
+    for r, rows in enumerate(calls):
+        picks = replicate_rng(BOOT.seed, r).integers(0, len(ds.entities), size=len(ds.entities))
+        want = np.concatenate([np.flatnonzero(mask & (ds.entity_index() == e)) for e in picks])
+        assert np.array_equal(rows, want)
     assert fit.notes["bootstrap_failures"] == 0
 
 
@@ -256,6 +262,21 @@ def test_failed_replicate_counted_as_its_refit_fails(ds):
     assert sum(not np.isin([0, 1], p).any() for p in picks) == 1
 
 
+def test_replicate_without_a_selected_row_fails(ds):
+    # only entities 0 and 1 are selected: a draw of neither has no selected
+    # row, and fails, as the point fit on take_entities' dataset of it does
+    chosen = entity_rows(ds, [0, 1])
+    d = ds.with_replaced({"D": chosen.astype(float), "RDINT": np.where(chosen, ds.column("RDINT_star"), np.nan)})
+    vcov = VcovSpec("cluster_bootstrap", replications=10, seed=BOOT_ONE_FAILURE)
+    fit = heckman_two_step(d, HeckmanSpec(**HECKMAN, vcov=vcov)).outcome
+    assert fit.notes["bootstrap_failures"] == 1
+    picks = [replicate_rng(vcov.seed, r).integers(0, len(ds.entities), size=len(ds.entities)) for r in range(10)]
+    neither = [p for p in picks if not np.isin([0, 1], p).any()]
+    assert len(neither) == 1
+    with pytest.raises(ValidationError, match="^no selected rows"):
+        heckman_two_step(take_entities(d, neither[0]), HeckmanSpec(**HECKMAN))
+
+
 def test_imr_index_adds_as_linear_index(ds):
     # step 2 of the point fit and of every replicate sums the probit index
     # in estim.linear_index's order; X @ b differs from it in the last bits
@@ -294,6 +315,6 @@ def test_fe_ols_replicate_is_a_frequency_weighted_fit(ds, monkeypatch):
         rows = np.flatnonzero(mask & (w > 0))
         X, names, _ = design_matrix(ds, rows, OLS.regressors, (), intercept=False)
         fe = [fe_codes(ds, dim, rows)[0] for dim in OLS.fe_dims]
-        want = ols_solve(X, ds.column(OLS.dependent)[rows], names, w=w[rows].astype(float), fe=fe)[0][0]
+        want = ols_core(X, ds.column(OLS.dependent)[rows], names, w=w[rows].astype(float), fe=fe).beta
         assert names == list(fit.coefficients)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
