@@ -191,7 +191,9 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
         if spec.entity_fe and layout.n_dense == 1:  # nothing but _cons, one of the entity levels
             raise ValidationError("no identifiable regressors beside the entity effects")
         k = layout.n_dense + layout.n_entity
-        if "nb2" in families and n < k + 2:
+        if "nb2" in families and n < k + 2:  # NB2 also fits log alpha
+            raise ValidationError(f"only {n} complete cases for {k + 1} parameters")
+        if n < k:
             raise ValidationError(f"only {n} complete cases for {k} parameters")
         res = _poisson_mle(y, X, names, layout)
         optima = [_Optimum(res, res.params, res.vcov, 0.0, res.iterations) if family == "poisson_fe"
@@ -225,7 +227,7 @@ def count_fits(ds: panel.PanelDataset, specs, fix_alpha: float | None = None) ->
     estim.apply_vcov(fits, refit, ds, mask, spec.vcov)
     if spec.regressors:
         for fit in fits:
-            fit.wald_chi2 = estim.wald_chi2(fit, spec.regressors)
+            estim.attach_wald(fit, spec.regressors)
     return fits
 
 

@@ -736,7 +736,8 @@ def apply_vcov(
 
     ``fit`` carries the estimator's own covariance, which an analytic spec
     keeps. A cluster_bootstrap spec replaces it, in place, by bootstrap_vcov
-    over ``refit``, and sets the spec's tag and ``notes["bootstrap_failures"]``.
+    over ``refit``, and sets the spec's tag, ``notes["bootstrap_failures"]``
+    and ``notes["bootstrap_draws"]``, the draws the covariance is made of.
 
     ``refit`` is the estimator's point solve on dataset row indices, without
     the point fit's diagnostics: it gets each draw's rows, those of ``mask``
@@ -774,6 +775,7 @@ def apply_vcov(
         f.vcov = _draw_cov(boot.draws[:, start:stop])
         f.se_method = vcov.tag()
         f.notes["bootstrap_failures"] = boot.n_failed
+        f.notes["bootstrap_draws"] = boot.n_used
     return fit
 
 
@@ -791,7 +793,9 @@ def linear_index(
     ``fit.notes['entity_effects']`` ({label: absolute effect on the index,
     the level included}, as the FE Poisson and NB2 report them), are added by
     entity in one gather; an unseen entity gets effect 0. Rows missing any
-    required input come back NaN.
+    required input come back NaN, and a column absent from ``ds`` is refused.
+    Heckman's step 2 takes its selection index from here, on the probit of
+    the point fit and of each bootstrap replicate.
     """
     dummies: dict[str, tuple[str, object]] = fit.notes.get("fe_dummies", {})
     effects: dict[str, float] = fit.notes.get("entity_effects", {})
@@ -854,11 +858,24 @@ def vif_matrix(X: np.ndarray, names) -> dict[str, float]:
     return dict(zip(names, out.tolist()))
 
 
+def _too_few_draws(fit: FitResult, r: int) -> str | None:
+    """Why a bootstrap covariance cannot test r restrictions, or None: b
+    draws give it rank at most b - 1, so r restrictions need r + 1 draws."""
+    draws = fit.notes.get("bootstrap_draws")
+    if draws is not None and draws < r + 1:
+        return f"{r} restrictions need at least {r + 1} bootstrap draws, the covariance has {draws}"
+    return None
+
+
 def wald_chi2(fit: FitResult, restricted) -> tuple[float, int, float]:
-    """Wald test that the named coefficients are jointly zero."""
+    """Wald test that the named coefficients are jointly zero; refused when
+    fewer bootstrap draws than restrictions plus one made the covariance."""
     restricted = list(restricted)
     if not restricted:
         raise ValidationError("empty restriction set")
+    why = _too_few_draws(fit, len(restricted))
+    if why:
+        raise ValidationError(f"no Wald test: {why}")
     names = fit.names
     for name in restricted:
         if name not in names:
@@ -876,3 +893,14 @@ def wald_chi2(fit: FitResult, restricted) -> tuple[float, int, float]:
     df = len(restricted)
     p = float(scipy.special.chdtrc(df, stat))
     return stat, df, p
+
+
+def attach_wald(fit: FitResult, restricted) -> None:
+    """Set ``fit.wald_chi2`` to the Wald test of ``restricted``, or, when too
+    few bootstrap draws made the covariance for it, leave it None and say why
+    in ``notes["wald_refused"]``."""
+    why = _too_few_draws(fit, len(restricted))
+    if why:
+        fit.notes["wald_refused"] = why
+    else:
+        fit.wald_chi2 = wald_chi2(fit, restricted)

@@ -15,6 +15,11 @@ lambda = rho * sigma always holds. The outcome fit's notes hold lambda, rho,
 sigma, the step-2 VIFs and, after a clamp, lambda / sigma before it
 (`rho_clamped`).
 
+One solve on dataset rows serves the point fit and every bootstrap
+replicate: the probit on the rows (the FitResult probit_fit also returns),
+then step 2 on their selected rows with the selection index
+estim.linear_index of that probit.
+
 Year and category effects enter both steps as indicator columns. Entity
 effects are refused: a probit with entity effects is inconsistent at a fixed
 number of periods (the incidental-parameters problem; Greene 2004), and so
@@ -140,9 +145,9 @@ def probit_mle(y: np.ndarray, X: np.ndarray, layout: estim.EntityLayout) -> MleR
     return res
 
 
-def _probit(ds: panel.PanelDataset, rows: np.ndarray, dependent: str, regressors, fe_dims):
+def _probit_on_rows(ds: panel.PanelDataset, rows: np.ndarray, dependent: str, regressors, fe_dims) -> FitResult:
     """The probit on row indices of its complete rows, after the size and
-    rank checks: (MleResult, X, names, fe_dummies, layout)."""
+    rank checks; the FitResult of probit_fit and of both Heckman steps."""
     n = len(rows)
     if n == 0:
         raise ValidationError("no complete cases for the probit")
@@ -151,7 +156,15 @@ def _probit(ds: panel.PanelDataset, rows: np.ndarray, dependent: str, regressors
     if n < k + 1:
         raise ValidationError(f"only {n} complete cases for {k} probit parameters")
     estim.screen_rank(X, names, layout, intercept=True)
-    return probit_mle(ds.column(dependent)[rows], X, layout), X, names, mapping, layout
+    res = probit_mle(ds.column(dependent)[rows], X, layout)
+    return FitResult(
+        coefficients=dict(zip(names, res.params[: layout.n_dense])),
+        vcov=res.vcov,
+        n_obs=n,
+        loglik=res.loglik,
+        n_dropped=ds.n_rows - n,
+        notes={"fe_dummies": mapping, "newton_iterations": res.iterations, "grad_norm": res.grad_norm},
+    )
 
 
 def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -> FitResult:
@@ -163,29 +176,22 @@ def probit_fit(ds: panel.PanelDataset, dependent: str, regressors, fe_dims=()) -
     mask = estim.complete_case_mask(ds, [dependent, *regressors], fe_dims)
     if not np.all(np.isin(ds.column(dependent)[mask], (0.0, 1.0))):
         raise ValidationError(f"probit dependent {dependent!r} must be binary 0/1")
-    res, _, names, mapping, layout = _probit(ds, np.flatnonzero(mask), dependent, regressors, fe_dims)
-    n = int(mask.sum())
-    return FitResult(
-        coefficients=dict(zip(names, res.params[: layout.n_dense])),
-        vcov=res.vcov,
-        n_obs=n,
-        loglik=res.loglik,
-        n_dropped=ds.n_rows - n,
-        notes={"fe_dummies": mapping, "newton_iterations": res.iterations, "grad_norm": res.grad_norm},
-    )
+    return _probit_on_rows(ds, np.flatnonzero(mask), dependent, regressors, fe_dims)
 
 
 def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
     """Probit on the full sample, then selection-corrected OLS on disclosing rows.
 
-    A bootstrap replicate (estim.apply_vcov) solves both steps on the draw's
-    rows, step 2 by the point fit's one ols_core call. With no entity codes
-    in either step, it gives bit for bit the coefficients of step 2 on
-    panel.take_entities' dataset of the draw. The checks on cell values (a
+    The point fit and each bootstrap replicate (estim.apply_vcov, which hands
+    it the draw's rows) are one solve on rows: the probit, its index
+    (estim.linear_index) and step 2's one ols_core call. With no entity codes
+    in either step, a replicate gives bit for bit the coefficients of step 2
+    on panel.take_entities' dataset of the draw. The checks on cell values (a
     binary selection observed wherever there are model data, an outcome on
     every selected row) run once, here, since a draw only repeats cells; the
     point fit needs a selected row in the dataset and a replicate one in its
-    rows. The VIFs and the Wald test are the point fit's alone.
+    rows. The VIFs and the Wald test (estim.attach_wald) are the point fit's
+    alone.
     """
     # the step-2 design names the correction term IMR; a data column of that
     # name would be ambiguous
@@ -213,31 +219,23 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
             f"outcome {spec.outcome!r} is missing on {int(bad.sum())} selected rows"
         )
 
-    probit = probit_fit(ds, spec.selection, sel_regs, spec.fe_dims)
     probit_mask = estim.complete_case_mask(ds, [spec.selection, *sel_regs], spec.fe_dims)
     outcome_mask = estim.complete_case_mask(ds, [spec.outcome, *spec.outcome_regressors], spec.fe_dims) & (sel == 1.0)
 
-    def step2(rows: np.ndarray, params=None):
-        """Step 2's (X, y, names, fe_dummies, imr, index) on the probit's row
-        indices ``rows``, with the probit at ``params`` (its MLE there when
-        None)."""
-        if params is None:
-            res, X1, *_ = _probit(ds, rows, spec.selection, sel_regs, spec.fe_dims)
-            params = res.params
-        else:
-            X1 = estim.newton_design(ds, rows, sel_regs, spec.fe_dims, intercept=True)[0]
-        index = np.zeros(len(X1))
-        for j in range(X1.shape[1]):  # estim.linear_index's order of additions
-            index = index + params[j] * X1[:, j]
+    def solve(rows: np.ndarray):
+        """Both steps on the probit's row indices ``rows``: (probit, step-2
+        names, fe_dummies, OlsCore, X, imr, index)."""
+        probit = _probit_on_rows(ds, rows, spec.selection, sel_regs, spec.fe_dims)
+        index = estim.linear_index(probit, ds)[rows]
         keep = outcome_mask[rows] & np.isfinite(index)
         rows, index = rows[keep], index[keep]
         imr = inverse_mills(index)
         X, names, mapping = estim.design_matrix(ds, rows, spec.outcome_regressors, spec.fe_dims, intercept=False)
         X = np.column_stack([X, imr, np.ones(X.shape[0])])
-        return X, outcome[rows], [*names, IMR_NAME, INTERCEPT], mapping, imr, index
+        names = [*names, IMR_NAME, INTERCEPT]
+        return probit, names, mapping, _least_squares(X, outcome[rows], names), X, imr, index
 
-    X, y, names, mapping, imr, index = step2(np.flatnonzero(probit_mask), probit.coef_vector())
-    core = _least_squares(X, y, names)
+    probit, names, mapping, core, X, imr, index = solve(np.flatnonzero(probit_mask))
     outcome_fit = estim.ols_result(core, names, ds.n_rows, "analytic", ())
     outcome_fit.notes["fe_dummies"] = mapping
 
@@ -257,12 +255,12 @@ def heckman_two_step(ds: panel.PanelDataset, spec: HeckmanSpec) -> HeckmanFit:
 
     def refit(rows: np.ndarray) -> dict[str, float]:
         _require_selected(sel[rows])
-        X, y, names, *_ = step2(rows)
-        return dict(zip(names, _least_squares(X, y, names).beta))
+        _, names, _, core, *_ = solve(rows)
+        return dict(zip(names, core.beta))
 
     estim.apply_vcov(outcome_fit, refit, ds, probit_mask, spec.vcov)
     if spec.outcome_regressors:
-        outcome_fit.wald_chi2 = estim.wald_chi2(outcome_fit, spec.outcome_regressors)
+        estim.attach_wald(outcome_fit, spec.outcome_regressors)
     outcome_fit.notes.update({"lambda": float(lam), "rho": rho, "sigma": sigma, "step2_vif": step2_vif})
 
     return HeckmanFit(probit=probit, outcome=outcome_fit)
@@ -289,11 +287,7 @@ def predict_linear_index(fit: HeckmanFit, ds: panel.PanelDataset) -> np.ndarray:
     """Step-2 prediction X'beta for every row, excluding the IMR correction term.
 
     Rows missing any outcome regressor yield missing predictions; disclosure
-    status does not matter, so non-disclosing rows are predicted too.
+    status does not matter, so non-disclosing rows are predicted too. A
+    regressor absent from the dataset is refused (estim.linear_index).
     """
-    for name in fit.outcome.coefficients:
-        if name in (INTERCEPT, IMR_NAME) or name in fit.outcome.notes.get("fe_dummies", {}):
-            continue
-        if not ds.has_column(name):
-            raise ValidationError(f"regressor {name!r} absent from the dataset")
     return estim.linear_index(fit.outcome, ds, exclude=(IMR_NAME,))

@@ -45,10 +45,10 @@ class ProdSpec:
 
 def fe_ols(ds: panel.PanelDataset, spec: ProdSpec) -> FitResult:
     """Two-way within estimator, entity and year effects absorbed, with the
-    all-slopes Wald test attached."""
+    all-slopes Wald test attached (estim.attach_wald)."""
     model = ModelSpec(dependent=spec.dependent, regressors=spec.regressors, fe_dims=("entity", "year"))
     fit = estim.ols_fit(ds, model, spec.vcov)
-    fit.wald_chi2 = estim.wald_chi2(fit, list(spec.regressors))
+    estim.attach_wald(fit, spec.regressors)
     return fit
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -169,6 +170,30 @@ class TestPipelineRun:
             d1, d2 = small_run / "seq" / sub, small_run / "par" / sub
             for name in sorted(os.listdir(d1)):
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("replications, n_wald", [(2, 0), (3, 6)])
+    def test_too_few_draws_attach_no_wald_test(self, tmp_path, monkeypatch, replications, n_wald):
+        # b draws give a covariance of rank at most b - 1: on the benchmark's
+        # acceptance inputs, 2 draws test no fit and 3 draws only the count
+        # fits, whose 2 regressors need 3; the others have 3 regressors
+        monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        from perfbench import workloads
+
+        workloads.pipeline_inputs(str(tmp_path / "in"), 120, 6, sectors=False)
+        cfg = json.loads((tmp_path / "in" / "config.json").read_text())
+        cfg["bootstrap"]["replications"] = replications
+        cfg["output_dir"] = str(tmp_path / "out")
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert cli.main([str(tmp_path / "config.json")]) == 0
+        values = {"wald_chi2": [], "wald_p": []}
+        for path in (tmp_path / "out" / "results").glob("*.txt"):
+            for line in path.read_text().splitlines():
+                for name, found in values.items():
+                    if f" record=diag name={name} " in line:
+                        found.append(float(line.rsplit("value=", 1)[1]))
+        assert len(values["wald_chi2"]) == len(values["wald_p"]) == n_wald
+        assert all(math.isfinite(v) and v >= 0 for v in values["wald_chi2"])
+        assert all(0 <= v <= 1 for v in values["wald_p"])
 
     def test_counts_table_shows_nb2_entities_dropped(self, tmp_path):
         ds = generate_panel(DgpConfig(n_entities=50, n_periods=5, seed=17))

@@ -906,12 +906,16 @@ class TestEntityLayout:
         (lambda ds: probit_fit(from_long(["E0"] * 5, list(range(2010, 2015)),
                                          {"d": ds.column("d"), "x": ds.column("x")}), "d", ["x"], fe_dims=("year",)),
          "only 5 complete cases for 6 probit parameters"),
-        # a count fit drops one-row entities, so NB2 gets the same 5 rows as
-        # two entities over four years: x, three year effects, _cons and one
-        # entity effect
+        # a count fit drops one-row entities, so the FE Poisson and NB2 get
+        # the same 5 rows as two entities over four years: x, three year
+        # effects, _cons and one entity effect, and NB2's log alpha
+        (lambda ds: poisson_fe_fit(from_long(["E0"] * 3 + ["E1"] * 2, [2010, 2011, 2012, 2012, 2013],
+                                             {"c": ds.column("c"), "x": ds.column("x")}),
+                                   CountSpec("c", ("x",), "poisson_fe")),
+         "only 5 complete cases for 6 parameters"),
         (lambda ds: nb2_fit(from_long(["E0"] * 3 + ["E1"] * 2, [2010, 2011, 2012, 2012, 2013],
                                       {"c": ds.column("c"), "x": ds.column("x")}), CountSpec("c", ("x",), "nb2")),
-         "only 5 complete cases for 6 parameters"),
+         "only 5 complete cases for 7 parameters"),
         (lambda ds: cqr_fit(ds, CqrSpec("c", ("x",), fe_dims=("entity",))), "only 5 complete cases for 6 parameters"),
     ])
     def test_size_checks_count_the_entity_effects(self, fit, message):

@@ -318,3 +318,18 @@ def test_fe_ols_replicate_is_a_frequency_weighted_fit(ds, monkeypatch):
         want = ols_core(X, ds.column(OLS.dependent)[rows], names, w=w[rows].astype(float), fe=fe).beta
         assert names == list(fit.coefficients)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_wald_test_needs_a_draw_more_than_its_restrictions(ds):
+    # 3 draws give a covariance of rank at most 2, too few for 3 restrictions;
+    # 4 draws are enough
+    fit = ols_fit(ds, OLS, VcovSpec("cluster_bootstrap", replications=3, seed=2024))
+    with pytest.raises(ValidationError, match="^no Wald test: 3 restrictions need at least 4 bootstrap draws, "
+                                              "the covariance has 3$"):
+        estim.wald_chi2(fit, OLS.regressors)
+    assert fit.notes["bootstrap_draws"] == 3
+    estim.attach_wald(fit, OLS.regressors)
+    assert fit.wald_chi2 is None and "the covariance has 3" in fit.notes["wald_refused"]
+    stat, df, p = estim.wald_chi2(ols_fit(ds, OLS, VcovSpec("cluster_bootstrap", replications=4, seed=2024)),
+                                  OLS.regressors)
+    assert df == 3 and stat >= 0 and 0 <= p <= 1
